@@ -45,15 +45,10 @@ from .certificates import (
     CertificateOverflow,
     FormulaTag,
     InstanceConstants,
-    classical_km_certificate,
-    example1_certificate,
-    example2_certificate,
-    general_certificate,
     hilbert_threshold,
-    inexact_km_certificate,
     instance_constants,
+    make_certificate,
     make_liminf_modulus,
-    make_residual_rate,
     make_step_rate,
     weight_threshold,
     weight_threshold_factored,

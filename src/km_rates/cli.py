@@ -47,8 +47,6 @@ def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
         fields["k_max"] = args.k_max
     if getattr(args, "horizon", None) is not None:
         fields["horizon"] = args.horizon
-    if getattr(args, "seed", None) is not None:
-        fields["seed"] = args.seed
     if getattr(args, "format", None) is not None:
         fields["formats"] = (args.format,)
     return replace(cfg, **fields) if fields else cfg
@@ -180,11 +178,6 @@ def cmd_verify(args) -> int:
     residual_report = check_rate_soundness(traj, cert.residual_rate, "res_T", cfg.k_max)
     step_report = check_rate_soundness(traj, cert.step_rate, "res_step", cfg.k_max)
     reports = [residual_report, step_report]
-    if cert.alt_residual_rate is not None:
-        reports.append(check_rate_soundness(traj, cert.alt_residual_rate, "res_T",
-                                            cfg.k_max))
-        reports.append(check_rate_soundness(traj, cert.alt_step_rate, "res_step",
-                                            cfg.k_max))
     liminf_report = check_liminf_contract(traj, cert.liminf_modulus,
                                           min(8, cfg.k_max), 8)
 
@@ -251,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--k-max", dest="k_max", type=int, default=None)
         p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="restrict outputs to one format")
 

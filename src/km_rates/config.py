@@ -23,16 +23,15 @@ from .certificates import (
     Certificate,
     FormulaTag,
     InstanceConstants,
-    certificate_for_schedule,
-    general_certificate,
-    inexact_km_certificate,
     instance_constants,
+    make_certificate,
 )
-from .moduli import RateFn, RateKind
+from .moduli import ZERO_CAUCHY, RateFn, RateKind
 from .operators import Operator, Space, catalog_names, make_operator
 from .schedules import (
     Family,
     Schedule,
+    inverse_square_perturbation,
     make_anchor,
     make_classical_km,
     make_example1,
@@ -76,7 +75,6 @@ class RunConfig:
     certificate_overrides: str
     horizon: Optional[int]
     k_max: int
-    seed: int
     out_dir: str
     formats: tuple
 
@@ -130,8 +128,6 @@ class RunConfig:
                      "run.horizon must be a positive integer or 'auto'")
         k_max = run.get("k_max", 10)
         _require(isinstance(k_max, int) and k_max >= 0, "run.k_max must be a natural number")
-        seed = run.get("seed", 0)
-        _require(isinstance(seed, int), "run.seed must be an integer")
 
         output = doc.get("output") or {}
         out_dir = output.get("directory", "out")
@@ -154,7 +150,6 @@ class RunConfig:
             certificate_overrides=_canonical(cert.get("overrides")),
             horizon=horizon,
             k_max=k_max,
-            seed=seed,
             out_dir=out_dir,
             formats=formats,
         )
@@ -185,7 +180,6 @@ class RunConfig:
             "run": {
                 "horizon": "auto" if self.horizon is None else self.horizon,
                 "k_max": self.k_max,
-                "seed": self.seed,
             },
             "output": {"directory": self.out_dir, "formats": list(self.formats)},
         }
@@ -257,9 +251,10 @@ def _rate_spec(spec, kind: RateKind, what: str) -> RateFn:
 
 
 def _perturbation_spec(spec, space: Space, what: str):
-    """Returns (perturbation fn or None, norm fn or None, tail or None, is_zero)."""
-    if spec is None or spec == {"zero": True} or (isinstance(spec, dict) and spec.get("zero")):
-        return None, None, None, True
+    """Returns (perturbation, perturbation_norm, tail, ||r_star||), as
+    :func:`inverse_square_perturbation` does; the zero stream has norm 0."""
+    if spec is None or (isinstance(spec, dict) and spec.get("zero")):
+        return inverse_square_perturbation(None)
     if isinstance(spec, dict) and "inverse_square" in spec:
         inner = spec["inverse_square"]
         r_star = np.asarray(inner.get("r_star"), dtype=float)
@@ -268,41 +263,22 @@ def _perturbation_spec(spec, space: Space, what: str):
         offset = inner.get("offset", 1)
         if not isinstance(offset, int) or offset < 1:
             raise ConfigError(f"{what}.inverse_square.offset must be a positive integer")
-        nrm = space.norm(r_star)
-        if nrm == 0.0:
-            return None, None, None, True
-        fn = lambda n: r_star / float((n + offset) ** 2)
-        norm_fn = lambda n: nrm / float((n + offset) ** 2)
-        tail = lambda m: nrm / float(m + offset)
-        return fn, norm_fn, tail, False
+        return inverse_square_perturbation(r_star, offset, space.norm)
     raise ConfigError(f"{what}: expected {{'zero': true}} or "
                       f"{{'inverse_square': {{'r_star': [...], 'offset': n}}}}")
 
 
-def build_schedule(cfg: RunConfig, space: Space):
-    """Returns (schedule, meta) where meta carries family parameters needed by
-    the certificate auto selection (lam, J, r_star_norm)."""
+def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
     params = json.loads(cfg.schedule_params)
     family = cfg.schedule_family
-    meta: dict = {}
     try:
         if family == Family.EXAMPLE1.value:
-            lam = float(params["lam"])
-            offset = int(params.get("offset", 1))
-            r_star = params.get("r_star")
-            schedule = make_example1(lam, offset, r_star, norm=space.norm)
-            meta = {"lam": lam,
-                    "r_star_norm": space.norm(np.asarray(r_star, dtype=float))
-                    if r_star is not None else 0.0}
+            schedule = make_example1(float(params["lam"]), int(params.get("offset", 1)),
+                                     params.get("r_star"), norm=space.norm)
         elif family == Family.EXAMPLE2.value:
-            lam = float(params["lam"])
-            J = int(params.get("J", 2))
-            offset = int(params.get("offset", 1))
-            r_star = params.get("r_star")
-            schedule = make_example2(lam, J, offset, r_star, norm=space.norm)
-            meta = {"lam": lam, "J": J,
-                    "r_star_norm": space.norm(np.asarray(r_star, dtype=float))
-                    if r_star is not None else 0.0}
+            schedule = make_example2(float(params["lam"]), int(params.get("J", 2)),
+                                     int(params.get("offset", 1)), params.get("r_star"),
+                                     norm=space.norm)
         elif family == Family.CLASSICAL_KM.value:
             schedule = make_classical_km(float(params["beta"]))
         elif family == Family.INEXACT_KM.value:
@@ -310,12 +286,11 @@ def build_schedule(cfg: RunConfig, space: Space):
             divergence = _rate_spec(params.get("weight_divergence"),
                                     RateKind.RATE_OF_DIVERGENCE,
                                     "schedule.params.weight_divergence")
-            pert, pert_norm, tail, zero = _perturbation_spec(
+            pert, pert_norm, tail, r_norm = _perturbation_spec(
                 params.get("perturbation"), space, "schedule.params.perturbation")
+            zero = r_norm == 0.0
             if zero:
-                cauchy = RateFn.constant(0, RateKind.CAUCHY_MODULUS,
-                                         "modulus of an identically zero series")
-                bound = 0
+                cauchy, bound = ZERO_CAUCHY, 0
             else:
                 cauchy = _rate_spec(params.get("perturbation_cauchy"),
                                     RateKind.CAUCHY_MODULUS,
@@ -324,8 +299,8 @@ def build_schedule(cfg: RunConfig, space: Space):
                 if not isinstance(bound, int) or bound < 0:
                     raise ConfigError("schedule.params.perturbation_sum_bound must be a "
                                       "natural number")
-            schedule = make_inexact_km(beta, divergence, pert, cauchy, bound,
-                                       norm=space.norm)
+            schedule = make_inexact_km(beta, divergence, None if zero else pert, cauchy,
+                                       bound, norm=space.norm)
             if not zero:
                 schedule = replace(schedule, perturbation_norm=pert_norm,
                                    perturbation_tail=tail)
@@ -339,32 +314,31 @@ def build_schedule(cfg: RunConfig, space: Space):
             families = {f.value for f in Family}
             _require(base_cfg.schedule_family in families,
                      "schedule.params.base.family is unknown")
-            base, _ = build_schedule(base_cfg, space)
+            base = build_schedule(base_cfg, space)
             schedule = make_anchor(base, params.get("u"), norm=space.norm)
         elif family == Family.CUSTOM.value:
             alpha = _sequence_spec(params.get("alpha"), "schedule.params.alpha")
             beta = _sequence_spec(params.get("beta"), "schedule.params.beta")
-            pert, pert_norm, tail, zero = _perturbation_spec(
+            pert, pert_norm, tail, r_norm = _perturbation_spec(
                 params.get("perturbation"), space, "schedule.params.perturbation")
+            zero = r_norm == 0.0
             defect_zero = bool(params.get("defect_is_zero", False))
             sched_kw = {
                 "alpha": alpha,
                 "beta": beta,
-                "perturbation": pert if pert is not None else (lambda n: 0.0),
-                "perturbation_norm": pert_norm if pert_norm is not None else (lambda n: 0.0),
+                "perturbation": pert,
+                "perturbation_norm": pert_norm,
                 "defect_cauchy": _rate_spec(params.get("defect_cauchy"),
                                             RateKind.CAUCHY_MODULUS,
                                             "schedule.params.defect_cauchy")
-                if not defect_zero else RateFn.constant(
-                    0, RateKind.CAUCHY_MODULUS, "modulus of an identically zero series"),
+                if not defect_zero else ZERO_CAUCHY,
                 "weight_divergence": _rate_spec(params.get("weight_divergence"),
                                                 RateKind.RATE_OF_DIVERGENCE,
                                                 "schedule.params.weight_divergence"),
                 "perturbation_cauchy": _rate_spec(params.get("perturbation_cauchy"),
                                                   RateKind.CAUCHY_MODULUS,
                                                   "schedule.params.perturbation_cauchy")
-                if not zero else RateFn.constant(
-                    0, RateKind.CAUCHY_MODULUS, "modulus of an identically zero series"),
+                if not zero else ZERO_CAUCHY,
                 "defect_sum_bound": params.get("defect_sum_bound", 0),
                 "perturbation_sum_bound": params.get("perturbation_sum_bound", 0),
                 "family": Family.CUSTOM,
@@ -382,42 +356,14 @@ def build_schedule(cfg: RunConfig, space: Space):
         raise ConfigError(f"schedule.params incomplete for family {family!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return schedule, meta
+    return schedule
 
 
 def build_certificate(cfg: RunConfig, schedule: Schedule, space: Space,
-                      constants: InstanceConstants, meta: dict) -> Certificate:
-    uc = space.uc_modulus()
-    formula = cfg.certificate_formula
+                      constants: InstanceConstants) -> Certificate:
     try:
-        if formula == "auto":
-            cert = certificate_for_schedule(schedule, constants, uc,
-                                            r_star_norm=meta.get("r_star_norm", 0.0),
-                                            lam=meta.get("lam"), J=meta.get("J"))
-        elif formula in ("general", "factored", "hilbert"):
-            cert = general_certificate(constants, schedule, uc, route=formula)
-        elif formula in ("inexact_km", "classical_km"):
-            if not schedule.defect_is_zero:
-                raise ConfigError("the vanishing-defect formulas need alpha+beta = 1")
-            tag = FormulaTag(formula)
-            cert = inexact_km_certificate(constants.start_bound,
-                                          constants.perturbation_sum_bound,
-                                          schedule.weight_divergence,
-                                          schedule.perturbation_cauchy, uc, tag=tag)
-        elif formula == "example1":
-            if "lam" not in meta:
-                raise ConfigError("the example1 formula needs an example1 schedule")
-            cert = certificate_for_schedule(schedule, constants, uc,
-                                            r_star_norm=meta.get("r_star_norm", 0.0),
-                                            lam=meta["lam"])
-        elif formula == "example2":
-            if "J" not in meta:
-                raise ConfigError("the example2 formula needs an example2 schedule")
-            cert = certificate_for_schedule(schedule, constants, uc,
-                                            r_star_norm=meta.get("r_star_norm", 0.0),
-                                            lam=meta["lam"], J=meta["J"])
-        else:
-            raise ConfigError(f"unsupported certificate formula {formula!r}")
+        cert = make_certificate(constants, schedule, space.uc_modulus(),
+                                cfg.certificate_formula)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -454,12 +400,12 @@ def assemble(cfg: RunConfig) -> Instance:
     space = build_space(cfg)
     operator = build_operator(cfg, space)
     start = np.asarray(cfg.start, dtype=float)
-    schedule, meta = build_schedule(cfg, space)
+    schedule = build_schedule(cfg, space)
     try:
         constants = instance_constants(start, operator.fixed_point, schedule,
                                        norm=space.norm)
     except OverflowError as exc:
         raise ConfigError(f"instance bounds are not representable: {exc}") from None
-    certificate = build_certificate(cfg, schedule, space, constants, meta)
+    certificate = build_certificate(cfg, schedule, space, constants)
     return Instance(config=cfg, space=space, operator=operator, start=start,
                     schedule=schedule, constants=constants, certificate=certificate)

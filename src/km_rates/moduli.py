@@ -118,6 +118,9 @@ class RateFn:
         return RateFn(lambda k: slope * k + intercept, kind, description)
 
 
+ZERO_CAUCHY = RateFn.constant(0, RateKind.CAUCHY_MODULUS, "modulus of an identically zero series")
+
+
 @dataclass(frozen=True)
 class LiminfModulus:
     """Witness-window function: some index in [L, eval(k, L)] dips below 1/(k+1)."""

@@ -24,10 +24,6 @@ NONEXPANSIVE_TOL = 1e-12
 #: catalog entries that are safe for every p-norm
 _LP_SAFE = {"identity", "coordinate_shrink"}
 
-#: entries whose fixed-point set is the underlying convex set (idempotent
-#: retractions); these accept an anchor whose projection is stored as z
-_PROJECTIONS = {"ball_projection", "halfspace_projection", "box_projection"}
-
 
 @dataclass(frozen=True)
 class Space:

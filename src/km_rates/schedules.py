@@ -24,10 +24,12 @@ import numpy as np
 
 from .moduli import (
     CHECK_TOL,
+    ZERO_CAUCHY,
     CauchyReport,
     DivergenceReport,
     RateFn,
     RateKind,
+    _norm2,
     ceil_int,
     check_divergence_rate,
     check_series_cauchy_modulus,
@@ -38,10 +40,6 @@ Vector = Union[np.ndarray, float]
 RANGE_TOL = 1e-12
 
 
-def _norm2(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
-
-
 def coupling_cap(lam: float) -> int:
     """Smallest integer dominating 1/(lam*(1-lam)); at least 4."""
     if not 0.0 < lam < 1.0:
@@ -50,7 +48,6 @@ def coupling_cap(lam: float) -> int:
 
 
 class Family(Enum):
-    GENERAL_KM = "general_km"
     INEXACT_KM = "inexact_km"
     CLASSICAL_KM = "classical_km"
     ANCHOR = "anchor"
@@ -134,13 +131,24 @@ def _zero_norm(n: int) -> float:
     return 0.0
 
 
-_ZERO_CAUCHY = RateFn.constant(0, RateKind.CAUCHY_MODULUS, "modulus of an identically zero series")
+def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable] = None):
+    """The stream r_n = r_star/(n+offset)^2.
 
-
-def _inverse_square_perturbation(r_star: np.ndarray, offset: int):
-    def perturbation(n: int) -> np.ndarray:
-        return r_star / float((n + offset) ** 2)
-    return perturbation
+    Returns (perturbation, perturbation_norm, tail, ||r_star||) where
+    tail(m) = ||r_star||/(m+offset) bounds the norm series past index m.  An
+    absent or zero r_star gives the zero stream and no tail.
+    """
+    if offset < 1:
+        raise ValueError(f"decay offset must be a positive integer, got {offset}")
+    if r_star is not None:
+        r_star = np.asarray(r_star, dtype=float)
+    r_norm = 0.0 if r_star is None else (norm or _norm2)(r_star)
+    if r_norm == 0.0:
+        return _zero_perturbation, _zero_norm, None, 0.0
+    return (lambda n: r_star / float((n + offset) ** 2),
+            lambda n: r_norm / float((n + offset) ** 2),
+            lambda m: r_norm / float(m + offset),
+            r_norm)
 
 
 def make_example1(
@@ -151,29 +159,16 @@ def make_example1(
 ) -> Schedule:
     """Constant averaging alpha = 1-lam, beta = lam with an inverse-square
     perturbation r_n = r_star/(n+offset)^2."""
-    if norm is None:
-        norm = _norm2
-    if offset < 1:
-        raise ValueError(f"decay offset must be a positive integer, got {offset}")
     cap = coupling_cap(lam)
-    if r_star is not None:
-        r_star = np.asarray(r_star, dtype=float)
-    r_norm_star = norm(r_star) if r_star is not None else 0.0
-    c = ceil_int(r_norm_star)
-    zero_r = r_norm_star == 0.0
-    if zero_r:
-        perturbation, perturbation_norm = _zero_perturbation, _zero_norm
-        tail = None
-    else:
-        perturbation = _inverse_square_perturbation(r_star, offset)
-        perturbation_norm = lambda n: r_norm_star / float((n + offset) ** 2)
-        tail = lambda m: r_norm_star / float(m + offset)
+    perturbation, perturbation_norm, tail, r_norm = inverse_square_perturbation(
+        r_star, offset, norm)
+    c = ceil_int(r_norm)
     return Schedule(
         alpha=lambda n: 1.0 - lam,
         beta=lambda n: lam,
         perturbation=perturbation,
         perturbation_norm=perturbation_norm,
-        defect_cauchy=_ZERO_CAUCHY,
+        defect_cauchy=ZERO_CAUCHY,
         weight_divergence=RateFn.affine(cap, 0, RateKind.RATE_OF_DIVERGENCE,
                                         f"constant-weight coupling divergence (cap={cap})"),
         perturbation_cauchy=RateFn.affine(c, c, RateKind.CAUCHY_MODULUS,
@@ -182,7 +177,7 @@ def make_example1(
         perturbation_sum_bound=2 * c,
         family=Family.EXAMPLE1,
         defect_is_zero=True,
-        perturbation_is_zero=zero_r,
+        perturbation_is_zero=r_norm == 0.0,
         perturbation_tail=tail,
     )
 
@@ -198,28 +193,15 @@ def make_example2(
 
     Needs lam < (J^2-1)/J^2 so that beta_0 > 0.
     """
-    if norm is None:
-        norm = _norm2
     if J < 2:
         raise ValueError(f"defect decay offset must be at least 2, got {J}")
-    if offset < 1:
-        raise ValueError(f"decay offset must be a positive integer, got {offset}")
     hi = (J * J - 1.0) / (J * J)
     if not 0.0 < lam < hi:
         raise ValueError(f"averaging weight must lie in (0, {hi}) for this family, got {lam}")
     cap = coupling_cap(lam)
-    if r_star is not None:
-        r_star = np.asarray(r_star, dtype=float)
-    r_norm_star = norm(r_star) if r_star is not None else 0.0
-    c = ceil_int(r_norm_star)
-    zero_r = r_norm_star == 0.0
-    if zero_r:
-        perturbation, perturbation_norm = _zero_perturbation, _zero_norm
-        p_tail = None
-    else:
-        perturbation = _inverse_square_perturbation(r_star, offset)
-        perturbation_norm = lambda n: r_norm_star / float((n + offset) ** 2)
-        p_tail = lambda m: r_norm_star / float(m + offset)
+    perturbation, perturbation_norm, p_tail, r_norm = inverse_square_perturbation(
+        r_star, offset, norm)
+    c = ceil_int(r_norm)
     return Schedule(
         alpha=lambda n: lam,
         beta=lambda n: 1.0 - lam - 1.0 / float((n + J) ** 2),
@@ -235,7 +217,7 @@ def make_example2(
         perturbation_sum_bound=2 * c,
         family=Family.EXAMPLE2,
         defect_is_zero=False,
-        perturbation_is_zero=zero_r,
+        perturbation_is_zero=r_norm == 0.0,
         defect_tail=lambda m: 1.0 / float(m + J),
         perturbation_tail=p_tail,
     )
@@ -272,7 +254,7 @@ def make_inexact_km(
         beta=beta_fn,
         perturbation=pert,
         perturbation_norm=pert_norm,
-        defect_cauchy=_ZERO_CAUCHY,
+        defect_cauchy=ZERO_CAUCHY,
         weight_divergence=weight_divergence,
         perturbation_cauchy=perturbation_cauchy,
         defect_sum_bound=0,
@@ -296,7 +278,7 @@ def make_classical_km(beta: float) -> Schedule:
         weight_divergence=RateFn.affine(cap, 0, RateKind.RATE_OF_DIVERGENCE,
                                         f"constant-weight coupling divergence (cap={cap})"),
         perturbation=None,
-        perturbation_cauchy=_ZERO_CAUCHY,
+        perturbation_cauchy=ZERO_CAUCHY,
         perturbation_sum_bound=0,
         family=Family.CLASSICAL_KM,
     )

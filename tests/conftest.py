@@ -11,9 +11,31 @@ def rotation_instance():
     schedule = km.make_classical_km(0.5)
     start = np.array([1.0, 0.0])
     constants = km.instance_constants(start, op.fixed_point, schedule, norm=space.norm)
-    cert = km.classical_km_certificate(constants.start_bound, schedule.weight_divergence,
-                                       km.hilbert_modulus())
+    cert = km.make_certificate(constants, schedule, km.hilbert_modulus())
     return space, op, start, schedule, constants, cert
+
+
+def example1_certificate(b, c):
+    """Euclidean certificate of the constant-weight family with lam = 1/2,
+    start bound b and ||r_star|| = c."""
+    schedule = km.make_example1(0.5, 1, r_star=[float(c), 0.0] if c else None)
+    constants = km.InstanceConstants.from_bounds(b, 0, 2 * c)
+    return km.make_certificate(constants, schedule, km.hilbert_modulus())
+
+
+def example1_oracle(threshold, cap, c):
+    """The paper's closed forms for the constant-weight family (Example 1):
+    (residual_rate, step_rate) from the threshold, cap = ceil(1/(lam(1-lam)))
+    and c = ceil||r_star||."""
+    return (lambda k: cap * (threshold(2 * k + 1) + 8 * c * (k + 1) + 1),
+            lambda k: cap * (threshold(4 * k + 3) + 16 * c * (k + 1) + 1))
+
+
+def example2_oracle(threshold, cap, b, c):
+    """The paper's closed forms for the shrinking-weight family (Example 2),
+    with b the start bound."""
+    return (lambda k: cap * threshold(2 * k + 1) + 16 * cap * (2 * b + c) * (k + 1) + 3 * cap - 1,
+            lambda k: cap * threshold(4 * k + 3) + 32 * cap * (2 * b + c) * (k + 1) + 3 * cap - 1)
 
 
 def example2_ball_config(out_dir="out"):

@@ -14,7 +14,14 @@ import km_rates as km
 from km_rates.certificates import InstanceConstants
 from km_rates.moduli import UcModulus, check_series_cauchy_modulus
 
-from conftest import example2_ball_config, rotation_instance, sample_admissible_triples
+from conftest import (
+    example1_certificate,
+    example1_oracle,
+    example2_oracle,
+    example2_ball_config,
+    rotation_instance,
+    sample_admissible_triples,
+)
 
 HILBERT = km.hilbert_modulus()
 
@@ -46,18 +53,20 @@ def test_criterion_1_hilbert_closed_form_exact():
 
 
 def test_criterion_2_constant_weight_pipeline_consistency():
-    """Generic composition reproduces the constant-weight closed form exactly."""
+    """Generic composition reproduces the paper's constant-weight closed form
+    exactly."""
     t0 = time.perf_counter()
     mismatches = 0
     for b in (1, 2, 3):
         for c in (0, 1, 2):
-            cert = km.example1_certificate(b, 0.5, float(c), HILBERT)
+            cert = example1_certificate(b, c)
+            residual, step = example1_oracle(cert.threshold, 4, c)
             for k in range(101):
-                if cert.residual_rate(k) != cert.alt_residual_rate(k):
+                if cert.residual_rate(k) != residual(k):
                     mismatches += 1
-                if cert.step_rate(k) != cert.alt_step_rate(k):
+                if cert.step_rate(k) != step(k):
                     mismatches += 1
-    base = km.example1_certificate(1, 0.5, 0.0, HILBERT)
+    base = example1_certificate(1, 0)
     pinned = (base.residual_rate(0) == 132 and base.step_rate(0) == 516
               and all(base.residual_rate(k) == 128 * (k + 1) ** 2 + 4
                       for k in range(101)))
@@ -89,7 +98,8 @@ def test_criterion_3_rotation_rate_soundness():
 
 
 def test_criterion_4_shrinking_weight_ball_soundness():
-    """Ball projection in R^3 under the shrinking-weight family, auto horizon."""
+    """Ball projection in R^3 under the shrinking-weight family, auto horizon;
+    the certificate is the paper's closed form."""
     t0 = time.perf_counter()
     cfg = km.RunConfig.from_dict(example2_ball_config())
     instance = km.assemble(cfg)
@@ -103,15 +113,18 @@ def test_criterion_4_shrinking_weight_ball_soundness():
     audit = km.audit_inequalities(traj, instance.constants)
     residual = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 5)
     step = km.check_rate_soundness(traj, cert.step_rate, "res_step", 5)
-    alt = km.check_rate_soundness(traj, cert.alt_residual_rate, "res_T", 5)
+    closed_residual, closed_step = example2_oracle(cert.threshold, 4, 1, 0)
+    closed_form = all(cert.residual_rate(k) == closed_residual(k)
+                      and cert.step_rate(k) == closed_step(k) for k in range(6))
     liminf = km.check_liminf_contract(traj, cert.liminf_modulus, 5, 8)
     elapsed = time.perf_counter() - t0
     ok = (audit.passed and residual.all_passed and step.all_passed
-          and alt.all_passed and liminf.all_passed
+          and closed_form and liminf.all_passed
           and residual.checked == 6 and elapsed < 10.0)
     _stamp(4, ok, elapsed,
            f"horizon={horizon} res_T checked={residual.checked} "
-           f"res_step checked={step.checked} liminf checked={liminf.checked}")
+           f"res_step checked={step.checked} liminf checked={liminf.checked} "
+           f"closed form ok={closed_form}")
 
 
 def test_criterion_5_inequality_audit(rotation_traj_35k, example2_ball_run):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import km_rates as km
@@ -8,14 +8,29 @@ from km_rates.certificates import (
     FormulaTag,
     InstanceConstants,
     make_liminf_modulus,
-    make_residual_rate,
     make_step_rate,
     select_threshold,
 )
+from km_rates.moduli import ZERO_CAUCHY as ZERO
 from km_rates.moduli import RateFn, RateKind, UcModulus
 
+from conftest import example1_certificate, example1_oracle, example2_oracle
+
 HILBERT = km.hilbert_modulus()
-ZERO = RateFn.constant(0, RateKind.CAUCHY_MODULUS)
+CLASSICAL = km.make_certificate(InstanceConstants.from_bounds(1, 0, 0),
+                                km.make_classical_km(0.5), HILBERT)
+
+
+def inexact_certificate(b, r, weight_divergence, perturbation_cauchy):
+    """Certificate of an alpha = 1 - beta schedule with start bound b and
+    perturbation sum bound r."""
+    schedule = km.make_inexact_km(0.5, weight_divergence, None, perturbation_cauchy, r)
+    return km.make_certificate(InstanceConstants.from_bounds(b, 0, r), schedule, HILBERT)
+
+
+def example2_certificate(b, c):
+    schedule = km.make_example2(0.5, 2, 1, r_star=[float(c), 0.0] if c else None)
+    return km.make_certificate(InstanceConstants.from_bounds(b, 2, 2 * c), schedule, HILBERT)
 
 
 def test_instance_constants_basic():
@@ -99,8 +114,7 @@ def test_threshold_overflow_on_vanishing_modulus():
 
 
 def test_residual_rate_classical_km_values():
-    s = km.make_classical_km(0.5)
-    cert = km.classical_km_certificate(1, s.weight_divergence, HILBERT)
+    cert = CLASSICAL
     assert [cert.residual_rate(k) for k in range(4)] == [132, 516, 1156, 2052]
     for k in range(40):
         assert cert.residual_rate(k) == 128 * (k + 1) ** 2 + 4
@@ -110,14 +124,14 @@ def test_residual_rate_degenerate_moduli():
     c = InstanceConstants.from_bounds(1, 0, 0)
     identity_rate = RateFn.affine(1, 0, RateKind.RATE_OF_DIVERGENCE)
     zero_thr = RateFn.constant(0, RateKind.THRESHOLD)
-    rate = make_residual_rate(c, zero_thr, identity_rate, ZERO, ZERO)
+    rate = km.rate_from_liminf(make_liminf_modulus(zero_thr, identity_rate),
+                               km.combine_cauchy_moduli(ZERO, ZERO, 2 * c.norm_bound, 2))
     for k in range(10):
         assert rate(k) == 1
 
 
 def test_step_rate_is_residual_at_doubled_index():
-    s = km.make_classical_km(0.5)
-    cert = km.classical_km_certificate(1, s.weight_divergence, HILBERT)
+    cert = CLASSICAL
     assert cert.step_rate(0) == 516
     for k in range(60):
         assert cert.step_rate(k) == cert.residual_rate(2 * k + 1)
@@ -140,44 +154,46 @@ def test_liminf_modulus_values():
 
 def test_inexact_km_certificate_thresholds():
     sigma2 = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
-    cert0 = km.inexact_km_certificate(1, 0, sigma2, ZERO, HILBERT)
+    cert0 = inexact_certificate(1, 0, sigma2, ZERO)
     assert cert0.threshold(1) == 32  # 8*(k+1)^2 at k=1
-    cert2 = km.inexact_km_certificate(1, 2, sigma2, RateFn.affine(1, 1, RateKind.CAUCHY_MODULUS),
-                                      HILBERT)
+    cert2 = inexact_certificate(1, 2, sigma2, RateFn.affine(1, 1, RateKind.CAUCHY_MODULUS))
     assert cert2.threshold(0) == 72  # 4*(b+M_r)*(b+2M_r+1) = 4*3*6
 
 
 def test_classical_reduction_matches_inexact_with_zero_perturbation():
+    classical = CLASSICAL
+    assert classical.formula is FormulaTag.HILBERT
     sigma2 = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
-    classical = km.classical_km_certificate(1, sigma2, HILBERT)
-    assert classical.formula is FormulaTag.CLASSICAL_KM
+    inexact = inexact_certificate(1, 0, sigma2, ZERO)
     for k in range(50):
         assert classical.residual_rate(k) == 4 * (classical.threshold(2 * k + 1) + 1)
+        assert classical.residual_rate(k) == inexact.residual_rate(k)
 
 
 def test_example1_certificate_hilbert_closed_forms():
-    cert = km.example1_certificate(1, 0.5, 0.0, HILBERT)
+    cert = example1_certificate(1, 0)
     for k in range(60):
         assert cert.residual_rate(k) == 128 * (k + 1) ** 2 + 4
         assert cert.step_rate(k) == 512 * (k + 1) ** 2 + 4
     assert cert.residual_rate(0) == 132 and cert.step_rate(0) == 516
 
-    perturbed = km.example1_certificate(1, 0.5, 1.0, HILBERT)
+    perturbed = example1_certificate(1, 1)
     assert perturbed.residual_rate(0) == 1188  # 16*4*3*6 + 8*4 + 4
 
 
 def test_example1_general_path_agrees_exactly():
+    # the moduli composition reproduces the paper's constant-weight closed form
     for b in (1, 2, 3):
         for c in (0, 1, 2):
-            cert = km.example1_certificate(b, 0.5, float(c), HILBERT)
-            assert cert.alt_residual_rate is not None
+            cert = example1_certificate(b, c)
+            residual, step = example1_oracle(cert.threshold, 4, c)
             for k in range(101):
-                assert cert.residual_rate(k) == cert.alt_residual_rate(k)
-                assert cert.step_rate(k) == cert.alt_step_rate(k)
+                assert cert.residual_rate(k) == residual(k)
+                assert cert.step_rate(k) == step(k)
 
 
 def test_example2_certificate_values():
-    cert = km.example2_certificate(1, 0.5, 2, 0.0, HILBERT)
+    cert = example2_certificate(1, 0)
     assert cert.residual_rate(0) == 1291
     assert cert.step_rate(0) == 4875
     # closed form 16*cap*M1*(k+1)^2 + 16*cap*M2*(k+1) + 3*cap - 1
@@ -187,35 +203,45 @@ def test_example2_certificate_values():
 
 
 def test_example2_parts_agree_with_general_path():
+    # the moduli composition reproduces the paper's shrinking-weight closed form
     for b in (1, 2):
         for c in (0, 1):
-            cert = km.example2_certificate(b, 0.5, 2, float(c), HILBERT)
+            cert = example2_certificate(b, c)
+            residual, step = example2_oracle(cert.threshold, 4, b, c)
             for k in range(51):
-                assert cert.residual_rate(k) == cert.alt_residual_rate(k)
-                assert cert.step_rate(k) == cert.alt_step_rate(k)
+                assert cert.residual_rate(k) == residual(k)
+                assert cert.step_rate(k) == step(k)
 
 
 def test_example2_validation():
-    with pytest.raises(ValueError):
-        km.example2_certificate(1, 0.8, 2, 0.0, HILBERT)
-    with pytest.raises(ValueError):
-        km.example2_certificate(1, 0.5, 1, 0.0, HILBERT)
+    doc = {"space": {"dim": 2}, "operator": {"name": "identity"}, "start": [1.0, 0.0],
+           "schedule": {"family": "example2", "params": {"lam": 0.8, "J": 2}}}
+    with pytest.raises(km.ConfigError):
+        km.assemble(km.RunConfig.from_dict(doc))
+    doc["schedule"]["params"] = {"lam": 0.5, "J": 1}
+    with pytest.raises(km.ConfigError):
+        km.assemble(km.RunConfig.from_dict(doc))
 
 
 def test_general_certificate_routes():
     s = km.make_classical_km(0.5)
     c = InstanceConstants.from_bounds(1, 0, 0)
-    auto = km.general_certificate(c, s, HILBERT)
+    auto = km.make_certificate(c, s, HILBERT)
     assert auto.formula is FormulaTag.HILBERT
-    assert auto.alt_formula is FormulaTag.FACTORED
+    # cross-check: the double-precision factored route gives the same rates
+    factored = km.make_certificate(c, s, HILBERT, route="factored")
+    assert factored.formula is FormulaTag.FACTORED
     for k in range(30):
-        assert auto.residual_rate(k) == auto.alt_residual_rate(k)
-    direct = km.general_certificate(c, s, HILBERT, route="general")
+        assert auto.residual_rate(k) == factored.residual_rate(k)
+        assert auto.step_rate(k) == factored.step_rate(k)
+    direct = km.make_certificate(c, s, HILBERT, route="general")
     assert direct.formula is FormulaTag.GENERAL
     # the direct route uses the unfactored modulus and is coarser
     assert direct.residual_rate(0) == 516
     with pytest.raises(ValueError):
-        km.general_certificate(c, s, UcModulus(eta=lambda e: e * e / 8.0), route="hilbert")
+        km.make_certificate(c, s, UcModulus(eta=lambda e: e * e / 8.0), route="hilbert")
+    with pytest.raises(ValueError):
+        km.make_certificate(c, s, HILBERT, route="example1")
 
 
 def test_select_threshold_prefers_closed_form():
@@ -244,14 +270,14 @@ def test_certificate_monotone_in_instance_bounds():
     for k in (0, 1, 5):
         prev = None
         for b in (1, 2, 3, 4):
-            cert = km.inexact_km_certificate(b, 1, sigma2, sigma3, HILBERT)
+            cert = inexact_certificate(b, 1, sigma2, sigma3)
             value = cert.residual_rate(k)
             if prev is not None:
                 assert value >= prev
             prev = value
         prev = None
         for r in (0, 1, 2, 3):
-            cert = km.inexact_km_certificate(2, r, sigma2, sigma3, HILBERT)
+            cert = inexact_certificate(2, r, sigma2, sigma3)
             value = cert.residual_rate(k)
             if prev is not None:
                 assert value >= prev
@@ -260,7 +286,7 @@ def test_certificate_monotone_in_instance_bounds():
         for d in (0, 1, 2, 3):
             c = InstanceConstants.from_bounds(2, d, 1)
             s = km.make_example2(0.5, J=2)
-            cert = km.general_certificate(c, s, HILBERT)
+            cert = km.make_certificate(c, s, HILBERT)
             value = cert.residual_rate(k)
             if prev is not None:
                 assert value >= prev
@@ -268,11 +294,10 @@ def test_certificate_monotone_in_instance_bounds():
 
 
 def test_step_series_modulus_diagnostic():
-    s = km.make_classical_km(0.5)
-    classical = km.classical_km_certificate(1, s.weight_divergence, HILBERT)
+    classical = CLASSICAL
     assert all(classical.step_series_modulus(k) == 0 for k in range(10))
 
-    ex2 = km.example2_certificate(1, 0.5, 2, 0.0, HILBERT)
+    ex2 = example2_certificate(1, 0)
     # norm bound 4, unperturbed: max(defect modulus at 16(k+1)-1, 0) = 16(k+1)
     for k in range(10):
         assert ex2.step_series_modulus(k) == 16 * (k + 1)
@@ -284,9 +309,9 @@ def test_step_series_modulus_diagnostic():
 
 
 def test_certificate_table_serialization():
-    s = km.make_classical_km(0.5)
-    cert = km.classical_km_certificate(1, s.weight_divergence, HILBERT)
-    doc = cert.to_dict(3)
+    doc = CLASSICAL.to_dict(3)
+    assert set(doc) == {"formula", "constants", "table"}
+    assert doc["formula"] == "hilbert"
     assert [row["residual_rate"] for row in doc["table"]] == [132, 516, 1156, 2052]
     assert doc["constants"]["dist_bound"] == 1
 
@@ -303,5 +328,40 @@ def test_hilbert_closed_form_property(b, d, r, k):
 def test_step_rate_composition_property(k):
     s = km.make_example2(0.5, J=2)
     c = InstanceConstants.from_bounds(2, 2, 0)
-    cert = km.general_certificate(c, s, HILBERT)
+    cert = km.make_certificate(c, s, HILBERT)
     assert cert.step_rate(k) == cert.residual_rate(2 * k + 1)
+
+
+@given(family=st.sampled_from(["example1", "example2"]), b=st.integers(1, 5),
+       c=st.integers(0, 3), lam=st.floats(0.05, 0.95), J=st.integers(2, 6),
+       p=st.sampled_from([None, 3.0, 1.5]), k=st.integers(0, 200))
+@settings(max_examples=150, deadline=None)
+def test_family_certificates_match_paper_closed_forms(family, b, c, lam, J, p, k):
+    if family == "example2":
+        assume(lam < (J * J - 1.0) / (J * J))
+    # start and r_star lie on the first axis, so their norms are the same in
+    # every p-norm and round up to b and c
+    params = {"lam": lam, "J": J, "offset": 1, "r_star": [c - 0.25, 0.0] if c else None}
+    doc = {
+        "space": {"dim": 2, "norm": "euclidean"} if p is None
+        else {"dim": 2, "norm": "lp", "p": p},
+        "operator": {"name": "identity"},
+        "start": [b - 0.5, 0.0],
+        "schedule": {"family": family, "params": params},
+    }
+    cert = km.assemble(km.RunConfig.from_dict(doc)).certificate
+    cap = km.coupling_cap(lam)
+    if family == "example1":
+        constants = InstanceConstants.from_bounds(b, 0, 2 * c)
+        residual, step = example1_oracle(cert.threshold, cap, c)
+    else:
+        constants = InstanceConstants.from_bounds(b, 2, 2 * c)
+        residual, step = example2_oracle(cert.threshold, cap, b, c)
+    assert cert.constants == constants
+    if p is None:
+        m0, num = constants.dist_bound, constants.threshold_numerator
+        assert cert.threshold(k) == 4 * m0 * num * (k + 1) ** 2
+    else:
+        assert cert.threshold(k) == km.weight_threshold_factored(constants, km.lp_modulus(p))(k)
+    assert cert.residual_rate(k) == residual(k)
+    assert cert.step_rate(k) == step(k)

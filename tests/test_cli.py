@@ -39,6 +39,8 @@ def test_config_round_trip_identity(tmp_path):
     assert first == second
     third = km.RunConfig.from_dict(second.to_dict())
     assert second == third
+    # documents that still carry run.seed load; the field is not echoed
+    assert doc["run"]["seed"] == 7 and "seed" not in first.to_dict()["run"]
 
 
 def test_config_validation_errors():
@@ -48,10 +50,11 @@ def test_config_validation_errors():
     doc["start"] = [1.0]  # wrong length
     with pytest.raises(km.ConfigError):
         km.RunConfig.from_dict(doc)
-    doc = example2_ball_config()
-    doc["certificate"]["formula"] = "nonsense"
-    with pytest.raises(km.ConfigError):
-        km.RunConfig.from_dict(doc)
+    for formula in ("nonsense", "example2", "classical_km"):
+        doc = example2_ball_config()
+        doc["certificate"]["formula"] = formula
+        with pytest.raises(km.ConfigError):
+            km.RunConfig.from_dict(doc)
 
 
 def test_certify_table_rotation(tmp_path, capsys):
@@ -176,6 +179,31 @@ def test_catalog_lists_entries(capsys):
     assert "example2" in out
 
 
+#: minimal schedule params per family
+MINIMAL_SCHEDULES = {
+    "example1": {"lam": 0.5},
+    "example2": {"lam": 0.5},
+    "classical_km": {"beta": 0.5},
+    "inexact_km": {"beta": 0.5,
+                   "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}},
+    "anchor": {"base": {"family": "example2", "params": {"lam": 0.5}}, "u": [1.0, 0.0]},
+    "custom": {"alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+               "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}},
+}
+
+
+def test_catalog_families_all_assemble(capsys):
+    assert main(["catalog"]) == 0
+    out = capsys.readouterr().out
+    families = [line.strip() for line in out.split("schedule families:\n")[1].splitlines()]
+    assert families
+    for family in families:
+        doc = rotation_config("out")
+        doc["schedule"] = {"family": family, "params": MINIMAL_SCHEDULES.get(family)}
+        instance = km.assemble(km.RunConfig.from_dict(doc))
+        assert instance.certificate.residual_rate(0) > 0, family
+
+
 def test_cli_flag_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path, rotation_config(tmp_path / "out"))
     assert main(["run", "--config", cfg, "--horizon", "50",
@@ -199,7 +227,7 @@ def test_lp_instance_verifies(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 0
     capsys.readouterr()
     doc = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert doc["certificate"]["formula"] == "classical_km"
+    assert doc["certificate"]["formula"] == "factored"
     assert doc["audit"]["passed"] is True
 
 
