@@ -21,7 +21,6 @@ from .moduli import (
     series_upper_bound,
 )
 from .schedules import (
-    ExampleParams,
     Family,
     Schedule,
     bound_constants_from_moduli,

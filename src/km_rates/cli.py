@@ -2,7 +2,8 @@
 
 Subcommands: certify, run, verify, audit, catalog.  Exit codes form a stable
 contract for CI: 0 success, 2 config error, 3 certificate overflow, 4 numeric
-abort, 5 verification failure.  The KM_RATES_LOG environment variable sets
+abort, 5 verification failure (of the trajectory checks or, for verify, of
+the schedule premises on the run window).  The KM_RATES_LOG environment variable sets
 the log level.
 """
 
@@ -16,11 +17,13 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
+import numpy as np
+
 from .certificates import CertificateOverflow
 from .config import ConfigError, Instance, RunConfig, assemble, load_config
 from .engine import NumericAbort, audit_inequalities, iterate, write_trajectory_csv
 from .operators import catalog_names
-from .schedules import Family
+from .schedules import Family, range_findings, verify_hypotheses
 from .verify import (
     auto_horizon,
     check_liminf_contract,
@@ -35,8 +38,6 @@ EXIT_CONFIG = 2
 EXIT_OVERFLOW = 3
 EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
-
-_RANGE_TOL = 1e-12
 
 
 def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -64,20 +65,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _validate_schedule_window(instance: Instance, horizon: int) -> None:
-    """Range checks on [0, horizon); violations reject the config before any
-    iteration runs."""
-    schedule = instance.schedule
-    for n in range(horizon):
-        a = schedule.alpha(n)
-        b = schedule.beta(n)
-        if not -_RANGE_TOL <= a <= 1.0 + _RANGE_TOL:
-            raise ConfigError(f"alpha out of [0, 1] at n={n}: {a}")
-        if not -_RANGE_TOL <= b <= 1.0 + _RANGE_TOL:
-            raise ConfigError(f"beta out of [0, 1] at n={n}: {b}")
-        if a + b > 1.0 + _RANGE_TOL:
-            raise ConfigError(f"alpha+beta exceeds 1 at n={n}: {a + b}")
-        if a + b <= 0.0:
-            raise ConfigError(f"alpha+beta not positive at n={n}")
+    """The range check of :func:`range_findings` on [0, horizon); the first
+    violating index rejects the config before any iteration runs."""
+    findings = range_findings(instance.schedule, np.arange(horizon), limit=1)
+    if findings:
+        raise ConfigError(min(findings, key=lambda f: f.index).message)
 
 
 def _resolve_horizon(instance: Instance) -> int:
@@ -173,6 +165,7 @@ def cmd_verify(args) -> int:
     instance = assemble(cfg)
     cert = instance.certificate
     horizon = _resolve_horizon(instance)
+    hypotheses = verify_hypotheses(instance.schedule, horizon)
     traj, audit = _run_instance(instance, horizon)
 
     residual_report = check_rate_soundness(traj, cert.residual_rate, "res_T", cfg.k_max)
@@ -190,12 +183,13 @@ def cmd_verify(args) -> int:
             "config": cfg.to_dict(),
             "certificate": cert.to_dict(cfg.k_max),
             "horizon": horizon,
+            "hypotheses": hypotheses.to_dict(),
             "audit": audit.to_dict(),
             "soundness": [r.to_dict() for r in reports],
             "liminf": liminf_report.to_dict(),
         })
 
-    ok = (audit.passed and liminf_report.all_passed
+    ok = (hypotheses.passed and audit.passed and liminf_report.all_passed
           and all(r.all_passed for r in reports))
     for report in (residual_report, step_report):
         for row in report.rows:
@@ -206,6 +200,8 @@ def cmd_verify(args) -> int:
                   f"[{state}]{slack}")
     print(f"liminf cells checked={liminf_report.checked} "
           f"{'pass' if liminf_report.all_passed else 'FAIL'}")
+    print(f"schedule hypotheses on [0, {horizon}]: "
+          f"{'pass' if hypotheses.passed else 'FAIL'}")
     print(f"verify: {'all checks passed' if ok else 'FAILURES found'} "
           f"(horizon={horizon})")
     return EXIT_OK if ok else EXIT_VERIFY

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .operators import Operator, Space, catalog_names, make_operator
 from .schedules import (
     Family,
     Schedule,
+    Stream,
+    constant_stream,
     inverse_square_perturbation,
     make_anchor,
     make_classical_km,
@@ -223,17 +225,15 @@ def build_operator(cfg: RunConfig, space: Space) -> Operator:
     return op
 
 
-def _sequence_spec(spec, what: str) -> Callable[[int], float]:
+def _sequence_spec(spec, what: str) -> Stream:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = float(spec)
-        return lambda n: value
+        return constant_stream(spec)
     if isinstance(spec, dict) and "const" in spec:
-        value = float(spec["const"])
-        return lambda n: value
+        return constant_stream(spec["const"])
     if isinstance(spec, dict) and "values" in spec:
         values = [float(v) for v in spec["values"]]
-        then = float(spec.get("then", values[-1] if values else 0.0))
-        return lambda n: values[n] if n < len(values) else then
+        table = np.array(values + [float(spec.get("then", values[-1] if values else 0.0))])
+        return lambda n: table[np.minimum(n, len(values))]
     raise ConfigError(f"{what}: expected a number, {{'const': v}} or "
                       f"{{'values': [...], 'then': v}}")
 
@@ -300,10 +300,8 @@ def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
                     raise ConfigError("schedule.params.perturbation_sum_bound must be a "
                                       "natural number")
             schedule = make_inexact_km(beta, divergence, None if zero else pert, cauchy,
-                                       bound, norm=space.norm)
-            if not zero:
-                schedule = replace(schedule, perturbation_norm=pert_norm,
-                                   perturbation_tail=tail)
+                                       bound, perturbation_norm=pert_norm,
+                                       perturbation_tail=tail)
         elif family == Family.ANCHOR.value:
             base_doc = params.get("base")
             if not isinstance(base_doc, dict):

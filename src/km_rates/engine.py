@@ -18,12 +18,17 @@ from typing import List, Optional
 import numpy as np
 
 from .certificates import InstanceConstants
+from .moduli import stream_values
 from .operators import Operator, Space
 from .schedules import Schedule
 
 AUDIT_TOL = 1e-9
 _FIX_CLAMP = 1e-12
 DEFAULT_STORE_LIMIT = 100_000
+#: points per block of the step loop: enough that the per-block array calls
+#: are a small share of the steps, few enough that the block's scratch rows
+#: add little to peak memory next to stored points
+BLOCK = 256
 
 
 class NumericAbort(RuntimeError):
@@ -70,7 +75,11 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             store_limit: int = DEFAULT_STORE_LIMIT) -> Trajectory:
     """Materialize the trajectory up to ``horizon`` steps.
 
-    Aborts with :class:`NumericAbort` at the first non-finite iterate.
+    Two phases: the schedule streams for the whole horizon are read in one
+    call each, with ``K_z`` as one accumulate; then the steps run in blocks of
+    ``BLOCK`` points, each step only applying the operator and the update, and
+    the norm streams of a block are taken as row norms after it.  Aborts with
+    :class:`NumericAbort` at the first non-finite iterate.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -82,51 +91,60 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     fix_residual = space.norm(op(z) - z)
     if fix_residual < _FIX_CLAMP:
         fix_residual = 0.0
-
-    res_T = np.empty(horizon + 1)
-    dist_z = np.empty(horizon + 1)
-    norm_x = np.empty(horizon + 1)
-    K_z = np.empty(horizon + 1)
-    res_step = np.empty(horizon)
-    alpha = np.empty(horizon)
-    beta = np.empty(horizon)
-    r_norm = np.empty(horizon)
-    store = horizon <= store_limit
-    points = np.empty((horizon + 1, space.dim)) if store else None
-
-    K = space.norm(x - z)
-    if not math.isfinite(K) or not math.isfinite(space.norm(x)):
+    K0 = space.norm(x - z)
+    if not math.isfinite(K0) or not math.isfinite(space.norm(x)):
         raise NumericAbort(0)
-    for n in range(horizon):
-        tx = op(x)
-        res_T[n] = space.norm(x - tx)
-        dist_z[n] = space.norm(x - z)
-        norm_x[n] = space.norm(x)
-        K_z[n] = K
-        if store:
-            points[n] = x
-        a = schedule.alpha(n)
-        b = schedule.beta(n)
-        r = schedule.perturbation(n)
-        alpha[n] = a
-        beta[n] = b
-        rn = schedule.perturbation_norm(n)
-        r_norm[n] = rn
-        x_next = a * x + b * tx + r
-        res_step[n] = space.norm(x_next - x)
-        if not math.isfinite(res_step[n]) or not math.isfinite(res_T[n]):
-            raise NumericAbort(n + 1)
-        K = K + b * fix_residual + (1.0 - a - b) * norm_z + rn
-        x = x_next
-    tx = op(x)
-    res_T[horizon] = space.norm(x - tx)
-    dist_z[horizon] = space.norm(x - z)
-    norm_x[horizon] = space.norm(x)
-    K_z[horizon] = K
-    if store:
-        points[horizon] = x
-    if not math.isfinite(res_T[horizon]):
-        raise NumericAbort(horizon)
+
+    # overflow gives inf or NaN, never a warning; a non-finite norm aborts below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one step past the horizon, so that every point x_0..x_horizon is
+        # reached by the same step body; x_{horizon+1} is dropped
+        a_all = stream_values(schedule.alpha, np.arange(horizon + 1))
+        b_all = stream_values(schedule.beta, np.arange(horizon + 1))
+        alpha, beta = a_all[:horizon], b_all[:horizon]
+        r_norm = stream_values(schedule.perturbation_norm, np.arange(horizon))
+        # K_{n+1} = ((K_n + beta_n*fr) + defect_n*||z||) + ||r_n||, summed in this order
+        terms = np.empty(3 * horizon + 1)
+        terms[0] = K0
+        np.multiply(beta, fix_residual, out=terms[1::3])
+        np.subtract(1.0, alpha, out=terms[2::3])
+        terms[2::3] -= beta
+        terms[2::3] *= norm_z
+        terms[3::3] = r_norm
+        K_z = np.add.accumulate(terms, out=terms)[::3].copy()
+        del terms  # 3*horizon floats, not held through the block walk
+
+        res_T = np.empty(horizon + 1)
+        dist_z = np.empty(horizon + 1)
+        norm_x = np.empty(horizon + 1)
+        res_step = np.empty(horizon)
+        store = horizon <= store_limit
+        points = np.empty((horizon + 1, space.dim)) if store else None
+        block_x = np.empty((BLOCK + 1, space.dim))  # x_n0 .. x_n1, the last one carried on
+        block_tx = np.empty((BLOCK, space.dim))
+        for n0 in range(0, horizon + 1, BLOCK):
+            n1 = min(n0 + BLOCK, horizon + 1)
+            m = n1 - n0
+            r = np.broadcast_to(schedule.perturbation(np.arange(n0, n1)), (m, space.dim))
+            for i, (a, b, ri) in enumerate(zip(a_all[n0:n1].tolist(),
+                                               b_all[n0:n1].tolist(), r)):
+                tx = op(x)
+                block_x[i] = x
+                block_tx[i] = tx
+                x = a * x + b * tx + ri
+            block_x[m] = x
+            pts = block_x[:m]
+            s = min(n1, horizon) - n0  # steps of this block inside the horizon
+            res_T[n0:n1] = space.norm(pts - block_tx[:m])
+            dist_z[n0:n1] = space.norm(pts - z)
+            norm_x[n0:n1] = space.norm(pts)
+            res_step[n0:n0 + s] = space.norm(block_x[1:s + 1] - block_x[:s])
+            if store:
+                points[n0:n1] = pts
+            bad = ~np.isfinite(res_T[n0:n1])
+            bad[:s] |= ~np.isfinite(res_step[n0:n0 + s])
+            if bad.any():
+                raise NumericAbort(min(n0 + int(np.argmax(bad)) + 1, horizon))
 
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,

@@ -69,8 +69,19 @@ def _as_index(value, what: str) -> int:
     return out
 
 
-def _norm2(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+def _norm2(v):
+    """Euclidean norm along the last axis: one value for a vector, one per row
+    for a stack of vectors.  Each is sqrt(v . v) with the dot product np.dot
+    takes, so a row norm equals the norm of that row alone, bit for bit."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def stream_values(stream: Callable, ns: np.ndarray) -> np.ndarray:
+    """A scalar stream evaluated on the index array ``ns`` in one call, as
+    floats of the shape of ``ns``; a stream that ignores its index
+    broadcasts."""
+    return np.broadcast_to(np.asarray(stream(ns), dtype=float), np.shape(ns))
 
 
 class RateKind(Enum):
@@ -420,7 +431,7 @@ class DivergenceReport:
 
 
 def check_divergence_rate(
-    summand: Callable[[int], float],
+    summand: Callable,
     rate: RateFn,
     n_max: int,
     tol: float = CHECK_TOL,
@@ -429,29 +440,24 @@ def check_divergence_rate(
 
     For each n the partial sum up to index rate(n) must reach n.  When every
     summand seen lies in [0, 1) the growth property rate(n) >= n is checked
-    as well; summands outside [0, 1) disable only that sub-check.
+    as well; summands outside [0, 1) disable only that sub-check.  The
+    summand stream is evaluated once, on the index array [0, rate(n_max)].
     """
     if rate.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError(f"expected a rate of divergence, got kind {rate.kind}")
     n_max = _as_index(n_max, "n_max")
     values = [rate(n) for n in range(n_max + 1)]
-    top = max(values)
-    terms = np.array([float(summand(i)) for i in range(top + 1)])
-    in_unit = bool(np.all((terms >= 0.0) & (terms < 1.0)))
-    unit_violations = [] if in_unit else [int(i) for i in np.nonzero(~((terms >= 0.0) & (terms < 1.0)))[0][:10]]
-    sums = np.cumsum(terms)
-    rows = []
-    for n, rv in enumerate(values):
-        partial = float(sums[rv])
-        rows.append(DivergenceRow(
-            n=n,
-            rate_value=rv,
-            partial_sum=partial,
-            sum_ok=bool(partial >= n - tol),
-            growth_ok=(rv >= n) if in_unit else None,
-        ))
+    terms = stream_values(summand, np.arange(max(values) + 1))
+    unit = (terms >= 0.0) & (terms < 1.0)
+    in_unit = bool(np.all(unit))
+    partials = np.cumsum(terms)[values]
+    sum_ok = partials >= np.arange(n_max + 1) - tol
+    rows = [DivergenceRow(n=n, rate_value=rv, partial_sum=partial, sum_ok=ok,
+                          growth_ok=(rv >= n) if in_unit else None)
+            for n, (rv, partial, ok) in enumerate(zip(values, partials.tolist(),
+                                                      sum_ok.tolist()))]
     return DivergenceReport(n_max=n_max, rows=rows, summands_in_unit=in_unit,
-                            unit_violations=unit_violations)
+                            unit_violations=np.flatnonzero(~unit)[:10].tolist())
 
 
 @dataclass(frozen=True)
@@ -491,7 +497,7 @@ class CauchyReport:
 
 
 def check_series_cauchy_modulus(
-    summand: Callable[[int], float],
+    summand: Callable,
     modulus: RateFn,
     k_max: int,
     window: int,
@@ -504,12 +510,13 @@ def check_series_cauchy_modulus(
     tail, so each k reduces to one comparison at n = modulus(k).  When
     ``tail_bound(m)`` bounds the sum beyond index m the check covers all p,
     otherwise it covers the window only (row stays honest about that via
-    ``tail_bounded`` on the report).
+    ``tail_bounded`` on the report).  The summand stream is evaluated once,
+    on the index array [0, window].
     """
     if modulus.kind is not RateKind.CAUCHY_MODULUS:
         raise ValueError(f"expected a Cauchy modulus, got kind {modulus.kind}")
     window = _as_index(window, "window")
-    terms = np.array([float(summand(i)) for i in range(window + 1)])
+    terms = stream_values(summand, np.arange(window + 1))
     if np.any(terms < -tol):
         raise ValueError("series summands must be nonnegative")
     sums = np.concatenate([[0.0], np.cumsum(terms)])  # sums[i] = sum of first i terms

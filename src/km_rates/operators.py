@@ -16,7 +16,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .moduli import UcModulus, hilbert_modulus, lp_modulus
+from .moduli import UcModulus, _norm2, hilbert_modulus, lp_modulus
 
 FIXED_POINT_TOL = 1e-12
 NONEXPANSIVE_TOL = 1e-12
@@ -49,11 +49,17 @@ class Space:
     def uc_modulus(self) -> UcModulus:
         return hilbert_modulus() if self.is_euclidean else lp_modulus(self.p)
 
-    def norm(self, v) -> float:
+    def norm(self, v):
+        """The p-norm along the last axis: a float for one vector, an array of
+        row norms for a stack of vectors.  A norm past the double range is
+        inf, with no warning; callers reject it or abort on it."""
         v = np.asarray(v, dtype=float)
-        if self.p == 2.0:
-            return math.sqrt(float(np.dot(v, v)))
-        return float(np.sum(np.abs(v) ** self.p) ** (1.0 / self.p))
+        with np.errstate(over="ignore"):
+            if self.p == 2.0:
+                out = _norm2(v)
+            else:
+                out = np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ hypotheses as explicit objects:
 plus integer bounds on the two summable series.  Moduli are proof objects:
 constructors either derive them from a closed form that is provably valid or
 require the caller to supply them; they are never inferred from samples.
-Schedules are evaluated lazily by index, so long horizons cost no memory.
+Every stream is array-native: it takes an index or an index array and
+returns values of the same shape (a vector stream appends the dimension), so
+a window of a schedule costs one call, not one per index.
 """
 
 from __future__ import annotations
@@ -33,10 +35,13 @@ from .moduli import (
     ceil_int,
     check_divergence_rate,
     check_series_cauchy_modulus,
+    stream_values,
 )
 
-Vector = Union[np.ndarray, float]
+#: index (array) -> value (array of the index's shape)
+Stream = Callable[[Union[int, np.ndarray]], Union[float, np.ndarray]]
 
+#: slack of the range check on the averaging weights
 RANGE_TOL = 1e-12
 
 
@@ -57,52 +62,19 @@ class Family(Enum):
 
 
 @dataclass(frozen=True)
-class ExampleParams:
-    """Parameter bundle for the two worked schedule families.
+class Schedule:
+    """Immutable parameter triple with attached moduli and sum bounds.
 
-    ``lam`` is the averaging weight, ``offset`` shifts the inverse-square
-    perturbation decay, ``J`` shifts the defect decay of the second family,
-    ``r_star`` is the perturbation direction, ``u`` an anchor direction and
-    ``scale`` the inverse-square series scale.
+    ``alpha``, ``beta`` and ``perturbation_norm`` map an index or an index
+    array to values of its shape; ``perturbation`` maps ``ns`` to vectors of
+    shape ``shape(ns) + (dim,)``, or to an array that broadcasts against that
+    shape (the zero stream).
     """
 
-    lam: float
-    offset: int = 1
-    J: Optional[int] = None
-    r_star: Optional[tuple] = None
-    u: Optional[tuple] = None
-    scale: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"averaging weight must lie in (0, 1), got {self.lam}")
-        if self.offset < 1:
-            raise ValueError(f"decay offset must be a positive integer, got {self.offset}")
-        if self.J is not None and self.J < 2:
-            raise ValueError(f"defect decay offset must be at least 2, got {self.J}")
-        if self.scale < 0.0:
-            raise ValueError(f"series scale must be nonnegative, got {self.scale}")
-
-    @property
-    def cap(self) -> int:
-        return coupling_cap(self.lam)
-
-    @property
-    def admissible_for_shrinking_family(self) -> bool:
-        """The second family needs lam < (J^2-1)/J^2 so that beta_0 > 0."""
-        if self.J is None:
-            return False
-        return self.lam < (self.J * self.J - 1.0) / (self.J * self.J)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Immutable parameter triple with attached moduli and sum bounds."""
-
-    alpha: Callable[[int], float]
-    beta: Callable[[int], float]
-    perturbation: Callable[[int], Vector]
-    perturbation_norm: Callable[[int], float]
+    alpha: Stream
+    beta: Stream
+    perturbation: Stream
+    perturbation_norm: Stream
     defect_cauchy: RateFn
     weight_divergence: RateFn
     perturbation_cauchy: RateFn
@@ -114,21 +86,22 @@ class Schedule:
     defect_tail: Optional[Callable[[int], float]] = None
     perturbation_tail: Optional[Callable[[int], float]] = None
 
-    def defect(self, n: int) -> float:
+    def defect(self, n):
         return 1.0 - self.alpha(n) - self.beta(n)
 
-    def coupling_weight(self, n: int) -> float:
+    def coupling_weight(self, n):
+        """alpha*beta/(alpha+beta); NaN where alpha+beta vanishes, which the
+        range check reports."""
         a = self.alpha(n)
         b = self.beta(n)
-        return a * b / (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a * b / (a + b)
 
 
-def _zero_perturbation(n: int) -> float:
-    return 0.0
-
-
-def _zero_norm(n: int) -> float:
-    return 0.0
+def constant_stream(value: float) -> Stream:
+    """The stream n -> value, shaped like n."""
+    value = float(value)
+    return lambda n: np.zeros(np.shape(n)) + value
 
 
 def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable] = None):
@@ -136,17 +109,15 @@ def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable
 
     Returns (perturbation, perturbation_norm, tail, ||r_star||) where
     tail(m) = ||r_star||/(m+offset) bounds the norm series past index m.  An
-    absent or zero r_star gives the zero stream and no tail.
+    absent r_star is the zero stream: its vectors have the single coordinate
+    0, which broadcasts against any dimension.
     """
     if offset < 1:
         raise ValueError(f"decay offset must be a positive integer, got {offset}")
-    if r_star is not None:
-        r_star = np.asarray(r_star, dtype=float)
-    r_norm = 0.0 if r_star is None else (norm or _norm2)(r_star)
-    if r_norm == 0.0:
-        return _zero_perturbation, _zero_norm, None, 0.0
-    return (lambda n: r_star / float((n + offset) ** 2),
-            lambda n: r_norm / float((n + offset) ** 2),
+    r_star = np.zeros(1) if r_star is None else np.asarray(r_star, dtype=float)
+    r_norm = float((norm or _norm2)(r_star))
+    return (lambda n: r_star / (np.asarray(n)[..., None] + offset) ** 2,
+            lambda n: r_norm / (n + offset) ** 2,
             lambda m: r_norm / float(m + offset),
             r_norm)
 
@@ -164,8 +135,8 @@ def make_example1(
         r_star, offset, norm)
     c = ceil_int(r_norm)
     return Schedule(
-        alpha=lambda n: 1.0 - lam,
-        beta=lambda n: lam,
+        alpha=constant_stream(1.0 - lam),
+        beta=constant_stream(lam),
         perturbation=perturbation,
         perturbation_norm=perturbation_norm,
         defect_cauchy=ZERO_CAUCHY,
@@ -203,8 +174,8 @@ def make_example2(
         r_star, offset, norm)
     c = ceil_int(r_norm)
     return Schedule(
-        alpha=lambda n: lam,
-        beta=lambda n: 1.0 - lam - 1.0 / float((n + J) ** 2),
+        alpha=constant_stream(lam),
+        beta=lambda n: 1.0 - lam - 1.0 / (n + J) ** 2,
         perturbation=perturbation,
         perturbation_norm=perturbation_norm,
         defect_cauchy=RateFn.affine(1, 1, RateKind.CAUCHY_MODULUS,
@@ -224,36 +195,35 @@ def make_example2(
 
 
 def make_inexact_km(
-    beta: Union[float, Callable[[int], float]],
+    beta: Union[float, Stream],
     weight_divergence: RateFn,
-    perturbation: Optional[Callable[[int], Vector]],
+    perturbation: Optional[Stream],
     perturbation_cauchy: RateFn,
     perturbation_sum_bound: int,
-    norm: Optional[Callable] = None,
+    perturbation_norm: Optional[Stream] = None,
+    perturbation_tail: Optional[Callable[[int], float]] = None,
     family: Family = Family.INEXACT_KM,
 ) -> Schedule:
     """alpha_n = 1 - beta_n; the defect vanishes and the coupling series is
     sum beta_n*(1-beta_n), for which the caller supplies the divergence rate.
 
-    The constructor passes moduli through unchanged; it never synthesizes one.
+    ``perturbation_norm`` defaults to the Euclidean norm of each vector of
+    ``perturbation``; no perturbation is the zero stream.  The constructor
+    passes moduli through unchanged; it never synthesizes one.
     """
-    if norm is None:
-        norm = _norm2
-    beta_fn = (lambda n: float(beta)) if not callable(beta) else beta
+    beta_fn = beta if callable(beta) else constant_stream(beta)
     if weight_divergence.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError("the coupling series needs a rate of divergence")
-    if perturbation is None:
-        pert, pert_norm = _zero_perturbation, _zero_norm
-        zero_r = True
-    else:
-        pert = perturbation
-        pert_norm = lambda n: norm(pert(n))
-        zero_r = False
+    zero_r = perturbation is None
+    if zero_r:
+        perturbation, perturbation_norm, perturbation_tail, _ = inverse_square_perturbation(None)
+    elif perturbation_norm is None:
+        perturbation_norm = lambda n: _norm2(perturbation(n))
     return Schedule(
         alpha=lambda n: 1.0 - beta_fn(n),
         beta=beta_fn,
-        perturbation=pert,
-        perturbation_norm=pert_norm,
+        perturbation=perturbation,
+        perturbation_norm=perturbation_norm,
         defect_cauchy=ZERO_CAUCHY,
         weight_divergence=weight_divergence,
         perturbation_cauchy=perturbation_cauchy,
@@ -262,6 +232,7 @@ def make_inexact_km(
         family=family,
         defect_is_zero=True,
         perturbation_is_zero=zero_r,
+        perturbation_tail=perturbation_tail,
     )
 
 
@@ -298,7 +269,6 @@ def make_anchor(base: Schedule, u, norm: Optional[Callable] = None) -> Schedule:
     if nu == 0.0:
         raise ValueError("anchor direction must be nonzero; use a zero perturbation instead")
     cu = ceil_int(nu)
-    defect = lambda n: 1.0 - base.alpha(n) - base.beta(n)
     tail = None
     if base.defect_tail is not None:
         base_tail = base.defect_tail
@@ -308,8 +278,8 @@ def make_anchor(base: Schedule, u, norm: Optional[Callable] = None) -> Schedule:
     return Schedule(
         alpha=base.alpha,
         beta=base.beta,
-        perturbation=lambda n: defect(n) * u,
-        perturbation_norm=lambda n: abs(defect(n)) * nu,
+        perturbation=lambda n: np.asarray(base.defect(n))[..., None] * u,
+        perturbation_norm=lambda n: np.abs(base.defect(n)) * nu,
         defect_cauchy=base.defect_cauchy,
         weight_divergence=base.weight_divergence,
         perturbation_cauchy=RateFn(
@@ -333,19 +303,15 @@ def bound_constants_from_moduli(schedule: Schedule) -> tuple:
     Identically-zero series get bound 0; otherwise the bound is
     ceil(partial sum up to modulus(0)) + 1, which dominates the whole series.
     """
-    if schedule.defect_is_zero:
-        defect_bound = 0
-    else:
-        upto = schedule.defect_cauchy(0)
-        s = sum(schedule.defect(n) for n in range(upto + 1))
-        defect_bound = ceil_int(max(s, 0.0)) + 1
-    if schedule.perturbation_is_zero:
-        pert_bound = 0
-    else:
-        upto = schedule.perturbation_cauchy(0)
-        s = sum(schedule.perturbation_norm(n) for n in range(upto + 1))
-        pert_bound = ceil_int(max(s, 0.0)) + 1
-    return defect_bound, pert_bound
+    def bound(is_zero: bool, summand: Stream, modulus: RateFn) -> int:
+        if is_zero:
+            return 0
+        s = float(np.sum(stream_values(summand, np.arange(modulus(0) + 1))))
+        return ceil_int(max(s, 0.0)) + 1
+
+    return (bound(schedule.defect_is_zero, schedule.defect, schedule.defect_cauchy),
+            bound(schedule.perturbation_is_zero, schedule.perturbation_norm,
+                  schedule.perturbation_cauchy))
 
 
 @dataclass(frozen=True)
@@ -353,6 +319,27 @@ class Finding:
     check: str
     index: Optional[int]
     message: str
+
+
+def range_findings(schedule: Schedule, ns: np.ndarray, limit: int = 20) -> List[Finding]:
+    """The range check of the averaging weights on the index array ``ns``:
+    alpha_n and beta_n lie in [0, 1] and 0 < alpha_n + beta_n <= 1, each up to
+    RANGE_TOL; NaN is out of range.  Returns up to ``limit`` findings per
+    check, checks in the order above, indices ascending within each."""
+    alpha = stream_values(schedule.alpha, ns)
+    beta = stream_values(schedule.beta, ns)
+    total = alpha + beta
+    checks = (
+        ("alpha_range", "alpha out of [0, 1]", alpha,
+         ~((alpha >= -RANGE_TOL) & (alpha <= 1.0 + RANGE_TOL))),
+        ("beta_range", "beta out of [0, 1]", beta,
+         ~((beta >= -RANGE_TOL) & (beta <= 1.0 + RANGE_TOL))),
+        ("sum_range", "alpha+beta exceeds 1", total, total > 1.0 + RANGE_TOL),
+        ("sum_positive", "alpha+beta not positive", total, total <= 0.0),
+    )
+    return [Finding(check, int(ns[i]), f"{message} at n={ns[i]}: {values[i]}")
+            for check, message, values, bad in checks
+            for i in np.flatnonzero(bad)[:limit]]
 
 
 @dataclass
@@ -403,34 +390,22 @@ def verify_hypotheses(
     divergence_n_max: Optional[int] = None,
     tol: float = CHECK_TOL,
 ) -> HypothesesReport:
-    """Check ranges, modulus contracts and sum bounds on [0, n_max].
+    """Check ranges (see :func:`range_findings`), modulus contracts and sum
+    bounds on [0, n_max].
 
     All findings land in the report; nothing raises.  Analytic tail bounds are
     used for the two Cauchy contracts when the family provides them, otherwise
     those contracts are checked on the window only.
     """
-    findings: List[Finding] = []
-    alpha = np.empty(n_max + 1)
-    beta = np.empty(n_max + 1)
-    pert = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        alpha[n] = schedule.alpha(n)
-        beta[n] = schedule.beta(n)
-        pert[n] = schedule.perturbation_norm(n)
+    ns = np.arange(n_max + 1)
+    findings = range_findings(schedule, ns)
+    pert = stream_values(schedule.perturbation_norm, ns)
+    findings += [Finding("perturbation_norm", int(n), f"negative perturbation norm at n={n}")
+                 for n in np.flatnonzero(pert < -RANGE_TOL)[:20]]
+    # a negative summand voids the series contracts; the findings say why
+    series_checked = not findings
 
-    def flag(mask, check, message):
-        for n in np.nonzero(mask)[0][:20]:
-            findings.append(Finding(check, int(n), message.format(n=int(n))))
-
-    flag((alpha < -RANGE_TOL) | (alpha > 1.0 + RANGE_TOL), "alpha_range",
-         "alpha out of [0, 1] at n={n}")
-    flag((beta < -RANGE_TOL) | (beta > 1.0 + RANGE_TOL), "beta_range",
-         "beta out of [0, 1] at n={n}")
-    flag(alpha + beta > 1.0 + RANGE_TOL, "sum_range", "alpha+beta exceeds 1 at n={n}")
-    flag(alpha + beta <= 0.0, "sum_positive", "alpha+beta not positive at n={n}")
-    flag(pert < -RANGE_TOL, "perturbation_norm", "negative perturbation norm at n={n}")
-
-    defect = 1.0 - alpha - beta
+    defect = stream_values(schedule.defect, ns)
     defect_sum = float(np.sum(defect))
     pert_sum = float(np.sum(pert))
 
@@ -441,9 +416,10 @@ def verify_hypotheses(
             findings.append(Finding("defect_zero", n_bad,
                                     f"defect declared zero but nonzero at n={n_bad}"))
     else:
-        defect_report = check_series_cauchy_modulus(
-            schedule.defect, schedule.defect_cauchy, k_max, n_max,
-            tail_bound=schedule.defect_tail, tol=tol)
+        if series_checked:
+            defect_report = check_series_cauchy_modulus(
+                schedule.defect, schedule.defect_cauchy, k_max, n_max,
+                tail_bound=schedule.defect_tail, tol=tol)
         if defect_sum > schedule.defect_sum_bound + tol:
             findings.append(Finding("defect_sum_bound", None,
                                     f"window defect sum {defect_sum} exceeds bound "
@@ -456,22 +432,18 @@ def verify_hypotheses(
             findings.append(Finding("perturbation_zero", n_bad,
                                     f"perturbation declared zero but nonzero at n={n_bad}"))
     else:
-        perturbation_report = check_series_cauchy_modulus(
-            schedule.perturbation_norm, schedule.perturbation_cauchy, k_max, n_max,
-            tail_bound=schedule.perturbation_tail, tol=tol)
+        if series_checked:
+            perturbation_report = check_series_cauchy_modulus(
+                schedule.perturbation_norm, schedule.perturbation_cauchy, k_max, n_max,
+                tail_bound=schedule.perturbation_tail, tol=tol)
         if pert_sum > schedule.perturbation_sum_bound + tol:
             findings.append(Finding("perturbation_sum_bound", None,
                                     f"window perturbation sum {pert_sum} exceeds bound "
                                     f"{schedule.perturbation_sum_bound}"))
 
     n_div = min(n_max, 2000) if divergence_n_max is None else divergence_n_max
-    try:
-        divergence_report = check_divergence_rate(
-            schedule.coupling_weight, schedule.weight_divergence, n_div, tol=tol)
-    except ZeroDivisionError:
-        findings.append(Finding("sum_positive", None,
-                                "alpha+beta vanishes somewhere below the divergence horizon"))
-        divergence_report = DivergenceReport(n_max=n_div, rows=[], summands_in_unit=False)
+    divergence_report = check_divergence_rate(
+        schedule.coupling_weight, schedule.weight_divergence, n_div, tol=tol)
 
     return HypothesesReport(
         window=n_max,

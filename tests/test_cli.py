@@ -132,6 +132,7 @@ def test_verify_rotation_full(tmp_path, capsys):
     doc = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert doc["audit"]["passed"] is True
     assert all(rep["all_passed"] for rep in doc["soundness"])
+    assert doc["hypotheses"]["passed"] is True and doc["hypotheses"]["window"] == 35000
     with open(tmp_path / "out" / "soundness_res_T.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert rows[0]["pass"] == "true" and rows[0]["bound"] == "132"
@@ -146,6 +147,25 @@ def test_verify_negative_rate_override_exits_5(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["verify", "--config", cfg]) == 5
     capsys.readouterr()
+
+
+def test_verify_rejects_false_schedule_premises(tmp_path, capsys):
+    # the coupling weights are 1/4, so the sum up to index k is (k+1)/4 and
+    # the claimed divergence rate k -> k is false; the trajectory checks
+    # alone all pass
+    doc = rotation_config(tmp_path / "out", horizon=2000)
+    doc["schedule"] = {"family": "custom", "params": {
+        "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+        "weight_divergence": {"affine": {"slope": 1, "intercept": 0}}}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", cfg]) == 5
+    out = capsys.readouterr().out
+    assert "schedule hypotheses on [0, 2000]: FAIL" in out
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["hypotheses"]["passed"] is False
+    assert report["hypotheses"]["coupling_divergence"]["passed"] is False
+    assert report["audit"]["passed"] and report["liminf"]["all_passed"]
+    assert all(rep["all_passed"] for rep in report["soundness"])
 
 
 def test_certify_overflow_exits_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,16 +16,15 @@ def test_coupling_cap_values():
 
 
 def test_example_params_validation():
-    p = km.ExampleParams(lam=0.5, J=2)
-    assert p.cap == 4
-    assert p.admissible_for_shrinking_family  # 0.5 < 3/4
-    assert not km.ExampleParams(lam=0.76, J=2).admissible_for_shrinking_family
+    km.make_example2(0.5, J=2)  # 0.5 < 3/4
     with pytest.raises(ValueError):
-        km.ExampleParams(lam=1.0)
+        km.make_example2(0.76, J=2)
     with pytest.raises(ValueError):
-        km.ExampleParams(lam=0.5, offset=0)
+        km.make_example1(1.0)
     with pytest.raises(ValueError):
-        km.ExampleParams(lam=0.5, J=1)
+        km.make_example1(0.5, offset=0)
+    with pytest.raises(ValueError):
+        km.make_example2(0.5, J=1)
 
 
 def test_example1_unperturbed():
@@ -158,7 +159,7 @@ def test_verify_hypotheses_example2_with_perturbation():
 
 def test_verify_hypotheses_flags_range_violation():
     s = km.make_inexact_km(
-        beta=lambda n: 1.2 if n == 5 else 0.5,
+        beta=lambda n: np.where(np.asarray(n) == 5, 1.2, 0.5),
         weight_divergence=RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE),
         perturbation=None,
         perturbation_cauchy=RateFn.constant(0, RateKind.CAUCHY_MODULUS),
@@ -167,6 +168,16 @@ def test_verify_hypotheses_flags_range_violation():
     report = km.verify_hypotheses(s, 100)
     assert not report.passed
     assert any(f.check == "beta_range" and f.index == 5 for f in report.findings)
+    # alpha+beta above 1 makes a defect summand negative, and alpha+beta = 0
+    # makes the coupling weight 0/0: findings, not exceptions
+    base = km.make_example2(0.5, J=2)
+    at7 = lambda value, stream: (lambda n: np.where(np.asarray(n) == 7, value, stream(n)))
+    over = replace(base, alpha=at7(0.9, base.alpha))
+    vanish = replace(base, alpha=at7(0.0, base.alpha), beta=at7(0.0, base.beta))
+    for bad, check in ((over, "sum_range"), (vanish, "sum_positive")):
+        report = km.verify_hypotheses(bad, 100)
+        assert not report.passed
+        assert any(f.check == check and f.index == 7 for f in report.findings)
 
 
 def test_verify_hypotheses_flags_wrong_sum_bound():
