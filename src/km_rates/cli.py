@@ -67,7 +67,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _validate_schedule_window(instance: Instance, horizon: int) -> None:
     """The range check of :func:`range_findings` on [0, horizon); the first
     violating index rejects the config before any iteration runs."""
-    findings = range_findings(instance.schedule, np.arange(horizon), limit=1)
+    findings = range_findings(instance.schedule, np.arange(horizon))
     if findings:
         raise ConfigError(min(findings, key=lambda f: f.index).message)
 
@@ -109,19 +109,20 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _run_instance(instance: Instance, horizon: int):
-    _validate_schedule_window(instance, horizon)
-    traj = iterate(instance.space, instance.operator, instance.start,
-                   instance.schedule, horizon)
-    audit = audit_inequalities(traj, instance.constants)
-    return traj, audit
-
-
-def cmd_run(args) -> int:
+def _load_and_run(args):
+    """Load and assemble the config of a run, audit or verify command, check
+    its weights on the run window, iterate and audit the trajectory."""
     cfg = _apply_cli_overrides(load_config(args.config), args)
     instance = assemble(cfg)
     horizon = _resolve_horizon(instance)
-    traj, audit = _run_instance(instance, horizon)
+    _validate_schedule_window(instance, horizon)
+    traj = iterate(instance.space, instance.operator, instance.start,
+                   instance.schedule, horizon)
+    return cfg, instance, horizon, traj, audit_inequalities(traj, instance.constants)
+
+
+def cmd_run(args) -> int:
+    cfg, _, horizon, traj, audit = _load_and_run(args)
     out = _ensure_out(cfg)
     if "csv" in cfg.formats:
         write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
@@ -134,10 +135,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _apply_cli_overrides(load_config(args.config), args)
-    instance = assemble(cfg)
-    horizon = _resolve_horizon(instance)
-    traj, audit = _run_instance(instance, horizon)
+    cfg, _, _, _, audit = _load_and_run(args)
     out = _ensure_out(cfg)
     if "json" in cfg.formats:
         _write_json(os.path.join(out, "audit.json"),
@@ -161,12 +159,9 @@ def _soundness_csv(path: str, report: SoundnessReport) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _apply_cli_overrides(load_config(args.config), args)
-    instance = assemble(cfg)
+    cfg, instance, horizon, traj, audit = _load_and_run(args)
     cert = instance.certificate
-    horizon = _resolve_horizon(instance)
     hypotheses = verify_hypotheses(instance.schedule, horizon)
-    traj, audit = _run_instance(instance, horizon)
 
     residual_report = check_rate_soundness(traj, cert.residual_rate, "res_T", cfg.k_max)
     step_report = check_rate_soundness(traj, cert.step_rate, "res_step", cfg.k_max)

@@ -125,7 +125,10 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         for n0 in range(0, horizon + 1, BLOCK):
             n1 = min(n0 + BLOCK, horizon + 1)
             m = n1 - n0
-            r = np.broadcast_to(schedule.perturbation(np.arange(n0, n1)), (m, space.dim))
+            r = np.asarray(schedule.perturbation(np.arange(n0, n1)), dtype=float)
+            if r.shape not in ((m, space.dim), (m, 1)):
+                raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
+                                 f"not ({m}, {space.dim}) or ({m}, 1)")
             for i, (a, b, ri) in enumerate(zip(a_all[n0:n1].tolist(),
                                                b_all[n0:n1].tolist(), r)):
                 tx = op(x)

@@ -22,6 +22,7 @@ Contract semantics used throughout (for a sequence ``a_n`` and ``k`` natural):
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -79,9 +80,12 @@ def _norm2(v):
 
 def stream_values(stream: Callable, ns: np.ndarray) -> np.ndarray:
     """A scalar stream evaluated on the index array ``ns`` in one call, as
-    floats of the shape of ``ns``; a stream that ignores its index
-    broadcasts."""
-    return np.broadcast_to(np.asarray(stream(ns), dtype=float), np.shape(ns))
+    floats of the shape of ``ns``; a result of any other shape breaks the
+    stream contract and raises ValueError."""
+    values = np.asarray(stream(ns), dtype=float)
+    if values.shape != ns.shape:
+        raise ValueError(f"stream returned shape {values.shape} for indices of shape {ns.shape}")
+    return values
 
 
 class RateKind(Enum):
@@ -435,28 +439,34 @@ def check_divergence_rate(
     rate: RateFn,
     n_max: int,
     tol: float = CHECK_TOL,
+    window: Optional[int] = None,
 ) -> DivergenceReport:
     """Check a claimed divergence rate on [0, n_max].
 
     For each n the partial sum up to index rate(n) must reach n.  When every
     summand seen lies in [0, 1) the growth property rate(n) >= n is checked
     as well; summands outside [0, 1) disable only that sub-check.  The
-    summand stream is evaluated once, on the index array [0, rate(n_max)].
+    summand stream is evaluated once, up to rate(n) of the last n checked.
+    With a ``window`` the check stops before the first n with rate(n) >
+    window, and the report's ``n_max`` is the last n checked (-1 if none).
     """
     if rate.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError(f"expected a rate of divergence, got kind {rate.kind}")
     n_max = _as_index(n_max, "n_max")
-    values = [rate(n) for n in range(n_max + 1)]
-    terms = stream_values(summand, np.arange(max(values) + 1))
+    values = (rate(n) for n in range(n_max + 1))
+    if window is not None:
+        values = itertools.takewhile(lambda rv: rv <= window, values)
+    values = list(values)
+    terms = stream_values(summand, np.arange(max(values, default=-1) + 1))
     unit = (terms >= 0.0) & (terms < 1.0)
     in_unit = bool(np.all(unit))
     partials = np.cumsum(terms)[values]
-    sum_ok = partials >= np.arange(n_max + 1) - tol
+    sum_ok = partials >= np.arange(len(values)) - tol
     rows = [DivergenceRow(n=n, rate_value=rv, partial_sum=partial, sum_ok=ok,
                           growth_ok=(rv >= n) if in_unit else None)
             for n, (rv, partial, ok) in enumerate(zip(values, partials.tolist(),
                                                       sum_ok.tolist()))]
-    return DivergenceReport(n_max=n_max, rows=rows, summands_in_unit=in_unit,
+    return DivergenceReport(n_max=len(values) - 1, rows=rows, summands_in_unit=in_unit,
                             unit_violations=np.flatnonzero(~unit)[:10].tolist())
 
 
@@ -525,14 +535,13 @@ def check_series_cauchy_modulus(
     rows = []
     for k in range(k_max + 1):
         start = modulus(k)
-        if start > window:
-            if tail_bound is not None:
-                gap = float(tail_bound(start))
-                rows.append(CauchyRow(k, start, gap, bool(gap <= 1.0 / (k + 1) + tol), False))
-            else:
-                rows.append(CauchyRow(k, start, None, None, True))
+        if start <= window:
+            # S_inf - S_start <= (window sum past start) + tail beyond the window
+            gap = total - float(sums[start + 1]) + extra
+        elif tail_bound is not None:
+            gap = float(tail_bound(start))
+        else:
+            rows.append(CauchyRow(k, start, None, None, True))
             continue
-        # S_inf - S_start <= (window sum past start) + tail beyond the window
-        gap = total - float(sums[start + 1]) + extra
         rows.append(CauchyRow(k, start, gap, bool(gap <= 1.0 / (k + 1) + tol), False))
     return CauchyReport(window=window, tail_bounded=tail_bound is not None, rows=rows)

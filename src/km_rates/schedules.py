@@ -67,8 +67,8 @@ class Schedule:
 
     ``alpha``, ``beta`` and ``perturbation_norm`` map an index or an index
     array to values of its shape; ``perturbation`` maps ``ns`` to vectors of
-    shape ``shape(ns) + (dim,)``, or to an array that broadcasts against that
-    shape (the zero stream).
+    shape ``shape(ns) + (dim,)``, or to zeros of shape ``shape(ns) + (1,)``
+    (the zero stream).  A result of another shape is a ValueError.
     """
 
     alpha: Stream
@@ -262,10 +262,8 @@ def make_anchor(base: Schedule, u, norm: Optional[Callable] = None) -> Schedule:
     modulus k -> defect_cauchy(ceil||u||*(k+1) - 1), bound = defect bound *
     ceil||u||.  A zero anchor is rejected; use a zero perturbation instead.
     """
-    if norm is None:
-        norm = _norm2
     u = np.asarray(u, dtype=float)
-    nu = norm(u)
+    nu = (norm or _norm2)(u)
     if nu == 0.0:
         raise ValueError("anchor direction must be nonzero; use a zero perturbation instead")
     cu = ceil_int(nu)
@@ -321,11 +319,11 @@ class Finding:
     message: str
 
 
-def range_findings(schedule: Schedule, ns: np.ndarray, limit: int = 20) -> List[Finding]:
+def range_findings(schedule: Schedule, ns: np.ndarray) -> List[Finding]:
     """The range check of the averaging weights on the index array ``ns``:
     alpha_n and beta_n lie in [0, 1] and 0 < alpha_n + beta_n <= 1, each up to
-    RANGE_TOL; NaN is out of range.  Returns up to ``limit`` findings per
-    check, checks in the order above, indices ascending within each."""
+    RANGE_TOL; NaN is out of range.  Returns up to 20 findings per check,
+    checks in the order above, indices ascending within each."""
     alpha = stream_values(schedule.alpha, ns)
     beta = stream_values(schedule.beta, ns)
     total = alpha + beta
@@ -339,7 +337,7 @@ def range_findings(schedule: Schedule, ns: np.ndarray, limit: int = 20) -> List[
     )
     return [Finding(check, int(ns[i]), f"{message} at n={ns[i]}: {values[i]}")
             for check, message, values, bad in checks
-            for i in np.flatnonzero(bad)[:limit]]
+            for i in np.flatnonzero(bad)[:20]]
 
 
 @dataclass
@@ -443,7 +441,8 @@ def verify_hypotheses(
 
     n_div = min(n_max, 2000) if divergence_n_max is None else divergence_n_max
     divergence_report = check_divergence_rate(
-        schedule.coupling_weight, schedule.weight_divergence, n_div, tol=tol)
+        schedule.coupling_weight, schedule.weight_divergence, n_div, tol=tol,
+        window=n_max)
 
     return HypothesesReport(
         window=n_max,

@@ -202,12 +202,9 @@ def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
             if bound > last:
                 cells.append(LiminfCell(k, L, bound, None, None, True))
                 continue
-            window = values[L:bound + 1]
-            hits = np.nonzero(window < threshold)[0]
-            if hits.size:
-                cells.append(LiminfCell(k, L, bound, int(L + hits[0]), True, False))
-            else:
-                cells.append(LiminfCell(k, L, bound, None, False, False))
+            hits = np.nonzero(values[L:bound + 1] < threshold)[0]
+            witness = int(L + hits[0]) if hits.size else None
+            cells.append(LiminfCell(k, L, bound, witness, witness is not None, False))
     return LiminfReport(horizon=traj.horizon, quantity=quantity, cells=cells)
 
 

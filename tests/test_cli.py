@@ -168,6 +168,20 @@ def test_verify_rejects_false_schedule_premises(tmp_path, capsys):
     assert all(rep["all_passed"] for rep in report["soundness"])
 
 
+def test_verify_small_weight_reads_premises_on_window(tmp_path, capsys):
+    # beta = 1e-5 needs about 1e5 summands per unit of the coupling series,
+    # so the divergence check must stop at the run window instead of
+    # reading the series up to rate(2000), about 2e8 indices
+    doc = rotation_config(tmp_path / "out", horizon=2000)
+    doc["schedule"] = {"family": "classical_km", "params": {"beta": 1e-5}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", cfg]) == 0
+    assert "schedule hypotheses on [0, 2000]: pass" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    divergence = report["hypotheses"]["coupling_divergence"]
+    assert divergence["passed"] and divergence["n_max"] == 0
+
+
 def test_certify_overflow_exits_3(tmp_path, capsys):
     doc = {
         "space": {"dim": 2, "norm": "lp", "p": 400},

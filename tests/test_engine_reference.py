@@ -159,3 +159,28 @@ def test_streams_scalar_and_array_forms_agree(family):
     vectors = np.broadcast_to(schedule.perturbation(ns), (ns.size, dim))
     assert np.array_equal(vectors, [np.broadcast_to(schedule.perturbation(int(n)), (dim,))
                                     for n in ns])
+
+
+def test_off_contract_stream_shapes_raise():
+    """Streams that ignore the array contract fail loudly, also when their
+    wrong result happens to broadcast against the window."""
+    space, op = km.Space(dim=4), km.make_operator("identity", km.Space(dim=4), {})
+    classical = km.make_classical_km(0.5)
+    scalar_only = replace(classical, beta=lambda n: 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        km.verify_hypotheses(scalar_only, 100)
+    with pytest.raises(ValueError, match="shape"):
+        km.iterate(space, op, np.ones(4), scalar_only, 10)
+    # a per-index vector lambda: on a window of dim indices it gives one
+    # vector, not one per index, and its default norm collapses to a scalar
+    r = np.arange(1.0, 5.0)
+    per_index = km.make_inexact_km(0.5, classical.weight_divergence,
+                                   lambda n: r / (n + 1) ** 2,
+                                   classical.perturbation_cauchy, 30)
+    with pytest.raises(ValueError, match="shape"):
+        km.iterate(space, op, np.ones(4), per_index, 4)
+    # with a norm stream that keeps the contract, the engine's own check of
+    # the vectors catches it in the first block of dim points
+    with_norm = replace(per_index, perturbation_norm=lambda n: 1.0 / (n + 1.0) ** 2)
+    with pytest.raises(ValueError, match="perturbation returned shape"):
+        km.iterate(space, op, np.ones(4), with_norm, 3)

@@ -11,6 +11,7 @@ from km_rates.moduli import (
     ceil_int,
     check_series_cauchy_modulus,
 )
+from km_rates.schedules import constant_stream
 
 
 # ---------------------------------------------------------------- ceil_int
@@ -225,23 +226,39 @@ def test_inverse_square_modulus_contract(scale, offset):
 
 def test_check_divergence_rate_constant_summand():
     theta = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(lambda i: 0.25, theta, 1000)
+    report = km.check_divergence_rate(constant_stream(0.25), theta, 1000)
     assert report.passed and report.summands_in_unit
 
 
 def test_check_divergence_rate_growth_contradiction():
     theta = RateFn(lambda n: max(n - 1, 0), RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(lambda i: 0.5, theta, 10)
+    report = km.check_divergence_rate(constant_stream(0.5), theta, 10)
     assert not report.passed
     assert report.rows[1].growth_ok is False
 
 
 def test_check_divergence_rate_out_of_unit_disables_growth():
     theta = RateFn(lambda n: max(n - 1, 0), RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(lambda i: 1.5, theta, 5)
+    report = km.check_divergence_rate(constant_stream(1.5), theta, 5)
     assert not report.summands_in_unit
     assert all(r.growth_ok is None for r in report.rows)
     assert report.rows[0].sum_ok  # 1.5 >= 0
+
+
+def test_check_divergence_rate_stays_in_window():
+    theta = RateFn.affine(4, 1, RateKind.RATE_OF_DIVERGENCE)
+    seen = []
+
+    def summand(ns):
+        seen.append(int(ns.max(initial=-1)))
+        return np.full(ns.shape, 0.25)
+
+    report = km.check_divergence_rate(summand, theta, 1000, window=100)
+    assert seen == [97] and report.n_max == 24 and report.passed
+    assert [r.n for r in report.rows] == list(range(25))
+    # rate(0) = 1 already passes a window of 0: nothing is checked
+    empty = km.check_divergence_rate(summand, theta, 10, window=0)
+    assert empty.rows == [] and empty.n_max == -1 and seen[-1] == -1
 
 
 def test_check_divergence_rate_shrinking_weights():
