@@ -111,13 +111,14 @@ def cmd_certify(args) -> int:
 
 def _load_and_run(args):
     """Load and assemble the config of a run, audit or verify command, check
-    its weights on the run window, iterate and audit the trajectory."""
+    its weights on the run window, iterate and audit the trajectory.  No
+    command reads the points, so only the scalar streams are kept."""
     cfg = _apply_cli_overrides(load_config(args.config), args)
     instance = assemble(cfg)
     horizon = _resolve_horizon(instance)
     _validate_schedule_window(instance, horizon)
     traj = iterate(instance.space, instance.operator, instance.start,
-                   instance.schedule, horizon)
+                   instance.schedule, horizon, store_limit=0)
     return cfg, instance, horizon, traj, audit_inequalities(traj, instance.constants)
 
 

@@ -1,6 +1,7 @@
 """The per-step iteration loop that ``km_rates.engine.iterate`` replaced,
 kept as the oracle of the differential tests: one schedule call per stream
-and four norm calls per step, the final point handled after the loop."""
+and four norm calls per step, the final point handled after the loop.  Also
+the per-row trajectory CSV writer that ``write_trajectory_csv`` replaced."""
 
 import math
 
@@ -75,3 +76,18 @@ def reference_iterate(space, op, start, schedule, horizon,
         space=space, operator=op, schedule=schedule, start=np.asarray(start, dtype=float),
         norm_z=norm_z, fix_residual=fix_residual,
     )
+
+
+def reference_write_trajectory_csv(traj: Trajectory, path) -> None:
+    """One ``format(float(v), ".17g")`` per value, one write per row."""
+    def fmt(v: float) -> str:
+        return format(float(v), ".17g")
+
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("n,res_T,res_step,K_zn,norm_xn,dist_xz\n")
+        for n in range(traj.horizon + 1):
+            step = fmt(traj.res_step[n]) if n < traj.horizon else ""
+            handle.write(
+                f"{n},{fmt(traj.res_T[n])},{step},{fmt(traj.K_z[n])},"
+                f"{fmt(traj.norm_x[n])},{fmt(traj.dist_z[n])}\n"
+            )

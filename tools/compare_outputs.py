@@ -1,0 +1,199 @@
+"""Same-behaviour check between two checkouts of km-rates.
+
+    python3 tools/compare_outputs.py <checkout-a> <checkout-b> [--seeds 1 2 3]
+
+Every config that ``perfbench/workloads.py`` makes for the given seeds goes
+through ``run`` and ``verify``, and a fixed set of configs taken from the
+test suite goes through the commands the tests give them.  Each checkout's
+CLI runs the whole list in a fresh interpreter that imports ``km_rates``
+from that checkout's ``src/``.  Every command runs in its own directory with
+the relative output directory ``out``, so the echoed ``output.directory`` is
+the same on both sides.  Then exit codes, stdout and stderr lines, the set of
+output files and the bytes of every file are compared.
+
+Prints one line per difference and a summary; exits 1 when there is any
+difference, 0 when there is none.  The configs and both sides' outputs stay
+in ``--work`` (default ``.compare-work/`` in the current directory).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rotation(horizon=2000, k_max=3, **changes) -> dict:
+    doc = {
+        "space": {"dim": 2, "norm": "euclidean"},
+        "operator": {"name": "rotation", "params": {"angle_deg": 90.0}},
+        "start": [1.0, 0.0],
+        "schedule": {"family": "classical_km", "params": {"beta": 0.5}},
+        "certificate": {"formula": "auto"},
+        "run": {"horizon": horizon, "k_max": k_max},
+        "output": {"directory": "out", "formats": ["csv", "json"]},
+    }
+    doc.update(changes)
+    return doc
+
+
+def _test_suite_jobs() -> list:
+    """(name, config document or None, argv after the config) as the tests
+    run them; a document None runs the argv alone."""
+    out_of_range = _rotation(50, schedule={"family": "custom", "params": {
+        "alpha": {"const": 0.5},
+        "beta": {"values": [0.5, 0.5, 0.5, 0.5, 0.5, 1.2], "then": 0.5},
+        "perturbation": {"zero": True}, "defect_is_zero": True,
+        "weight_divergence": {"affine": {"slope": 4, "intercept": 0}},
+        "defect_sum_bound": 0, "perturbation_sum_bound": 0}})
+    out_of_range["certificate"]["formula"] = "general"
+    negative = _rotation(500)
+    negative["certificate"]["overrides"] = {"residual_rate": {"const": 0}}
+    false_premise = _rotation(schedule={"family": "custom", "params": {
+        "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+        "weight_divergence": {"affine": {"slope": 1, "intercept": 0}}}})
+    lp = _rotation("auto", 2, space={"dim": 2, "norm": "lp", "p": 3.0},
+                   operator={"name": "coordinate_shrink", "params": {"factors": [0.5, 0.5]}},
+                   start=[1.0, 1.0])
+    overflow = dict(lp, space={"dim": 2, "norm": "lp", "p": 400}, start=[1.0, 0.0],
+                    run={"horizon": 100, "k_max": 2000})
+    overflow["certificate"] = {"formula": "general"}
+    ball = _rotation("auto", 5, space={"dim": 3, "norm": "euclidean"},
+                     operator={"name": "ball_projection", "fixed_point": "nearest",
+                               "params": {"center": [0.0, 0.0, 0.0], "radius": 1.0}},
+                     start=[2.0, 0.0, 0.0],
+                     schedule={"family": "example2", "params": {
+                         "lam": 0.5, "J": 2, "offset": 1, "r_star": None}})
+    jobs = [(f"rotation-{c}", _rotation(), [c]) for c in ("certify", "run", "audit", "verify")]
+    jobs += [
+        ("rotation-run-100", _rotation(100), ["run"]),
+        ("rotation-run-streamed", _rotation(100_500), ["run"]),
+        ("rotation-verify-35000", _rotation(35_000, 15), ["verify"]),
+        ("rotation-flags", _rotation(), ["run", "--horizon", "50", "--format", "json"]),
+        ("negative-override", negative, ["verify"]),
+        ("out-of-range", out_of_range, ["run"]),
+        ("false-premise", false_premise, ["verify"]),
+        ("small-weight", _rotation(schedule={"family": "classical_km",
+                                             "params": {"beta": 1e-5}}), ["verify"]),
+        ("unrepresentable-start", _rotation(10, start=[1e308, 0.0]), ["run"]),
+        ("lp-verify", lp, ["verify"]),
+        ("overflow", overflow, ["certify"]),
+        ("example2-ball", ball, ["verify"]),
+        ("missing-config", None, ["certify", "--config", "missing.json"]),
+        ("catalog", None, ["catalog"]),
+    ]
+    return jobs
+
+
+def make_jobs(work: Path, seeds) -> list:
+    """Writes the configs under ``work/configs`` and returns the jobs as
+    ``{"name", "argv"}``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    configs = work / "configs"
+    configs.mkdir(parents=True)
+    entries = []
+    for seed in seeds:
+        for workload, make in workloads.WORKLOADS.items():
+            for command in make(seed):
+                name = f"{workload}-s{seed}-{command.name}"
+                entries += [(f"{name}-{c}", command.config, [c]) for c in ("run", "verify")]
+    entries += _test_suite_jobs()
+    jobs = []
+    for name, doc, argv in entries:
+        if doc is not None:
+            path = configs / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = [argv[0], "--config", str(path)] + argv[1:]
+        jobs.append({"name": name, "argv": argv})
+    return jobs
+
+
+def run_jobs(src: str, jobs_path: str, out_root: str) -> None:
+    """Worker: runs every job through ``km_rates.cli.main`` of ``src``, each
+    in ``out_root/<name>``, and writes ``results.json`` there."""
+    from km_rates import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported {cli.__file__}, not a module under {src}")
+    results = {}
+    for job in json.loads(Path(jobs_path).read_text()):
+        job_dir = Path(out_root) / job["name"]
+        job_dir.mkdir(parents=True)
+        os.chdir(job_dir)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(job["argv"])
+            except SystemExit as exc:  # argparse errors
+                code = exc.code
+        results[job["name"]] = {"exit": code, "stdout": stdout.getvalue().splitlines(),
+                                "stderr": stderr.getvalue().splitlines()}
+    (Path(out_root) / "results.json").write_text(json.dumps(results, indent=1))
+
+
+def _files(job_dir: Path) -> dict:
+    return {str(p.relative_to(job_dir)): p for p in sorted(job_dir.rglob("*")) if p.is_file()}
+
+
+def compare(a: Path, b: Path, jobs: list) -> tuple:
+    """Returns (differences, files compared)."""
+    results = [json.loads((side / "results.json").read_text()) for side in (a, b)]
+    differences, compared = [], 0
+    for job in jobs:
+        name = job["name"]
+        ra, rb = results[0][name], results[1][name]
+        for key in ("exit", "stdout", "stderr"):
+            if ra[key] != rb[key]:
+                differences.append(f"{name}: {key} differs: {ra[key]!r} != {rb[key]!r}")
+        fa, fb = _files(a / name), _files(b / name)
+        for rel in sorted(set(fa) ^ set(fb)):
+            differences.append(f"{name}: {rel} exists on one side only")
+        for rel in sorted(set(fa) & set(fb)):
+            compared += 1
+            if fa[rel].read_bytes() != fb[rel].read_bytes():
+                differences.append(f"{name}: {rel} bytes differ")
+    return differences, compared
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs=2, type=Path, help="two repository checkouts")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    parser.add_argument("--work", type=Path, default=Path(".compare-work"))
+    args = parser.parse_args(argv)
+    work = args.work.resolve()
+    shutil.rmtree(work, ignore_errors=True)
+    jobs = make_jobs(work, args.seeds)
+    jobs_path = work / "jobs.json"
+    jobs_path.write_text(json.dumps(jobs))
+    sides = []
+    for i, checkout in enumerate(args.checkouts):
+        src = checkout.resolve() / "src"
+        out_root = work / f"side{i}"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, __file__, "--worker", str(src), str(jobs_path),
+                        str(out_root)], env=env, check=True)
+        sides.append(out_root)
+    differences, compared = compare(sides[0], sides[1], jobs)
+    for line in differences:
+        print(line)
+    print(f"{len(jobs)} commands, {compared} output files compared, "
+          f"{len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        run_jobs(*sys.argv[2:5])
+    else:
+        sys.exit(main())
