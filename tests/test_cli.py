@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import km_rates as km
+from km_rates import cli
 from km_rates.cli import main
+from km_rates.engine import DEFAULT_STORE_LIMIT
 
 from conftest import example2_ball_config
 
@@ -94,6 +96,26 @@ def test_run_writes_trajectory_and_audit(tmp_path, capsys):
         assert float(rows[n]["res_T"]) == pytest.approx(expected, abs=1e-9)
     audit = json.loads((tmp_path / "out" / "audit.json").read_text())
     assert audit["audit"]["passed"] is True
+
+
+def test_cli_runs_keep_only_scalar_streams(tmp_path, capsys):
+    horizon = 3000
+    assert horizon < DEFAULT_STORE_LIMIT
+    cfg = write_config(tmp_path, rotation_config(tmp_path / "out", horizon=horizon))
+    for command in ("run", "audit", "verify"):
+        args = cli.build_parser().parse_args([command, "--config", cfg])
+        _, _, _, traj, audit = cli._load_and_run(args)
+        assert traj.points is None and traj.horizon == horizon and audit.passed
+
+    assert main(["run", "--config", cfg]) == 0
+    capsys.readouterr()
+    instance = km.assemble(km.load_config(cfg))
+    stored = km.iterate(instance.space, instance.operator, instance.start,
+                        instance.schedule, horizon)
+    assert stored.points is not None
+    km.write_trajectory_csv(stored, tmp_path / "stored.csv")
+    assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+            == (tmp_path / "stored.csv").read_bytes())
 
 
 def test_run_rejects_out_of_range_schedule(tmp_path, capsys):

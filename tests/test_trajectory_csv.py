@@ -1,7 +1,5 @@
-"""The chunked trajectory CSV writer against the per-row writer it replaced,
-and the streamed runs of the CLI."""
+"""The chunked trajectory CSV writer against the per-row writer it replaced."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import km_rates as km
-from km_rates import cli
-from km_rates.engine import CSV_CHUNK, DEFAULT_STORE_LIMIT
+from km_rates.engine import CSV_CHUNK
 
 from conftest import rotation_instance
 from reference_engine import reference_write_trajectory_csv
@@ -69,38 +66,3 @@ def test_writer_matches_on_any_doubles(tmp_path_factory, values, horizon):
     space, op, start, schedule, _, _ = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 1)
     _assert_same_bytes(_with_columns(traj, horizon, values), tmp_path_factory.mktemp("csv"))
-
-
-def _rotation_run_config(tmp_path, horizon):
-    doc = {
-        "space": {"dim": 2, "norm": "euclidean"},
-        "operator": {"name": "rotation", "params": {"angle_deg": 90.0}},
-        "start": [1.0, 0.0],
-        "schedule": {"family": "classical_km", "params": {"beta": 0.5}},
-        "certificate": {"formula": "auto"},
-        "run": {"horizon": horizon, "k_max": 3},
-        "output": {"directory": str(tmp_path / "out"), "formats": ["csv", "json"]},
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def test_cli_runs_keep_only_scalar_streams(tmp_path, capsys):
-    horizon = 3000
-    assert horizon < DEFAULT_STORE_LIMIT
-    config = _rotation_run_config(tmp_path, horizon)
-    for command in ("run", "audit", "verify"):
-        args = cli.build_parser().parse_args([command, "--config", config])
-        _, _, _, traj, audit = cli._load_and_run(args)
-        assert traj.points is None and traj.horizon == horizon and audit.passed
-
-    assert cli.main(["run", "--config", config]) == 0
-    capsys.readouterr()
-    instance = km.assemble(km.load_config(config))
-    stored = km.iterate(instance.space, instance.operator, instance.start,
-                        instance.schedule, horizon)
-    assert stored.points is not None
-    km.write_trajectory_csv(stored, tmp_path / "stored.csv")
-    assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
-            == (tmp_path / "stored.csv").read_bytes())
