@@ -21,10 +21,13 @@ from .moduli import (
     series_upper_bound,
 )
 from .schedules import (
+    ZERO_SERIES,
     Family,
     Schedule,
+    Series,
     bound_constants_from_moduli,
     coupling_cap,
+    inverse_square_series,
     make_anchor,
     make_classical_km,
     make_example1,

@@ -106,8 +106,8 @@ def instance_constants(x, z, schedule: Schedule,
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     b = max(1, ceil_int(max(norm(x - z), norm(z))))
-    return InstanceConstants.from_bounds(b, schedule.defect_sum_bound,
-                                         schedule.perturbation_sum_bound)
+    return InstanceConstants.from_bounds(b, schedule.defect_series.bound,
+                                         schedule.perturbation_series.bound)
 
 
 def _guarded_quotient(numerator: int, denominator: float) -> int:
@@ -236,7 +236,8 @@ def make_certificate(constants: InstanceConstants, schedule: Schedule,
     """
     threshold, tag = select_threshold(constants, uc, route)
     dip = make_liminf_modulus(threshold, schedule.weight_divergence)
-    increments = combine_cauchy_moduli(schedule.defect_cauchy, schedule.perturbation_cauchy,
+    increments = combine_cauchy_moduli(schedule.defect_series.modulus,
+                                       schedule.perturbation_series.modulus,
                                        2 * constants.norm_bound, 2)
     residual = replace(rate_from_liminf(dip, increments),
                        description="operator-residual rate", target="res_T")

@@ -31,6 +31,7 @@ from .operators import Operator, Space, catalog_names, make_operator
 from .schedules import (
     Family,
     Schedule,
+    Series,
     Stream,
     constant_stream,
     inverse_square_perturbation,
@@ -251,8 +252,9 @@ def _rate_spec(spec, kind: RateKind, what: str) -> RateFn:
 
 
 def _perturbation_spec(spec, space: Space, what: str):
-    """Returns (perturbation, perturbation_norm, tail, ||r_star||), as
-    :func:`inverse_square_perturbation` does; the zero stream has norm 0."""
+    """Returns (perturbation, perturbation_norm, series), as
+    :func:`inverse_square_perturbation` does; the zero stream's series is
+    declared zero."""
     if spec is None or (isinstance(spec, dict) and spec.get("zero")):
         return inverse_square_perturbation(None)
     if isinstance(spec, dict) and "inverse_square" in spec:
@@ -266,6 +268,19 @@ def _perturbation_spec(spec, space: Space, what: str):
         return inverse_square_perturbation(r_star, offset, space.norm)
     raise ConfigError(f"{what}: expected {{'zero': true}} or "
                       f"{{'inverse_square': {{'r_star': [...], 'offset': n}}}}")
+
+
+def _param_rate(params: dict, key: str, kind: RateKind = RateKind.CAUCHY_MODULUS) -> RateFn:
+    """The rate spec ``schedule.params.<key>``, a Cauchy modulus by default."""
+    return _rate_spec(params.get(key), kind, f"schedule.params.{key}")
+
+
+def _param_bound(params: dict, key: str, default: Optional[int]) -> int:
+    """The natural number ``schedule.params.<key>``; ``default`` when absent."""
+    bound = params.get(key, default)
+    if not isinstance(bound, int) or bound < 0:
+        raise ConfigError(f"schedule.params.{key} must be a natural number")
+    return bound
 
 
 def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
@@ -283,25 +298,14 @@ def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
             schedule = make_classical_km(float(params["beta"]))
         elif family == Family.INEXACT_KM.value:
             beta = _sequence_spec(params.get("beta"), "schedule.params.beta")
-            divergence = _rate_spec(params.get("weight_divergence"),
-                                    RateKind.RATE_OF_DIVERGENCE,
-                                    "schedule.params.weight_divergence")
-            pert, pert_norm, tail, r_norm = _perturbation_spec(
+            divergence = _param_rate(params, "weight_divergence", RateKind.RATE_OF_DIVERGENCE)
+            pert, pert_norm, series = _perturbation_spec(
                 params.get("perturbation"), space, "schedule.params.perturbation")
-            zero = r_norm == 0.0
-            if zero:
-                cauchy, bound = ZERO_CAUCHY, 0
-            else:
-                cauchy = _rate_spec(params.get("perturbation_cauchy"),
-                                    RateKind.CAUCHY_MODULUS,
-                                    "schedule.params.perturbation_cauchy")
-                bound = params.get("perturbation_sum_bound")
-                if not isinstance(bound, int) or bound < 0:
-                    raise ConfigError("schedule.params.perturbation_sum_bound must be a "
-                                      "natural number")
-            schedule = make_inexact_km(beta, divergence, None if zero else pert, cauchy,
-                                       bound, perturbation_norm=pert_norm,
-                                       perturbation_tail=tail)
+            if not series.zero:
+                series = replace(series, modulus=_param_rate(params, "perturbation_cauchy"),
+                                 bound=_param_bound(params, "perturbation_sum_bound", None))
+            schedule = make_inexact_km(beta, divergence, None if series.zero else pert, series,
+                                       perturbation_norm=pert_norm)
         elif family == Family.ANCHOR.value:
             base_doc = params.get("base")
             if not isinstance(base_doc, dict):
@@ -317,37 +321,29 @@ def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
         elif family == Family.CUSTOM.value:
             alpha = _sequence_spec(params.get("alpha"), "schedule.params.alpha")
             beta = _sequence_spec(params.get("beta"), "schedule.params.beta")
-            pert, pert_norm, tail, r_norm = _perturbation_spec(
+            pert, pert_norm, series = _perturbation_spec(
                 params.get("perturbation"), space, "schedule.params.perturbation")
-            zero = r_norm == 0.0
             defect_zero = bool(params.get("defect_is_zero", False))
-            sched_kw = {
-                "alpha": alpha,
-                "beta": beta,
-                "perturbation": pert,
-                "perturbation_norm": pert_norm,
-                "defect_cauchy": _rate_spec(params.get("defect_cauchy"),
-                                            RateKind.CAUCHY_MODULUS,
-                                            "schedule.params.defect_cauchy")
-                if not defect_zero else ZERO_CAUCHY,
-                "weight_divergence": _rate_spec(params.get("weight_divergence"),
-                                                RateKind.RATE_OF_DIVERGENCE,
-                                                "schedule.params.weight_divergence"),
-                "perturbation_cauchy": _rate_spec(params.get("perturbation_cauchy"),
-                                                  RateKind.CAUCHY_MODULUS,
-                                                  "schedule.params.perturbation_cauchy")
-                if not zero else ZERO_CAUCHY,
-                "defect_sum_bound": params.get("defect_sum_bound", 0),
-                "perturbation_sum_bound": params.get("perturbation_sum_bound", 0),
-                "family": Family.CUSTOM,
-                "defect_is_zero": defect_zero,
-                "perturbation_is_zero": zero,
-                "perturbation_tail": tail,
-            }
-            for key in ("defect_sum_bound", "perturbation_sum_bound"):
-                if not isinstance(sched_kw[key], int) or sched_kw[key] < 0:
-                    raise ConfigError(f"schedule.params.{key} must be a natural number")
-            schedule = Schedule(**sched_kw)
+            # the moduli parse before the bounds: this order picks which of
+            # several bad params the error names
+            defect_modulus = ZERO_CAUCHY if defect_zero else _param_rate(params, "defect_cauchy")
+            divergence = _param_rate(params, "weight_divergence", RateKind.RATE_OF_DIVERGENCE)
+            pert_modulus = (ZERO_CAUCHY if series.zero
+                            else _param_rate(params, "perturbation_cauchy"))
+            defect = Series(defect_modulus, _param_bound(params, "defect_sum_bound", 0),
+                            zero=defect_zero)
+            series = replace(series, modulus=pert_modulus,
+                             bound=_param_bound(params, "perturbation_sum_bound", 0))
+            schedule = Schedule(
+                alpha=alpha,
+                beta=beta,
+                perturbation=pert,
+                perturbation_norm=pert_norm,
+                weight_divergence=divergence,
+                defect_series=defect,
+                perturbation_series=series,
+                family=Family.CUSTOM,
+            )
         else:
             raise ConfigError(f"unsupported schedule family {family!r}")
     except (KeyError, TypeError) as exc:

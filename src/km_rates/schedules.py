@@ -4,21 +4,21 @@ x_{n+1} = alpha_n*x_n + beta_n*T(x_n) + r_n and their proof moduli.
 A schedule carries, besides the three parameter streams, the quantitative
 hypotheses as explicit objects:
 
-* a Cauchy modulus of the summable defect series  sum (1 - alpha_n - beta_n),
 * a rate of divergence of the coupling series     sum alpha_n*beta_n/(alpha_n+beta_n),
-* a Cauchy modulus of the summable perturbation   sum ||r_n||,
+* the summable defect series  sum (1 - alpha_n - beta_n)  and perturbation
+  series  sum ||r_n||, each one :class:`Series` (``ZERO_SERIES`` is the zero
+  series, :func:`inverse_square_series` is  sum scale/(n+offset)^2).
 
-plus integer bounds on the two summable series.  Moduli are proof objects:
-constructors either derive them from a closed form that is provably valid or
-require the caller to supply them; they are never inferred from samples.
-Every stream is array-native: it takes an index or an index array and
-returns values of the same shape (a vector stream appends the dimension), so
-a window of a schedule costs one call, not one per index.
+Moduli are proof objects: constructors either derive them from a closed form
+that is provably valid or require the caller to supply them; they are never
+inferred from samples.  Every stream is array-native: it takes an index or an
+index array and returns values of the same shape (a vector stream appends the
+dimension), so a window of a schedule costs one call, not one per index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Union
 
@@ -35,6 +35,8 @@ from .moduli import (
     ceil_int,
     check_divergence_rate,
     check_series_cauchy_modulus,
+    inverse_square_modulus,
+    series_upper_bound,
     stream_values,
 )
 
@@ -62,8 +64,34 @@ class Family(Enum):
 
 
 @dataclass(frozen=True)
+class Series:
+    """What the rate theorem needs of a summable nonnegative series.
+
+    ``modulus`` is a Cauchy modulus of its partial sums and ``bound`` an
+    integer bound on its sum; ``tail(m)``, when given, bounds the sum past
+    index m; ``zero`` declares the series identically zero.
+    """
+
+    modulus: RateFn
+    bound: int
+    tail: Optional[Callable[[int], float]] = None
+    zero: bool = False
+
+
+ZERO_SERIES = Series(ZERO_CAUCHY, 0, zero=True)
+
+
+def inverse_square_series(scale: float, offset: int) -> Series:
+    """sum_n scale/(n+offset)^2 with the modulus of
+    :func:`~km_rates.moduli.inverse_square_modulus`, the paper's bound
+    2*ceil(scale) and the tail bound scale/(m+offset)."""
+    return Series(inverse_square_modulus(scale, offset).modulus, 2 * ceil_int(scale),
+                  lambda m: scale / float(m + offset), scale == 0.0)
+
+
+@dataclass(frozen=True)
 class Schedule:
-    """Immutable parameter triple with attached moduli and sum bounds.
+    """Immutable parameter triple with its divergence rate and two summable series.
 
     ``alpha``, ``beta`` and ``perturbation_norm`` map an index or an index
     array to values of its shape; ``perturbation`` maps ``ns`` to vectors of
@@ -75,16 +103,10 @@ class Schedule:
     beta: Stream
     perturbation: Stream
     perturbation_norm: Stream
-    defect_cauchy: RateFn
     weight_divergence: RateFn
-    perturbation_cauchy: RateFn
-    defect_sum_bound: int
-    perturbation_sum_bound: int
+    defect_series: Series
+    perturbation_series: Series
     family: Family
-    defect_is_zero: bool
-    perturbation_is_zero: bool
-    defect_tail: Optional[Callable[[int], float]] = None
-    perturbation_tail: Optional[Callable[[int], float]] = None
 
     def defect(self, n):
         return 1.0 - self.alpha(n) - self.beta(n)
@@ -107,10 +129,10 @@ def constant_stream(value: float) -> Stream:
 def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable] = None):
     """The stream r_n = r_star/(n+offset)^2.
 
-    Returns (perturbation, perturbation_norm, tail, ||r_star||) where
-    tail(m) = ||r_star||/(m+offset) bounds the norm series past index m.  An
-    absent r_star is the zero stream: its vectors have the single coordinate
-    0, which broadcasts against any dimension.
+    Returns (perturbation, perturbation_norm, series) where series is the
+    :func:`inverse_square_series` of ||r_star||.  An absent r_star is the
+    zero stream: its vectors have the single coordinate 0, which broadcasts
+    against any dimension.
     """
     if offset < 1:
         raise ValueError(f"decay offset must be a positive integer, got {offset}")
@@ -118,8 +140,7 @@ def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable
     r_norm = float((norm or _norm2)(r_star))
     return (lambda n: r_star / (np.asarray(n)[..., None] + offset) ** 2,
             lambda n: r_norm / (n + offset) ** 2,
-            lambda m: r_norm / float(m + offset),
-            r_norm)
+            inverse_square_series(r_norm, offset))
 
 
 def make_example1(
@@ -131,25 +152,17 @@ def make_example1(
     """Constant averaging alpha = 1-lam, beta = lam with an inverse-square
     perturbation r_n = r_star/(n+offset)^2."""
     cap = coupling_cap(lam)
-    perturbation, perturbation_norm, tail, r_norm = inverse_square_perturbation(
-        r_star, offset, norm)
-    c = ceil_int(r_norm)
+    perturbation, perturbation_norm, series = inverse_square_perturbation(r_star, offset, norm)
     return Schedule(
         alpha=constant_stream(1.0 - lam),
         beta=constant_stream(lam),
         perturbation=perturbation,
         perturbation_norm=perturbation_norm,
-        defect_cauchy=ZERO_CAUCHY,
         weight_divergence=RateFn.affine(cap, 0, RateKind.RATE_OF_DIVERGENCE,
                                         f"constant-weight coupling divergence (cap={cap})"),
-        perturbation_cauchy=RateFn.affine(c, c, RateKind.CAUCHY_MODULUS,
-                                          "inverse-square perturbation modulus"),
-        defect_sum_bound=0,
-        perturbation_sum_bound=2 * c,
+        defect_series=ZERO_SERIES,
+        perturbation_series=series,
         family=Family.EXAMPLE1,
-        defect_is_zero=True,
-        perturbation_is_zero=r_norm == 0.0,
-        perturbation_tail=tail,
     )
 
 
@@ -170,53 +183,41 @@ def make_example2(
     if not 0.0 < lam < hi:
         raise ValueError(f"averaging weight must lie in (0, {hi}) for this family, got {lam}")
     cap = coupling_cap(lam)
-    perturbation, perturbation_norm, p_tail, r_norm = inverse_square_perturbation(
-        r_star, offset, norm)
-    c = ceil_int(r_norm)
+    perturbation, perturbation_norm, series = inverse_square_perturbation(r_star, offset, norm)
     return Schedule(
         alpha=constant_stream(lam),
         beta=lambda n: 1.0 - lam - 1.0 / (n + J) ** 2,
         perturbation=perturbation,
         perturbation_norm=perturbation_norm,
-        defect_cauchy=RateFn.affine(1, 1, RateKind.CAUCHY_MODULUS,
-                                    "inverse-square defect modulus"),
         weight_divergence=RateFn.affine(cap, 2 * cap - 1, RateKind.RATE_OF_DIVERGENCE,
                                         f"shrinking-weight coupling divergence (cap={cap})"),
-        perturbation_cauchy=RateFn.affine(c, c, RateKind.CAUCHY_MODULUS,
-                                          "inverse-square perturbation modulus"),
-        defect_sum_bound=2,
-        perturbation_sum_bound=2 * c,
+        defect_series=inverse_square_series(1.0, J),
+        perturbation_series=series,
         family=Family.EXAMPLE2,
-        defect_is_zero=False,
-        perturbation_is_zero=r_norm == 0.0,
-        defect_tail=lambda m: 1.0 / float(m + J),
-        perturbation_tail=p_tail,
     )
 
 
 def make_inexact_km(
     beta: Union[float, Stream],
     weight_divergence: RateFn,
-    perturbation: Optional[Stream],
-    perturbation_cauchy: RateFn,
-    perturbation_sum_bound: int,
+    perturbation: Optional[Stream] = None,
+    perturbation_series: Series = ZERO_SERIES,
     perturbation_norm: Optional[Stream] = None,
-    perturbation_tail: Optional[Callable[[int], float]] = None,
-    family: Family = Family.INEXACT_KM,
 ) -> Schedule:
     """alpha_n = 1 - beta_n; the defect vanishes and the coupling series is
     sum beta_n*(1-beta_n), for which the caller supplies the divergence rate.
 
     ``perturbation_norm`` defaults to the Euclidean norm of each vector of
-    ``perturbation``; no perturbation is the zero stream.  The constructor
-    passes moduli through unchanged; it never synthesizes one.
+    ``perturbation``; no perturbation is the zero stream, and its series is
+    declared zero.  The constructor passes moduli through unchanged; it never
+    synthesizes one.
     """
     beta_fn = beta if callable(beta) else constant_stream(beta)
     if weight_divergence.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError("the coupling series needs a rate of divergence")
-    zero_r = perturbation is None
-    if zero_r:
-        perturbation, perturbation_norm, perturbation_tail, _ = inverse_square_perturbation(None)
+    if perturbation is None:
+        perturbation, perturbation_norm, _ = inverse_square_perturbation(None)
+        perturbation_series = replace(perturbation_series, zero=True)
     elif perturbation_norm is None:
         perturbation_norm = lambda n: _norm2(perturbation(n))
     return Schedule(
@@ -224,92 +225,67 @@ def make_inexact_km(
         beta=beta_fn,
         perturbation=perturbation,
         perturbation_norm=perturbation_norm,
-        defect_cauchy=ZERO_CAUCHY,
         weight_divergence=weight_divergence,
-        perturbation_cauchy=perturbation_cauchy,
-        defect_sum_bound=0,
-        perturbation_sum_bound=perturbation_sum_bound,
-        family=family,
-        defect_is_zero=True,
-        perturbation_is_zero=zero_r,
-        perturbation_tail=perturbation_tail,
+        defect_series=ZERO_SERIES,
+        perturbation_series=perturbation_series,
+        family=Family.INEXACT_KM,
     )
 
 
 def make_classical_km(beta: float) -> Schedule:
-    """Unperturbed averaged iteration with constant weight.
+    """Unperturbed averaged iteration with constant weight: Example 1 without
+    a perturbation.
 
     For constant beta the coupling series has the closed-form divergence rate
     k -> k*ceil(1/(beta*(1-beta))): the first k*cap+1 summands already add up
     to at least k.
     """
-    cap = coupling_cap(beta)
-    return make_inexact_km(
-        beta=beta,
-        weight_divergence=RateFn.affine(cap, 0, RateKind.RATE_OF_DIVERGENCE,
-                                        f"constant-weight coupling divergence (cap={cap})"),
-        perturbation=None,
-        perturbation_cauchy=ZERO_CAUCHY,
-        perturbation_sum_bound=0,
-        family=Family.CLASSICAL_KM,
-    )
+    return replace(make_example1(beta), family=Family.CLASSICAL_KM)
 
 
 def make_anchor(base: Schedule, u, norm: Optional[Callable] = None) -> Schedule:
     """Replace the perturbation by r_n = (1 - alpha_n - beta_n)*u.
 
-    The perturbation series inherits the defect modulus rescaled by ceil||u||:
-    modulus k -> defect_cauchy(ceil||u||*(k+1) - 1), bound = defect bound *
-    ceil||u||.  A zero anchor is rejected; use a zero perturbation instead.
+    The perturbation series inherits the defect series rescaled by ceil||u||:
+    modulus k -> defect modulus(ceil||u||*(k+1) - 1), bound = defect bound *
+    ceil||u||, tail = ||u|| * defect tail.  A zero anchor is rejected; use a
+    zero perturbation instead.
     """
     u = np.asarray(u, dtype=float)
     nu = (norm or _norm2)(u)
     if nu == 0.0:
         raise ValueError("anchor direction must be nonzero; use a zero perturbation instead")
     cu = ceil_int(nu)
-    tail = None
-    if base.defect_tail is not None:
-        base_tail = base.defect_tail
-        tail = lambda m: nu * base_tail(m)
-    elif base.defect_is_zero:
-        tail = lambda m: 0.0
-    return Schedule(
-        alpha=base.alpha,
-        beta=base.beta,
+    defect = base.defect_series
+    return replace(
+        base,
         perturbation=lambda n: np.asarray(base.defect(n))[..., None] * u,
         perturbation_norm=lambda n: np.abs(base.defect(n)) * nu,
-        defect_cauchy=base.defect_cauchy,
-        weight_divergence=base.weight_divergence,
-        perturbation_cauchy=RateFn(
-            lambda k: base.defect_cauchy(cu * (k + 1) - 1),
-            RateKind.CAUCHY_MODULUS,
-            description="anchored perturbation modulus",
-        ),
-        defect_sum_bound=base.defect_sum_bound,
-        perturbation_sum_bound=base.defect_sum_bound * cu,
+        perturbation_series=Series(
+            RateFn(lambda k: defect.modulus(cu * (k + 1) - 1), RateKind.CAUCHY_MODULUS,
+                   description="anchored perturbation modulus"),
+            defect.bound * cu,
+            None if defect.tail is None else lambda m: nu * defect.tail(m),
+            defect.zero),
         family=Family.ANCHOR,
-        defect_is_zero=base.defect_is_zero,
-        perturbation_is_zero=base.defect_is_zero,
-        defect_tail=base.defect_tail,
-        perturbation_tail=tail,
     )
 
 
 def bound_constants_from_moduli(schedule: Schedule) -> tuple:
     """Minimal integer bounds for the two summable series.
 
-    Identically-zero series get bound 0; otherwise the bound is
-    ceil(partial sum up to modulus(0)) + 1, which dominates the whole series.
+    A series declared zero gets bound 0; otherwise the bound is
+    :func:`~km_rates.moduli.series_upper_bound` of its partial sums, which
+    raises ValueError on a negative partial sum.
     """
-    def bound(is_zero: bool, summand: Stream, modulus: RateFn) -> int:
-        if is_zero:
+    def bound(summand: Stream, series: Series) -> int:
+        if series.zero:
             return 0
-        s = float(np.sum(stream_values(summand, np.arange(modulus(0) + 1))))
-        return ceil_int(max(s, 0.0)) + 1
+        return series_upper_bound(
+            lambda m: np.sum(stream_values(summand, np.arange(m + 1))), series.modulus)
 
-    return (bound(schedule.defect_is_zero, schedule.defect, schedule.defect_cauchy),
-            bound(schedule.perturbation_is_zero, schedule.perturbation_norm,
-                  schedule.perturbation_cauchy))
+    return (bound(schedule.defect, schedule.defect_series),
+            bound(schedule.perturbation_norm, schedule.perturbation_series))
 
 
 @dataclass(frozen=True)
@@ -385,14 +361,13 @@ def verify_hypotheses(
     schedule: Schedule,
     n_max: int,
     k_max: int = 20,
-    divergence_n_max: Optional[int] = None,
     tol: float = CHECK_TOL,
 ) -> HypothesesReport:
     """Check ranges (see :func:`range_findings`), modulus contracts and sum
     bounds on [0, n_max].
 
     All findings land in the report; nothing raises.  Analytic tail bounds are
-    used for the two Cauchy contracts when the family provides them, otherwise
+    used for the two Cauchy contracts when the series provide them, otherwise
     those contracts are checked on the window only.
     """
     ns = np.arange(n_max + 1)
@@ -404,52 +379,40 @@ def verify_hypotheses(
     series_checked = not findings
 
     defect = stream_values(schedule.defect, ns)
-    defect_sum = float(np.sum(defect))
-    pert_sum = float(np.sum(pert))
+    reports, sums = [], []
+    # a defect declared zero may not stray either way; a norm is checked as is
+    for name, summand, values, size, series in (
+            ("defect", schedule.defect, defect, np.abs(defect), schedule.defect_series),
+            ("perturbation", schedule.perturbation_norm, pert, pert,
+             schedule.perturbation_series)):
+        report = None
+        window_sum = float(np.sum(values))
+        if series.zero:
+            if float(np.max(size)) > tol:
+                n_bad = int(np.argmax(size))
+                findings.append(Finding(f"{name}_zero", n_bad,
+                                        f"{name} declared zero but nonzero at n={n_bad}"))
+        else:
+            if series_checked:
+                report = check_series_cauchy_modulus(summand, series.modulus, k_max, n_max,
+                                                     tail_bound=series.tail, tol=tol)
+            if window_sum > series.bound + tol:
+                findings.append(Finding(f"{name}_sum_bound", None,
+                                        f"window {name} sum {window_sum} exceeds bound "
+                                        f"{series.bound}"))
+        reports.append(report)
+        sums.append(window_sum)
 
-    defect_report = None
-    if schedule.defect_is_zero:
-        if float(np.max(np.abs(defect))) > tol:
-            n_bad = int(np.argmax(np.abs(defect)))
-            findings.append(Finding("defect_zero", n_bad,
-                                    f"defect declared zero but nonzero at n={n_bad}"))
-    else:
-        if series_checked:
-            defect_report = check_series_cauchy_modulus(
-                schedule.defect, schedule.defect_cauchy, k_max, n_max,
-                tail_bound=schedule.defect_tail, tol=tol)
-        if defect_sum > schedule.defect_sum_bound + tol:
-            findings.append(Finding("defect_sum_bound", None,
-                                    f"window defect sum {defect_sum} exceeds bound "
-                                    f"{schedule.defect_sum_bound}"))
-
-    perturbation_report = None
-    if schedule.perturbation_is_zero:
-        if float(np.max(pert)) > tol:
-            n_bad = int(np.argmax(pert))
-            findings.append(Finding("perturbation_zero", n_bad,
-                                    f"perturbation declared zero but nonzero at n={n_bad}"))
-    else:
-        if series_checked:
-            perturbation_report = check_series_cauchy_modulus(
-                schedule.perturbation_norm, schedule.perturbation_cauchy, k_max, n_max,
-                tail_bound=schedule.perturbation_tail, tol=tol)
-        if pert_sum > schedule.perturbation_sum_bound + tol:
-            findings.append(Finding("perturbation_sum_bound", None,
-                                    f"window perturbation sum {pert_sum} exceeds bound "
-                                    f"{schedule.perturbation_sum_bound}"))
-
-    n_div = min(n_max, 2000) if divergence_n_max is None else divergence_n_max
     divergence_report = check_divergence_rate(
-        schedule.coupling_weight, schedule.weight_divergence, n_div, tol=tol,
+        schedule.coupling_weight, schedule.weight_divergence, min(n_max, 2000), tol=tol,
         window=n_max)
 
     return HypothesesReport(
         window=n_max,
         findings=findings,
-        defect_report=defect_report,
-        perturbation_report=perturbation_report,
+        defect_report=reports[0],
+        perturbation_report=reports[1],
         divergence_report=divergence_report,
-        defect_window_sum=defect_sum,
-        perturbation_window_sum=pert_sum,
+        defect_window_sum=sums[0],
+        perturbation_window_sum=sums[1],
     )

@@ -24,7 +24,8 @@ CLASSICAL = km.make_certificate(InstanceConstants.from_bounds(1, 0, 0),
 def inexact_certificate(b, r, weight_divergence, perturbation_cauchy):
     """Certificate of an alpha = 1 - beta schedule with start bound b and
     perturbation sum bound r."""
-    schedule = km.make_inexact_km(0.5, weight_divergence, None, perturbation_cauchy, r)
+    schedule = km.make_inexact_km(0.5, weight_divergence, None,
+                                  km.Series(perturbation_cauchy, r))
     return km.make_certificate(InstanceConstants.from_bounds(b, 0, r), schedule, HILBERT)
 
 

@@ -126,7 +126,7 @@ def test_blower_aborts_at_reference_index(factor, spike, store_limit):
     if spike:
         schedule = km.make_inexact_km(
             0.5, schedule.weight_divergence, lambda n: _spike(n)[..., None] * [1.0, 0.0],
-            schedule.perturbation_cauchy, 0, perturbation_norm=_spike)
+            km.Series(schedule.perturbation_series.modulus, 0), perturbation_norm=_spike)
 
     def abort_index(run, horizon):
         try:
@@ -176,7 +176,7 @@ def test_off_contract_stream_shapes_raise():
     r = np.arange(1.0, 5.0)
     per_index = km.make_inexact_km(0.5, classical.weight_divergence,
                                    lambda n: r / (n + 1) ** 2,
-                                   classical.perturbation_cauchy, 30)
+                                   km.Series(classical.perturbation_series.modulus, 30))
     with pytest.raises(ValueError, match="shape"):
         km.iterate(space, op, np.ones(4), per_index, 4)
     # with a norm stream that keeps the contract, the engine's own check of

@@ -5,7 +5,7 @@ import pytest
 
 import km_rates as km
 from km_rates.moduli import RateFn, RateKind
-from km_rates.schedules import Family
+from km_rates.schedules import Family, constant_stream
 
 
 def test_coupling_cap_values():
@@ -30,17 +30,17 @@ def test_example_params_validation():
 def test_example1_unperturbed():
     s = km.make_example1(0.5)
     assert s.family is Family.EXAMPLE1
-    assert s.defect_is_zero and s.perturbation_is_zero
-    assert s.defect_sum_bound == 0 and s.perturbation_sum_bound == 0
+    assert s.defect_series.zero and s.perturbation_series.zero
+    assert s.defect_series.bound == 0 and s.perturbation_series.bound == 0
     assert [s.weight_divergence(k) for k in range(3)] == [0, 4, 8]
     assert s.alpha(17) == 0.5 and s.beta(17) == 0.5
 
 
 def test_example1_with_unit_perturbation():
     s = km.make_example1(0.5, 1, r_star=[1.0, 0.0])
-    assert s.perturbation_sum_bound == 2
-    assert [s.perturbation_cauchy(k) for k in range(3)] == [1, 2, 3]
-    assert not s.perturbation_is_zero
+    assert s.perturbation_series.bound == 2
+    assert [s.perturbation_series.modulus(k) for k in range(3)] == [1, 2, 3]
+    assert not s.perturbation_series.zero
 
 
 def test_example1_pointwise_evaluation():
@@ -55,8 +55,8 @@ def test_example2_values():
     assert s.beta(0) == pytest.approx(0.25)
     assert s.alpha(0) + s.beta(0) == pytest.approx(0.75)
     assert s.weight_divergence(0) == 7  # cap*(0+2)-1 with cap=4
-    assert s.defect_sum_bound == 2
-    assert [s.defect_cauchy(k) for k in range(3)] == [1, 2, 3]
+    assert s.defect_series.bound == 2
+    assert [s.defect_series.modulus(k) for k in range(3)] == [1, 2, 3]
 
 
 def test_example2_pointwise_bounds():
@@ -79,8 +79,7 @@ def test_inexact_km_coupling_identity():
         beta=lambda n: 0.3 + 0.4 * ((n % 7) / 7.0),
         weight_divergence=RateFn.affine(10, 0, RateKind.RATE_OF_DIVERGENCE),
         perturbation=None,
-        perturbation_cauchy=RateFn.constant(0, RateKind.CAUCHY_MODULUS),
-        perturbation_sum_bound=0,
+        perturbation_series=km.Series(RateFn.constant(0, RateKind.CAUCHY_MODULUS), 0),
     )
     for n in range(0, 200, 11):
         b = s.beta(n)
@@ -88,11 +87,39 @@ def test_inexact_km_coupling_identity():
         assert s.alpha(n) + s.beta(n) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.7])
+def test_classical_km_is_example1_without_perturbation(beta):
+    classical, example1 = km.make_classical_km(beta), km.make_example1(beta)
+    assert classical.family is Family.CLASSICAL_KM
+    ns = np.arange(1000, 1300)
+    for name in ("alpha", "beta", "perturbation_norm"):
+        assert np.array_equal(getattr(classical, name)(ns), getattr(example1, name)(ns)), name
+    ks = range(50)
+    assert ([classical.weight_divergence(k) for k in ks]
+            == [example1.weight_divergence(k) for k in ks])
+    for name in ("defect_series", "perturbation_series"):
+        a, b = getattr(classical, name), getattr(example1, name)
+        assert [a.modulus(k) for k in ks] == [b.modulus(k) for k in ks], name
+        assert (a.bound, a.zero) == (b.bound, b.zero), name
+
+
+@pytest.mark.parametrize("J", [2, 3, 4, 5])
+def test_example2_defect_is_inverse_square_series(J):
+    defect = km.make_example2(0.5, J=J).defect_series
+    series = km.inverse_square_series(1.0, J)
+    ks = range(50)
+    assert [defect.modulus(k) for k in ks] == [series.modulus(k) for k in ks] == [
+        k + 1 for k in ks]
+    assert defect.bound == series.bound == 2
+    assert [defect.tail(m) for m in ks] == [series.tail(m) for m in ks]
+    assert not defect.zero
+
+
 def test_classical_km_is_inexact_with_zero_perturbation():
     s = km.make_classical_km(0.5)
     assert s.family is Family.CLASSICAL_KM
-    assert s.defect_is_zero and s.perturbation_is_zero
-    assert s.perturbation_sum_bound == 0
+    assert s.defect_series.zero and s.perturbation_series.zero
+    assert s.perturbation_series.bound == 0
     assert [s.weight_divergence(k) for k in range(3)] == [0, 4, 8]
     # the synthesized divergence rate really works: sum_{i<=4k} 1/4 >= k
     report = km.check_divergence_rate(s.coupling_weight, s.weight_divergence, 500)
@@ -103,9 +130,9 @@ def test_make_anchor_from_example2_core():
     base = km.make_example2(0.5, J=2)
     s = km.make_anchor(base, [1.0, 0.0, 0.0])
     assert s.family is Family.ANCHOR
-    assert s.perturbation_sum_bound == 2  # base bound 2 * ceil(1)
+    assert s.perturbation_series.bound == 2  # base bound 2 * ceil(1)
     for k in range(10):
-        assert s.perturbation_cauchy(k) == base.defect_cauchy(k)
+        assert s.perturbation_series.modulus(k) == base.defect_series.modulus(k)
     np.testing.assert_allclose(s.perturbation(0), [0.25, 0.0, 0.0])  # defect(0)*u
 
 
@@ -113,16 +140,16 @@ def test_make_anchor_scaling():
     base = km.make_example2(0.5, J=2)
     u = [0.0, 2.5, 0.0]
     s = km.make_anchor(base, u)
-    assert s.perturbation_sum_bound == 6  # 2 * ceil(2.5)
+    assert s.perturbation_series.bound == 6  # 2 * ceil(2.5)
     for k in range(10):
-        assert s.perturbation_cauchy(k) == base.defect_cauchy(3 * k + 2)
+        assert s.perturbation_series.modulus(k) == base.defect_series.modulus(3 * k + 2)
 
 
 def test_make_anchor_vanishing_defect():
     base = km.make_classical_km(0.5)
     s = km.make_anchor(base, [1.0, 1.0])
-    assert s.perturbation_sum_bound == 0
-    assert s.perturbation_is_zero
+    assert s.perturbation_series.bound == 0
+    assert s.perturbation_series.zero
     assert s.perturbation_norm(5) == 0.0
 
 
@@ -138,6 +165,10 @@ def test_bound_constants_from_moduli():
     pert = km.make_example1(0.5, 1, r_star=[1.0, 0.0])
     # sum over n <= modulus(0)=1 of 1/(n+1)^2 is 1.25, so the bound is 3
     assert km.bound_constants_from_moduli(pert) == (0, 3)
+    # alpha + beta above 1 makes the defect partial sums negative
+    over = replace(core, alpha=constant_stream(0.9))
+    with pytest.raises(ValueError, match="negative partial sum"):
+        km.bound_constants_from_moduli(over)
 
 
 def test_verify_hypotheses_example1():
@@ -162,8 +193,7 @@ def test_verify_hypotheses_flags_range_violation():
         beta=lambda n: np.where(np.asarray(n) == 5, 1.2, 0.5),
         weight_divergence=RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE),
         perturbation=None,
-        perturbation_cauchy=RateFn.constant(0, RateKind.CAUCHY_MODULUS),
-        perturbation_sum_bound=0,
+        perturbation_series=km.Series(RateFn.constant(0, RateKind.CAUCHY_MODULUS), 0),
     )
     report = km.verify_hypotheses(s, 100)
     assert not report.passed
@@ -184,14 +214,46 @@ def test_verify_hypotheses_flags_wrong_sum_bound():
     s = km.make_example2(0.5, J=2)
     bad = km.Schedule(
         alpha=s.alpha, beta=s.beta, perturbation=s.perturbation,
-        perturbation_norm=s.perturbation_norm, defect_cauchy=s.defect_cauchy,
+        perturbation_norm=s.perturbation_norm,
         weight_divergence=s.weight_divergence,
-        perturbation_cauchy=s.perturbation_cauchy,
-        defect_sum_bound=0, perturbation_sum_bound=0, family=Family.CUSTOM,
-        defect_is_zero=False, perturbation_is_zero=True,
-        defect_tail=s.defect_tail)
+        defect_series=km.Series(s.defect_series.modulus, 0, s.defect_series.tail),
+        perturbation_series=km.Series(s.perturbation_series.modulus, 0, zero=True),
+        family=Family.CUSTOM)
     report = km.verify_hypotheses(bad, 200)
     assert any(f.check == "defect_sum_bound" for f in report.findings)
+
+
+def test_verify_hypotheses_flags_declared_zero_and_sum_bounds():
+    at = lambda i, value, rest: (lambda n: np.where(np.asarray(n) == i, value, rest(n)))
+    zero = lambda n: np.zeros(np.shape(n))
+    # both series declared zero; the defect peaks at 7, the norms at 11
+    base = km.make_classical_km(0.5)
+    declared_zero = replace(base, beta=at(7, 0.4, at(3, 0.45, constant_stream(0.5))),
+                            perturbation_norm=at(11, 0.3, at(2, 0.1, zero)))
+    report = km.verify_hypotheses(declared_zero, 100)
+    assert [(f.check, f.index, f.message) for f in report.findings] == [
+        ("defect_zero", 7, "defect declared zero but nonzero at n=7"),
+        ("perturbation_zero", 11, "perturbation declared zero but nonzero at n=11")]
+    # both series summable but with understated bounds 0
+    doc = {"space": {"dim": 2, "norm": "euclidean"},
+           "operator": {"name": "identity", "params": {}},
+           "start": [1.0, 0.0],
+           "schedule": {"family": "custom", "params": {
+               "alpha": 0.5, "beta": {"values": [0.3, 0.3, 0.3], "then": 0.5},
+               "perturbation": {"inverse_square": {"r_star": [1.0, 0.0], "offset": 1}},
+               "defect_cauchy": {"const": 3},
+               "weight_divergence": {"affine": {"slope": 8, "intercept": 0}},
+               "perturbation_cauchy": {"affine": {"slope": 1, "intercept": 1}},
+               "defect_sum_bound": 0, "perturbation_sum_bound": 0}},
+           "run": {"horizon": 10, "k_max": 2}}
+    understated = km.assemble(km.RunConfig.from_dict(doc)).schedule
+    report = km.verify_hypotheses(understated, 100)
+    assert [(f.check, f.index, f.message) for f in report.findings] == [
+        ("defect_sum_bound", None,
+         f"window defect sum {report.defect_window_sum} exceeds bound 0"),
+        ("perturbation_sum_bound", None,
+         f"window perturbation sum {report.perturbation_window_sum} exceeds bound 0")]
+    assert report.defect_window_sum > 0.5 and report.perturbation_window_sum > 1.5
 
 
 def test_schedule_report_serializes():

@@ -4,7 +4,8 @@
 
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
-test suite goes through the commands the tests give them.  Each checkout's
+test suite, plus config-parse edge cases, goes through the commands the
+tests give them.  Each checkout's
 CLI runs the whole list in a fresh interpreter that imports ``km_rates``
 from that checkout's ``src/``.  Every command runs in its own directory with
 the relative output directory ``out``, so the echoed ``output.directory`` is
@@ -47,7 +48,7 @@ def _rotation(horizon=2000, k_max=3, **changes) -> dict:
 
 def _test_suite_jobs() -> list:
     """(name, config document or None, argv after the config) as the tests
-    run them; a document None runs the argv alone."""
+    run them, plus config-parse edges; a document None runs the argv alone."""
     out_of_range = _rotation(50, schedule={"family": "custom", "params": {
         "alpha": {"const": 0.5},
         "beta": {"values": [0.5, 0.5, 0.5, 0.5, 0.5, 1.2], "then": 0.5},
@@ -72,7 +73,29 @@ def _test_suite_jobs() -> list:
                      start=[2.0, 0.0, 0.0],
                      schedule={"family": "example2", "params": {
                          "lam": 0.5, "J": 2, "offset": 1, "r_star": None}})
+    custom = {"alpha": 0.5, "beta": 0.5, "perturbation": {"zero": True}, "defect_is_zero": True,
+              "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}
+    inverse_square = {"inverse_square": {"r_star": [0.5, 0.0], "offset": 2}}
+    inexact = {"beta": 0.5, "weight_divergence": {"affine": {"slope": 4, "intercept": 0}},
+               "perturbation": inverse_square,
+               "perturbation_cauchy": {"affine": {"slope": 1, "intercept": 1}}}
+    # config-parse edges: bounds kept for series declared zero, a missing
+    # bound, the first of two bad params, an anchor over a declared series
+    parse_edges = [
+        ("custom-zero-perturbation-bound", "custom",
+         dict(custom, perturbation_sum_bound=3), "verify"),
+        ("custom-zero-defect-bound", "custom", dict(custom, defect_sum_bound=2), "verify"),
+        ("inexact-missing-bound", "inexact_km", inexact, "certify"),
+        ("custom-bad-alpha-and-modulus", "custom",
+         dict(custom, alpha="x", perturbation=inverse_square,
+              perturbation_cauchy={"const": 1.5}), "certify"),
+        ("anchor-over-inexact", "anchor",
+         {"base": {"family": "inexact_km", "params": dict(inexact, perturbation_sum_bound=2)},
+          "u": [1.0, 0.0]}, "verify"),
+    ]
     jobs = [(f"rotation-{c}", _rotation(), [c]) for c in ("certify", "run", "audit", "verify")]
+    jobs += [(name, _rotation(500, 3, schedule={"family": family, "params": params}), [command])
+             for name, family, params, command in parse_edges]
     jobs += [
         ("rotation-run-100", _rotation(100), ["run"]),
         ("rotation-run-streamed", _rotation(100_500), ["run"]),
