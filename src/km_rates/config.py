@@ -394,7 +394,10 @@ def assemble(cfg: RunConfig) -> Instance:
     space = build_space(cfg)
     operator = build_operator(cfg, space)
     start = np.asarray(cfg.start, dtype=float)
-    schedule = build_schedule(cfg, space)
+    try:
+        schedule = build_schedule(cfg, space)
+    except OverflowError as exc:
+        raise ConfigError(f"schedule constants are not representable: {exc}") from None
     try:
         constants = instance_constants(start, operator.fixed_point, schedule,
                                        norm=space.norm)

@@ -124,8 +124,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         res_step = np.empty(horizon)
         store = horizon <= store_limit
         points = np.empty((horizon + 1, space.dim)) if store else None
-        block_x = np.empty((BLOCK + 1, space.dim))  # x_n0 .. x_n1, the last one carried on
-        block_tx = np.empty((BLOCK, space.dim))
+        apply = op.apply
+        z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
         for n0 in range(0, horizon + 1, BLOCK):
             n1 = min(n0 + BLOCK, horizon + 1)
             m = n1 - n0
@@ -133,18 +133,23 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             if r.shape not in ((m, space.dim), (m, 1)):
                 raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
                                  f"not ({m}, {space.dim}) or ({m}, 1)")
-            for i, (a, b, ri) in enumerate(zip(a_all[n0:n1].tolist(),
-                                               b_all[n0:n1].tolist(), r)):
-                tx = op(x)
-                block_x[i] = x
-                block_tx[i] = tx
-                x = a * x + b * tx + ri
-            block_x[m] = x
+            xs, txs = [], []
+            for a, b, ri in zip(a_all[n0:n1].tolist(), b_all[n0:n1].tolist(), r):
+                tx = apply(x)
+                xs.append(x)
+                txs.append(tx)
+                # a*x + b*tx + ri in that order; the in-place adds write to
+                # the fresh array a*x, never to a point already collected
+                x = a * x
+                x += b * tx
+                x += ri
+            xs.append(x)  # x_n0 .. x_n1, the last one carried on
+            block_x = np.array(xs, dtype=float)
             pts = block_x[:m]
             s = min(n1, horizon) - n0  # steps of this block inside the horizon
-            res_T[n0:n1] = space.norm(pts - block_tx[:m])
-            dist_z[n0:n1] = space.norm(pts - z)
+            res_T[n0:n1] = space.norm(pts - np.array(txs, dtype=float))
             norm_x[n0:n1] = space.norm(pts)
+            dist_z[n0:n1] = norm_x[n0:n1] if z_is_zero else space.norm(pts - z)
             res_step[n0:n0 + s] = space.norm(block_x[1:s + 1] - block_x[:s])
             if store:
                 points[n0:n1] = pts

@@ -132,7 +132,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Ope
         R[i, j] = -s
         R[j, i] = s
         R[j, j] = c
-        apply = lambda x, R=R: R @ np.asarray(x, dtype=float)
+        apply = R.dot
         z = np.zeros(space.dim)
     elif name == "ball_projection":
         center = _vec(space, params.get("center"), "center", default=0.0)
@@ -182,7 +182,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Ope
         op_norm = float(np.linalg.norm(Q, 2))
         if op_norm > 1.0 + NONEXPANSIVE_TOL:
             raise ValueError(f"affine map with operator norm {op_norm} > 1 is expansive")
-        apply = lambda x, Q=Q, shift=shift: Q @ np.asarray(x, dtype=float) + shift
+        apply = lambda x, Q=Q, shift=shift: Q.dot(x) + shift
         if float(np.dot(shift, shift)) == 0.0:
             z = np.zeros(space.dim)
         elif op_norm < 1.0 - 1e-9:
@@ -196,7 +196,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Ope
         factors = _vec(space, params.get("factors"), "factors")
         if np.any(np.abs(factors) > 1.0 + NONEXPANSIVE_TOL):
             raise ValueError("shrink factors must have magnitude at most 1")
-        apply = lambda x, factors=factors: factors * np.asarray(x, dtype=float)
+        apply = lambda x, factors=factors: factors * x
         z = np.zeros(space.dim)
 
     z = np.asarray(z, dtype=float)

@@ -296,6 +296,18 @@ def test_unrepresentable_start_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unrepresentable_schedule_constants_exit_2(tmp_path, capsys):
+    # the inverse-square modulus of this r_star overflows while the schedule is built
+    doc = rotation_config(tmp_path / "out", horizon=100)
+    doc["space"] = {"dim": 2, "norm": "lp", "p": 1.0001}
+    doc["operator"] = {"name": "coordinate_shrink", "params": {"factors": [0.5, 0.5]}}
+    doc["schedule"] = {"family": "example1", "params": {"lam": 0.5, "r_star": [1e308, 0.0]}}
+    assert main(["certify", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: schedule constants are not representable")
+    assert "Traceback" not in err
+
+
 def test_numeric_abort_exits_4(tmp_path, capsys, monkeypatch):
     # catalog instances stay bounded by construction, so the abort path is
     # exercised by injecting a failing iteration

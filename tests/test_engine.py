@@ -1,14 +1,16 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import km_rates as km
-from km_rates.engine import NumericAbort
+from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
 
 from conftest import rotation_instance
+from reference_engine import reference_iterate
 
 
 def test_identity_schedule_keeps_start_fixed():
@@ -128,6 +130,26 @@ def test_iterate_validation():
         km.iterate(space, op, start, schedule, 0)
     with pytest.raises(ValueError):
         km.iterate(space, op, [1.0, 0.0, 0.0], schedule, 5)
+
+
+@pytest.mark.parametrize("p,name,params", [
+    (2.0, "rotation", {"angle_deg": 30.0, "axes": [1, 2]}),
+    (3.0, "coordinate_shrink", {"factors": [0.5, -0.9, 1.0]}),
+])
+@pytest.mark.parametrize("z", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
+def test_zero_fixed_point_dist_is_norm(p, name, params, z):
+    # x - z is x bit for bit when z is all zeros, signed or not
+    space = km.Space(dim=3, p=p)
+    op = replace(km.make_operator(name, space, params), fixed_point=np.array(z))
+    schedule = km.make_example1(0.5, 1, r_star=[0.0, -0.0, 0.25])
+    start = [-0.0, 1.0, -0.5]
+    new = km.iterate(space, op, start, schedule, BLOCK + 3)
+    ref = reference_iterate(space, op, start, schedule, BLOCK + 3)
+    assert np.array_equal(new.dist_z, new.norm_x)
+    assert np.array_equal(new.points, ref.points)
+    for stream in ("res_T", "res_step", "dist_z", "norm_x"):
+        np.testing.assert_allclose(getattr(new, stream), getattr(ref, stream),
+                                   rtol=1e-12, atol=0.0, err_msg=stream)
 
 
 def test_numeric_abort_reports_index():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,40 @@ def test_rotation_quarter_turn():
     for _ in range(100):
         x, y = rng.normal(size=2), rng.normal(size=2)
         assert abs(space.norm(op(x) - op(y)) - space.norm(x - y)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+def test_matrix_operators_bit_equal_to_matmul(dim):
+    # the operators apply their matrix through ndarray.dot; pinned here against
+    # the matmul form, since the reference engine calls the same operator
+    rng = np.random.default_rng(dim)
+    space = km.Space(dim=dim)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    cases = []
+    for _ in range(3):
+        i, j = rng.choice(dim, size=2, replace=False)
+        angle = float(rng.uniform(-math.pi, math.pi))
+        c, s = math.cos(angle), math.sin(angle)
+        R = np.eye(dim)
+        R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+        op = km.make_operator("rotation", space, {"angle": angle, "axes": [int(i), int(j)]})
+        cases.append((op, R, np.zeros(dim)))
+    for Q, shift in ((q, np.zeros(dim)), (0.9 * q, rng.uniform(-1.0, 1.0, dim))):
+        op = km.make_operator("affine_avg", space, {"matrix": Q.tolist(), "shift": shift.tolist()})
+        cases.append((op, Q, shift))
+    for op, M, shift in cases:
+        for x in rng.uniform(-5.0, 5.0, (500, dim)):
+            assert op(x).tobytes() == (M @ np.asarray(x, dtype=float) + shift).tobytes()
+
+
+@pytest.mark.parametrize("name,params", EUCLIDEAN_CASES)
+def test_catalog_operators_accept_lists(name, params):
+    op = km.make_operator(name, km.Space(dim=2), params)
+    rng = np.random.default_rng(7)
+    for x in [[1, -2], [-0.0, 0.5]] + rng.uniform(-3.0, 3.0, (20, 2)).tolist():
+        out = op(x)
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert out.tobytes() == op(np.array(x)).tobytes()
 
 
 def test_ball_projection_values():

@@ -4,9 +4,9 @@
 
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
-test suite, plus config-parse edge cases, goes through the commands the
-tests give them.  Each checkout's
-CLI runs the whole list in a fresh interpreter that imports ``km_rates``
+test suite, plus config-parse edge cases and multi-block runs of the two
+matrix operators, goes through the commands the tests give them.  Each
+checkout's CLI runs the whole list in a fresh interpreter that imports ``km_rates``
 from that checkout's ``src/``.  Every command runs in its own directory with
 the relative output directory ``out``, so the echoed ``output.directory`` is
 the same on both sides.  Then exit codes, stdout and stderr lines, the set of
@@ -28,6 +28,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +81,19 @@ def _test_suite_jobs() -> list:
     inexact = {"beta": 0.5, "weight_divergence": {"affine": {"slope": 4, "intercept": 0}},
                "perturbation": inverse_square,
                "perturbation_cauchy": {"affine": {"slope": 1, "intercept": 1}}}
+    # multi-block trajectories of the two matrix operators: three blocks of
+    # 256 points and a partial one
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    affine = _rotation(3 * 256 + 5, space={"dim": 8, "norm": "euclidean"},
+                       operator={"name": "affine_avg", "params": {
+                           "matrix": (0.9 * q).tolist(),
+                           "shift": rng.uniform(-1.0, 1.0, 8).tolist()}},
+                       start=rng.uniform(-1.0, 1.0, 8).tolist())
+    rotation64 = _rotation(3 * 256 + 5, space={"dim": 64, "norm": "euclidean"},
+                           operator={"name": "rotation",
+                                     "params": {"angle_deg": 30.0, "axes": [5, 40]}},
+                           start=rng.uniform(-1.0, 1.0, 64).tolist())
     # config-parse edges: bounds kept for series declared zero, a missing
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
@@ -110,6 +125,10 @@ def _test_suite_jobs() -> list:
         ("lp-verify", lp, ["verify"]),
         ("overflow", overflow, ["certify"]),
         ("example2-ball", ball, ["verify"]),
+        ("affine-shift-dim8-run", affine, ["run"]),
+        ("affine-shift-dim8-verify", affine, ["verify"]),
+        ("rotation-dim64-run", rotation64, ["run"]),
+        ("rotation-dim64-verify", rotation64, ["verify"]),
         ("missing-config", None, ["certify", "--config", "missing.json"]),
         ("catalog", None, ["catalog"]),
     ]
