@@ -7,25 +7,21 @@ from .moduli import (
     RateFn,
     RateKind,
     UcModulus,
-    cauchy_to_rate,
     ceil_int,
     check_divergence_rate,
     check_series_cauchy_modulus,
-    check_uc_transfer,
     combine_cauchy_moduli,
     hilbert_modulus,
     inverse_square_modulus,
     lp_convexity_modulus,
     lp_modulus,
     rate_from_liminf,
-    series_upper_bound,
 )
 from .schedules import (
     ZERO_SERIES,
     Family,
     Schedule,
     Series,
-    bound_constants_from_moduli,
     coupling_cap,
     inverse_square_series,
     make_anchor,
@@ -39,7 +35,6 @@ from .operators import (
     Operator,
     Space,
     catalog_names,
-    check_nonexpansive,
     make_operator,
 )
 from .certificates import (
@@ -59,7 +54,6 @@ from .engine import (
     NumericAbort,
     Trajectory,
     audit_inequalities,
-    corrupt_point,
     iterate,
     write_trajectory_csv,
 )
@@ -68,7 +62,6 @@ from .verify import (
     check_liminf_contract,
     check_rate_soundness,
     empirical_first_index,
-    step_rate_consistency,
 )
 from .config import ConfigError, Instance, RunConfig, assemble, load_config
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .moduli import (
     RateFn,
     RateKind,
     UcModulus,
-    _norm2,
     ceil_int,
     combine_cauchy_moduli,
     rate_from_liminf,
@@ -98,11 +97,9 @@ class InstanceConstants:
         }
 
 
-def instance_constants(x, z, schedule: Schedule,
-                       norm: Optional[Callable] = None) -> InstanceConstants:
-    """Round max(||x-z||, ||z||) up to a positive integer and derive the rest."""
-    if norm is None:
-        norm = _norm2
+def instance_constants(x, z, schedule: Schedule, norm: Callable) -> InstanceConstants:
+    """Round max(||x-z||, ||z||) in ``norm`` up to a positive integer and
+    derive the rest."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     b = max(1, ceil_int(max(norm(x - z), norm(z))))
@@ -182,7 +179,6 @@ def make_step_rate(residual_rate: RateFn) -> RateFn:
         lambda k: residual_rate(2 * k + 1),
         RateKind.RATE_OF_CONVERGENCE,
         description="step-displacement rate",
-        target="res_step",
     )
 
 
@@ -240,7 +236,7 @@ def make_certificate(constants: InstanceConstants, schedule: Schedule,
                                        schedule.perturbation_series.modulus,
                                        2 * constants.norm_bound, 2)
     residual = replace(rate_from_liminf(dip, increments),
-                       description="operator-residual rate", target="res_T")
+                       description="operator-residual rate")
     return Certificate(
         formula=tag,
         constants=constants,

@@ -63,6 +63,18 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _vector(values, what: str) -> tuple:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} entries must be numbers") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     space_dim: int
@@ -86,7 +98,7 @@ class RunConfig:
         _require(isinstance(doc, dict), "config must be a JSON object")
         space = doc.get("space") or {}
         dim = space.get("dim")
-        _require(isinstance(dim, int) and dim >= 1, "space.dim must be a positive integer")
+        _require(_is_int(dim) and dim >= 1, "space.dim must be a positive integer")
         norm = space.get("norm", "euclidean")
         _require(norm in ("euclidean", "lp"), "space.norm must be 'euclidean' or 'lp'")
         p = space.get("p")
@@ -103,7 +115,7 @@ class RunConfig:
         fixed = op.get("fixed_point", "default")
         if isinstance(fixed, (list, tuple)):
             _require(len(fixed) == dim, "operator.fixed_point vector must match space.dim")
-            fixed = tuple(float(v) for v in fixed)
+            fixed = _vector(fixed, "operator.fixed_point")
         else:
             _require(fixed in ("default", "nearest"),
                      "operator.fixed_point must be 'default', 'nearest' or a vector")
@@ -111,7 +123,7 @@ class RunConfig:
         start = doc.get("start")
         _require(isinstance(start, (list, tuple)) and len(start) == dim,
                  "start must be a vector matching space.dim")
-        start = tuple(float(v) for v in start)
+        start = _vector(start, "start")
 
         sched = doc.get("schedule") or {}
         family = sched.get("family")
@@ -127,10 +139,10 @@ class RunConfig:
         if horizon in ("auto", None):
             horizon = None
         else:
-            _require(isinstance(horizon, int) and horizon >= 1,
+            _require(_is_int(horizon) and horizon >= 1,
                      "run.horizon must be a positive integer or 'auto'")
         k_max = run.get("k_max", 10)
-        _require(isinstance(k_max, int) and k_max >= 0, "run.k_max must be a natural number")
+        _require(_is_int(k_max) and k_max >= 0, "run.k_max must be a natural number")
 
         output = doc.get("output") or {}
         out_dir = output.get("directory", "out")
@@ -214,7 +226,7 @@ def build_operator(cfg: RunConfig, space: Space) -> Operator:
         # remaining entries have a canonical fixed point already
     try:
         op = make_operator(cfg.operator_name, space, params)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     if isinstance(fixed, tuple):
         z = np.asarray(fixed, dtype=float)
@@ -240,12 +252,12 @@ def _sequence_spec(spec, what: str) -> Stream:
 
 
 def _rate_spec(spec, kind: RateKind, what: str) -> RateFn:
-    if isinstance(spec, dict) and "const" in spec and isinstance(spec["const"], int):
+    if isinstance(spec, dict) and "const" in spec and _is_int(spec["const"]):
         return RateFn.constant(spec["const"], kind, what)
     if isinstance(spec, dict) and "affine" in spec:
         aff = spec["affine"]
         slope, intercept = aff.get("slope"), aff.get("intercept")
-        if isinstance(slope, int) and isinstance(intercept, int):
+        if _is_int(slope) and _is_int(intercept):
             return RateFn.affine(slope, intercept, kind, what)
     raise ConfigError(f"{what}: expected {{'const': n}} or "
                       f"{{'affine': {{'slope': a, 'intercept': b}}}} with integers")
@@ -263,7 +275,7 @@ def _perturbation_spec(spec, space: Space, what: str):
         if r_star.shape != (space.dim,):
             raise ConfigError(f"{what}.inverse_square.r_star must match space.dim")
         offset = inner.get("offset", 1)
-        if not isinstance(offset, int) or offset < 1:
+        if not _is_int(offset) or offset < 1:
             raise ConfigError(f"{what}.inverse_square.offset must be a positive integer")
         return inverse_square_perturbation(r_star, offset, space.norm)
     raise ConfigError(f"{what}: expected {{'zero': true}} or "
@@ -278,9 +290,17 @@ def _param_rate(params: dict, key: str, kind: RateKind = RateKind.CAUCHY_MODULUS
 def _param_bound(params: dict, key: str, default: Optional[int]) -> int:
     """The natural number ``schedule.params.<key>``; ``default`` when absent."""
     bound = params.get(key, default)
-    if not isinstance(bound, int) or bound < 0:
+    if not _is_int(bound) or bound < 0:
         raise ConfigError(f"schedule.params.{key} must be a natural number")
     return bound
+
+
+def _param_int(params: dict, key: str, default: int) -> int:
+    """The integer ``schedule.params.<key>``, truncated; a boolean is refused."""
+    value = params.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"schedule.params.{key} must be an integer")
+    return int(value)
 
 
 def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
@@ -288,11 +308,11 @@ def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
     family = cfg.schedule_family
     try:
         if family == Family.EXAMPLE1.value:
-            schedule = make_example1(float(params["lam"]), int(params.get("offset", 1)),
+            schedule = make_example1(float(params["lam"]), _param_int(params, "offset", 1),
                                      params.get("r_star"), norm=space.norm)
         elif family == Family.EXAMPLE2.value:
-            schedule = make_example2(float(params["lam"]), int(params.get("J", 2)),
-                                     int(params.get("offset", 1)), params.get("r_star"),
+            schedule = make_example2(float(params["lam"]), _param_int(params, "J", 2),
+                                     _param_int(params, "offset", 1), params.get("r_star"),
                                      norm=space.norm)
         elif family == Family.CLASSICAL_KM.value:
             schedule = make_classical_km(float(params["beta"]))

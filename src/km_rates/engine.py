@@ -13,7 +13,7 @@ deterministic: identical inputs give bit-identical trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -63,10 +63,6 @@ class Trajectory:
     beta: np.ndarray
     r_norm: np.ndarray
     points: Optional[np.ndarray]
-    space: Space
-    operator: Operator
-    schedule: Schedule
-    start: np.ndarray
     norm_z: float
     fix_residual: float  # ||T(z) - z||, clamped to 0 below 1e-12
 
@@ -161,7 +157,6 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
         norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, points=points,
-        space=space, operator=op, schedule=schedule, start=np.asarray(start, dtype=float),
         norm_z=norm_z, fix_residual=fix_residual,
     )
 
@@ -296,38 +291,6 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants,
         np.full_like(dist, dist[0] + constants.defect_sum_bound * nz
                      + constants.perturbation_sum_bound), tol)
     return AuditReport(horizon=traj.horizon, tol=tol, checks=checks)
-
-
-def corrupt_point(traj: Trajectory, index: int, magnitude: float = 1.0) -> Trajectory:
-    """Negative-control helper: push x_index radially away from the fixed point
-    by ``magnitude`` and recompute the streams that depend on it.
-
-    Needs stored points.
-    """
-    if traj.points is None:
-        raise ValueError("corruption needs a stored-points trajectory")
-    if not 0 <= index <= traj.horizon:
-        raise ValueError(f"index {index} outside [0, {traj.horizon}]")
-    points = traj.points.copy()
-    z = traj.operator.fixed_point
-    d = points[index] - z
-    nd = traj.space.norm(d)
-    direction = d / nd if nd > 0 else np.eye(traj.space.dim)[0]
-    points[index] = points[index] + magnitude * direction
-    x = points[index]
-    res_T = traj.res_T.copy()
-    dist = traj.dist_z.copy()
-    normx = traj.norm_x.copy()
-    res_step = traj.res_step.copy()
-    res_T[index] = traj.space.norm(x - traj.operator(x))
-    dist[index] = traj.space.norm(x - z)
-    normx[index] = traj.space.norm(x)
-    if index > 0:
-        res_step[index - 1] = traj.space.norm(x - points[index - 1])
-    if index < traj.horizon:
-        res_step[index] = traj.space.norm(points[index + 1] - x)
-    return replace(traj, points=points, res_T=res_T, dist_z=dist, norm_x=normx,
-                   res_step=res_step)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

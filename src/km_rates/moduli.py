@@ -27,15 +27,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 #: Default absolute tolerance for real-valued inequality checks.
 CHECK_TOL = 1e-10
-
-#: Tolerance for the eta(eps) = eps * eta_tilde(eps) factorization check.
-FACTOR_TOL = 1e-12
 
 _SNAP_ULPS = 8.0
 
@@ -107,7 +104,6 @@ class RateFn:
     fn: Callable[[int], int]
     kind: RateKind
     description: str = ""
-    target: str = ""
 
     def __call__(self, k: int) -> int:
         k = _as_index(k, "rate argument")
@@ -185,28 +181,6 @@ class UcModulus:
             raise PreconditionViolation(f"modulus argument must lie in (0, 2], got {eps}")
         return float(self.eta_tilde(eps))
 
-    def self_check(self, eps_grid: Optional[Sequence[float]] = None) -> List[str]:
-        """Sampled invariant check; returns human-readable violations."""
-        if eps_grid is None:
-            eps_grid = [i / 50.0 for i in range(1, 101)]
-        problems: List[str] = []
-        prev_tilde = None
-        for eps in eps_grid:
-            value = self.eval(eps)
-            if not 0.0 < value <= 1.0:
-                problems.append(f"eta({eps}) = {value} outside (0, 1]")
-            if self.eta_tilde is not None:
-                tilde = self.eval_tilde(eps)
-                if abs(value - eps * tilde) > FACTOR_TOL:
-                    problems.append(
-                        f"factorization defect at {eps}: |eta - eps*eta_tilde| = "
-                        f"{abs(value - eps * tilde):.3e}"
-                    )
-                if prev_tilde is not None and tilde < prev_tilde - FACTOR_TOL:
-                    problems.append(f"eta_tilde decreases at {eps}")
-                prev_tilde = tilde
-        return problems
-
 
 def lp_convexity_modulus(p: float, eps: float) -> float:
     """Modulus of uniform convexity of the p-norm at eps.
@@ -252,79 +226,6 @@ def lp_modulus(p: float) -> UcModulus:
     )
 
 
-def check_uc_transfer(
-    eta: UcModulus,
-    a,
-    x,
-    y,
-    r: float,
-    eps: float,
-    lam: float,
-    norm: Optional[Callable] = None,
-    tol: float = CHECK_TOL,
-) -> bool:
-    """Check the convex-combination contraction granted by a convexity modulus.
-
-    For ||x-a|| <= r, ||y-a|| <= r and ||x-y|| >= eps*r the claim is
-
-        ||(1-lam)x + lam*y - a|| <= (1 - 2*lam*(1-lam)*eta(eps)) * r.
-
-    Returns True/False for the inequality itself; precondition breaches raise
-    :class:`PreconditionViolation` so a bad sample is never reported as a
-    counterexample to the modulus.
-    """
-    if norm is None:
-        norm = _norm2
-    if not r > 0.0:
-        raise PreconditionViolation(f"radius must be positive, got {r}")
-    if not 0.0 < eps <= 2.0:
-        raise PreconditionViolation(f"eps must lie in (0, 2], got {eps}")
-    if not 0.0 <= lam <= 1.0:
-        raise PreconditionViolation(f"lambda must lie in [0, 1], got {lam}")
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dxa = norm(x - a)
-    dya = norm(y - a)
-    dxy = norm(x - y)
-    if dxa > r + tol:
-        raise PreconditionViolation(f"||x-a|| = {dxa} exceeds r = {r}")
-    if dya > r + tol:
-        raise PreconditionViolation(f"||y-a|| = {dya} exceeds r = {r}")
-    if dxy < eps * r - tol:
-        raise PreconditionViolation(f"||x-y|| = {dxy} below eps*r = {eps * r}")
-    lhs = norm((1.0 - lam) * x + lam * y - a)
-    bound = (1.0 - 2.0 * lam * (1.0 - lam) * eta.eval(eps)) * r
-    return lhs <= bound + tol
-
-
-def cauchy_to_rate(modulus: RateFn) -> RateFn:
-    """A Cauchy modulus of a nonnegative series yields the rate
-    k -> modulus(k)+1 at which the summands themselves go to zero."""
-    if modulus.kind is not RateKind.CAUCHY_MODULUS:
-        raise ValueError(f"expected a Cauchy modulus, got kind {modulus.kind}")
-    return RateFn(
-        lambda k: modulus(k) + 1,
-        RateKind.RATE_OF_CONVERGENCE,
-        description=f"summand rate from Cauchy modulus ({modulus.description})",
-        target="series summands",
-    )
-
-
-def series_upper_bound(partial_sum_at: Callable[[int], float], modulus: RateFn) -> int:
-    """Least positive integer at least ``partial_sum(modulus(0)) + 1``.
-
-    That integer bounds the whole nonnegative series whose Cauchy modulus is
-    ``modulus``.
-    """
-    if modulus.kind is not RateKind.CAUCHY_MODULUS:
-        raise ValueError(f"expected a Cauchy modulus, got kind {modulus.kind}")
-    s = float(partial_sum_at(modulus(0)))
-    if s < -CHECK_TOL:
-        raise ValueError(f"negative partial sum {s} for a nonnegative series")
-    return ceil_int(max(s, 0.0)) + 1
-
-
 def combine_cauchy_moduli(modulus_a: RateFn, modulus_b: RateFn,
                           scale_a: int, scale_b: int) -> RateFn:
     """Cauchy modulus of scale_a*a_n + scale_b*b_n from Cauchy moduli of the
@@ -363,41 +264,17 @@ def rate_from_liminf(dip_modulus: LiminfModulus, increment_modulus: RateFn) -> R
     )
 
 
-@dataclass(frozen=True)
-class InverseSquareBundle:
-    """Moduli and sum bound for the series sum_n scale/(n+offset)^2."""
-
-    modulus: RateFn
-    shifted_modulus: RateFn
-    sum_bound: int
-
-
-def inverse_square_modulus(scale: float, offset: int) -> InverseSquareBundle:
-    """Cauchy moduli for sum_n scale/(n+offset)^2, offset >= 1.
-
-    modulus(k) = ceil(scale)*(k+1); shifted_modulus subtracts offset (floored
-    at 0); sum_bound = ceil(scale*(1/offset + 1/offset^2)) bounds the series
-    and never exceeds 2*ceil(scale).
-    """
+def inverse_square_modulus(scale: float, offset: int) -> RateFn:
+    """Cauchy modulus k -> ceil(scale)*(k+1) of sum_n scale/(n+offset)^2,
+    offset >= 1."""
     if scale < 0.0:
         raise ValueError(f"series scale must be nonnegative, got {scale}")
     offset = _as_index(offset, "offset")
     if offset < 1:
         raise ValueError(f"offset must be a positive integer, got {offset}")
     cs = ceil_int(scale)
-    modulus = RateFn.affine(cs, cs, RateKind.CAUCHY_MODULUS,
-                            description=f"inverse-square series modulus (scale={scale})")
-    shifted = RateFn(
-        lambda k: max(cs * (k + 1) - offset, 0),
-        RateKind.CAUCHY_MODULUS,
-        description=f"shifted inverse-square series modulus (scale={scale}, offset={offset})",
-    )
-    if scale == 0.0:
-        bound = 0
-    else:
-        bound = ceil_int(scale * (1.0 / offset + 1.0 / (offset * offset)))
-    assert bound <= 2 * cs
-    return InverseSquareBundle(modulus, shifted, bound)
+    return RateFn.affine(cs, cs, RateKind.CAUCHY_MODULUS,
+                         description=f"inverse-square series modulus (scale={scale})")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ shrink maps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -204,50 +204,3 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Ope
     if residual > FIXED_POINT_TOL:
         raise ValueError(f"stored point is not fixed for {name!r}: residual {residual:.3e}")
     return Operator(apply=apply, fixed_point=z, tag=name)
-
-
-@dataclass
-class NonexpansiveReport:
-    samples: int
-    max_excess: float
-    violations: List[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_excess": self.max_excess,
-            "passed": self.passed,
-            "violations": self.violations[:10],
-        }
-
-
-def check_nonexpansive(
-    op: Operator,
-    space: Space,
-    samples: int,
-    seed: int,
-    box: tuple = (-5.0, 5.0),
-    tol: float = NONEXPANSIVE_TOL,
-) -> NonexpansiveReport:
-    """Sampled nonexpansiveness check: max of ||Tx-Ty|| - ||x-y|| over seeded
-    random pairs drawn from a box."""
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    lo, hi = box
-    max_excess = 0.0
-    violations = []
-    for i in range(samples):
-        x = rng.uniform(lo, hi, space.dim)
-        y = rng.uniform(lo, hi, space.dim)
-        excess = space.norm(op(x) - op(y)) - space.norm(x - y)
-        if excess > max_excess:
-            max_excess = excess
-        if excess > tol and len(violations) < 10:
-            violations.append({"sample": i, "excess": float(excess)})
-    return NonexpansiveReport(samples=samples, max_excess=float(max_excess),
-                              violations=violations)

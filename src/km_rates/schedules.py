@@ -31,12 +31,10 @@ from .moduli import (
     DivergenceReport,
     RateFn,
     RateKind,
-    _norm2,
     ceil_int,
     check_divergence_rate,
     check_series_cauchy_modulus,
     inverse_square_modulus,
-    series_upper_bound,
     stream_values,
 )
 
@@ -84,8 +82,14 @@ ZERO_SERIES = Series(ZERO_CAUCHY, 0, zero=True)
 def inverse_square_series(scale: float, offset: int) -> Series:
     """sum_n scale/(n+offset)^2 with the modulus of
     :func:`~km_rates.moduli.inverse_square_modulus`, the paper's bound
-    2*ceil(scale) and the tail bound scale/(m+offset)."""
-    return Series(inverse_square_modulus(scale, offset).modulus, 2 * ceil_int(scale),
+    2*ceil(scale) and the tail bound scale/(m+offset).
+
+    Raises OverflowError when the sum, at most scale*(1/offset + 1/offset^2),
+    is not a finite double.
+    """
+    modulus = inverse_square_modulus(scale, offset)
+    ceil_int(scale * (1.0 / offset + 1.0 / (offset * offset)))
+    return Series(modulus, 2 * ceil_int(scale),
                   lambda m: scale / float(m + offset), scale == 0.0)
 
 
@@ -130,14 +134,19 @@ def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable
     """The stream r_n = r_star/(n+offset)^2.
 
     Returns (perturbation, perturbation_norm, series) where series is the
-    :func:`inverse_square_series` of ||r_star||.  An absent r_star is the
-    zero stream: its vectors have the single coordinate 0, which broadcasts
-    against any dimension.
+    :func:`inverse_square_series` of ||r_star||, taken in ``norm``.  An
+    absent r_star is the zero stream and needs no norm: its vectors have the
+    single coordinate 0, which broadcasts against any dimension.
     """
     if offset < 1:
         raise ValueError(f"decay offset must be a positive integer, got {offset}")
-    r_star = np.zeros(1) if r_star is None else np.asarray(r_star, dtype=float)
-    r_norm = float((norm or _norm2)(r_star))
+    if r_star is None:
+        r_star, r_norm = np.zeros(1), 0.0
+    elif norm is None:
+        raise TypeError("a perturbation r_star needs the norm of its space (norm=space.norm)")
+    else:
+        r_star = np.asarray(r_star, dtype=float)
+        r_norm = float(norm(r_star))
     return (lambda n: r_star / (np.asarray(n)[..., None] + offset) ** 2,
             lambda n: r_norm / (n + offset) ** 2,
             inverse_square_series(r_norm, offset))
@@ -150,7 +159,7 @@ def make_example1(
     norm: Optional[Callable] = None,
 ) -> Schedule:
     """Constant averaging alpha = 1-lam, beta = lam with an inverse-square
-    perturbation r_n = r_star/(n+offset)^2."""
+    perturbation r_n = r_star/(n+offset)^2; an r_star needs ``norm``."""
     cap = coupling_cap(lam)
     perturbation, perturbation_norm, series = inverse_square_perturbation(r_star, offset, norm)
     return Schedule(
@@ -175,7 +184,7 @@ def make_example2(
 ) -> Schedule:
     """alpha = lam, beta_n = 1 - lam - 1/(n+J)^2, inverse-square perturbation.
 
-    Needs lam < (J^2-1)/J^2 so that beta_0 > 0.
+    Needs lam < (J^2-1)/J^2 so that beta_0 > 0; an r_star needs ``norm``.
     """
     if J < 2:
         raise ValueError(f"defect decay offset must be at least 2, got {J}")
@@ -207,10 +216,9 @@ def make_inexact_km(
     """alpha_n = 1 - beta_n; the defect vanishes and the coupling series is
     sum beta_n*(1-beta_n), for which the caller supplies the divergence rate.
 
-    ``perturbation_norm`` defaults to the Euclidean norm of each vector of
-    ``perturbation``; no perturbation is the zero stream, and its series is
-    declared zero.  The constructor passes moduli through unchanged; it never
-    synthesizes one.
+    A ``perturbation`` comes with its ``perturbation_norm`` stream; no
+    perturbation is the zero stream, and its series is declared zero.  The
+    constructor passes moduli through unchanged; it never synthesizes one.
     """
     beta_fn = beta if callable(beta) else constant_stream(beta)
     if weight_divergence.kind is not RateKind.RATE_OF_DIVERGENCE:
@@ -219,7 +227,7 @@ def make_inexact_km(
         perturbation, perturbation_norm, _ = inverse_square_perturbation(None)
         perturbation_series = replace(perturbation_series, zero=True)
     elif perturbation_norm is None:
-        perturbation_norm = lambda n: _norm2(perturbation(n))
+        raise TypeError("a perturbation needs its perturbation_norm stream")
     return Schedule(
         alpha=lambda n: 1.0 - beta_fn(n),
         beta=beta_fn,
@@ -243,8 +251,9 @@ def make_classical_km(beta: float) -> Schedule:
     return replace(make_example1(beta), family=Family.CLASSICAL_KM)
 
 
-def make_anchor(base: Schedule, u, norm: Optional[Callable] = None) -> Schedule:
-    """Replace the perturbation by r_n = (1 - alpha_n - beta_n)*u.
+def make_anchor(base: Schedule, u, norm: Callable) -> Schedule:
+    """Replace the perturbation by r_n = (1 - alpha_n - beta_n)*u, with ||u||
+    taken in ``norm``.
 
     The perturbation series inherits the defect series rescaled by ceil||u||:
     modulus k -> defect modulus(ceil||u||*(k+1) - 1), bound = defect bound *
@@ -252,7 +261,7 @@ def make_anchor(base: Schedule, u, norm: Optional[Callable] = None) -> Schedule:
     zero perturbation instead.
     """
     u = np.asarray(u, dtype=float)
-    nu = (norm or _norm2)(u)
+    nu = norm(u)
     if nu == 0.0:
         raise ValueError("anchor direction must be nonzero; use a zero perturbation instead")
     cu = ceil_int(nu)
@@ -269,23 +278,6 @@ def make_anchor(base: Schedule, u, norm: Optional[Callable] = None) -> Schedule:
             defect.zero),
         family=Family.ANCHOR,
     )
-
-
-def bound_constants_from_moduli(schedule: Schedule) -> tuple:
-    """Minimal integer bounds for the two summable series.
-
-    A series declared zero gets bound 0; otherwise the bound is
-    :func:`~km_rates.moduli.series_upper_bound` of its partial sums, which
-    raises ValueError on a negative partial sum.
-    """
-    def bound(summand: Stream, series: Series) -> int:
-        if series.zero:
-            return 0
-        return series_upper_bound(
-            lambda m: np.sum(stream_values(summand, np.arange(m + 1))), series.modulus)
-
-    return (bound(schedule.defect, schedule.defect_series),
-            bound(schedule.perturbation_norm, schedule.perturbation_series))
 
 
 @dataclass(frozen=True)

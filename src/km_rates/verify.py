@@ -206,19 +206,3 @@ def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
             witness = int(L + hits[0]) if hits.size else None
             cells.append(LiminfCell(k, L, bound, witness, witness is not None, False))
     return LiminfReport(horizon=traj.horizon, quantity=quantity, cells=cells)
-
-
-def step_rate_consistency(residual_report: SoundnessReport,
-                          step_report: SoundnessReport) -> List[int]:
-    """Indices k where the residual check passed at 2k+1 but the step check
-    failed at k; empty on a consistent pair of reports."""
-    bad = []
-    for row in step_report.rows:
-        if row.truncated or row.passed:
-            continue
-        j = 2 * row.k + 1
-        if j < len(residual_report.rows):
-            ref = residual_report.rows[j]
-            if not ref.truncated and ref.passed:
-                bad.append(row.k)
-    return bad

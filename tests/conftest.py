@@ -18,7 +18,8 @@ def rotation_instance():
 def example1_certificate(b, c):
     """Euclidean certificate of the constant-weight family with lam = 1/2,
     start bound b and ||r_star|| = c."""
-    schedule = km.make_example1(0.5, 1, r_star=[float(c), 0.0] if c else None)
+    schedule = km.make_example1(0.5, 1, r_star=[float(c), 0.0] if c else None,
+                                norm=km.Space(dim=2).norm)
     constants = km.InstanceConstants.from_bounds(b, 0, 2 * c)
     return km.make_certificate(constants, schedule, km.hilbert_modulus())
 

@@ -73,7 +73,6 @@ def reference_iterate(space, op, start, schedule, horizon,
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
         norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, points=points,
-        space=space, operator=op, schedule=schedule, start=np.asarray(start, dtype=float),
         norm_z=norm_z, fix_residual=fix_residual,
     )
 

@@ -22,6 +22,7 @@ from conftest import (
     rotation_instance,
     sample_admissible_triples,
 )
+import lemmas
 
 HILBERT = km.hilbert_modulus()
 
@@ -143,15 +144,18 @@ def test_criterion_5_inequality_audit(rotation_traj_35k, example2_ball_run):
     schedule = km.make_classical_km(0.5)
     id_traj = km.iterate(space, identity, [0.0, 0.0], schedule, 2000)
     clean.append(km.audit_inequalities(
-        id_traj, km.instance_constants([0.0, 0.0], identity.fixed_point, schedule)).passed)
+        id_traj, km.instance_constants([0.0, 0.0], identity.fixed_point, schedule,
+                                       norm=space.norm)).passed)
 
     ball = km.make_operator("ball_projection", space,
                             {"center": [0.0, 0.0], "radius": 1.0})
     ball_traj = km.iterate(space, ball, [2.0, 0.0], schedule, 2000)
     clean.append(km.audit_inequalities(
-        ball_traj, km.instance_constants([2.0, 0.0], ball.fixed_point, schedule)).passed)
+        ball_traj, km.instance_constants([2.0, 0.0], ball.fixed_point, schedule,
+                                         norm=space.norm)).passed)
 
-    corrupted = km.corrupt_point(rot_traj, 50, magnitude=1.0)
+    rot_space, rot_op = rotation_instance()[:2]
+    corrupted = lemmas.corrupt_point(rot_space, rot_op, rot_traj, 50, magnitude=1.0)
     bad_audit = km.audit_inequalities(corrupted, rot_constants)
     anchor = bad_audit.violations_for("anchor_bound")
     control_ok = len(anchor) == 1 and anchor[0].index == 50
@@ -171,10 +175,10 @@ def test_criterion_6_moduli_contracts():
 
     # inverse-square series moduli, both the plain and the shifted one
     for scale, offset in ((1.0, 1), (2.5, 2)):
-        bundle = km.inverse_square_modulus(scale, offset)
         summand = lambda n, s=scale, o=offset: s / (n + o) ** 2
         tail = lambda m, s=scale, o=offset: s / (m + o)
-        for modulus in (bundle.modulus, bundle.shifted_modulus):
+        for modulus in (km.inverse_square_modulus(scale, offset),
+                        lemmas.shifted_inverse_square_modulus(scale, offset)):
             report = check_series_cauchy_modulus(summand, modulus, k_max=100,
                                                  window=4000, tail_bound=tail)
             if not report.passed:
@@ -185,7 +189,7 @@ def test_criterion_6_moduli_contracts():
     for s, t, o2 in ((1, 1, 1), (2, 3, 2)):
         b1 = km.inverse_square_modulus(1.0, 1)
         b2 = km.inverse_square_modulus(1.0, o2)
-        combined = km.combine_cauchy_moduli(b1.modulus, b2.modulus, s, t)
+        combined = km.combine_cauchy_moduli(b1, b2, s, t)
         n_top = combined(50) + 200
         idx = np.arange(n_top + p_max + 1, dtype=float)
         terms = s / (idx + 1) ** 2 + t / (idx + o2) ** 2
@@ -221,13 +225,14 @@ def test_criterion_7_uc_transfer_property():
     modulus fails on the same samples (the check has power)."""
     t0 = time.perf_counter()
     triples = sample_admissible_triples(10**4, seed=20240501)
+    norm = km.Space(dim=3).norm
     failures_good = sum(
-        not km.check_uc_transfer(HILBERT, a, x, y, r, eps, lam)
+        not lemmas.check_uc_transfer(HILBERT, a, x, y, r, eps, lam, norm)
         for a, x, y, r, eps, lam in triples
     )
     inflated = UcModulus(eta=lambda e: e * e / 2.0, name="inflated")
     failures_bad = sum(
-        not km.check_uc_transfer(inflated, a, x, y, r, eps, lam)
+        not lemmas.check_uc_transfer(inflated, a, x, y, r, eps, lam, norm)
         for a, x, y, r, eps, lam in triples
     )
     elapsed = time.perf_counter() - t0

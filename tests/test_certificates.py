@@ -30,19 +30,20 @@ def inexact_certificate(b, r, weight_divergence, perturbation_cauchy):
 
 
 def example2_certificate(b, c):
-    schedule = km.make_example2(0.5, 2, 1, r_star=[float(c), 0.0] if c else None)
+    schedule = km.make_example2(0.5, 2, 1, r_star=[float(c), 0.0] if c else None,
+                                norm=km.Space(dim=2).norm)
     return km.make_certificate(InstanceConstants.from_bounds(b, 2, 2 * c), schedule, HILBERT)
 
 
 def test_instance_constants_basic():
     s = km.make_classical_km(0.5)
-    c = km.instance_constants([1.0, 0.0], [0.0, 0.0], s)
+    c = km.instance_constants([1.0, 0.0], [0.0, 0.0], s, norm=km.Space(dim=2).norm)
     assert (c.start_bound, c.dist_bound, c.norm_bound) == (1, 1, 2)
 
 
 def test_instance_constants_degenerate_start():
     s = km.make_classical_km(0.5)
-    c = km.instance_constants([0.0, 0.0], [0.0, 0.0], s)
+    c = km.instance_constants([0.0, 0.0], [0.0, 0.0], s, norm=km.Space(dim=2).norm)
     assert c.start_bound == 1  # stays positive even at the fixed point
     assert c.dist_bound == 1 and c.norm_bound == 2
 

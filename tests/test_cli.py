@@ -146,6 +146,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("changes", [
+    {"start": ["x", 0.0]},
+    {"operator": {"name": "rotation", "params": {"angle_deg": 90.0}, "fixed_point": [0, "y"]}},
+    {"space": {"dim": True, "norm": "euclidean"}, "operator": {"name": "identity"},
+     "start": [1.0]},
+    {"run": {"horizon": True, "k_max": 3}},
+    {"run": {"horizon": 20, "k_max": True}},
+    {"operator": {"name": "rotation", "params": {"axes": 5}}},
+    {"operator": {"name": "rotation", "params": {"angle": None}}},
+], ids=["start-string", "fixed-point-string", "dim-true", "horizon-true", "k_max-true",
+        "axes-int", "angle-null"])
+def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, changes):
+    doc = dict(rotation_config(tmp_path / "out"), **changes)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
 def test_verify_rotation_full(tmp_path, capsys):
     cfg = write_config(tmp_path, rotation_config(tmp_path / "out", horizon=35000,
                                                  k_max=15))

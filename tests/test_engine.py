@@ -11,6 +11,7 @@ from km_rates.operators import Operator
 
 from conftest import rotation_instance
 from reference_engine import reference_iterate
+import lemmas
 
 
 def test_identity_schedule_keeps_start_fixed():
@@ -25,8 +26,9 @@ def test_identity_schedule_keeps_start_fixed():
 def test_identity_at_fixed_point_all_zero():
     space = km.Space(dim=2)
     op = km.make_operator("identity", space)
-    traj = km.iterate(space, op, [0.0, 0.0], km.make_classical_km(0.5), 20)
-    constants = km.instance_constants(traj.start, op.fixed_point, traj.schedule)
+    start, schedule = [0.0, 0.0], km.make_classical_km(0.5)
+    traj = km.iterate(space, op, start, schedule, 20)
+    constants = km.instance_constants(start, op.fixed_point, schedule, norm=space.norm)
     audit = km.audit_inequalities(traj, constants)
     assert audit.passed
     assert np.all(traj.res_T == 0.0) and np.all(traj.dist_z == 0.0)
@@ -69,7 +71,7 @@ def test_audit_rotation_clean():
 def test_audit_flags_corrupted_point():
     space, op, start, schedule, constants, _ = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 200)
-    bad = km.corrupt_point(traj, 50, magnitude=1.0)
+    bad = lemmas.corrupt_point(space, op, traj, 50, magnitude=1.0)
     audit = km.audit_inequalities(bad, constants)
     anchor = audit.violations_for("anchor_bound")
     assert len(anchor) == 1
@@ -113,7 +115,7 @@ def test_streaming_mode_drops_points_but_keeps_audit():
     audit = km.audit_inequalities(lean, constants)
     assert audit.passed
     with pytest.raises(ValueError):
-        km.corrupt_point(lean, 10)
+        lemmas.corrupt_point(space, op, lean, 10)
 
 
 def test_trajectory_lengths():
@@ -141,7 +143,7 @@ def test_zero_fixed_point_dist_is_norm(p, name, params, z):
     # x - z is x bit for bit when z is all zeros, signed or not
     space = km.Space(dim=3, p=p)
     op = replace(km.make_operator(name, space, params), fixed_point=np.array(z))
-    schedule = km.make_example1(0.5, 1, r_star=[0.0, -0.0, 0.25])
+    schedule = km.make_example1(0.5, 1, r_star=[0.0, -0.0, 0.25], norm=space.norm)
     start = [-0.0, 1.0, -0.5]
     new = km.iterate(space, op, start, schedule, BLOCK + 3)
     ref = reference_iterate(space, op, start, schedule, BLOCK + 3)

@@ -172,11 +172,12 @@ def test_off_contract_stream_shapes_raise():
     with pytest.raises(ValueError, match="shape"):
         km.iterate(space, op, np.ones(4), scalar_only, 10)
     # a per-index vector lambda: on a window of dim indices it gives one
-    # vector, not one per index, and its default norm collapses to a scalar
+    # vector, not one per index, and its norm collapses to a scalar
     r = np.arange(1.0, 5.0)
     per_index = km.make_inexact_km(0.5, classical.weight_divergence,
                                    lambda n: r / (n + 1) ** 2,
-                                   km.Series(classical.perturbation_series.modulus, 30))
+                                   km.Series(classical.perturbation_series.modulus, 30),
+                                   perturbation_norm=lambda n: space.norm(r / (n + 1) ** 2))
     with pytest.raises(ValueError, match="shape"):
         km.iterate(space, op, np.ones(4), per_index, 4)
     # with a norm stream that keeps the contract, the engine's own check of

@@ -13,6 +13,8 @@ from km_rates.moduli import (
 )
 from km_rates.schedules import constant_stream
 
+import lemmas
+
 
 # ---------------------------------------------------------------- ceil_int
 
@@ -92,7 +94,7 @@ def test_lp_modulus_branches_agree_at_p2():
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.7])
 def test_lp_modulus_range_and_factorization(p):
     uc = km.lp_modulus(p)
-    assert uc.self_check() == []
+    assert lemmas.uc_self_check(uc) == []
     for i in range(1, 41):
         eps = 2.0 * i / 40
         assert 0.0 < uc.eval(eps) <= 1.0
@@ -107,25 +109,32 @@ def test_hilbert_modulus_flags():
 
 # --------------------------------------------------------- uc transfer
 
+PLANE = km.Space(dim=2)
+
+
 def test_uc_transfer_antipodal_midpoint():
     uc = km.hilbert_modulus()
-    assert km.check_uc_transfer(uc, [0, 0], [1, 0], [-1, 0], r=1.0, eps=2.0, lam=0.5)
+    assert lemmas.check_uc_transfer(uc, [0, 0], [1, 0], [-1, 0], r=1.0, eps=2.0, lam=0.5,
+                                    norm=PLANE.norm)
 
 
 def test_uc_transfer_lambda_zero_degenerates():
     uc = km.hilbert_modulus()
-    assert km.check_uc_transfer(uc, [0.1, 0.2], [0.5, 0.1], [-0.3, 0.4],
-                                r=1.0, eps=0.5, lam=0.0)
+    assert lemmas.check_uc_transfer(uc, [0.1, 0.2], [0.5, 0.1], [-0.3, 0.4],
+                                    r=1.0, eps=0.5, lam=0.0, norm=PLANE.norm)
 
 
 def test_uc_transfer_precondition_violations_raise():
     uc = km.hilbert_modulus()
     with pytest.raises(PreconditionViolation):
-        km.check_uc_transfer(uc, [0, 0], [5, 0], [-1, 0], r=1.0, eps=2.0, lam=0.5)
+        lemmas.check_uc_transfer(uc, [0, 0], [5, 0], [-1, 0], r=1.0, eps=2.0, lam=0.5,
+                                 norm=PLANE.norm)
     with pytest.raises(PreconditionViolation):
-        km.check_uc_transfer(uc, [0, 0], [1, 0], [0.9, 0], r=1.0, eps=2.0, lam=0.5)
+        lemmas.check_uc_transfer(uc, [0, 0], [1, 0], [0.9, 0], r=1.0, eps=2.0, lam=0.5,
+                                 norm=PLANE.norm)
     with pytest.raises(PreconditionViolation):
-        km.check_uc_transfer(uc, [0, 0], [1, 0], [-1, 0], r=-1.0, eps=2.0, lam=0.5)
+        lemmas.check_uc_transfer(uc, [0, 0], [1, 0], [-1, 0], r=-1.0, eps=2.0, lam=0.5,
+                                 norm=PLANE.norm)
 
 
 from conftest import sample_admissible_triples
@@ -133,35 +142,12 @@ from conftest import sample_admissible_triples
 
 def test_uc_transfer_monte_carlo_small():
     uc = km.hilbert_modulus()
+    norm = km.Space(dim=3).norm
     for a, x, y, r, eps, lam in sample_admissible_triples(1000, seed=20240501):
-        assert km.check_uc_transfer(uc, a, x, y, r, eps, lam)
+        assert lemmas.check_uc_transfer(uc, a, x, y, r, eps, lam, norm)
 
 
 # --------------------------------------------------- lemma combinators
-
-def test_cauchy_to_rate_values():
-    phi = RateFn.affine(1, 0, RateKind.CAUCHY_MODULUS)
-    psi = km.cauchy_to_rate(phi)
-    assert psi(5) == 6
-    assert km.cauchy_to_rate(RateFn.constant(0, RateKind.CAUCHY_MODULUS))(7) == 1
-    scaled = RateFn.affine(3, 3, RateKind.CAUCHY_MODULUS)  # ceil(2.5)*(k+1)
-    assert km.cauchy_to_rate(scaled)(3) == 13
-    with pytest.raises(ValueError):
-        km.cauchy_to_rate(RateFn.affine(1, 0, RateKind.RATE_OF_DIVERGENCE))
-
-
-def test_series_upper_bound_values():
-    partial = lambda n: sum(1.0 / (i + 1) ** 2 for i in range(n + 1))
-    phi = RateFn.affine(1, 1, RateKind.CAUCHY_MODULUS)
-    assert km.series_upper_bound(partial, phi) == 3
-    zero = RateFn.constant(0, RateKind.CAUCHY_MODULUS)
-    assert km.series_upper_bound(lambda n: 0.0, zero) == 1
-    with pytest.raises(ValueError):
-        km.series_upper_bound(lambda n: -1.0, zero)
-    # the bound really dominates the full series (high-precision tail)
-    total = float(np.sum(1.0 / (np.arange(1, 10**6) ** 2)))
-    assert total <= 3
-
 
 def test_combine_cauchy_moduli_values():
     phi1 = RateFn.affine(1, 0, RateKind.CAUCHY_MODULUS)
@@ -177,8 +163,8 @@ def test_combine_cauchy_moduli_values():
 
 def test_combine_cauchy_moduli_contract_brute_force():
     # a_n = b_n = 1/(n+1)^2 with s = t = 1: combined modulus of 2/(n+1)^2
-    bundle = km.inverse_square_modulus(1.0, 1)
-    combined = km.combine_cauchy_moduli(bundle.modulus, bundle.modulus, 1, 1)
+    modulus = km.inverse_square_modulus(1.0, 1)
+    combined = km.combine_cauchy_moduli(modulus, modulus, 1, 1)
     report = check_series_cauchy_modulus(
         lambda n: 2.0 / (n + 1) ** 2, combined, k_max=50, window=10**4,
         tail_bound=lambda m: 2.0 / (m + 1))
@@ -197,29 +183,30 @@ def test_rate_from_liminf_values():
 
 def test_inverse_square_modulus_values():
     b = km.inverse_square_modulus(1.0, 1)
-    assert [b.modulus(k) for k in range(3)] == [1, 2, 3]
-    assert [b.shifted_modulus(k) for k in range(3)] == [0, 1, 2]
-    assert b.sum_bound == 2
+    assert [b(k) for k in range(3)] == [1, 2, 3]
+    assert [lemmas.shifted_inverse_square_modulus(1.0, 1)(k) for k in range(3)] == [0, 1, 2]
+    assert lemmas.inverse_square_sum_bound(1.0, 1) == 2
 
     z = km.inverse_square_modulus(0.0, 3)
-    assert z.modulus(5) == 0 and z.shifted_modulus(5) == 0 and z.sum_bound == 0
+    assert (z(5) == 0 and lemmas.shifted_inverse_square_modulus(0.0, 3)(5) == 0
+            and lemmas.inverse_square_sum_bound(0.0, 3) == 0)
 
     b2 = km.inverse_square_modulus(2.5, 2)
-    assert b2.modulus(0) == 3 and b2.modulus(4) == 15
-    assert b2.sum_bound == 2
+    assert b2(0) == 3 and b2(4) == 15
+    assert lemmas.inverse_square_sum_bound(2.5, 2) == 2
 
 
 @pytest.mark.parametrize("scale,offset", [(1.0, 1), (2.5, 2)])
 def test_inverse_square_modulus_contract(scale, offset):
-    bundle = km.inverse_square_modulus(scale, offset)
     summand = lambda n: scale / (n + offset) ** 2
     tail = lambda m: scale / (m + offset)
-    for modulus in (bundle.modulus, bundle.shifted_modulus):
+    for modulus in (km.inverse_square_modulus(scale, offset),
+                    lemmas.shifted_inverse_square_modulus(scale, offset)):
         report = check_series_cauchy_modulus(summand, modulus, k_max=100,
                                              window=2000, tail_bound=tail)
         assert report.passed
     total = sum(summand(n) for n in range(10**5)) + tail(10**5 - 1)
-    assert total <= bundle.sum_bound + 1e-9
+    assert total <= lemmas.inverse_square_sum_bound(scale, offset) + 1e-9
 
 
 # ------------------------------------------------------ divergence rates

@@ -6,6 +6,8 @@ import pytest
 import km_rates as km
 from km_rates.operators import FIXED_POINT_TOL, Operator
 
+import lemmas
+
 
 EUCLIDEAN_CASES = [
     ("identity", {}),
@@ -29,7 +31,7 @@ def test_catalog_fixed_points_certified(name, params):
 def test_catalog_nonexpansive_sampled(name, params):
     space = km.Space(dim=2)
     op = km.make_operator(name, space, params)
-    report = km.check_nonexpansive(op, space, samples=10**4, seed=42)
+    report = lemmas.check_nonexpansive(op, space, samples=10**4, seed=42)
     assert report.passed, f"{name}: max excess {report.max_excess}"
 
 
@@ -133,7 +135,7 @@ def test_lp_space_catalog_restrictions():
     with pytest.raises(ValueError):
         km.make_operator("ball_projection", space, {"center": [0.0, 0.0], "radius": 1.0})
     op = km.make_operator("coordinate_shrink", space, {"factors": [0.5, 0.9]})
-    report = km.check_nonexpansive(op, space, samples=2000, seed=11)
+    report = lemmas.check_nonexpansive(op, space, samples=2000, seed=11)
     assert report.passed
 
 
@@ -158,7 +160,7 @@ def test_check_nonexpansive_flags_doubling_map():
     space = km.Space(dim=2)
     doubler = Operator(apply=lambda x: 2.0 * np.asarray(x, dtype=float),
                        fixed_point=np.zeros(2), tag="doubler")
-    report = km.check_nonexpansive(doubler, space, samples=50, seed=0)
+    report = lemmas.check_nonexpansive(doubler, space, samples=50, seed=0)
     assert not report.passed
     assert report.violations[0]["sample"] == 0
 

@@ -7,6 +7,9 @@ import km_rates as km
 from km_rates.moduli import RateFn, RateKind
 from km_rates.schedules import Family, constant_stream
 
+PLANE = km.Space(dim=2)
+SPACE3 = km.Space(dim=3)
+
 
 def test_coupling_cap_values():
     assert km.coupling_cap(0.5) == 4
@@ -37,14 +40,14 @@ def test_example1_unperturbed():
 
 
 def test_example1_with_unit_perturbation():
-    s = km.make_example1(0.5, 1, r_star=[1.0, 0.0])
+    s = km.make_example1(0.5, 1, r_star=[1.0, 0.0], norm=PLANE.norm)
     assert s.perturbation_series.bound == 2
     assert [s.perturbation_series.modulus(k) for k in range(3)] == [1, 2, 3]
     assert not s.perturbation_series.zero
 
 
 def test_example1_pointwise_evaluation():
-    s = km.make_example1(0.25, 2, r_star=[1.0, 0.0])
+    s = km.make_example1(0.25, 2, r_star=[1.0, 0.0], norm=PLANE.norm)
     assert s.alpha(3) == 0.75
     assert s.beta(3) == 0.25
     np.testing.assert_allclose(s.perturbation(3), [1.0 / 25.0, 0.0])
@@ -128,7 +131,7 @@ def test_classical_km_is_inexact_with_zero_perturbation():
 
 def test_make_anchor_from_example2_core():
     base = km.make_example2(0.5, J=2)
-    s = km.make_anchor(base, [1.0, 0.0, 0.0])
+    s = km.make_anchor(base, [1.0, 0.0, 0.0], norm=SPACE3.norm)
     assert s.family is Family.ANCHOR
     assert s.perturbation_series.bound == 2  # base bound 2 * ceil(1)
     for k in range(10):
@@ -139,7 +142,7 @@ def test_make_anchor_from_example2_core():
 def test_make_anchor_scaling():
     base = km.make_example2(0.5, J=2)
     u = [0.0, 2.5, 0.0]
-    s = km.make_anchor(base, u)
+    s = km.make_anchor(base, u, norm=SPACE3.norm)
     assert s.perturbation_series.bound == 6  # 2 * ceil(2.5)
     for k in range(10):
         assert s.perturbation_series.modulus(k) == base.defect_series.modulus(3 * k + 2)
@@ -147,7 +150,7 @@ def test_make_anchor_scaling():
 
 def test_make_anchor_vanishing_defect():
     base = km.make_classical_km(0.5)
-    s = km.make_anchor(base, [1.0, 1.0])
+    s = km.make_anchor(base, [1.0, 1.0], norm=PLANE.norm)
     assert s.perturbation_series.bound == 0
     assert s.perturbation_series.zero
     assert s.perturbation_norm(5) == 0.0
@@ -155,20 +158,30 @@ def test_make_anchor_vanishing_defect():
 
 def test_make_anchor_rejects_zero_direction():
     with pytest.raises(ValueError):
-        km.make_anchor(km.make_classical_km(0.5), [0.0, 0.0])
+        km.make_anchor(km.make_classical_km(0.5), [0.0, 0.0], norm=PLANE.norm)
 
 
-def test_bound_constants_from_moduli():
-    core = km.make_example2(0.5, J=2)
-    assert km.bound_constants_from_moduli(core) == (2, 0)
-    assert km.bound_constants_from_moduli(km.make_classical_km(0.5)) == (0, 0)
-    pert = km.make_example1(0.5, 1, r_star=[1.0, 0.0])
-    # sum over n <= modulus(0)=1 of 1/(n+1)^2 is 1.25, so the bound is 3
-    assert km.bound_constants_from_moduli(pert) == (0, 3)
-    # alpha + beta above 1 makes the defect partial sums negative
-    over = replace(core, alpha=constant_stream(0.9))
-    with pytest.raises(ValueError, match="negative partial sum"):
-        km.bound_constants_from_moduli(over)
+@pytest.mark.parametrize("r_star", [[1.0, 0.0], [0.3, -2.5, 1e-3],
+                                    np.linspace(-1.0, 1.0, 8).tolist()])
+def test_example_perturbation_norm_is_the_space_norm(r_star):
+    # the Euclidean default lives in Space; it is the old fallback bit for bit
+    from km_rates.moduli import _norm2
+
+    ns = np.arange(500)
+    for make in (km.make_example1, km.make_example2):
+        ours = make(0.5, offset=2, r_star=r_star, norm=km.Space(dim=len(r_star)).norm)
+        old = make(0.5, offset=2, r_star=r_star, norm=_norm2)
+        assert ours.perturbation_norm(ns).tobytes() == old.perturbation_norm(ns).tobytes()
+        with pytest.raises(TypeError, match="norm"):
+            make(0.5, offset=2, r_star=r_star)
+
+
+def test_perturbation_needs_its_norm():
+    divergence = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
+    with pytest.raises(TypeError, match="perturbation_norm"):
+        km.make_inexact_km(0.5, divergence, lambda n: np.zeros(np.shape(n) + (2,)))
+    # no perturbation is the zero stream, which needs no norm
+    assert km.make_example1(0.5).perturbation_norm(3) == 0.0
 
 
 def test_verify_hypotheses_example1():
@@ -179,7 +192,7 @@ def test_verify_hypotheses_example1():
 
 
 def test_verify_hypotheses_example2_with_perturbation():
-    s = km.make_example2(0.5, J=2, offset=1, r_star=[1.0, 0.0, 0.0])
+    s = km.make_example2(0.5, J=2, offset=1, r_star=[1.0, 0.0, 0.0], norm=SPACE3.norm)
     report = km.verify_hypotheses(s, 2000)
     assert report.passed
     assert report.defect_report is not None and report.defect_report.passed

@@ -126,13 +126,6 @@ def test_liminf_truncation():
     assert report.all_passed  # truncation is not failure
 
 
-def test_step_rate_consistency_clean(rotation_run):
-    traj, _, cert = rotation_run
-    residual = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 11)
-    step = km.check_rate_soundness(traj, cert.step_rate, "res_step", 5)
-    assert km.step_rate_consistency(residual, step) == []
-
-
 def test_auto_horizon_rule():
     assert km.auto_horizon([50]) == 150
     assert km.auto_horizon([200000, 10]) == 100100

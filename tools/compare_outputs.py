@@ -108,9 +108,32 @@ def _test_suite_jobs() -> list:
          {"base": {"family": "inexact_km", "params": dict(inexact, perturbation_sum_bound=2)},
           "u": [1.0, 0.0]}, "verify"),
     ]
+    # config values of the wrong JSON type, and an r_star whose series sum
+    # leaves the double range
+    wrong_types = {
+        "start-string": {"start": ["x", 0.0]},
+        "fixed-point-string": {"operator": {"name": "rotation", "params": {"angle_deg": 90.0},
+                                            "fixed_point": [0, "y"]}},
+        "dim-true": {"space": {"dim": True, "norm": "euclidean"},
+                     "operator": {"name": "identity"}, "start": [1.0]},
+        "horizon-true": {"run": {"horizon": True, "k_max": 3}},
+        "k_max-true": {"run": {"horizon": 20, "k_max": True}},
+        "axes-int": {"operator": {"name": "rotation", "params": {"axes": 5}}},
+        "angle-null": {"operator": {"name": "rotation", "params": {"angle": None}}},
+        "offset-true": {"schedule": {"family": "example1",
+                                     "params": {"lam": 0.5, "offset": True}}},
+    }
+    huge_r_star = _rotation(100, space={"dim": 2, "norm": "lp", "p": 1.0001},
+                            operator={"name": "coordinate_shrink",
+                                      "params": {"factors": [0.5, 0.5]}},
+                            schedule={"family": "example1",
+                                      "params": {"lam": 0.5, "r_star": [1e308, 0.0]}})
     jobs = [(f"rotation-{c}", _rotation(), [c]) for c in ("certify", "run", "audit", "verify")]
     jobs += [(name, _rotation(500, 3, schedule={"family": family, "params": params}), [command])
              for name, family, params, command in parse_edges]
+    jobs += [(f"wrong-type-{name}", _rotation(20, **changes), ["run"])
+             for name, changes in wrong_types.items()]
+    jobs += [("huge-r-star", huge_r_star, ["certify"])]
     jobs += [
         ("rotation-run-100", _rotation(100), ["run"]),
         ("rotation-run-streamed", _rotation(100_500), ["run"]),
@@ -162,7 +185,8 @@ def make_jobs(work: Path, seeds) -> list:
 
 def run_jobs(src: str, jobs_path: str, out_root: str) -> None:
     """Worker: runs every job through ``km_rates.cli.main`` of ``src``, each
-    in ``out_root/<name>``, and writes ``results.json`` there."""
+    in ``out_root/<name>``, and writes ``results.json`` there.  A job that
+    raises records the exception's type and message as its exit."""
     from km_rates import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -178,6 +202,8 @@ def run_jobs(src: str, jobs_path: str, out_root: str) -> None:
                 code = cli.main(job["argv"])
             except SystemExit as exc:  # argparse errors
                 code = exc.code
+            except Exception as exc:  # a crash is this job's result, not the worker's end
+                code = f"uncaught {type(exc).__name__}: {exc}"
         results[job["name"]] = {"exit": code, "stdout": stdout.getvalue().splitlines(),
                                 "stderr": stderr.getvalue().splitlines()}
     (Path(out_root) / "results.json").write_text(json.dumps(results, indent=1))
