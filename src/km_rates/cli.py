@@ -22,7 +22,7 @@ import numpy as np
 from .certificates import CertificateOverflow
 from .config import ConfigError, Instance, RunConfig, assemble, load_config
 from .engine import NumericAbort, audit_inequalities, iterate, write_trajectory_csv
-from .operators import catalog_names
+from .operators import CATALOG
 from .schedules import Family, range_findings, verify_hypotheses
 from .verify import (
     auto_horizon,
@@ -205,17 +205,8 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     print("operators:")
-    hints = {
-        "identity": "params: {fixed_point?}",
-        "rotation": "params: {angle|angle_deg, axes?}; Euclidean only",
-        "ball_projection": "params: {center?, radius?, anchor?}; Euclidean only",
-        "halfspace_projection": "params: {normal, offset?, anchor?}; Euclidean only",
-        "box_projection": "params: {lo, hi, anchor?}; Euclidean only",
-        "affine_avg": "params: {matrix, shift?}; operator norm at most 1; Euclidean only",
-        "coordinate_shrink": "params: {factors}; any p-norm",
-    }
-    for name in catalog_names():
-        print(f"  {name:<22} {hints[name]}")
+    for name, entry in CATALOG.items():
+        print(f"  {name:<22} {entry.describe()}")
     print("schedule families:")
     for family in Family:
         print(f"  {family.value}")
@@ -230,9 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the JSON run config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--k-max", dest="k_max", type=int, default=None)
         p.add_argument("--horizon", type=int, default=None)

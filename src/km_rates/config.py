@@ -27,7 +27,7 @@ from .certificates import (
     make_certificate,
 )
 from .moduli import ZERO_CAUCHY, RateFn, RateKind
-from .operators import Operator, Space, catalog_names, make_operator
+from .operators import Operator, Space, catalog_names, make_operator, read_numbers
 from .schedules import (
     Family,
     Schedule,
@@ -42,7 +42,6 @@ from .schedules import (
     make_inexact_km,
 )
 
-_PROJECTION_OPS = {"ball_projection", "halfspace_projection", "box_projection"}
 _FORMULAS = {"auto"} | {tag.value for tag in FormulaTag}
 _FORMATS = ("csv", "json")
 
@@ -70,9 +69,9 @@ def _is_int(value) -> bool:
 
 def _vector(values, what: str) -> tuple:
     try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} entries must be numbers") from None
+        return tuple(read_numbers(values, what, (len(values),)).tolist())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -216,36 +215,24 @@ def build_space(cfg: RunConfig) -> Space:
 
 
 def build_operator(cfg: RunConfig, space: Space) -> Operator:
-    params = json.loads(cfg.operator_params)
     fixed = cfg.operator_fixed_point
-    if fixed == "nearest":
-        if cfg.operator_name in _PROJECTION_OPS:
-            params["anchor"] = list(cfg.start)
-        elif cfg.operator_name == "identity":
-            params["fixed_point"] = list(cfg.start)
-        # remaining entries have a canonical fixed point already
     try:
-        op = make_operator(cfg.operator_name, space, params)
+        return make_operator(cfg.operator_name, space, json.loads(cfg.operator_params),
+                             near=cfg.start if fixed == "nearest" else None,
+                             fixed_point=fixed if isinstance(fixed, tuple) else None)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    if isinstance(fixed, tuple):
-        z = np.asarray(fixed, dtype=float)
-        residual = space.norm(op(z) - z)
-        if residual > 1e-12:
-            raise ConfigError(
-                f"declared fixed point is not fixed (residual {residual:.3e})")
-        op = replace(op, fixed_point=z)
-    return op
 
 
 def _sequence_spec(spec, what: str) -> Stream:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return constant_stream(spec)
     if isinstance(spec, dict) and "const" in spec:
-        return constant_stream(spec["const"])
+        return constant_stream(read_numbers(spec["const"], f"{what}.const"))
     if isinstance(spec, dict) and "values" in spec:
-        values = [float(v) for v in spec["values"]]
-        table = np.array(values + [float(spec.get("then", values[-1] if values else 0.0))])
+        values = [read_numbers(v, f"{what}.values") for v in spec["values"]]
+        then = spec.get("then", values[-1] if values else 0.0)
+        table = np.array(values + [read_numbers(then, f"{what}.then")])
         return lambda n: table[np.minimum(n, len(values))]
     raise ConfigError(f"{what}: expected a number, {{'const': v}} or "
                       f"{{'values': [...], 'then': v}}")
@@ -271,9 +258,8 @@ def _perturbation_spec(spec, space: Space, what: str):
         return inverse_square_perturbation(None)
     if isinstance(spec, dict) and "inverse_square" in spec:
         inner = spec["inverse_square"]
-        r_star = np.asarray(inner.get("r_star"), dtype=float)
-        if r_star.shape != (space.dim,):
-            raise ConfigError(f"{what}.inverse_square.r_star must match space.dim")
+        r_star = read_numbers(inner.get("r_star"), f"{what}.inverse_square.r_star",
+                              (space.dim,))
         offset = inner.get("offset", 1)
         if not _is_int(offset) or offset < 1:
             raise ConfigError(f"{what}.inverse_square.offset must be a positive integer")
@@ -295,6 +281,14 @@ def _param_bound(params: dict, key: str, default: Optional[int]) -> int:
     return bound
 
 
+def _param_vector(params: dict, key: str, space: Space, required: bool = False):
+    """The vector ``schedule.params.<key>``; None if absent or null and not ``required``."""
+    value = params.get(key)
+    if value is None and not required:
+        return None
+    return read_numbers(value, f"schedule.params.{key}", (space.dim,))
+
+
 def _param_int(params: dict, key: str, default: int) -> int:
     """The integer ``schedule.params.<key>``, truncated; a boolean is refused."""
     value = params.get(key, default)
@@ -308,14 +302,15 @@ def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
     family = cfg.schedule_family
     try:
         if family == Family.EXAMPLE1.value:
-            schedule = make_example1(float(params["lam"]), _param_int(params, "offset", 1),
-                                     params.get("r_star"), norm=space.norm)
+            schedule = make_example1(read_numbers(params["lam"], "schedule.params.lam"),
+                                     _param_int(params, "offset", 1),
+                                     _param_vector(params, "r_star", space), norm=space.norm)
         elif family == Family.EXAMPLE2.value:
-            schedule = make_example2(float(params["lam"]), _param_int(params, "J", 2),
-                                     _param_int(params, "offset", 1), params.get("r_star"),
-                                     norm=space.norm)
+            schedule = make_example2(read_numbers(params["lam"], "schedule.params.lam"),
+                                     _param_int(params, "J", 2), _param_int(params, "offset", 1),
+                                     _param_vector(params, "r_star", space), norm=space.norm)
         elif family == Family.CLASSICAL_KM.value:
-            schedule = make_classical_km(float(params["beta"]))
+            schedule = make_classical_km(read_numbers(params["beta"], "schedule.params.beta"))
         elif family == Family.INEXACT_KM.value:
             beta = _sequence_spec(params.get("beta"), "schedule.params.beta")
             divergence = _param_rate(params, "weight_divergence", RateKind.RATE_OF_DIVERGENCE)
@@ -337,7 +332,8 @@ def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
             _require(base_cfg.schedule_family in families,
                      "schedule.params.base.family is unknown")
             base = build_schedule(base_cfg, space)
-            schedule = make_anchor(base, params.get("u"), norm=space.norm)
+            schedule = make_anchor(base, _param_vector(params, "u", space, required=True),
+                                   norm=space.norm)
         elif family == Family.CUSTOM.value:
             alpha = _sequence_spec(params.get("alpha"), "schedule.params.alpha")
             beta = _sequence_spec(params.get("beta"), "schedule.params.beta")

@@ -20,11 +20,10 @@ import numpy as np
 
 from .certificates import InstanceConstants
 from .moduli import stream_values
-from .operators import Operator, Space
+from .operators import FIXED_POINT_TOL, Operator, Space
 from .schedules import Schedule
 
 AUDIT_TOL = 1e-9
-_FIX_CLAMP = 1e-12
 DEFAULT_STORE_LIMIT = 100_000
 #: points per block of the step loop: enough that the per-block array calls
 #: are a small share of the steps, few enough that the block's scratch rows
@@ -64,7 +63,7 @@ class Trajectory:
     r_norm: np.ndarray
     points: Optional[np.ndarray]
     norm_z: float
-    fix_residual: float  # ||T(z) - z||, clamped to 0 below 1e-12
+    fix_residual: float  # ||T(z) - z||, clamped to 0 below FIXED_POINT_TOL
 
     @property
     def streamed(self) -> bool:
@@ -89,7 +88,7 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     z = op.fixed_point
     norm_z = space.norm(z)
     fix_residual = space.norm(op(z) - z)
-    if fix_residual < _FIX_CLAMP:
+    if fix_residual < FIXED_POINT_TOL:
         fix_residual = 0.0
     K0 = space.norm(x - z)
     if not math.isfinite(K0) or not math.isfinite(space.norm(x)):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional
 
@@ -291,7 +291,6 @@ class DivergenceReport:
     n_max: int
     rows: List[DivergenceRow]
     summands_in_unit: bool
-    unit_violations: List[int] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -335,16 +334,14 @@ def check_divergence_rate(
         values = itertools.takewhile(lambda rv: rv <= window, values)
     values = list(values)
     terms = stream_values(summand, np.arange(max(values, default=-1) + 1))
-    unit = (terms >= 0.0) & (terms < 1.0)
-    in_unit = bool(np.all(unit))
+    in_unit = bool(np.all((terms >= 0.0) & (terms < 1.0)))
     partials = np.cumsum(terms)[values]
     sum_ok = partials >= np.arange(len(values)) - tol
     rows = [DivergenceRow(n=n, rate_value=rv, partial_sum=partial, sum_ok=ok,
                           growth_ok=(rv >= n) if in_unit else None)
             for n, (rv, partial, ok) in enumerate(zip(values, partials.tolist(),
                                                       sum_ok.tolist()))]
-    return DivergenceReport(n_max=len(values) - 1, rows=rows, summands_in_unit=in_unit,
-                            unit_violations=np.flatnonzero(~unit)[:10].tolist())
+    return DivergenceReport(n_max=len(values) - 1, rows=rows, summands_in_unit=in_unit)
 
 
 @dataclass(frozen=True)

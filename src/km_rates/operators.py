@@ -5,14 +5,16 @@ Catalog instances are chosen so that ground truth is analytically available:
 every entry ships a fixed point verified to 1e-12 at construction time, and
 entries that are only nonexpansive for the Euclidean norm are rejected on
 p-norm spaces (which get the projection-free entries: identity and coordinate
-shrink maps).
+shrink maps).  :data:`CATALOG` is the one description of each entry.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import re
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -20,9 +22,6 @@ from .moduli import UcModulus, _norm2, hilbert_modulus, lp_modulus
 
 FIXED_POINT_TOL = 1e-12
 NONEXPANSIVE_TOL = 1e-12
-
-#: catalog entries that are safe for every p-norm
-_LP_SAFE = {"identity", "coordinate_shrink"}
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class Space:
     def is_euclidean(self) -> bool:
         return self.p == 2.0
 
-    @property
-    def norm_kind(self) -> str:
-        return "euclidean" if self.is_euclidean else f"lp({self.p})"
-
     def uc_modulus(self) -> UcModulus:
         return hilbert_modulus() if self.is_euclidean else lp_modulus(self.p)
 
@@ -64,68 +59,102 @@ class Space:
 
 @dataclass(frozen=True)
 class Operator:
-    """A map on the space with a known fixed point and a catalog tag."""
+    """A map on the space with a known fixed point."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     fixed_point: np.ndarray
-    tag: str
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One catalog row.  ``params`` lists the accepted parameters as the
+    catalog prints them (``?`` optional, ``|`` alternatives).  ``nearest``
+    names the parameter p of a projection entry T whose image T(p), the
+    point of the fixed set nearest p, is the stored fixed point."""
+
+    params: str
+    nearest: Optional[str] = None
+    any_p_norm: bool = False
+    note: str = ""
+
+    def describe(self) -> str:
+        norm = "any p-norm" if self.any_p_norm else "Euclidean only"
+        return "; ".join(filter(None, (f"params: {{{self.params}}}", self.note, norm)))
+
+
+CATALOG: Dict[str, CatalogEntry] = {
+    "identity": CatalogEntry("fixed_point?", nearest="fixed_point", any_p_norm=True),
+    "rotation": CatalogEntry("angle|angle_deg, axes?"),
+    "ball_projection": CatalogEntry("center?, radius?, anchor?", nearest="anchor"),
+    "halfspace_projection": CatalogEntry("normal, offset?, anchor?", nearest="anchor"),
+    "box_projection": CatalogEntry("lo, hi, anchor?", nearest="anchor"),
+    "affine_avg": CatalogEntry("matrix, shift?", note="operator norm at most 1"),
+    "coordinate_shrink": CatalogEntry("factors", any_p_norm=True),
+}
+
+
 def catalog_names() -> List[str]:
-    return [
-        "identity",
-        "rotation",
-        "ball_projection",
-        "halfspace_projection",
-        "box_projection",
-        "affine_avg",
-        "coordinate_shrink",
-    ]
+    return list(CATALOG)
 
 
-def _vec(space: Space, value, name: str, default: Optional[float] = None) -> np.ndarray:
-    if value is None:
-        if default is None:
-            raise ValueError(f"operator parameter {name!r} is required")
-        return np.full(space.dim, float(default))
-    out = np.asarray(value, dtype=float)
-    if out.shape != (space.dim,):
-        raise ValueError(f"operator parameter {name!r} must have shape ({space.dim},)")
-    return out
+def read_numbers(value, what: str, shape: tuple = ()):
+    """``value``, a number or nested lists of numbers, as a float array of
+    ``shape`` (a float for shape ()).  Booleans, strings and null are refused
+    with a ValueError that names ``what``."""
+    arr = np.asarray(value, dtype=object)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}" if shape else f"{what} must be a number")
+    if not all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+               for t in set(map(type, arr.flat))):
+        raise ValueError(f"{what} entries must be numbers" if shape else f"{what} must be a number")
+    out = arr.astype(float)
+    return out if shape else out.item()
 
 
-def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Operator:
-    """Build a catalog operator; see :func:`catalog_names` for entries.
+def make_operator(name: str, space: Space, params: Optional[dict] = None,
+                  near=None, fixed_point=None) -> Operator:
+    """Build a catalog operator; see :data:`CATALOG` for entries.
 
-    Projection entries accept an optional ``anchor`` whose projection becomes
-    the stored fixed point (any point of the target set is one); the default
-    representative is the center / the projection of the origin.
-    """
-    params = dict(params or {})
-    if name not in catalog_names():
+    A projection entry stores T(p), with p ``near`` if given, else its
+    ``nearest`` parameter, else the center / the origin; a declared
+    ``fixed_point`` replaces it.  The stored point's residual must be at
+    most ``FIXED_POINT_TOL``."""
+    entry = CATALOG.get(name)
+    if entry is None:
         raise ValueError(f"unknown operator {name!r}; known: {catalog_names()}")
-    if not space.is_euclidean and name not in _LP_SAFE:
-        raise ValueError(
-            f"operator {name!r} is only certified nonexpansive for the Euclidean norm"
-        )
+    if not (space.is_euclidean or entry.any_p_norm):
+        raise ValueError(f"operator {name!r} is only certified nonexpansive for the Euclidean norm")
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(re.findall(r"\w+", entry.params)))
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for operator {name!r}; "
+                         f"accepted: {{{entry.params}}}")
+    if near is not None and entry.nearest:
+        params[entry.nearest] = near
 
+    def read(key, default=None, shape=(space.dim,)):
+        if key not in params:
+            if default is None:
+                raise ValueError(f"operator parameter {key!r} is required")
+            return default
+        return read_numbers(params[key], f"operator parameter {key!r}", shape)
+
+    z = np.zeros(space.dim)
     if name == "identity":
         apply = lambda x: np.asarray(x, dtype=float)
-        z = _vec(space, params.get("fixed_point"), "fixed_point", default=0.0)
     elif name == "rotation":
-        if space.dim < 2:
-            raise ValueError("rotation needs dimension at least 2")
         if "angle_deg" in params:
-            angle = math.radians(float(params["angle_deg"]))
+            angle = math.radians(read("angle_deg", shape=()))
         else:
-            angle = float(params.get("angle", math.pi / 2.0))
-        i, j = params.get("axes", (0, 1))
+            angle = read("angle", math.pi / 2.0, ())
+        i, j = read("axes", (0, 1), (2,))
+        if not (i % 1 == j % 1 == 0 and 0 <= i < space.dim and 0 <= j < space.dim and i != j):
+            raise ValueError(f"operator parameter 'axes' must be two distinct axes below "
+                             f"{space.dim}, got ({i:g}, {j:g})")
         i, j = int(i), int(j)
-        if not (0 <= i < space.dim and 0 <= j < space.dim and i != j):
-            raise ValueError(f"invalid rotation plane axes ({i}, {j})")
         R = np.eye(space.dim)
         c, s = math.cos(angle), math.sin(angle)
         R[i, i] = c
@@ -133,10 +162,9 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Ope
         R[j, i] = s
         R[j, j] = c
         apply = R.dot
-        z = np.zeros(space.dim)
     elif name == "ball_projection":
-        center = _vec(space, params.get("center"), "center", default=0.0)
-        radius = float(params.get("radius", 1.0))
+        center = z = read("center", z)
+        radius = read("radius", 1.0, ())
         if radius <= 0.0:
             raise ValueError(f"ball radius must be positive, got {radius}")
 
@@ -147,12 +175,9 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Ope
             if nd <= radius:
                 return x
             return center + (radius / nd) * d
-
-        anchor = params.get("anchor")
-        z = apply(_vec(space, anchor, "anchor")) if anchor is not None else center.copy()
     elif name == "halfspace_projection":
-        normal = _vec(space, params.get("normal"), "normal")
-        offset = float(params.get("offset", 0.0))
+        normal = read("normal")
+        offset = read("offset", 0.0, ())
         nn = float(np.dot(normal, normal))
         if nn == 0.0:
             raise ValueError("halfspace normal must be nonzero")
@@ -163,44 +188,36 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None) -> Ope
             if excess <= 0.0:
                 return x
             return x - (excess / nn) * normal
-
-        anchor = params.get("anchor")
-        z = apply(_vec(space, anchor, "anchor") if anchor is not None else np.zeros(space.dim))
     elif name == "box_projection":
-        lo = _vec(space, params.get("lo"), "lo")
-        hi = _vec(space, params.get("hi"), "hi")
+        lo = read("lo")
+        hi = read("hi")
         if np.any(lo > hi):
             raise ValueError("box bounds must satisfy lo <= hi componentwise")
         apply = lambda x, lo=lo, hi=hi: np.clip(np.asarray(x, dtype=float), lo, hi)
-        anchor = params.get("anchor")
-        z = apply(_vec(space, anchor, "anchor") if anchor is not None else np.zeros(space.dim))
     elif name == "affine_avg":
-        Q = np.asarray(params.get("matrix"), dtype=float)
-        if Q.shape != (space.dim, space.dim):
-            raise ValueError(f"matrix must have shape ({space.dim}, {space.dim})")
-        shift = _vec(space, params.get("shift"), "shift", default=0.0)
+        Q = read("matrix", shape=(space.dim, space.dim))
+        shift = read("shift", z)
         op_norm = float(np.linalg.norm(Q, 2))
         if op_norm > 1.0 + NONEXPANSIVE_TOL:
             raise ValueError(f"affine map with operator norm {op_norm} > 1 is expansive")
         apply = lambda x, Q=Q, shift=shift: Q.dot(x) + shift
-        if float(np.dot(shift, shift)) == 0.0:
-            z = np.zeros(space.dim)
-        elif op_norm < 1.0 - 1e-9:
+        if float(np.dot(shift, shift)) != 0.0:
+            if op_norm >= 1.0 - 1e-9:
+                raise ValueError("affine map on the unit sphere of operator norms needs a zero "
+                                 "shift for a computable fixed point")
             z = np.linalg.solve(np.eye(space.dim) - Q, shift)
-        else:
-            raise ValueError(
-                "affine map on the unit sphere of operator norms needs a zero shift "
-                "for a computable fixed point"
-            )
     elif name == "coordinate_shrink":
-        factors = _vec(space, params.get("factors"), "factors")
+        factors = read("factors")
         if np.any(np.abs(factors) > 1.0 + NONEXPANSIVE_TOL):
             raise ValueError("shrink factors must have magnitude at most 1")
         apply = lambda x, factors=factors: factors * x
-        z = np.zeros(space.dim)
 
-    z = np.asarray(z, dtype=float)
+    if entry.nearest:
+        z = apply(read(entry.nearest, z))
+    if fixed_point is not None:
+        z = read_numbers(fixed_point, "declared fixed point", (space.dim,))
+    z = np.array(z, dtype=float)
     residual = space.norm(apply(z) - z)
     if residual > FIXED_POINT_TOL:
         raise ValueError(f"stored point is not fixed for {name!r}: residual {residual:.3e}")
-    return Operator(apply=apply, fixed_point=z, tag=name)
+    return Operator(apply=apply, fixed_point=z)

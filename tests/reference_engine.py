@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from km_rates.engine import DEFAULT_STORE_LIMIT, NumericAbort, Trajectory
-
-_FIX_CLAMP = 1e-12
+from km_rates.operators import FIXED_POINT_TOL
 
 
 def reference_iterate(space, op, start, schedule, horizon,
@@ -22,7 +21,7 @@ def reference_iterate(space, op, start, schedule, horizon,
     z = op.fixed_point
     norm_z = space.norm(z)
     fix_residual = space.norm(op(z) - z)
-    if fix_residual < _FIX_CLAMP:
+    if fix_residual < FIXED_POINT_TOL:
         fix_residual = 0.0
 
     res_T = np.empty(horizon + 1)

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import km_rates as km
@@ -155,13 +156,96 @@ def test_config_errors_exit_2(tmp_path, capsys):
     {"run": {"horizon": 20, "k_max": True}},
     {"operator": {"name": "rotation", "params": {"axes": 5}}},
     {"operator": {"name": "rotation", "params": {"angle": None}}},
+    {"start": ["1", 0.0]},
+    {"operator": {"name": "rotation", "params": {"angle_deg": 90.0}, "fixed_point": ["0", 0]}},
+    {"schedule": {"family": "classical_km", "params": {"beta": "0.5"}}},
+    {"schedule": {"family": "example1", "params": {"lam": "0.5"}}},
+    {"schedule": {"family": "example1", "params": {"lam": 0.5, "r_star": ["1", 0.0]}}},
+    {"schedule": {"family": "example2", "params": {"lam": 0.5, "r_star": [1.0]}}},
+    {"schedule": {"family": "anchor", "params": {
+        "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [True, 0.0]}}},
+    {"schedule": {"family": "anchor", "params": {
+        "base": {"family": "example2", "params": {"lam": 0.5}}}}},
+    {"schedule": {"family": "inexact_km", "params": {
+        "beta": {"const": "0.5"}, "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
+    {"schedule": {"family": "custom", "params": {
+        "alpha": {"values": [0.5, "0.5"]}, "beta": 0.5, "defect_is_zero": True,
+        "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
 ], ids=["start-string", "fixed-point-string", "dim-true", "horizon-true", "k_max-true",
-        "axes-int", "angle-null"])
+        "axes-int", "angle-null", "start-numeric-string", "fixed-point-numeric-string",
+        "beta-string", "lam-string", "r_star-string", "r_star-short", "u-true", "u-missing",
+        "const-string", "values-string"])
 def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, changes):
     doc = dict(rotation_config(tmp_path / "out"), **changes)
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,params,key", [
+    ("rotation", {"axes": [True, 0]}, "axes"),
+    ("rotation", {"axes": [0.7, 1.2]}, "axes"),
+    ("rotation", {"axes": 5}, "axes"),
+    ("rotation", {"angle_deg": True}, "angle_deg"),
+    ("rotation", {"angle": None}, "angle"),
+    ("rotation", {"angel_deg": 30.0}, "angel_deg"),
+    ("ball_projection", {"radius": True}, "radius"),
+    ("ball_projection", {"radius": "2"}, "radius"),
+    ("ball_projection", {"center": [True, False]}, "center"),
+    ("halfspace_projection", {"normal": [1.0, 0.0], "offset": True}, "offset"),
+], ids=["axes-true", "axes-fractional", "axes-int", "angle_deg-true", "angle-null",
+        "misspelt-key", "radius-true", "radius-string", "center-true", "offset-true"])
+def test_operator_params_of_the_wrong_type_exit_2(tmp_path, capsys, name, params, key):
+    doc = dict(rotation_config(tmp_path / "out"), operator={"name": name, "params": params})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key) in err and "Traceback" not in err
+
+
+#: per catalog entry in dim 3: params, start, then the fixed point stored for
+#: "default" and for "nearest", a declared vector that is fixed and one that
+#: is not; every vector is fixed by the identity
+FIXED_POINT_CASES = {
+    "identity": ({}, [2.0, -1.0, 0.5], [0.0, 0.0, 0.0], [2.0, -1.0, 0.5],
+                 [1.0, 2.0, 3.0], None),
+    "rotation": ({"angle_deg": 90.0}, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                 [0.0, 0.0, 4.0], [1.0, 0.0, 0.0]),
+    "ball_projection": ({"center": [1.0, 0.0, 0.0], "radius": 2.0}, [5.0, 0.0, 0.0],
+                        [1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 1.0, 1.0], [4.0, 0.0, 0.0]),
+    "halfspace_projection": ({"normal": [0.0, 2.0, 0.0], "offset": -2.0}, [1.0, 3.0, -1.0],
+                             [0.0, -1.0, 0.0], [1.0, -1.0, -1.0], [5.0, -1.5, 5.0],
+                             [0.0, 0.0, 0.0]),
+    "box_projection": ({"lo": [-1.0, 0.5, -1.0], "hi": [1.0, 2.0, 1.0]}, [3.0, 0.0, -0.5],
+                       [0.0, 0.5, 0.0], [1.0, 0.5, -0.5], [0.25, 1.0, 0.0], [2.0, 1.0, 0.0]),
+    "affine_avg": ({"matrix": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
+                    "shift": [1.0, 0.0, -0.5]}, [1.0, 1.0, 1.0],
+                   [2.0, 0.0, -1.0], [2.0, 0.0, -1.0], [2.0, 0.0, -1.0], [0.0, 0.0, 0.0]),
+    "coordinate_shrink": ({"factors": [0.5, 1.0, -1.0]}, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name,choice", [
+    (name, choice) for name in FIXED_POINT_CASES
+    for choice in ("default", "nearest", "fixed", "not_fixed")
+    if FIXED_POINT_CASES[name][5] is not None or choice != "not_fixed"])
+def test_operator_fixed_point_choices(tmp_path, capsys, name, choice):
+    params, start, default, nearest, fixed, not_fixed = FIXED_POINT_CASES[name]
+    declared = {"default": "default", "nearest": "nearest", "fixed": fixed,
+                "not_fixed": not_fixed}[choice]
+    doc = rotation_config(tmp_path / "out", horizon=20)
+    doc.update(space={"dim": 3, "norm": "euclidean"}, start=start,
+               operator={"name": name, "params": params, "fixed_point": declared})
+    code = main(["certify", "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    if choice == "not_fixed":
+        assert code == 2
+        assert err.startswith("config error: ") and "not fixed" in err
+        return
+    assert code == 0 and err == ""
+    expected = {"default": default, "nearest": nearest, "fixed": fixed}[choice]
+    z = km.assemble(km.RunConfig.from_dict(doc)).operator.fixed_point
+    assert z.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 def test_verify_rotation_full(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_zero_fixed_point_dist_is_norm(p, name, params, z):
 def test_numeric_abort_reports_index():
     space = km.Space(dim=2)
     blower = Operator(apply=lambda x: 1e200 * np.asarray(x, dtype=float),
-                      fixed_point=np.zeros(2), tag="blower")
+                      fixed_point=np.zeros(2))
     with pytest.raises(NumericAbort) as exc:
         km.iterate(space, blower, [1.0, 0.0], km.make_classical_km(0.5), 50)
     assert 0 < exc.value.index <= 50

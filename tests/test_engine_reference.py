@@ -121,7 +121,7 @@ def test_blower_aborts_at_reference_index(factor, spike, store_limit):
     a step non-finite, since the identity keeps the residual at 0."""
     space = km.Space(dim=2)
     blower = Operator(apply=lambda x: factor * np.asarray(x, dtype=float),
-                      fixed_point=np.zeros(2), tag="blower")
+                      fixed_point=np.zeros(2))
     schedule = km.make_classical_km(0.5)
     if spike:
         schedule = km.make_inexact_km(

@@ -159,7 +159,7 @@ def test_unknown_and_invalid_params():
 def test_check_nonexpansive_flags_doubling_map():
     space = km.Space(dim=2)
     doubler = Operator(apply=lambda x: 2.0 * np.asarray(x, dtype=float),
-                       fixed_point=np.zeros(2), tag="doubler")
+                       fixed_point=np.zeros(2))
     report = lemmas.check_nonexpansive(doubler, space, samples=50, seed=0)
     assert not report.passed
     assert report.violations[0]["sample"] == 0
@@ -182,4 +182,3 @@ def test_space_validation():
     with pytest.raises(ValueError):
         km.Space(dim=2, p=1.0)
     assert km.Space(dim=2).is_euclidean
-    assert km.Space(dim=2, p=3.0).norm_kind == "lp(3.0)"

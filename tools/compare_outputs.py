@@ -108,8 +108,8 @@ def _test_suite_jobs() -> list:
          {"base": {"family": "inexact_km", "params": dict(inexact, perturbation_sum_bound=2)},
           "u": [1.0, 0.0]}, "verify"),
     ]
-    # config values of the wrong JSON type, and an r_star whose series sum
-    # leaves the double range
+    # config values of the wrong JSON type or shape, an operator key the entry
+    # does not accept, and an r_star whose series sum leaves the double range
     wrong_types = {
         "start-string": {"start": ["x", 0.0]},
         "fixed-point-string": {"operator": {"name": "rotation", "params": {"angle_deg": 90.0},
@@ -122,7 +122,62 @@ def _test_suite_jobs() -> list:
         "angle-null": {"operator": {"name": "rotation", "params": {"angle": None}}},
         "offset-true": {"schedule": {"family": "example1",
                                      "params": {"lam": 0.5, "offset": True}}},
+        "axes-true": {"operator": {"name": "rotation", "params": {"axes": [True, 0]}}},
+        "axes-fractional": {"operator": {"name": "rotation", "params": {"axes": [0.7, 1.2]}}},
+        "angle_deg-true": {"operator": {"name": "rotation", "params": {"angle_deg": True}}},
+        "misspelt-key": {"operator": {"name": "rotation", "params": {"angel_deg": 30.0}}},
+        "radius-true": {"operator": {"name": "ball_projection", "params": {"radius": True}}},
+        "radius-string": {"operator": {"name": "ball_projection", "params": {"radius": "2"}}},
+        "center-true": {"operator": {"name": "ball_projection",
+                                     "params": {"center": [True, False]}}},
+        "halfspace-offset-true": {"operator": {"name": "halfspace_projection",
+                                               "params": {"normal": [1.0, 0.0], "offset": True}}},
+        "start-numeric-string": {"start": ["1", 0.0]},
+        "fixed-point-numeric-string": {"operator": {"name": "rotation", "params": {},
+                                                    "fixed_point": ["0", 0]}},
+        "beta-string": {"schedule": {"family": "classical_km", "params": {"beta": "0.5"}}},
+        "lam-string": {"schedule": {"family": "example1", "params": {"lam": "0.5"}}},
+        "r_star-string": {"schedule": {"family": "example1",
+                                       "params": {"lam": 0.5, "r_star": ["1", 0.0]}}},
+        "r_star-short": {"schedule": {"family": "example2",
+                                      "params": {"lam": 0.5, "r_star": [1.0]}}},
+        "u-true": {"schedule": {"family": "anchor", "params": {
+            "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [True, 0.0]}}},
+        "u-missing": {"schedule": {"family": "anchor", "params": {
+            "base": {"family": "example2", "params": {"lam": 0.5}}}}},
+        "const-string": {"schedule": {"family": "inexact_km", "params": {
+            "beta": {"const": "0.5"},
+            "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
+        "values-string": {"schedule": {"family": "custom", "params": dict(
+            custom, alpha={"values": [0.5, "0.5"]})}},
     }
+    # every catalog entry under each operator.fixed_point choice: (params, a
+    # declared vector that is fixed, one that is not); the identity fixes all
+    q3 = [[0.5, -0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 0.75]]
+    shift3 = [1.0, 0.0, -0.5]
+    fixed_point_cases = {
+        "identity": ({}, [1.0, 2.0, 3.0], None),
+        "rotation": ({"angle_deg": 90.0}, [0.0, 0.0, 4.0], [1.0, 0.0, 0.0]),
+        "ball_projection": ({"center": [0.5, 0.0, 0.0], "radius": 1.0},
+                            [0.5, 0.5, 0.0], [3.0, 0.0, 0.0]),
+        "halfspace_projection": ({"normal": [1.0, 1.0, 0.0], "offset": 0.5},
+                                 [0.0, 0.0, 7.0], [1.0, 1.0, 0.0]),
+        "box_projection": ({"lo": [-1.0, -0.5, -1.0], "hi": [1.0, 0.5, 1.0]},
+                           [0.5, 0.25, 0.0], [2.0, 0.0, 0.0]),
+        "affine_avg": ({"matrix": q3, "shift": shift3},
+                       np.linalg.solve(np.eye(3) - np.array(q3), shift3).tolist(),
+                       [0.0, 0.0, 0.0]),
+        "coordinate_shrink": ({"factors": [0.5, 1.0, -1.0]}, [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]),
+    }
+    fixed_point_jobs = [
+        (f"fixed-point-{name}-{choice}",
+         _rotation(20, space={"dim": 3, "norm": "euclidean"}, start=[2.0, -1.0, 0.5],
+                   operator={"name": name, "params": params, "fixed_point": declared}),
+         ["run"])
+        for name, (params, fixed, not_fixed) in fixed_point_cases.items()
+        for choice, declared in (("default", "default"), ("nearest", "nearest"),
+                                 ("fixed", fixed), ("not-fixed", not_fixed))
+        if declared is not None]
     huge_r_star = _rotation(100, space={"dim": 2, "norm": "lp", "p": 1.0001},
                             operator={"name": "coordinate_shrink",
                                       "params": {"factors": [0.5, 0.5]}},
@@ -134,6 +189,7 @@ def _test_suite_jobs() -> list:
     jobs += [(f"wrong-type-{name}", _rotation(20, **changes), ["run"])
              for name, changes in wrong_types.items()]
     jobs += [("huge-r-star", huge_r_star, ["certify"])]
+    jobs += fixed_point_jobs
     jobs += [
         ("rotation-run-100", _rotation(100), ["run"]),
         ("rotation-run-streamed", _rotation(100_500), ["run"]),
