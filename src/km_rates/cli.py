@@ -20,10 +20,10 @@ from typing import List, Optional
 import numpy as np
 
 from .certificates import CertificateOverflow
-from .config import ConfigError, Instance, RunConfig, assemble, load_config
+from .config import FAMILY_PARAMS, ConfigError, Instance, RunConfig, assemble, load_config
 from .engine import NumericAbort, audit_inequalities, iterate, write_trajectory_csv
 from .operators import CATALOG
-from .schedules import Family, range_findings, verify_hypotheses
+from .schedules import range_findings, verify_hypotheses
 from .verify import (
     auto_horizon,
     check_liminf_contract,
@@ -208,8 +208,8 @@ def cmd_catalog(args) -> int:
     for name, entry in CATALOG.items():
         print(f"  {name:<22} {entry.describe()}")
     print("schedule families:")
-    for family in Family:
-        print(f"  {family.value}")
+    for family, params in FAMILY_PARAMS.items():
+        print(f"  {family:<22} params: {{{params}}}")
     return EXIT_OK
 
 

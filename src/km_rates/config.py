@@ -1,9 +1,11 @@
 """Run configuration: one JSON document fully determines a run.
 
-The document has six sections (space, operator, start, schedule, certificate,
-run, output); :func:`RunConfig.from_dict` normalizes it into an immutable
-value whose serialization round-trips exactly.  :func:`assemble` turns a
-config into live objects.
+The document has seven sections (space, operator, start, schedule,
+certificate, run, output); :func:`RunConfig.from_dict` normalizes it into an
+immutable value whose serialization round-trips exactly.  :func:`assemble`
+turns a config into live objects.  Every value is read by the typed readers of
+:mod:`.operators`, so an object with a key it does not accept, a non-integer
+where an integer belongs and a non-finite number are all config errors.
 
 Schedule parameter streams in custom configs use sequence specs
 (``0.5`` | ``{"const": v}`` | ``{"values": [...], "then": v}``) and moduli use
@@ -27,7 +29,15 @@ from .certificates import (
     make_certificate,
 )
 from .moduli import ZERO_CAUCHY, RateFn, RateKind
-from .operators import Operator, Space, catalog_names, make_operator, read_numbers
+from .operators import (
+    Operator,
+    Space,
+    catalog_names,
+    make_operator,
+    read_int,
+    read_numbers,
+    read_object,
+)
 from .schedules import (
     Family,
     Schedule,
@@ -42,8 +52,23 @@ from .schedules import (
     make_inexact_km,
 )
 
-_FORMULAS = {"auto"} | {tag.value for tag in FormulaTag}
+_FORMULAS = sorted({"auto"} | {tag.value for tag in FormulaTag})
 _FORMATS = ("csv", "json")
+
+#: the ``schedule.params`` each family accepts, as ``km-rates catalog`` prints
+#: them and in the order they are parsed: of several bad params, the error
+#: names the first
+FAMILY_PARAMS = {
+    Family.INEXACT_KM.value: "beta, weight_divergence, perturbation?, perturbation_cauchy?, "
+                             "perturbation_sum_bound?",
+    Family.CLASSICAL_KM.value: "beta",
+    Family.ANCHOR.value: "base, u",
+    Family.EXAMPLE1.value: "lam, offset?, r_star?",
+    Family.EXAMPLE2.value: "lam, J?, offset?, r_star?",
+    Family.CUSTOM.value: "alpha, beta, perturbation?, defect_is_zero?, defect_cauchy?, "
+                         "weight_divergence, perturbation_cauchy?, defect_sum_bound?, "
+                         "perturbation_sum_bound?",
+}
 
 
 class ConfigError(ValueError):
@@ -60,18 +85,6 @@ def _canonical(params) -> str:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int, JSON's true is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _vector(values, what: str) -> tuple:
-    try:
-        return tuple(read_numbers(values, what, (len(values),)).tolist())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -94,61 +107,53 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        _require(isinstance(doc, dict), "config must be a JSON object")
-        space = doc.get("space") or {}
-        dim = space.get("dim")
-        _require(_is_int(dim) and dim >= 1, "space.dim must be a positive integer")
-        norm = space.get("norm", "euclidean")
-        _require(norm in ("euclidean", "lp"), "space.norm must be 'euclidean' or 'lp'")
-        p = space.get("p")
-        if norm == "lp":
-            _require(isinstance(p, (int, float)) and p > 1, "space.p must exceed 1")
-            p = float(p)
-        else:
-            _require(p is None or p == 2, "space.p is only meaningful for the lp norm")
-            p = None
+        try:
+            doc = read_object(doc, "config", "space, operator, start, schedule, certificate?, "
+                                             "run?, output?")
+            space = read_object(doc.get("space"), "space", "dim, norm?, p?")
+            dim = read_int(space.get("dim"), "space.dim", 1)
+            norm = space.get("norm", "euclidean")
+            _require(norm in ("euclidean", "lp"), "space.norm must be 'euclidean' or 'lp'")
+            p = space.get("p")
+            if norm == "lp":
+                p = read_numbers(p, "space.p")
+                _require(p > 1, "space.p must exceed 1")
+            else:
+                _require(p is None or p == 2, "space.p is only meaningful for the lp norm")
+                p = None
 
-        op = doc.get("operator") or {}
-        name = op.get("name")
-        _require(name in catalog_names(), f"operator.name must be one of {catalog_names()}")
-        fixed = op.get("fixed_point", "default")
-        if isinstance(fixed, (list, tuple)):
-            _require(len(fixed) == dim, "operator.fixed_point vector must match space.dim")
-            fixed = _vector(fixed, "operator.fixed_point")
-        else:
-            _require(fixed in ("default", "nearest"),
-                     "operator.fixed_point must be 'default', 'nearest' or a vector")
+            op = read_object(doc.get("operator"), "operator", "name, params?, fixed_point?")
+            name = op.get("name")
+            _require(name in catalog_names(), f"operator.name must be one of {catalog_names()}")
+            fixed = op.get("fixed_point", "default")
+            if isinstance(fixed, (list, tuple)):
+                fixed = tuple(read_numbers(fixed, "operator.fixed_point", (dim,)).tolist())
+            else:
+                _require(fixed in ("default", "nearest"),
+                         "operator.fixed_point must be 'default', 'nearest' or a vector")
 
-        start = doc.get("start")
-        _require(isinstance(start, (list, tuple)) and len(start) == dim,
-                 "start must be a vector matching space.dim")
-        start = _vector(start, "start")
+            start = tuple(read_numbers(doc.get("start"), "start", (dim,)).tolist())
+            sched = read_object(doc.get("schedule"), "schedule", "family, params?")
 
-        sched = doc.get("schedule") or {}
-        family = sched.get("family")
-        families = {f.value for f in Family}
-        _require(family in families, f"schedule.family must be one of {sorted(families)}")
+            cert = read_object(doc.get("certificate"), "certificate", "formula?, overrides?")
+            formula = cert.get("formula", "auto")
+            _require(formula in _FORMULAS, f"certificate.formula must be one of {_FORMULAS}")
 
-        cert = doc.get("certificate") or {}
-        formula = cert.get("formula", "auto")
-        _require(formula in _FORMULAS, f"certificate.formula must be one of {sorted(_FORMULAS)}")
+            # run.seed, which older documents carry, is accepted and ignored
+            run = read_object(doc.get("run"), "run", "horizon?, k_max?, seed?")
+            horizon = run.get("horizon")
+            horizon = None if horizon in ("auto", None) else read_int(horizon, "run.horizon", 1)
+            k_max = read_int(run.get("k_max", 10), "run.k_max", 0)
 
-        run = doc.get("run") or {}
-        horizon = run.get("horizon", None)
-        if horizon in ("auto", None):
-            horizon = None
-        else:
-            _require(_is_int(horizon) and horizon >= 1,
-                     "run.horizon must be a positive integer or 'auto'")
-        k_max = run.get("k_max", 10)
-        _require(_is_int(k_max) and k_max >= 0, "run.k_max must be a natural number")
-
-        output = doc.get("output") or {}
-        out_dir = output.get("directory", "out")
-        _require(isinstance(out_dir, str) and out_dir, "output.directory must be a string")
-        formats = tuple(output.get("formats", list(_FORMATS)))
-        _require(formats and all(f in _FORMATS for f in formats),
-                 f"output.formats entries must be among {_FORMATS}")
+            output = read_object(doc.get("output"), "output", "directory?, formats?")
+            out_dir = output.get("directory", "out")
+            _require(isinstance(out_dir, str) and out_dir, "output.directory must be a string")
+            formats = output.get("formats", list(_FORMATS))
+            _require(isinstance(formats, (list, tuple)) and formats
+                     and all(f in _FORMATS for f in formats),
+                     f"output.formats entries must be among {_FORMATS}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
         return cls(
             space_dim=dim,
@@ -158,14 +163,14 @@ class RunConfig:
             operator_params=_canonical(op.get("params")),
             operator_fixed_point=fixed,
             start=start,
-            schedule_family=family,
+            schedule_family=sched.get("family"),
             schedule_params=_canonical(sched.get("params")),
             certificate_formula=formula,
             certificate_overrides=_canonical(cert.get("overrides")),
             horizon=horizon,
             k_max=k_max,
             out_dir=out_dir,
-            formats=formats,
+            formats=tuple(formats),
         )
 
     def to_dict(self) -> dict:
@@ -220,136 +225,113 @@ def build_operator(cfg: RunConfig, space: Space) -> Operator:
         return make_operator(cfg.operator_name, space, json.loads(cfg.operator_params),
                              near=cfg.start if fixed == "nearest" else None,
                              fixed_point=fixed if isinstance(fixed, tuple) else None)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _sequence_spec(spec, what: str) -> Stream:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return constant_stream(spec)
-    if isinstance(spec, dict) and "const" in spec:
+    if not isinstance(spec, dict):
+        return constant_stream(read_numbers(spec, what))
+    spec = read_object(spec, what, "const|values, then?")
+    if "const" in spec:
         return constant_stream(read_numbers(spec["const"], f"{what}.const"))
-    if isinstance(spec, dict) and "values" in spec:
-        values = [read_numbers(v, f"{what}.values") for v in spec["values"]]
-        then = spec.get("then", values[-1] if values else 0.0)
-        table = np.array(values + [read_numbers(then, f"{what}.then")])
+    if "values" in spec:
+        values = spec["values"]
+        _require(isinstance(values, list), f"{what}.values must be a list")
+        values = read_numbers(values, f"{what}.values", (len(values),))
+        then = read_numbers(spec.get("then", values[-1] if len(values) else 0.0),
+                            f"{what}.then")
+        table = np.append(values, then)
         return lambda n: table[np.minimum(n, len(values))]
     raise ConfigError(f"{what}: expected a number, {{'const': v}} or "
                       f"{{'values': [...], 'then': v}}")
 
 
-def _rate_spec(spec, kind: RateKind, what: str) -> RateFn:
-    if isinstance(spec, dict) and "const" in spec and _is_int(spec["const"]):
-        return RateFn.constant(spec["const"], kind, what)
-    if isinstance(spec, dict) and "affine" in spec:
-        aff = spec["affine"]
-        slope, intercept = aff.get("slope"), aff.get("intercept")
-        if _is_int(slope) and _is_int(intercept):
-            return RateFn.affine(slope, intercept, kind, what)
+def _rate_spec(spec, what: str, kind: RateKind = RateKind.CAUCHY_MODULUS) -> RateFn:
+    """The rate spec at ``what``, a Cauchy modulus by default."""
+    spec = read_object(spec, what, "const|affine")
+    if "const" in spec:
+        return RateFn.constant(read_int(spec["const"], f"{what}.const", 0), kind, what)
+    if "affine" in spec:
+        aff = read_object(spec["affine"], f"{what}.affine", "slope, intercept")
+        return RateFn.affine(read_int(aff.get("slope"), f"{what}.affine.slope", 0),
+                             read_int(aff.get("intercept"), f"{what}.affine.intercept", 0),
+                             kind, what)
     raise ConfigError(f"{what}: expected {{'const': n}} or "
                       f"{{'affine': {{'slope': a, 'intercept': b}}}} with integers")
 
 
-def _perturbation_spec(spec, space: Space, what: str):
+def _perturbation_spec(spec, what: str, space: Space):
     """Returns (perturbation, perturbation_norm, series), as
     :func:`inverse_square_perturbation` does; the zero stream's series is
     declared zero."""
-    if spec is None or (isinstance(spec, dict) and spec.get("zero")):
+    if spec is None:
         return inverse_square_perturbation(None)
-    if isinstance(spec, dict) and "inverse_square" in spec:
-        inner = spec["inverse_square"]
-        r_star = read_numbers(inner.get("r_star"), f"{what}.inverse_square.r_star",
-                              (space.dim,))
-        offset = inner.get("offset", 1)
-        if not _is_int(offset) or offset < 1:
-            raise ConfigError(f"{what}.inverse_square.offset must be a positive integer")
-        return inverse_square_perturbation(r_star, offset, space.norm)
+    spec = read_object(spec, what, "zero|inverse_square")
+    if spec.get("zero") is True:
+        return inverse_square_perturbation(None)
+    if "inverse_square" in spec:
+        inner = read_object(spec["inverse_square"], f"{what}.inverse_square", "r_star, offset?")
+        return inverse_square_perturbation(
+            read_numbers(inner.get("r_star"), f"{what}.inverse_square.r_star", (space.dim,)),
+            read_int(inner.get("offset", 1), f"{what}.inverse_square.offset", 1), space.norm)
     raise ConfigError(f"{what}: expected {{'zero': true}} or "
                       f"{{'inverse_square': {{'r_star': [...], 'offset': n}}}}")
 
 
-def _param_rate(params: dict, key: str, kind: RateKind = RateKind.CAUCHY_MODULUS) -> RateFn:
-    """The rate spec ``schedule.params.<key>``, a Cauchy modulus by default."""
-    return _rate_spec(params.get(key), kind, f"schedule.params.{key}")
+def build_schedule(family, params, space: Space, what: str) -> Schedule:
+    """The schedule of the section at ``what``: its ``family`` and its
+    ``params``, read in the order :data:`FAMILY_PARAMS` lists them."""
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
+        raise ConfigError(f"{what}.family must be one of {sorted(FAMILY_PARAMS)}")
 
+    def param(key, default=None):
+        """(value, key path) of a param, as the readers take them."""
+        return params.get(key, default), f"{what}.params.{key}"
 
-def _param_bound(params: dict, key: str, default: Optional[int]) -> int:
-    """The natural number ``schedule.params.<key>``; ``default`` when absent."""
-    bound = params.get(key, default)
-    if not _is_int(bound) or bound < 0:
-        raise ConfigError(f"schedule.params.{key} must be a natural number")
-    return bound
+    def r_star():
+        value, key = param("r_star")
+        return None if value is None else read_numbers(value, key, (space.dim,))
 
-
-def _param_vector(params: dict, key: str, space: Space, required: bool = False):
-    """The vector ``schedule.params.<key>``; None if absent or null and not ``required``."""
-    value = params.get(key)
-    if value is None and not required:
-        return None
-    return read_numbers(value, f"schedule.params.{key}", (space.dim,))
-
-
-def _param_int(params: dict, key: str, default: int) -> int:
-    """The integer ``schedule.params.<key>``, truncated; a boolean is refused."""
-    value = params.get(key, default)
-    if isinstance(value, bool):
-        raise ConfigError(f"schedule.params.{key} must be an integer")
-    return int(value)
-
-
-def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
-    params = json.loads(cfg.schedule_params)
-    family = cfg.schedule_family
     try:
+        params = read_object(params, f"{what}.params", FAMILY_PARAMS[family])
         if family == Family.EXAMPLE1.value:
-            schedule = make_example1(read_numbers(params["lam"], "schedule.params.lam"),
-                                     _param_int(params, "offset", 1),
-                                     _param_vector(params, "r_star", space), norm=space.norm)
+            schedule = make_example1(read_numbers(*param("lam")), read_int(*param("offset", 1), 1),
+                                     r_star(), norm=space.norm)
         elif family == Family.EXAMPLE2.value:
-            schedule = make_example2(read_numbers(params["lam"], "schedule.params.lam"),
-                                     _param_int(params, "J", 2), _param_int(params, "offset", 1),
-                                     _param_vector(params, "r_star", space), norm=space.norm)
+            schedule = make_example2(read_numbers(*param("lam")), read_int(*param("J", 2), 2),
+                                     read_int(*param("offset", 1), 1), r_star(), norm=space.norm)
         elif family == Family.CLASSICAL_KM.value:
-            schedule = make_classical_km(read_numbers(params["beta"], "schedule.params.beta"))
+            schedule = make_classical_km(read_numbers(*param("beta")))
         elif family == Family.INEXACT_KM.value:
-            beta = _sequence_spec(params.get("beta"), "schedule.params.beta")
-            divergence = _param_rate(params, "weight_divergence", RateKind.RATE_OF_DIVERGENCE)
-            pert, pert_norm, series = _perturbation_spec(
-                params.get("perturbation"), space, "schedule.params.perturbation")
+            beta = _sequence_spec(*param("beta"))
+            divergence = _rate_spec(*param("weight_divergence"), RateKind.RATE_OF_DIVERGENCE)
+            pert, pert_norm, series = _perturbation_spec(*param("perturbation"), space)
             if not series.zero:
-                series = replace(series, modulus=_param_rate(params, "perturbation_cauchy"),
-                                 bound=_param_bound(params, "perturbation_sum_bound", None))
+                series = replace(series, modulus=_rate_spec(*param("perturbation_cauchy")),
+                                 bound=read_int(*param("perturbation_sum_bound"), 0))
             schedule = make_inexact_km(beta, divergence, None if series.zero else pert, series,
                                        perturbation_norm=pert_norm)
         elif family == Family.ANCHOR.value:
-            base_doc = params.get("base")
-            if not isinstance(base_doc, dict):
-                raise ConfigError("schedule.params.base must be a nested schedule section")
-            base_cfg = replace(cfg,
-                               schedule_family=base_doc.get("family", ""),
-                               schedule_params=_canonical(base_doc.get("params")))
-            families = {f.value for f in Family}
-            _require(base_cfg.schedule_family in families,
-                     "schedule.params.base.family is unknown")
-            base = build_schedule(base_cfg, space)
-            schedule = make_anchor(base, _param_vector(params, "u", space, required=True),
+            base = read_object(params.get("base"), f"{what}.params.base", "family, params?")
+            base = build_schedule(base.get("family"), base.get("params"), space,
+                                  f"{what}.params.base")
+            schedule = make_anchor(base, read_numbers(*param("u"), (space.dim,)),
                                    norm=space.norm)
-        elif family == Family.CUSTOM.value:
-            alpha = _sequence_spec(params.get("alpha"), "schedule.params.alpha")
-            beta = _sequence_spec(params.get("beta"), "schedule.params.beta")
-            pert, pert_norm, series = _perturbation_spec(
-                params.get("perturbation"), space, "schedule.params.perturbation")
-            defect_zero = bool(params.get("defect_is_zero", False))
-            # the moduli parse before the bounds: this order picks which of
-            # several bad params the error names
-            defect_modulus = ZERO_CAUCHY if defect_zero else _param_rate(params, "defect_cauchy")
-            divergence = _param_rate(params, "weight_divergence", RateKind.RATE_OF_DIVERGENCE)
-            pert_modulus = (ZERO_CAUCHY if series.zero
-                            else _param_rate(params, "perturbation_cauchy"))
-            defect = Series(defect_modulus, _param_bound(params, "defect_sum_bound", 0),
+        else:  # custom
+            alpha = _sequence_spec(*param("alpha"))
+            beta = _sequence_spec(*param("beta"))
+            pert, pert_norm, series = _perturbation_spec(*param("perturbation"), space)
+            defect_zero = params.get("defect_is_zero", False)
+            _require(isinstance(defect_zero, bool),
+                     f"{what}.params.defect_is_zero must be true or false")
+            defect_modulus = ZERO_CAUCHY if defect_zero else _rate_spec(*param("defect_cauchy"))
+            divergence = _rate_spec(*param("weight_divergence"), RateKind.RATE_OF_DIVERGENCE)
+            pert_modulus = ZERO_CAUCHY if series.zero else _rate_spec(*param("perturbation_cauchy"))
+            defect = Series(defect_modulus, read_int(*param("defect_sum_bound", 0), 0),
                             zero=defect_zero)
             series = replace(series, modulus=pert_modulus,
-                             bound=_param_bound(params, "perturbation_sum_bound", 0))
+                             bound=read_int(*param("perturbation_sum_bound", 0), 0))
             schedule = Schedule(
                 alpha=alpha,
                 beta=beta,
@@ -360,10 +342,6 @@ def build_schedule(cfg: RunConfig, space: Space) -> Schedule:
                 perturbation_series=series,
                 family=Family.CUSTOM,
             )
-        else:
-            raise ConfigError(f"unsupported schedule family {family!r}")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"schedule.params incomplete for family {family!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return schedule
@@ -374,25 +352,14 @@ def build_certificate(cfg: RunConfig, schedule: Schedule, space: Space,
     try:
         cert = make_certificate(constants, schedule, space.uc_modulus(),
                                 cfg.certificate_formula)
+        overrides = read_object(json.loads(cfg.certificate_overrides), "certificate.overrides",
+                                "residual_rate?, step_rate?")
+        fields = {key: _rate_spec(spec, f"certificate.overrides.{key}",
+                                  RateKind.RATE_OF_CONVERGENCE)
+                  for key, spec in overrides.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    overrides = json.loads(cfg.certificate_overrides)
-    if overrides:
-        fields = {}
-        if "residual_rate" in overrides:
-            fields["residual_rate"] = _rate_spec(overrides["residual_rate"],
-                                                 RateKind.RATE_OF_CONVERGENCE,
-                                                 "certificate.overrides.residual_rate")
-        if "step_rate" in overrides:
-            fields["step_rate"] = _rate_spec(overrides["step_rate"],
-                                             RateKind.RATE_OF_CONVERGENCE,
-                                             "certificate.overrides.step_rate")
-        unknown = set(overrides) - {"residual_rate", "step_rate"}
-        if unknown:
-            raise ConfigError(f"unknown certificate overrides: {sorted(unknown)}")
-        cert = replace(cert, **fields)
-    return cert
+    return replace(cert, **fields) if fields else cert
 
 
 @dataclass
@@ -411,7 +378,8 @@ def assemble(cfg: RunConfig) -> Instance:
     operator = build_operator(cfg, space)
     start = np.asarray(cfg.start, dtype=float)
     try:
-        schedule = build_schedule(cfg, space)
+        schedule = build_schedule(cfg.schedule_family, json.loads(cfg.schedule_params), space,
+                                  "schedule")
     except OverflowError as exc:
         raise ConfigError(f"schedule constants are not representable: {exc}") from None
     try:

@@ -100,18 +100,46 @@ def catalog_names() -> List[str]:
     return list(CATALOG)
 
 
+def read_object(value, what: str, accepted: str) -> dict:
+    """``value``, a JSON object whose keys are among ``accepted`` (written as
+    the catalog prints them), as a new dict; null reads as the empty object.
+    Anything else is refused with a ValueError that names ``what`` and any
+    unknown key."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(value) - set(re.findall(r"\w+", accepted)))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}; accepted: {{{accepted}}}")
+    return dict(value)
+
+
 def read_numbers(value, what: str, shape: tuple = ()):
     """``value``, a number or nested lists of numbers, as a float array of
-    ``shape`` (a float for shape ()).  Booleans, strings and null are refused
-    with a ValueError that names ``what``."""
+    ``shape`` (a float for shape ()).  Booleans, strings, null and non-finite
+    numbers are refused with a ValueError that names ``what``."""
     arr = np.asarray(value, dtype=object)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}" if shape else f"{what} must be a number")
     if not all(issubclass(t, numbers.Real) and not issubclass(t, bool)
                for t in set(map(type, arr.flat))):
         raise ValueError(f"{what} entries must be numbers" if shape else f"{what} must be a number")
-    out = arr.astype(float)
+    try:
+        out = arr.astype(float)
+    except OverflowError:  # an integer past the double range
+        out = np.array(math.inf)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} entries must be finite" if shape else f"{what} must be finite")
     return out if shape else out.item()
+
+
+def read_int(value, what: str, minimum: int) -> int:
+    """``value``, a JSON integer (not a boolean) at least ``minimum``; anything
+    else is refused with a ValueError that names ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}")
+    return value
 
 
 def make_operator(name: str, space: Space, params: Optional[dict] = None,
@@ -127,11 +155,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
         raise ValueError(f"unknown operator {name!r}; known: {catalog_names()}")
     if not (space.is_euclidean or entry.any_p_norm):
         raise ValueError(f"operator {name!r} is only certified nonexpansive for the Euclidean norm")
-    params = dict(params or {})
-    unknown = sorted(set(params) - set(re.findall(r"\w+", entry.params)))
-    if unknown:
-        raise ValueError(f"unknown parameters {unknown} for operator {name!r}; "
-                         f"accepted: {{{entry.params}}}")
+    params = read_object(params, f"operator.params of {name!r}", entry.params)
     if near is not None and entry.nearest:
         params[entry.nearest] = near
 

@@ -30,13 +30,12 @@ def _series(traj: Trajectory, quantity: str) -> np.ndarray:
     raise ValueError(f"unknown quantity {quantity!r}; use 'res_T' or 'res_step'")
 
 
-def auto_horizon(rate_values: Iterable[int], cap: int = HORIZON_CAP,
-                 margin: int = HORIZON_MARGIN) -> int:
-    """min(cap, max requested bound) + margin."""
+def auto_horizon(rate_values: Iterable[int]) -> int:
+    """min(HORIZON_CAP, max requested bound) + HORIZON_MARGIN."""
     values = list(rate_values)
     if not values:
         raise ValueError("auto horizon needs at least one requested bound")
-    return min(cap, max(values)) + margin
+    return min(HORIZON_CAP, max(values)) + HORIZON_MARGIN
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,9 @@ def _test_suite_jobs() -> list:
          {"base": {"family": "inexact_km", "params": dict(inexact, perturbation_sum_bound=2)},
           "u": [1.0, 0.0]}, "verify"),
     ]
-    # config values of the wrong JSON type or shape, an operator key the entry
-    # does not accept, and an r_star whose series sum leaves the double range
+    # config values of the wrong JSON type or shape, non-finite numbers, keys
+    # an operator entry or a schedule family does not accept, and an r_star
+    # whose series sum leaves the double range
     wrong_types = {
         "start-string": {"start": ["x", 0.0]},
         "fixed-point-string": {"operator": {"name": "rotation", "params": {"angle_deg": 90.0},
@@ -150,7 +151,43 @@ def _test_suite_jobs() -> list:
             "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
         "values-string": {"schedule": {"family": "custom", "params": dict(
             custom, alpha={"values": [0.5, "0.5"]})}},
+        "J-fractional": {"schedule": {"family": "example2", "params": {"lam": 0.5, "J": 2.7}}},
+        "offset-string": {"schedule": {"family": "example1",
+                                       "params": {"lam": 0.5, "offset": "2"}}},
+        "offset-fractional": {"schedule": {"family": "example1",
+                                           "params": {"lam": 0.5, "offset": 1.5}}},
+        "defect_is_zero-string": {"schedule": {"family": "custom", "params": dict(
+            custom, defect_is_zero="no")}},
+        "space-list": {"space": [2]},
+        "schedule-list": {"schedule": ["example1"]},
+        "schedule-params-list": {"schedule": {"family": "inexact_km", "params": [0.5]}},
+        "base-params-list": {"schedule": {"family": "anchor", "params": {
+            "base": {"family": "inexact_km", "params": [0.5]}, "u": [1.0, 0.0]}}},
+        "overrides-int": {"certificate": {"formula": "auto", "overrides": 5}},
+        "affine-list": {"schedule": {"family": "inexact_km", "params": dict(
+            inexact, weight_divergence={"affine": [4, 0]})}},
+        "operator-params-list": {"operator": {"name": "rotation", "params": [90.0]}},
+        "p-infinity": {"space": {"dim": 2, "norm": "lp", "p": float("inf")},
+                       "operator": {"name": "coordinate_shrink",
+                                    "params": {"factors": [0.5, 0.5]}}},
+        "start-huge-int": {"start": [10 ** 400, 0.0]},
+        "formats-int": {"output": {"directory": "out", "formats": 5}},
+        "formula-list": {"certificate": {"formula": ["auto"]}},
+        "family-list": {"schedule": {"family": ["example1"], "params": {}}},
+        "radius-nan": {"operator": {"name": "ball_projection", "params": {"radius": float("nan")}}},
+        "center-infinity": {"operator": {"name": "ball_projection",
+                                         "params": {"center": [float("inf"), 0.0]}}},
     }
+    # one misspelt schedule param per family; the anchor's is in its base
+    misspelt = {"example1": {"lam": 0.5, "ofset": 1}, "example2": {"lam": 0.5, "r_str": None},
+                "classical_km": {"beta": 0.5, "bta": 0.5},
+                "inexact_km": {"beta": 0.5, "weight_divergence": inexact["weight_divergence"],
+                               "perturbaton": inverse_square},
+                "anchor": {"base": {"family": "example2", "params": {"lam": 0.5, "j": 3}},
+                           "u": [1.0, 0.0]},
+                "custom": dict(custom, perturbaton=inverse_square)}
+    wrong_types.update({f"misspelt-{family}": {"schedule": {"family": family, "params": params}}
+                        for family, params in misspelt.items()})
     # every catalog entry under each operator.fixed_point choice: (params, a
     # declared vector that is fixed, one that is not); the identity fixes all
     q3 = [[0.5, -0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 0.75]]
