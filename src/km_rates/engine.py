@@ -128,8 +128,17 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             if r.shape not in ((m, space.dim), (m, 1)):
                 raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
                                  f"not ({m}, {space.dim}) or ({m}, 1)")
+            # the coefficients as read-only zero-stride rows: row k repeats
+            # alpha_{n0+k} dim times without copying it.  Array-by-array
+            # products skip numpy's promotion of a scalar operand, and each
+            # entry is the same IEEE product or sum as with the scalar, so
+            # every bit, the sign of zero included, is unchanged
+            rows = (m, space.dim)
+            coefficients = zip(np.broadcast_to(a_all[n0:n1, None], rows),
+                               np.broadcast_to(b_all[n0:n1, None], rows),
+                               np.broadcast_to(r, rows))
             xs, txs = [], []
-            for a, b, ri in zip(a_all[n0:n1].tolist(), b_all[n0:n1].tolist(), r):
+            for a, b, ri in coefficients:
                 tx = apply(x)
                 xs.append(x)
                 txs.append(tx)

@@ -166,6 +166,14 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
             return default
         return read_numbers(params[key], f"operator parameter {key!r}", shape)
 
+    def squared_norm(key, v):
+        with np.errstate(over="ignore"):
+            out = float(np.dot(v, v))
+        if not math.isfinite(out):
+            raise ValueError(f"operator parameter {key!r} is too large: its squared norm "
+                             f"overflows")
+        return out
+
     z = np.zeros(space.dim)
     if name == "identity":
         apply = lambda x: np.asarray(x, dtype=float)
@@ -202,7 +210,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
     elif name == "halfspace_projection":
         normal = read("normal")
         offset = read("offset", 0.0, ())
-        nn = float(np.dot(normal, normal))
+        nn = squared_norm("normal", normal)
         if nn == 0.0:
             raise ValueError("halfspace normal must be nonzero")
 
@@ -225,7 +233,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
         if op_norm > 1.0 + NONEXPANSIVE_TOL:
             raise ValueError(f"affine map with operator norm {op_norm} > 1 is expansive")
         apply = lambda x, Q=Q, shift=shift: Q.dot(x) + shift
-        if float(np.dot(shift, shift)) != 0.0:
+        if squared_norm("shift", shift) != 0.0:
             if op_norm >= 1.0 - 1e-9:
                 raise ValueError("affine map on the unit sphere of operator norms needs a zero "
                                  "shift for a computable fixed point")

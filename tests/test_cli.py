@@ -244,6 +244,19 @@ def test_operator_params_of_the_wrong_type_exit_2(tmp_path, capsys, name, params
     assert err.startswith("config error: ") and repr(key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name,params,key", [
+    ("halfspace_projection", {"normal": [1e308, 0.0]}, "normal"),
+    ("affine_avg", {"matrix": [[0.5, 0.0], [0.0, 0.5]], "shift": [1e308, 0.0]}, "shift"),
+], ids=["normal", "shift"])
+def test_operator_vectors_whose_squared_norm_overflows_exit_2(tmp_path, capsys, name, params,
+                                                               key):
+    doc = dict(rotation_config(tmp_path / "out"), operator={"name": name, "params": params})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: operator parameter {key!r} is too large: its squared norm " \
+                  f"overflows\n"
+
+
 #: per catalog entry in dim 3: params, start, then the fixed point stored for
 #: "default" and for "nearest", a declared vector that is fixed and one that
 #: is not; every vector is fixed by the identity

@@ -90,6 +90,30 @@ def test_block_engine_matches_reference_loop(op_name, family, dim, p, horizon, s
                                              moved_z, seed):
     if op_name not in LP_SAFE:
         p = 2.0
+    _assert_matches_reference(op_name, family, dim, p, horizon, streamed, moved_z, seed)
+
+
+@pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("family", ["example2", "anchor"])
+def test_block_engine_matches_reference_loop_dim64(family, horizon):
+    """beta_n and r_n vary per index and r_n fills whole rows, across the
+    block boundary."""
+    _assert_matches_reference("coordinate_shrink", family, 64, 3.0, horizon, streamed=False,
+                              moved_z=False, seed=5)
+
+
+def test_block_engine_keeps_the_sign_of_zero():
+    """-0.0 entries of the start under a positive shrink: adding the zero
+    perturbation makes them +0.0 from x_1 on, in both loops."""
+    space = km.Space(dim=8)
+    op = km.make_operator("coordinate_shrink", space, {"factors": [0.5] * 8})
+    args = (space, op, np.array([-0.0, 0.0] * 4), km.make_classical_km(0.5), BLOCK + 1)
+    ref, new = reference_iterate(*args), km.iterate(*args)
+    assert np.signbit(new.points[0]).any()
+    assert np.array_equal(new.points.view(np.uint64), ref.points.view(np.uint64))
+
+
+def _assert_matches_reference(op_name, family, dim, p, horizon, streamed, moved_z, seed):
     inst = assembled(op_name, family, dim, p, seed)
     op = inst.operator
     if moved_z:  # a reference point that is not fixed: ||T(z) - z|| > 0 enters K_z
@@ -104,8 +128,8 @@ def test_block_engine_matches_reference_loop(op_name, family, dim, p, horizon, s
         np.testing.assert_allclose(getattr(new, name), getattr(ref, name),
                                    rtol=1e-12, atol=0.0, err_msg=name)
     assert new.streamed == ref.streamed == (horizon > store_limit)
-    if not ref.streamed:
-        assert np.array_equal(new.points, ref.points)
+    if not ref.streamed:  # bit for bit: array_equal would count -0.0 == 0.0
+        assert np.array_equal(new.points.view(np.uint64), ref.points.view(np.uint64))
 
 
 def _spike(n):

@@ -128,6 +128,17 @@ def test_affine_avg_rejections():
     np.testing.assert_array_equal(op.fixed_point, np.zeros(2))
 
 
+@pytest.mark.parametrize("name,params,key", [
+    ("halfspace_projection", {"normal": [1e308, 0.0]}, "normal"),
+    ("affine_avg", {"matrix": [[0.5, 0.0], [0.0, 0.5]], "shift": [1e308, 0.0]}, "shift"),
+], ids=["normal", "shift"])
+def test_vectors_whose_squared_norm_overflows_are_refused(name, params, key):
+    """Finite entries whose squared norm leaves the double range: a halfspace
+    with nn = inf would return x unprojected."""
+    with pytest.raises(ValueError, match=f"{key!r} is too large"):
+        km.make_operator(name, km.Space(dim=2), params)
+
+
 def test_lp_space_catalog_restrictions():
     space = km.Space(dim=2, p=3.0)
     with pytest.raises(ValueError):

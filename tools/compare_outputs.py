@@ -5,9 +5,9 @@
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
 test suite, plus config-parse edge cases and multi-block runs of the two
-matrix operators, goes through the commands the tests give them.  Each
-checkout's CLI runs the whole list in a fresh interpreter that imports ``km_rates``
-from that checkout's ``src/``.  Every command runs in its own directory with
+matrix operators and of per-index coefficients, goes through the commands
+the tests give them.  Each checkout's CLI runs the whole list in a fresh
+interpreter that imports ``km_rates`` from that checkout's ``src/``.  Every command runs in its own directory with
 the relative output directory ``out``, so the echoed ``output.directory`` is
 the same on both sides.  Then exit codes, stdout and stderr lines, the set of
 output files and the bytes of every file are compared.
@@ -94,6 +94,19 @@ def _test_suite_jobs() -> list:
                            operator={"name": "rotation",
                                      "params": {"angle_deg": 30.0, "axes": [5, 40]}},
                            start=rng.uniform(-1.0, 1.0, 64).tolist())
+    # multi-block trajectories whose coefficients vary per index: beta_n and
+    # a full row r_n under example2 on an lp space, and an anchor over example2
+    rng = np.random.default_rng(10)
+    shrink8 = _rotation(3 * 256 + 5, space={"dim": 8, "norm": "lp", "p": 3.0},
+                        operator={"name": "coordinate_shrink",
+                                  "params": {"factors": rng.uniform(-1.0, 1.0, 8).tolist()}},
+                        start=rng.uniform(-1.0, 1.0, 8).tolist(),
+                        schedule={"family": "example2", "params": {
+                            "lam": 0.5, "J": 3, "offset": 2,
+                            "r_star": rng.uniform(-0.5, 0.5, 8).tolist()}})
+    anchor64 = dict(rotation64, schedule={"family": "anchor", "params": {
+        "base": {"family": "example2", "params": {"lam": 0.5}},
+        "u": rng.uniform(-1.0, 1.0, 64).tolist()}})
     # config-parse edges: bounds kept for series declared zero, a missing
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
@@ -108,9 +121,10 @@ def _test_suite_jobs() -> list:
          {"base": {"family": "inexact_km", "params": dict(inexact, perturbation_sum_bound=2)},
           "u": [1.0, 0.0]}, "verify"),
     ]
-    # config values of the wrong JSON type or shape, non-finite numbers, keys
-    # an operator entry or a schedule family does not accept, and an r_star
-    # whose series sum leaves the double range
+    # config values of the wrong JSON type or shape, non-finite numbers,
+    # operator vectors whose squared norm overflows, keys an operator entry or
+    # a schedule family does not accept, and an r_star whose series sum leaves
+    # the double range
     wrong_types = {
         "start-string": {"start": ["x", 0.0]},
         "fixed-point-string": {"operator": {"name": "rotation", "params": {"angle_deg": 90.0},
@@ -177,6 +191,10 @@ def _test_suite_jobs() -> list:
         "radius-nan": {"operator": {"name": "ball_projection", "params": {"radius": float("nan")}}},
         "center-infinity": {"operator": {"name": "ball_projection",
                                          "params": {"center": [float("inf"), 0.0]}}},
+        "normal-overflow": {"operator": {"name": "halfspace_projection",
+                                         "params": {"normal": [1e308, 0.0]}}},
+        "shift-overflow": {"operator": {"name": "affine_avg", "params": {
+            "matrix": [[0.5, 0.0], [0.0, 0.5]], "shift": [1e308, 0.0]}}},
     }
     # one misspelt schedule param per family; the anchor's is in its base
     misspelt = {"example1": {"lam": 0.5, "ofset": 1}, "example2": {"lam": 0.5, "r_str": None},
@@ -245,6 +263,10 @@ def _test_suite_jobs() -> list:
         ("affine-shift-dim8-verify", affine, ["verify"]),
         ("rotation-dim64-run", rotation64, ["run"]),
         ("rotation-dim64-verify", rotation64, ["verify"]),
+        ("example2-shrink-dim8-run", shrink8, ["run"]),
+        ("example2-shrink-dim8-verify", shrink8, ["verify"]),
+        ("anchor-rotation-dim64-run", anchor64, ["run"]),
+        ("anchor-rotation-dim64-verify", anchor64, ["verify"]),
         ("missing-config", None, ["certify", "--config", "missing.json"]),
         ("catalog", None, ["catalog"]),
     ]
