@@ -19,7 +19,6 @@ from .moduli import (
 )
 from .schedules import (
     ZERO_SERIES,
-    Family,
     Schedule,
     Series,
     coupling_cap,

@@ -51,35 +51,31 @@ class FormulaTag(Enum):
 class InstanceConstants:
     """Integer instance bounds.
 
-    ``start_bound`` dominates ||x-z|| and ||z||; ``dist_bound`` dominates
-    ||x_n - z|| along the whole run and ``norm_bound`` dominates ||x_n||.
+    ``start_bound`` dominates ||x-z|| and ||z||, and the two sum bounds
+    dominate the defect and perturbation series; the derived ``dist_bound``
+    dominates ||x_n - z|| along the whole run and ``norm_bound`` dominates
+    ||x_n||.
     """
 
     start_bound: int
     defect_sum_bound: int
     perturbation_sum_bound: int
-    dist_bound: int
-    norm_bound: int
 
     def __post_init__(self):
         if self.start_bound < 1:
             raise ValueError(f"start bound must be a positive integer, got {self.start_bound}")
         if self.defect_sum_bound < 0 or self.perturbation_sum_bound < 0:
             raise ValueError("series bounds must be nonnegative integers")
-        expected_dist = self.start_bound * (1 + self.defect_sum_bound) + self.perturbation_sum_bound
-        if self.dist_bound != expected_dist:
-            raise ValueError(f"dist bound must equal {expected_dist}, got {self.dist_bound}")
-        if self.norm_bound != self.dist_bound + self.start_bound:
-            raise ValueError(
-                f"norm bound must equal {self.dist_bound + self.start_bound}, got {self.norm_bound}"
-            )
 
-    @classmethod
-    def from_bounds(cls, start_bound: int, defect_sum_bound: int,
-                    perturbation_sum_bound: int) -> "InstanceConstants":
-        dist = start_bound * (1 + defect_sum_bound) + perturbation_sum_bound
-        return cls(start_bound, defect_sum_bound, perturbation_sum_bound, dist,
-                   dist + start_bound)
+    @property
+    def dist_bound(self) -> int:
+        """start_bound*(1 + defect_sum_bound) + perturbation_sum_bound."""
+        return self.start_bound * (1 + self.defect_sum_bound) + self.perturbation_sum_bound
+
+    @property
+    def norm_bound(self) -> int:
+        """dist_bound + start_bound."""
+        return self.dist_bound + self.start_bound
 
     @property
     def threshold_numerator(self) -> int:
@@ -103,8 +99,8 @@ def instance_constants(x, z, schedule: Schedule, norm: Callable) -> InstanceCons
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     b = max(1, ceil_int(max(norm(x - z), norm(z))))
-    return InstanceConstants.from_bounds(b, schedule.defect_series.bound,
-                                         schedule.perturbation_series.bound)
+    return InstanceConstants(b, schedule.defect_series.bound,
+                             schedule.perturbation_series.bound)
 
 
 def _guarded_quotient(numerator: int, denominator: float) -> int:
@@ -133,7 +129,7 @@ def weight_threshold_factored(constants: InstanceConstants, uc: UcModulus) -> Ra
     """k -> ceil( numerator*(k+1) / (2*eta_tilde(1/(dist_bound*(k+1)))) ).
 
     Needs the factorization eta(eps) = eps*eta_tilde(eps) with eta_tilde
-    increasing; rejected otherwise.
+    nondecreasing; a modulus without one is rejected.
     """
     if not uc.factored:
         raise ValueError(f"modulus {uc.name!r} carries no increasing factorization")

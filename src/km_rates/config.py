@@ -39,7 +39,6 @@ from .operators import (
     read_object,
 )
 from .schedules import (
-    Family,
     Schedule,
     Series,
     Stream,
@@ -59,15 +58,14 @@ _FORMATS = ("csv", "json")
 #: them and in the order they are parsed: of several bad params, the error
 #: names the first
 FAMILY_PARAMS = {
-    Family.INEXACT_KM.value: "beta, weight_divergence, perturbation?, perturbation_cauchy?, "
-                             "perturbation_sum_bound?",
-    Family.CLASSICAL_KM.value: "beta",
-    Family.ANCHOR.value: "base, u",
-    Family.EXAMPLE1.value: "lam, offset?, r_star?",
-    Family.EXAMPLE2.value: "lam, J?, offset?, r_star?",
-    Family.CUSTOM.value: "alpha, beta, perturbation?, defect_is_zero?, defect_cauchy?, "
-                         "weight_divergence, perturbation_cauchy?, defect_sum_bound?, "
-                         "perturbation_sum_bound?",
+    "inexact_km": "beta, weight_divergence, perturbation?, perturbation_cauchy?, "
+                  "perturbation_sum_bound?",
+    "classical_km": "beta",
+    "anchor": "base, u",
+    "example1": "lam, offset?, r_star?",
+    "example2": "lam, J?, offset?, r_star?",
+    "custom": "alpha, beta, perturbation?, defect_is_zero?, defect_cauchy?, weight_divergence, "
+              "perturbation_cauchy?, defect_sum_bound?, perturbation_sum_bound?",
 }
 
 
@@ -295,15 +293,15 @@ def build_schedule(family, params, space: Space, what: str) -> Schedule:
 
     try:
         params = read_object(params, f"{what}.params", FAMILY_PARAMS[family])
-        if family == Family.EXAMPLE1.value:
+        if family == "example1":
             schedule = make_example1(read_numbers(*param("lam")), read_int(*param("offset", 1), 1),
                                      r_star(), norm=space.norm)
-        elif family == Family.EXAMPLE2.value:
+        elif family == "example2":
             schedule = make_example2(read_numbers(*param("lam")), read_int(*param("J", 2), 2),
                                      read_int(*param("offset", 1), 1), r_star(), norm=space.norm)
-        elif family == Family.CLASSICAL_KM.value:
+        elif family == "classical_km":
             schedule = make_classical_km(read_numbers(*param("beta")))
-        elif family == Family.INEXACT_KM.value:
+        elif family == "inexact_km":
             beta = _sequence_spec(*param("beta"))
             divergence = _rate_spec(*param("weight_divergence"), RateKind.RATE_OF_DIVERGENCE)
             pert, pert_norm, series = _perturbation_spec(*param("perturbation"), space)
@@ -312,7 +310,7 @@ def build_schedule(family, params, space: Space, what: str) -> Schedule:
                                  bound=read_int(*param("perturbation_sum_bound"), 0))
             schedule = make_inexact_km(beta, divergence, None if series.zero else pert, series,
                                        perturbation_norm=pert_norm)
-        elif family == Family.ANCHOR.value:
+        elif family == "anchor":
             base = read_object(params.get("base"), f"{what}.params.base", "family, params?")
             base = build_schedule(base.get("family"), base.get("params"), space,
                                   f"{what}.params.base")
@@ -340,7 +338,6 @@ def build_schedule(family, params, space: Space, what: str) -> Schedule:
                 weight_divergence=divergence,
                 defect_series=defect,
                 perturbation_series=series,
-                family=Family.CUSTOM,
             )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -65,10 +65,6 @@ class Trajectory:
     norm_z: float
     fix_residual: float  # ||T(z) - z||, clamped to 0 below FIXED_POINT_TOL
 
-    @property
-    def streamed(self) -> bool:
-        return self.points is None
-
 
 def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             store_limit: int = DEFAULT_STORE_LIMIT) -> Trajectory:
@@ -171,19 +167,13 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
 
 @dataclass(frozen=True)
 class AuditViolation:
-    check: str
     index: int
     lhs: float
     rhs: float
 
-    @property
-    def excess(self) -> float:
-        return self.lhs - self.rhs
-
 
 @dataclass
 class AuditCheck:
-    name: str
     checked: int
     max_excess: float
     violations: List[AuditViolation] = field(default_factory=list)
@@ -196,7 +186,6 @@ class AuditCheck:
 @dataclass
 class AuditReport:
     horizon: int
-    tol: float
     checks: dict  # name -> AuditCheck
 
     @property
@@ -207,13 +196,10 @@ class AuditReport:
     def passed(self) -> bool:
         return self.total_violations == 0
 
-    def violations_for(self, name: str) -> List[AuditViolation]:
-        return self.checks[name].violations
-
     def to_dict(self) -> dict:
         return {
             "horizon": self.horizon,
-            "tol": self.tol,
+            "tol": AUDIT_TOL,
             "passed": self.passed,
             "total_violations": self.total_violations,
             "checks": {
@@ -231,24 +217,19 @@ class AuditReport:
         }
 
 
-def _collect(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float,
-             offset: int = 0) -> AuditCheck:
+def _collect(lhs: np.ndarray, rhs: np.ndarray) -> AuditCheck:
     excess = lhs - rhs
-    bad = np.nonzero(excess > tol)[0]
-    violations = [
-        AuditViolation(name, int(i) + offset, float(lhs[i]), float(rhs[i]))
-        for i in bad
-    ]
-    return AuditCheck(name=name, checked=int(lhs.size),
+    bad = np.nonzero(excess > AUDIT_TOL)[0]
+    violations = [AuditViolation(int(i), float(lhs[i]), float(rhs[i])) for i in bad]
+    return AuditCheck(checked=int(lhs.size),
                       max_excess=float(np.max(excess)) if lhs.size else 0.0,
                       violations=violations)
 
 
-def audit_inequalities(traj: Trajectory, constants: InstanceConstants,
-                       tol: float = AUDIT_TOL) -> AuditReport:
+def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditReport:
     """Check every bookkeeping inequality along the full trajectory.
 
-    Checked, each to the given absolute tolerance, writing findings into the
+    Checked, each to the absolute tolerance AUDIT_TOL, writing findings into the
     report (nothing raises):
 
     * step_to_anchor: ||x_{n+1}-z|| against the one-step anchor recursion
@@ -276,29 +257,22 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants,
     nz = traj.norm_z
     fr = traj.fix_residual
 
-    checks = {}
-    checks["step_to_anchor"] = _collect(
-        "step_to_anchor", dist[1:], (a + b) * dist[:-1] + b * fr + defect * nz + rn, tol)
-    checks["anchor_bound"] = _collect("anchor_bound", dist, K, tol)
-    checks["step_by_anchor"] = _collect("step_by_anchor", res_step, 2.0 * K[1:], tol)
-    checks["residual_by_dist"] = _collect(
-        "residual_by_dist", res_T, 2.0 * dist + fr, tol)
     chain = np.minimum(2.0 * dist, 2.0 * K)
-    checks["residual_chain"] = _collect("residual_chain", res_T, chain, tol)
-    checks["step_decomposition"] = _collect(
-        "step_decomposition", res_step, b * res_T[:-1] + defect * normx[:-1] + rn, tol)
-    checks["residual_increment"] = _collect(
-        "residual_increment", res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn,
-        tol)
-    checks["dist_bound"] = _collect(
-        "dist_bound", dist, np.full_like(dist, float(constants.dist_bound)), tol)
-    checks["norm_bound"] = _collect(
-        "norm_bound", normx, np.full_like(normx, float(constants.norm_bound)), tol)
-    checks["dist_by_sums"] = _collect(
-        "dist_by_sums", dist,
-        np.full_like(dist, dist[0] + constants.defect_sum_bound * nz
-                     + constants.perturbation_sum_bound), tol)
-    return AuditReport(horizon=traj.horizon, tol=tol, checks=checks)
+    sums = dist[0] + constants.defect_sum_bound * nz + constants.perturbation_sum_bound
+    checks = {
+        "step_to_anchor": _collect(dist[1:], (a + b) * dist[:-1] + b * fr + defect * nz + rn),
+        "anchor_bound": _collect(dist, K),
+        "step_by_anchor": _collect(res_step, 2.0 * K[1:]),
+        "residual_by_dist": _collect(res_T, 2.0 * dist + fr),
+        "residual_chain": _collect(res_T, chain),
+        "step_decomposition": _collect(res_step, b * res_T[:-1] + defect * normx[:-1] + rn),
+        "residual_increment": _collect(
+            res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
+        "dist_bound": _collect(dist, np.full_like(dist, float(constants.dist_bound))),
+        "norm_bound": _collect(normx, np.full_like(normx, float(constants.norm_bound))),
+        "dist_by_sums": _collect(dist, np.full_like(dist, sums)),
+    }
+    return AuditReport(horizon=traj.horizon, checks=checks)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-#: Default absolute tolerance for real-valued inequality checks.
+#: Absolute tolerance of the real-valued inequality checks.
 CHECK_TOL = 1e-10
 
 _SNAP_ULPS = 8.0
@@ -155,19 +155,18 @@ class UcModulus:
     """Modulus of uniform convexity eta: (0, 2] -> (0, 1].
 
     ``eta_tilde`` optionally carries the factorization eta(eps) = eps *
-    eta_tilde(eps); set ``tilde_increasing`` when eta_tilde is nondecreasing
-    (required by the quadratic-threshold route).
+    eta_tilde(eps), which the quadratic-threshold route uses; it must be
+    nondecreasing.
     """
 
     eta: Callable[[float], float]
     name: str = "custom"
     eta_tilde: Optional[Callable[[float], float]] = None
-    tilde_increasing: bool = False
     hilbert: bool = False
 
     @property
     def factored(self) -> bool:
-        return self.eta_tilde is not None and self.tilde_increasing
+        return self.eta_tilde is not None
 
     def eval(self, eps: float) -> float:
         if not 0.0 < eps <= 2.0:
@@ -203,7 +202,6 @@ def hilbert_modulus() -> UcModulus:
         eta=lambda e: e * e / 8.0,
         name="hilbert",
         eta_tilde=lambda e: e / 8.0,
-        tilde_increasing=True,
         hilbert=True,
     )
 
@@ -222,7 +220,6 @@ def lp_modulus(p: float) -> UcModulus:
         eta=lambda e: lp_convexity_modulus(p, e),
         name=f"lp({p})",
         eta_tilde=tilde,
-        tilde_increasing=True,
     )
 
 
@@ -314,7 +311,6 @@ def check_divergence_rate(
     summand: Callable,
     rate: RateFn,
     n_max: int,
-    tol: float = CHECK_TOL,
     window: Optional[int] = None,
 ) -> DivergenceReport:
     """Check a claimed divergence rate on [0, n_max].
@@ -336,7 +332,7 @@ def check_divergence_rate(
     terms = stream_values(summand, np.arange(max(values, default=-1) + 1))
     in_unit = bool(np.all((terms >= 0.0) & (terms < 1.0)))
     partials = np.cumsum(terms)[values]
-    sum_ok = partials >= np.arange(len(values)) - tol
+    sum_ok = partials >= np.arange(len(values)) - CHECK_TOL
     rows = [DivergenceRow(n=n, rate_value=rv, partial_sum=partial, sum_ok=ok,
                           growth_ok=(rv >= n) if in_unit else None)
             for n, (rv, partial, ok) in enumerate(zip(values, partials.tolist(),
@@ -350,7 +346,10 @@ class CauchyRow:
     start: int
     tail_gap: Optional[float]  # worst |S_{n+p} - S_n| witnessed/bounded, None if truncated
     ok: Optional[bool]
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        return self.ok is None
 
 
 @dataclass
@@ -386,7 +385,6 @@ def check_series_cauchy_modulus(
     k_max: int,
     window: int,
     tail_bound: Optional[Callable[[int], float]] = None,
-    tol: float = CHECK_TOL,
 ) -> CauchyReport:
     """Check a Cauchy modulus of a nonnegative series on a finite window.
 
@@ -401,7 +399,7 @@ def check_series_cauchy_modulus(
         raise ValueError(f"expected a Cauchy modulus, got kind {modulus.kind}")
     window = _as_index(window, "window")
     terms = stream_values(summand, np.arange(window + 1))
-    if np.any(terms < -tol):
+    if np.any(terms < -CHECK_TOL):
         raise ValueError("series summands must be nonnegative")
     sums = np.concatenate([[0.0], np.cumsum(terms)])  # sums[i] = sum of first i terms
     total = float(sums[window + 1])
@@ -415,7 +413,7 @@ def check_series_cauchy_modulus(
         elif tail_bound is not None:
             gap = float(tail_bound(start))
         else:
-            rows.append(CauchyRow(k, start, None, None, True))
+            rows.append(CauchyRow(k, start, None, None))
             continue
-        rows.append(CauchyRow(k, start, gap, bool(gap <= 1.0 / (k + 1) + tol), False))
+        rows.append(CauchyRow(k, start, gap, bool(gap <= 1.0 / (k + 1) + CHECK_TOL)))
     return CauchyReport(window=window, tail_bounded=tail_bound is not None, rows=rows)

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .moduli import UcModulus, _norm2, hilbert_modulus, lp_modulus
+from .moduli import UcModulus, _norm2, lp_modulus
 
 FIXED_POINT_TOL = 1e-12
 NONEXPANSIVE_TOL = 1e-12
@@ -42,7 +42,7 @@ class Space:
         return self.p == 2.0
 
     def uc_modulus(self) -> UcModulus:
-        return hilbert_modulus() if self.is_euclidean else lp_modulus(self.p)
+        return lp_modulus(self.p)
 
     def norm(self, v):
         """The p-norm along the last axis: a float for one vector, an array of
@@ -148,8 +148,8 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
 
     A projection entry stores T(p), with p ``near`` if given, else its
     ``nearest`` parameter, else the center / the origin; a declared
-    ``fixed_point`` replaces it.  The stored point's residual must be at
-    most ``FIXED_POINT_TOL``."""
+    ``fixed_point`` replaces it.  The stored point's norm must be finite and
+    its residual at most ``FIXED_POINT_TOL``."""
     entry = CATALOG.get(name)
     if entry is None:
         raise ValueError(f"unknown operator {name!r}; known: {catalog_names()}")
@@ -196,6 +196,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
         apply = R.dot
     elif name == "ball_projection":
         center = z = read("center", z)
+        squared_norm("center", center)
         radius = read("radius", 1.0, ())
         if radius <= 0.0:
             raise ValueError(f"ball radius must be positive, got {radius}")
@@ -244,11 +245,17 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
             raise ValueError("shrink factors must have magnitude at most 1")
         apply = lambda x, factors=factors: factors * x
 
+    source = (f"operator parameter {entry.nearest!r}" if entry.nearest in params
+              else f"operator {name!r}")
     if entry.nearest:
         z = apply(read(entry.nearest, z))
     if fixed_point is not None:
         z = read_numbers(fixed_point, "declared fixed point", (space.dim,))
+        source = "operator.fixed_point"
     z = np.array(z, dtype=float)
+    if not math.isfinite(space.norm(z)):
+        raise ValueError(f"the stored fixed point is too large: its norm overflows "
+                         f"(from {source})")
     residual = space.norm(apply(z) - z)
     if residual > FIXED_POINT_TOL:
         raise ValueError(f"stored point is not fixed for {name!r}: residual {residual:.3e}")

@@ -19,7 +19,6 @@ dimension), so a window of a schedule costs one call, not one per index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -43,6 +42,10 @@ Stream = Callable[[Union[int, np.ndarray]], Union[float, np.ndarray]]
 
 #: slack of the range check on the averaging weights
 RANGE_TOL = 1e-12
+#: the Cauchy contracts of the two series are checked for k <= HYPOTHESES_K_MAX
+HYPOTHESES_K_MAX = 20
+#: the divergence rate is checked for targets n <= DIVERGENCE_N_MAX at most
+DIVERGENCE_N_MAX = 2000
 
 
 def coupling_cap(lam: float) -> int:
@@ -50,15 +53,6 @@ def coupling_cap(lam: float) -> int:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"averaging weight must lie in (0, 1), got {lam}")
     return ceil_int(1.0 / (lam * (1.0 - lam)))
-
-
-class Family(Enum):
-    INEXACT_KM = "inexact_km"
-    CLASSICAL_KM = "classical_km"
-    ANCHOR = "anchor"
-    EXAMPLE1 = "example1"
-    EXAMPLE2 = "example2"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,6 @@ class Schedule:
     weight_divergence: RateFn
     defect_series: Series
     perturbation_series: Series
-    family: Family
 
     def defect(self, n):
         return 1.0 - self.alpha(n) - self.beta(n)
@@ -171,7 +164,6 @@ def make_example1(
                                         f"constant-weight coupling divergence (cap={cap})"),
         defect_series=ZERO_SERIES,
         perturbation_series=series,
-        family=Family.EXAMPLE1,
     )
 
 
@@ -202,7 +194,6 @@ def make_example2(
                                         f"shrinking-weight coupling divergence (cap={cap})"),
         defect_series=inverse_square_series(1.0, J),
         perturbation_series=series,
-        family=Family.EXAMPLE2,
     )
 
 
@@ -236,7 +227,6 @@ def make_inexact_km(
         weight_divergence=weight_divergence,
         defect_series=ZERO_SERIES,
         perturbation_series=perturbation_series,
-        family=Family.INEXACT_KM,
     )
 
 
@@ -248,7 +238,7 @@ def make_classical_km(beta: float) -> Schedule:
     k -> k*ceil(1/(beta*(1-beta))): the first k*cap+1 summands already add up
     to at least k.
     """
-    return replace(make_example1(beta), family=Family.CLASSICAL_KM)
+    return make_example1(beta)
 
 
 def make_anchor(base: Schedule, u, norm: Callable) -> Schedule:
@@ -276,7 +266,6 @@ def make_anchor(base: Schedule, u, norm: Callable) -> Schedule:
             defect.bound * cu,
             None if defect.tail is None else lambda m: nu * defect.tail(m),
             defect.zero),
-        family=Family.ANCHOR,
     )
 
 
@@ -349,18 +338,14 @@ class HypothesesReport:
         }
 
 
-def verify_hypotheses(
-    schedule: Schedule,
-    n_max: int,
-    k_max: int = 20,
-    tol: float = CHECK_TOL,
-) -> HypothesesReport:
+def verify_hypotheses(schedule: Schedule, n_max: int) -> HypothesesReport:
     """Check ranges (see :func:`range_findings`), modulus contracts and sum
     bounds on [0, n_max].
 
-    All findings land in the report; nothing raises.  Analytic tail bounds are
-    used for the two Cauchy contracts when the series provide them, otherwise
-    those contracts are checked on the window only.
+    All findings land in the report; nothing raises.  The two Cauchy
+    contracts are checked for k <= HYPOTHESES_K_MAX, with the analytic tail
+    bounds when the series provide them and on the window only otherwise; the
+    divergence rate for targets n <= min(n_max, DIVERGENCE_N_MAX).
     """
     ns = np.arange(n_max + 1)
     findings = range_findings(schedule, ns)
@@ -380,15 +365,15 @@ def verify_hypotheses(
         report = None
         window_sum = float(np.sum(values))
         if series.zero:
-            if float(np.max(size)) > tol:
+            if float(np.max(size)) > CHECK_TOL:
                 n_bad = int(np.argmax(size))
                 findings.append(Finding(f"{name}_zero", n_bad,
                                         f"{name} declared zero but nonzero at n={n_bad}"))
         else:
             if series_checked:
-                report = check_series_cauchy_modulus(summand, series.modulus, k_max, n_max,
-                                                     tail_bound=series.tail, tol=tol)
-            if window_sum > series.bound + tol:
+                report = check_series_cauchy_modulus(summand, series.modulus, HYPOTHESES_K_MAX,
+                                                     n_max, tail_bound=series.tail)
+            if window_sum > series.bound + CHECK_TOL:
                 findings.append(Finding(f"{name}_sum_bound", None,
                                         f"window {name} sum {window_sum} exceeds bound "
                                         f"{series.bound}"))
@@ -396,7 +381,7 @@ def verify_hypotheses(
         sums.append(window_sum)
 
     divergence_report = check_divergence_rate(
-        schedule.coupling_weight, schedule.weight_divergence, min(n_max, 2000), tol=tol,
+        schedule.coupling_weight, schedule.weight_divergence, min(n_max, DIVERGENCE_N_MAX),
         window=n_max)
 
     return HypothesesReport(

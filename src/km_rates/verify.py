@@ -42,13 +42,15 @@ def auto_horizon(rate_values: Iterable[int]) -> int:
 class SoundnessRow:
     k: int
     bound: int
-    quantity: str
     window: Optional[tuple]
     max_excess: Optional[float]
     passed: Optional[bool]
     empirical_first_index: Optional[int]
-    truncated: bool
     slack_factor: Optional[float]
+
+    @property
+    def truncated(self) -> bool:
+        return self.passed is None
 
 
 @dataclass
@@ -56,7 +58,6 @@ class SoundnessReport:
     quantity: str
     rate_description: str
     horizon: int
-    tol: float
     rows: List[SoundnessRow]
 
     @property
@@ -68,15 +69,12 @@ class SoundnessReport:
     def checked(self) -> int:
         return sum(1 for r in self.rows if not r.truncated)
 
-    def row(self, k: int) -> SoundnessRow:
-        return self.rows[k]
-
     def to_dict(self) -> dict:
         return {
             "quantity": self.quantity,
             "rate": self.rate_description,
             "horizon": self.horizon,
-            "tol": self.tol,
+            "tol": SOUNDNESS_TOL,
             "all_passed": self.all_passed,
             "checked": self.checked,
             "rows": [
@@ -103,17 +101,18 @@ def _first_quiet_index(suffix: np.ndarray, threshold: float) -> Optional[int]:
     return int(np.argmax(quiet))
 
 
-def empirical_first_index(traj: Trajectory, quantity: str, k: int,
-                          tol: float = SOUNDNESS_TOL) -> Optional[int]:
-    """Least index from which the quantity stays at or below 1/(k+1)+tol up to
-    the horizon; None when even the final entry is above."""
+def empirical_first_index(traj: Trajectory, quantity: str, k: int) -> Optional[int]:
+    """Least index from which the quantity stays at or below
+    1/(k+1)+SOUNDNESS_TOL up to the horizon; None when even the final entry is
+    above."""
     values = _series(traj, quantity)
-    return _first_quiet_index(_suffix_max(values), 1.0 / (k + 1) + tol)
+    return _first_quiet_index(_suffix_max(values), 1.0 / (k + 1) + SOUNDNESS_TOL)
 
 
-def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str, k_max: int,
-                         tol: float = SOUNDNESS_TOL) -> SoundnessReport:
-    """Verify quantity[n] <= 1/(k+1)+tol for all n in [rate(k), end] per k.
+def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
+                         k_max: int) -> SoundnessReport:
+    """Verify quantity[n] <= 1/(k+1)+SOUNDNESS_TOL for all n in [rate(k), end]
+    per k.
 
     ``end`` is the last defined index of the stream (horizon for res_T,
     horizon-1 for res_step); rows with rate(k) beyond it are truncated.
@@ -125,22 +124,20 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str, k_max: i
     for k in range(k_max + 1):
         bound = rate(k)
         threshold = 1.0 / (k + 1)
-        first = _first_quiet_index(suffix, threshold + tol)
+        first = _first_quiet_index(suffix, threshold + SOUNDNESS_TOL)
         if bound > last:
             rows.append(SoundnessRow(
-                k=k, bound=bound, quantity=quantity, window=None, max_excess=None,
-                passed=None, empirical_first_index=first, truncated=True,
-                slack_factor=None))
+                k=k, bound=bound, window=None, max_excess=None, passed=None,
+                empirical_first_index=first, slack_factor=None))
             continue
         max_excess = float(suffix[bound] - threshold)
-        passed = bool(max_excess <= tol)
+        passed = bool(max_excess <= SOUNDNESS_TOL)
         slack = float(bound) / max(1, first) if first is not None else None
         rows.append(SoundnessRow(
-            k=k, bound=bound, quantity=quantity, window=(bound, last),
-            max_excess=max_excess, passed=passed, empirical_first_index=first,
-            truncated=False, slack_factor=slack))
+            k=k, bound=bound, window=(bound, last), max_excess=max_excess, passed=passed,
+            empirical_first_index=first, slack_factor=slack))
     return SoundnessReport(quantity=quantity, rate_description=rate.description,
-                           horizon=traj.horizon, tol=tol, rows=rows)
+                           horizon=traj.horizon, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -150,13 +147,15 @@ class LiminfCell:
     bound: int
     witness: Optional[int]
     passed: Optional[bool]
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        return self.passed is None
 
 
 @dataclass
 class LiminfReport:
     horizon: int
-    quantity: str
     cells: List[LiminfCell]
 
     @property
@@ -167,16 +166,10 @@ class LiminfReport:
     def checked(self) -> int:
         return sum(1 for c in self.cells if not c.truncated)
 
-    def cell(self, k: int, L: int) -> LiminfCell:
-        for c in self.cells:
-            if c.k == k and c.L == L:
-                return c
-        raise KeyError((k, L))
-
     def to_dict(self) -> dict:
         return {
             "horizon": self.horizon,
-            "quantity": self.quantity,
+            "quantity": "res_T",
             "all_passed": self.all_passed,
             "checked": self.checked,
             "failures": [
@@ -187,11 +180,11 @@ class LiminfReport:
 
 
 def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
-                          L_max: int, quantity: str = "res_T") -> LiminfReport:
+                          L_max: int) -> LiminfReport:
     """Grid check of the witness property: some index in [L, modulus(k, L)]
-    has the quantity strictly below 1/(k+1).  Cells whose window end exceeds
-    the horizon are truncated."""
-    values = _series(traj, quantity)
+    has res_T strictly below 1/(k+1).  Cells whose window end exceeds the
+    horizon are truncated."""
+    values = traj.res_T
     last = len(values) - 1
     cells: List[LiminfCell] = []
     for k in range(k_max + 1):
@@ -199,9 +192,9 @@ def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
         for L in range(L_max + 1):
             bound = modulus(k, L)
             if bound > last:
-                cells.append(LiminfCell(k, L, bound, None, None, True))
+                cells.append(LiminfCell(k, L, bound, None, None))
                 continue
             hits = np.nonzero(values[L:bound + 1] < threshold)[0]
             witness = int(L + hits[0]) if hits.size else None
-            cells.append(LiminfCell(k, L, bound, witness, witness is not None, False))
-    return LiminfReport(horizon=traj.horizon, quantity=quantity, cells=cells)
+            cells.append(LiminfCell(k, L, bound, witness, witness is not None))
+    return LiminfReport(horizon=traj.horizon, cells=cells)

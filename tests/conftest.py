@@ -20,7 +20,7 @@ def example1_certificate(b, c):
     start bound b and ||r_star|| = c."""
     schedule = km.make_example1(0.5, 1, r_star=[float(c), 0.0] if c else None,
                                 norm=km.Space(dim=2).norm)
-    constants = km.InstanceConstants.from_bounds(b, 0, 2 * c)
+    constants = km.InstanceConstants(b, 0, 2 * c)
     return km.make_certificate(constants, schedule, km.hilbert_modulus())
 
 

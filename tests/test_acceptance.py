@@ -40,7 +40,7 @@ def test_criterion_1_hilbert_closed_form_exact():
     for b in (1, 2, 3):
         for d in range(4):
             for r in range(4):
-                c = InstanceConstants.from_bounds(b, d, r)
+                c = InstanceConstants(b, d, r)
                 float_path = km.weight_threshold_factored(c, HILBERT)
                 num = c.threshold_numerator
                 m0 = c.dist_bound
@@ -157,7 +157,7 @@ def test_criterion_5_inequality_audit(rotation_traj_35k, example2_ball_run):
     rot_space, rot_op = rotation_instance()[:2]
     corrupted = lemmas.corrupt_point(rot_space, rot_op, rot_traj, 50, magnitude=1.0)
     bad_audit = km.audit_inequalities(corrupted, rot_constants)
-    anchor = bad_audit.violations_for("anchor_bound")
+    anchor = bad_audit.checks["anchor_bound"].violations
     control_ok = len(anchor) == 1 and anchor[0].index == 50
 
     elapsed = time.perf_counter() - t0
@@ -213,7 +213,7 @@ def test_criterion_6_moduli_contracts():
                      km.make_classical_km(0.25)):
         sigma = schedule.weight_divergence
         if any(sigma(n) < n for n in range(1001)):
-            problems.append(f"divergence growth for {schedule.family}")
+            problems.append(f"divergence growth for {sigma.description}")
 
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 5.0

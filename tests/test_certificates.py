@@ -17,7 +17,7 @@ from km_rates.moduli import RateFn, RateKind, UcModulus
 from conftest import example1_certificate, example1_oracle, example2_oracle
 
 HILBERT = km.hilbert_modulus()
-CLASSICAL = km.make_certificate(InstanceConstants.from_bounds(1, 0, 0),
+CLASSICAL = km.make_certificate(InstanceConstants(1, 0, 0),
                                 km.make_classical_km(0.5), HILBERT)
 
 
@@ -26,13 +26,13 @@ def inexact_certificate(b, r, weight_divergence, perturbation_cauchy):
     perturbation sum bound r."""
     schedule = km.make_inexact_km(0.5, weight_divergence, None,
                                   km.Series(perturbation_cauchy, r))
-    return km.make_certificate(InstanceConstants.from_bounds(b, 0, r), schedule, HILBERT)
+    return km.make_certificate(InstanceConstants(b, 0, r), schedule, HILBERT)
 
 
 def example2_certificate(b, c):
     schedule = km.make_example2(0.5, 2, 1, r_star=[float(c), 0.0] if c else None,
                                 norm=km.Space(dim=2).norm)
-    return km.make_certificate(InstanceConstants.from_bounds(b, 2, 2 * c), schedule, HILBERT)
+    return km.make_certificate(InstanceConstants(b, 2, 2 * c), schedule, HILBERT)
 
 
 def test_instance_constants_basic():
@@ -49,19 +49,19 @@ def test_instance_constants_degenerate_start():
 
 
 def test_instance_constants_with_series_bounds():
-    c = InstanceConstants.from_bounds(1, 2, 2)
+    c = InstanceConstants(1, 2, 2)
     assert c.dist_bound == 5 and c.norm_bound == 6
 
 
 def test_instance_constants_validation():
     with pytest.raises(ValueError):
-        InstanceConstants(0, 0, 0, 0, 0)
+        InstanceConstants(0, 0, 0)
     with pytest.raises(ValueError):
-        InstanceConstants(1, 0, 0, 2, 3)  # dist bound must be 1
+        InstanceConstants(1, -1, 0)  # series bounds must be nonnegative
 
 
 def test_weight_threshold_hilbert_cubic():
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     thr = km.weight_threshold(c, HILBERT)
     for k in range(25):
         assert thr(k) == 16 * (k + 1) ** 3
@@ -69,7 +69,7 @@ def test_weight_threshold_hilbert_cubic():
 
 
 def test_weight_threshold_degenerate_modulus():
-    c = InstanceConstants.from_bounds(2, 1, 1)
+    c = InstanceConstants(2, 1, 1)
     flat = UcModulus(eta=lambda e: 1.0, name="flat")
     thr = km.weight_threshold(c, flat)
     num = c.threshold_numerator
@@ -78,19 +78,19 @@ def test_weight_threshold_degenerate_modulus():
 
 
 def test_weight_threshold_factored_quadratic():
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     thr = km.weight_threshold_factored(c, HILBERT)
     for k in range(25):
         assert thr(k) == 8 * (k + 1) ** 2
     half = UcModulus(eta=lambda e: e / 2.0, name="half",
-                     eta_tilde=lambda e: 0.5, tilde_increasing=True)
+                     eta_tilde=lambda e: 0.5)
     thr2 = km.weight_threshold_factored(c, half)
     for k in range(10):
         assert thr2(k) == c.threshold_numerator * (k + 1)
 
 
 def test_weight_threshold_factored_needs_factorization():
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     bare = UcModulus(eta=lambda e: e * e / 8.0, name="bare")
     with pytest.raises(ValueError):
         km.weight_threshold_factored(c, bare)
@@ -101,7 +101,7 @@ def test_hilbert_agreement_small_grid():
     for b in (1, 2, 3):
         for d in (0, 1, 2, 3):
             for r in (0, 1, 2, 3):
-                c = InstanceConstants.from_bounds(b, d, r)
+                c = InstanceConstants(b, d, r)
                 float_path = km.weight_threshold_factored(c, HILBERT)
                 closed = km.hilbert_threshold(c)
                 for k in range(0, 101, 7):
@@ -109,7 +109,7 @@ def test_hilbert_agreement_small_grid():
 
 
 def test_threshold_overflow_on_vanishing_modulus():
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     thr = km.weight_threshold(c, km.lp_modulus(400.0))
     with pytest.raises(CertificateOverflow):
         thr(1000)
@@ -123,7 +123,7 @@ def test_residual_rate_classical_km_values():
 
 
 def test_residual_rate_degenerate_moduli():
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     identity_rate = RateFn.affine(1, 0, RateKind.RATE_OF_DIVERGENCE)
     zero_thr = RateFn.constant(0, RateKind.THRESHOLD)
     rate = km.rate_from_liminf(make_liminf_modulus(zero_thr, identity_rate),
@@ -143,7 +143,7 @@ def test_step_rate_is_residual_at_doubled_index():
 
 
 def test_liminf_modulus_values():
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     sigma2 = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
     delta = make_liminf_modulus(km.weight_threshold(c, HILBERT), sigma2)
     assert delta(0, 0) == 64  # 4 * 16
@@ -227,7 +227,7 @@ def test_example2_validation():
 
 def test_general_certificate_routes():
     s = km.make_classical_km(0.5)
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     auto = km.make_certificate(c, s, HILBERT)
     assert auto.formula is FormulaTag.HILBERT
     # cross-check: the double-precision factored route gives the same rates
@@ -247,7 +247,7 @@ def test_general_certificate_routes():
 
 
 def test_select_threshold_prefers_closed_form():
-    c = InstanceConstants.from_bounds(1, 0, 0)
+    c = InstanceConstants(1, 0, 0)
     thr, tag = select_threshold(c, HILBERT)
     assert tag is FormulaTag.HILBERT
     thr_lp, tag_lp = select_threshold(c, km.lp_modulus(3.0))
@@ -286,7 +286,7 @@ def test_certificate_monotone_in_instance_bounds():
             prev = value
         prev = None
         for d in (0, 1, 2, 3):
-            c = InstanceConstants.from_bounds(2, d, 1)
+            c = InstanceConstants(2, d, 1)
             s = km.make_example2(0.5, J=2)
             cert = km.make_certificate(c, s, HILBERT)
             value = cert.residual_rate(k)
@@ -321,7 +321,7 @@ def test_certificate_table_serialization():
 @given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 4), st.integers(0, 300))
 @settings(max_examples=150, deadline=None)
 def test_hilbert_closed_form_property(b, d, r, k):
-    c = InstanceConstants.from_bounds(b, d, r)
+    c = InstanceConstants(b, d, r)
     assert km.weight_threshold_factored(c, HILBERT)(k) == km.hilbert_threshold(c)(k)
 
 
@@ -329,7 +329,7 @@ def test_hilbert_closed_form_property(b, d, r, k):
 @settings(max_examples=80, deadline=None)
 def test_step_rate_composition_property(k):
     s = km.make_example2(0.5, J=2)
-    c = InstanceConstants.from_bounds(2, 2, 0)
+    c = InstanceConstants(2, 2, 0)
     cert = km.make_certificate(c, s, HILBERT)
     assert cert.step_rate(k) == cert.residual_rate(2 * k + 1)
 
@@ -356,10 +356,10 @@ def test_family_certificates_match_paper_closed_forms(family, b, c, lam, J, p, k
     cert = km.assemble(km.RunConfig.from_dict(doc)).certificate
     cap = km.coupling_cap(lam)
     if family == "example1":
-        constants = InstanceConstants.from_bounds(b, 0, 2 * c)
+        constants = InstanceConstants(b, 0, 2 * c)
         residual, step = example1_oracle(cert.threshold, cap, c)
     else:
-        constants = InstanceConstants.from_bounds(b, 2, 2 * c)
+        constants = InstanceConstants(b, 2, 2 * c)
         residual, step = example2_oracle(cert.threshold, cap, b, c)
     assert cert.constants == constants
     if p is None:

@@ -13,6 +13,7 @@ from km_rates.cli import main
 from km_rates.engine import DEFAULT_STORE_LIMIT
 
 from conftest import example2_ball_config
+from malformed_configs import CONFIG_VALUES, MISSPELT_PARAMS, OPERATOR_PARAMS
 
 
 def rotation_config(out_dir, **run):
@@ -147,73 +148,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("changes,key", [
-    ({"start": ["x", 0.0]}, "start"),
-    ({"operator": {"name": "rotation", "params": {"angle_deg": 90.0}, "fixed_point": [0, "y"]}},
-     "operator.fixed_point"),
-    ({"space": {"dim": True, "norm": "euclidean"}, "operator": {"name": "identity"},
-      "start": [1.0]}, "space.dim"),
-    ({"run": {"horizon": True, "k_max": 3}}, "run.horizon"),
-    ({"run": {"horizon": 20, "k_max": True}}, "run.k_max"),
-    ({"operator": {"name": "rotation", "params": {"axes": 5}}}, "'axes'"),
-    ({"operator": {"name": "rotation", "params": {"angle": None}}}, "'angle'"),
-    ({"start": ["1", 0.0]}, "start"),
-    ({"operator": {"name": "rotation", "params": {"angle_deg": 90.0}, "fixed_point": ["0", 0]}},
-     "operator.fixed_point"),
-    ({"schedule": {"family": "classical_km", "params": {"beta": "0.5"}}},
-     "schedule.params.beta"),
-    ({"schedule": {"family": "example1", "params": {"lam": "0.5"}}}, "schedule.params.lam"),
-    ({"schedule": {"family": "example1", "params": {"lam": 0.5, "r_star": ["1", 0.0]}}},
-     "schedule.params.r_star"),
-    ({"schedule": {"family": "example2", "params": {"lam": 0.5, "r_star": [1.0]}}},
-     "schedule.params.r_star"),
-    ({"schedule": {"family": "anchor", "params": {
-        "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [True, 0.0]}}},
-     "schedule.params.u"),
-    ({"schedule": {"family": "anchor", "params": {
-        "base": {"family": "example2", "params": {"lam": 0.5}}}}}, "schedule.params.u"),
-    ({"schedule": {"family": "inexact_km", "params": {
-        "beta": {"const": "0.5"}, "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
-     "schedule.params.beta.const"),
-    ({"schedule": {"family": "custom", "params": {
-        "alpha": {"values": [0.5, "0.5"]}, "beta": 0.5, "defect_is_zero": True,
-        "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
-     "schedule.params.alpha.values"),
-    ({"schedule": {"family": "example2", "params": {"lam": 0.5, "J": 2.7}}}, "schedule.params.J"),
-    ({"schedule": {"family": "example1", "params": {"lam": 0.5, "offset": "2"}}},
-     "schedule.params.offset"),
-    ({"schedule": {"family": "example1", "params": {"lam": 0.5, "offset": 1.5}}},
-     "schedule.params.offset"),
-    ({"schedule": {"family": "custom", "params": {
-        "alpha": 0.5, "beta": 0.5, "defect_is_zero": "no",
-        "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
-     "schedule.params.defect_is_zero"),
-    ({"space": [2]}, "space"),
-    ({"schedule": ["example1"]}, "schedule"),
-    ({"schedule": {"family": "inexact_km", "params": [0.5]}}, "schedule.params"),
-    ({"schedule": {"family": "anchor", "params": {
-        "base": {"family": "inexact_km", "params": [0.5]}, "u": [1.0, 0.0]}}},
-     "schedule.params.base.params"),
-    ({"certificate": {"formula": "auto", "overrides": 5}}, "certificate.overrides"),
-    ({"schedule": {"family": "inexact_km", "params": {
-        "beta": 0.5, "weight_divergence": {"affine": [4, 0]}}}},
-     "schedule.params.weight_divergence.affine"),
-    ({"operator": {"name": "rotation", "params": [90.0]}}, "operator.params"),
-    ({"space": {"dim": 2, "norm": "lp", "p": math.inf},
-      "operator": {"name": "coordinate_shrink", "params": {"factors": [0.5, 0.5]}}}, "space.p"),
-    ({"start": [1e308, 0.0]}, "instance bounds are not representable"),
-    ({"start": [10 ** 400, 0.0]}, "start"),
-    ({"output": {"formats": 5}}, "output.formats"),
-    ({"certificate": {"formula": ["auto"]}}, "certificate.formula"),
-    ({"schedule": {"family": ["example1"], "params": {}}}, "schedule.family"),
-], ids=["start-string", "fixed-point-string", "dim-true", "horizon-true", "k_max-true",
-        "axes-int", "angle-null", "start-numeric-string", "fixed-point-numeric-string",
-        "beta-string", "lam-string", "r_star-string", "r_star-short", "u-true", "u-missing",
-        "const-string", "values-string", "J-fractional", "offset-string", "offset-fractional",
-        "defect_is_zero-string", "space-list", "schedule-list", "schedule-params-list",
-        "base-params-list", "overrides-int", "affine-list", "operator-params-list",
-        "p-infinity", "start-huge", "start-huge-int", "formats-int", "formula-list",
-        "family-list"])
+@pytest.mark.parametrize("changes,key", CONFIG_VALUES.values(), ids=CONFIG_VALUES)
 def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, changes, key):
     doc = dict(rotation_config(tmp_path / "out"), **changes)
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
@@ -221,24 +156,7 @@ def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, changes, key):
     assert err.startswith("config error: ") and key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name,params,key", [
-    ("rotation", {"axes": [True, 0]}, "axes"),
-    ("rotation", {"axes": [0.7, 1.2]}, "axes"),
-    ("rotation", {"axes": 5}, "axes"),
-    ("rotation", {"angle_deg": True}, "angle_deg"),
-    ("rotation", {"angle": None}, "angle"),
-    ("rotation", {"angel_deg": 30.0}, "angel_deg"),
-    ("ball_projection", {"radius": True}, "radius"),
-    ("ball_projection", {"radius": "2"}, "radius"),
-    ("ball_projection", {"center": [True, False]}, "center"),
-    ("halfspace_projection", {"normal": [1.0, 0.0], "offset": True}, "offset"),
-    ("ball_projection", {"radius": math.nan}, "radius"),
-    ("ball_projection", {"center": [math.inf, 0.0]}, "center"),
-    ("halfspace_projection", {"normal": [1e308, 0.0]}, "normal"),
-    ("affine_avg", {"matrix": [[0.5, 0.0], [0.0, 0.5]], "shift": [1e308, 0.0]}, "shift"),
-], ids=["axes-true", "axes-fractional", "axes-int", "angle_deg-true", "angle-null",
-        "misspelt-key", "radius-true", "radius-string", "center-true", "offset-true",
-        "radius-nan", "center-infinity", "normal-overflow", "shift-overflow"])
+@pytest.mark.parametrize("name,params,key", OPERATOR_PARAMS.values(), ids=OPERATOR_PARAMS)
 def test_operator_params_of_the_wrong_type_exit_2(tmp_path, capsys, name, params, key):
     doc = dict(rotation_config(tmp_path / "out"), operator={"name": name, "params": params})
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
@@ -398,7 +316,7 @@ def test_catalog_families_all_assemble(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
     families = [line.split()[0] for line in out.split("schedule families:\n")[1].splitlines()]
-    assert sorted(families) == sorted(f.value for f in km.Family)
+    assert sorted(families) == sorted(MINIMAL_SCHEDULES)
     for family in families:
         doc = rotation_config("out")
         doc["schedule"] = {"family": family, "params": MINIMAL_SCHEDULES.get(family)}
@@ -406,13 +324,10 @@ def test_catalog_families_all_assemble(capsys):
         assert instance.certificate.residual_rate(0) > 0, family
 
 
-@pytest.mark.parametrize("family,key", [
-    ("example1", "ofset"), ("example2", "r_str"), ("classical_km", "bta"),
-    ("inexact_km", "perturbaton"), ("anchor", "j"), ("custom", "perturbaton")])
-def test_schedule_params_with_an_unknown_key_exit_2(tmp_path, capsys, family, key):
-    params = json.loads(json.dumps(MINIMAL_SCHEDULES[family]))
-    # the anchor's key is misspelt in its base schedule
-    (params["base"]["params"] if family == "anchor" else params)[key] = 1.0
+@pytest.mark.parametrize("family,params,key",
+                         [(family, *case) for family, case in MISSPELT_PARAMS.items()],
+                         ids=[f"{family}-{key}" for family, (_, key) in MISSPELT_PARAMS.items()])
+def test_schedule_params_with_an_unknown_key_exit_2(tmp_path, capsys, family, params, key):
     doc = dict(rotation_config(tmp_path / "out"), schedule={"family": family, "params": params})
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err

@@ -73,7 +73,7 @@ def test_audit_flags_corrupted_point():
     traj = km.iterate(space, op, start, schedule, 200)
     bad = lemmas.corrupt_point(space, op, traj, 50, magnitude=1.0)
     audit = km.audit_inequalities(bad, constants)
-    anchor = audit.violations_for("anchor_bound")
+    anchor = audit.checks["anchor_bound"].violations
     assert len(anchor) == 1
     assert anchor[0].index == 50
     assert not audit.passed
@@ -110,7 +110,7 @@ def test_streaming_mode_drops_points_but_keeps_audit():
     space, op, start, schedule, constants, _ = rotation_instance()
     full = km.iterate(space, op, start, schedule, 400)
     lean = km.iterate(space, op, start, schedule, 400, store_limit=100)
-    assert lean.streamed and lean.points is None
+    assert lean.points is None
     assert np.array_equal(full.res_T, lean.res_T)
     audit = km.audit_inequalities(lean, constants)
     assert audit.passed

@@ -5,7 +5,7 @@ import pytest
 
 import km_rates as km
 from km_rates.moduli import RateFn, RateKind
-from km_rates.schedules import Family, constant_stream
+from km_rates.schedules import DIVERGENCE_N_MAX, HYPOTHESES_K_MAX, constant_stream
 
 PLANE = km.Space(dim=2)
 SPACE3 = km.Space(dim=3)
@@ -32,7 +32,6 @@ def test_example_params_validation():
 
 def test_example1_unperturbed():
     s = km.make_example1(0.5)
-    assert s.family is Family.EXAMPLE1
     assert s.defect_series.zero and s.perturbation_series.zero
     assert s.defect_series.bound == 0 and s.perturbation_series.bound == 0
     assert [s.weight_divergence(k) for k in range(3)] == [0, 4, 8]
@@ -93,7 +92,6 @@ def test_inexact_km_coupling_identity():
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.7])
 def test_classical_km_is_example1_without_perturbation(beta):
     classical, example1 = km.make_classical_km(beta), km.make_example1(beta)
-    assert classical.family is Family.CLASSICAL_KM
     ns = np.arange(1000, 1300)
     for name in ("alpha", "beta", "perturbation_norm"):
         assert np.array_equal(getattr(classical, name)(ns), getattr(example1, name)(ns)), name
@@ -120,7 +118,6 @@ def test_example2_defect_is_inverse_square_series(J):
 
 def test_classical_km_is_inexact_with_zero_perturbation():
     s = km.make_classical_km(0.5)
-    assert s.family is Family.CLASSICAL_KM
     assert s.defect_series.zero and s.perturbation_series.zero
     assert s.perturbation_series.bound == 0
     assert [s.weight_divergence(k) for k in range(3)] == [0, 4, 8]
@@ -132,7 +129,6 @@ def test_classical_km_is_inexact_with_zero_perturbation():
 def test_make_anchor_from_example2_core():
     base = km.make_example2(0.5, J=2)
     s = km.make_anchor(base, [1.0, 0.0, 0.0], norm=SPACE3.norm)
-    assert s.family is Family.ANCHOR
     assert s.perturbation_series.bound == 2  # base bound 2 * ceil(1)
     for k in range(10):
         assert s.perturbation_series.modulus(k) == base.defect_series.modulus(k)
@@ -230,8 +226,7 @@ def test_verify_hypotheses_flags_wrong_sum_bound():
         perturbation_norm=s.perturbation_norm,
         weight_divergence=s.weight_divergence,
         defect_series=km.Series(s.defect_series.modulus, 0, s.defect_series.tail),
-        perturbation_series=km.Series(s.perturbation_series.modulus, 0, zero=True),
-        family=Family.CUSTOM)
+        perturbation_series=km.Series(s.perturbation_series.modulus, 0, zero=True))
     report = km.verify_hypotheses(bad, 200)
     assert any(f.check == "defect_sum_bound" for f in report.findings)
 
@@ -274,3 +269,12 @@ def test_schedule_report_serializes():
     doc = report.to_dict()
     assert doc["passed"] is True
     assert doc["coupling_divergence"]["passed"] is True
+
+
+def test_verify_hypotheses_caps():
+    # a long window: the divergence targets stop at DIVERGENCE_N_MAX and the
+    # Cauchy contracts at HYPOTHESES_K_MAX
+    report = km.verify_hypotheses(km.make_example2(0.5), 10_000)
+    assert report.passed and report.window == 10_000
+    assert report.divergence_report.n_max == DIVERGENCE_N_MAX == 2000
+    assert len(report.defect_report.rows) == HYPOTHESES_K_MAX + 1 == 21

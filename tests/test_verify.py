@@ -18,7 +18,7 @@ def test_soundness_rotation_passes(rotation_run):
     report = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 5)
     assert report.all_passed
     assert report.checked == 6
-    row = report.row(0)
+    row = report.rows[0]
     assert row.bound == 132
     assert row.window == (132, 5000)
     assert row.max_excess <= 1e-9
@@ -112,7 +112,7 @@ def test_liminf_negative_control(rotation_run):
     traj, _, _ = rotation_run
     lazy = km.LiminfModulus(lambda k, L: L)
     report = km.check_liminf_contract(traj, lazy, 4, 4)
-    cell = report.cell(2, 0)
+    cell = next(c for c in report.cells if (c.k, c.L) == (2, 0))
     assert cell.passed is False  # res_T[0] = sqrt(2) >= 1/3
     assert not report.all_passed
 

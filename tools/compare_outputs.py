@@ -51,6 +51,10 @@ def _rotation(horizon=2000, k_max=3, **changes) -> dict:
 def _test_suite_jobs() -> list:
     """(name, config document or None, argv after the config) as the tests
     run them, plus config-parse edges; a document None runs the argv alone."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from malformed_configs import (CONFIG_VALUES, CUSTOM, INEXACT, INVERSE_SQUARE,
+                                   MISSPELT_PARAMS, OPERATOR_PARAMS)
+
     out_of_range = _rotation(50, schedule={"family": "custom", "params": {
         "alpha": {"const": 0.5},
         "beta": {"values": [0.5, 0.5, 0.5, 0.5, 0.5, 1.2], "then": 0.5},
@@ -75,12 +79,6 @@ def _test_suite_jobs() -> list:
                      start=[2.0, 0.0, 0.0],
                      schedule={"family": "example2", "params": {
                          "lam": 0.5, "J": 2, "offset": 1, "r_star": None}})
-    custom = {"alpha": 0.5, "beta": 0.5, "perturbation": {"zero": True}, "defect_is_zero": True,
-              "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}
-    inverse_square = {"inverse_square": {"r_star": [0.5, 0.0], "offset": 2}}
-    inexact = {"beta": 0.5, "weight_divergence": {"affine": {"slope": 4, "intercept": 0}},
-               "perturbation": inverse_square,
-               "perturbation_cauchy": {"affine": {"slope": 1, "intercept": 1}}}
     # multi-block trajectories of the two matrix operators: three blocks of
     # 256 points and a partial one
     rng = np.random.default_rng(6)
@@ -111,101 +109,27 @@ def _test_suite_jobs() -> list:
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
         ("custom-zero-perturbation-bound", "custom",
-         dict(custom, perturbation_sum_bound=3), "verify"),
-        ("custom-zero-defect-bound", "custom", dict(custom, defect_sum_bound=2), "verify"),
-        ("inexact-missing-bound", "inexact_km", inexact, "certify"),
+         dict(CUSTOM, perturbation_sum_bound=3), "verify"),
+        ("custom-zero-defect-bound", "custom", dict(CUSTOM, defect_sum_bound=2), "verify"),
+        ("inexact-missing-bound", "inexact_km", INEXACT, "certify"),
         ("custom-bad-alpha-and-modulus", "custom",
-         dict(custom, alpha="x", perturbation=inverse_square,
+         dict(CUSTOM, alpha="x", perturbation=INVERSE_SQUARE,
               perturbation_cauchy={"const": 1.5}), "certify"),
         ("anchor-over-inexact", "anchor",
-         {"base": {"family": "inexact_km", "params": dict(inexact, perturbation_sum_bound=2)},
+         {"base": {"family": "inexact_km", "params": dict(INEXACT, perturbation_sum_bound=2)},
           "u": [1.0, 0.0]}, "verify"),
     ]
-    # config values of the wrong JSON type or shape, non-finite numbers,
-    # operator vectors whose squared norm overflows, keys an operator entry or
-    # a schedule family does not accept, and an r_star whose series sum leaves
-    # the double range
-    wrong_types = {
-        "start-string": {"start": ["x", 0.0]},
-        "fixed-point-string": {"operator": {"name": "rotation", "params": {"angle_deg": 90.0},
-                                            "fixed_point": [0, "y"]}},
-        "dim-true": {"space": {"dim": True, "norm": "euclidean"},
-                     "operator": {"name": "identity"}, "start": [1.0]},
-        "horizon-true": {"run": {"horizon": True, "k_max": 3}},
-        "k_max-true": {"run": {"horizon": 20, "k_max": True}},
-        "axes-int": {"operator": {"name": "rotation", "params": {"axes": 5}}},
-        "angle-null": {"operator": {"name": "rotation", "params": {"angle": None}}},
-        "offset-true": {"schedule": {"family": "example1",
-                                     "params": {"lam": 0.5, "offset": True}}},
-        "axes-true": {"operator": {"name": "rotation", "params": {"axes": [True, 0]}}},
-        "axes-fractional": {"operator": {"name": "rotation", "params": {"axes": [0.7, 1.2]}}},
-        "angle_deg-true": {"operator": {"name": "rotation", "params": {"angle_deg": True}}},
-        "misspelt-key": {"operator": {"name": "rotation", "params": {"angel_deg": 30.0}}},
-        "radius-true": {"operator": {"name": "ball_projection", "params": {"radius": True}}},
-        "radius-string": {"operator": {"name": "ball_projection", "params": {"radius": "2"}}},
-        "center-true": {"operator": {"name": "ball_projection",
-                                     "params": {"center": [True, False]}}},
-        "halfspace-offset-true": {"operator": {"name": "halfspace_projection",
-                                               "params": {"normal": [1.0, 0.0], "offset": True}}},
-        "start-numeric-string": {"start": ["1", 0.0]},
-        "fixed-point-numeric-string": {"operator": {"name": "rotation", "params": {},
-                                                    "fixed_point": ["0", 0]}},
-        "beta-string": {"schedule": {"family": "classical_km", "params": {"beta": "0.5"}}},
-        "lam-string": {"schedule": {"family": "example1", "params": {"lam": "0.5"}}},
-        "r_star-string": {"schedule": {"family": "example1",
-                                       "params": {"lam": 0.5, "r_star": ["1", 0.0]}}},
-        "r_star-short": {"schedule": {"family": "example2",
-                                      "params": {"lam": 0.5, "r_star": [1.0]}}},
-        "u-true": {"schedule": {"family": "anchor", "params": {
-            "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [True, 0.0]}}},
-        "u-missing": {"schedule": {"family": "anchor", "params": {
-            "base": {"family": "example2", "params": {"lam": 0.5}}}}},
-        "const-string": {"schedule": {"family": "inexact_km", "params": {
-            "beta": {"const": "0.5"},
-            "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}}},
-        "values-string": {"schedule": {"family": "custom", "params": dict(
-            custom, alpha={"values": [0.5, "0.5"]})}},
-        "J-fractional": {"schedule": {"family": "example2", "params": {"lam": 0.5, "J": 2.7}}},
-        "offset-string": {"schedule": {"family": "example1",
-                                       "params": {"lam": 0.5, "offset": "2"}}},
-        "offset-fractional": {"schedule": {"family": "example1",
-                                           "params": {"lam": 0.5, "offset": 1.5}}},
-        "defect_is_zero-string": {"schedule": {"family": "custom", "params": dict(
-            custom, defect_is_zero="no")}},
-        "space-list": {"space": [2]},
-        "schedule-list": {"schedule": ["example1"]},
-        "schedule-params-list": {"schedule": {"family": "inexact_km", "params": [0.5]}},
-        "base-params-list": {"schedule": {"family": "anchor", "params": {
-            "base": {"family": "inexact_km", "params": [0.5]}, "u": [1.0, 0.0]}}},
-        "overrides-int": {"certificate": {"formula": "auto", "overrides": 5}},
-        "affine-list": {"schedule": {"family": "inexact_km", "params": dict(
-            inexact, weight_divergence={"affine": [4, 0]})}},
-        "operator-params-list": {"operator": {"name": "rotation", "params": [90.0]}},
-        "p-infinity": {"space": {"dim": 2, "norm": "lp", "p": float("inf")},
-                       "operator": {"name": "coordinate_shrink",
-                                    "params": {"factors": [0.5, 0.5]}}},
-        "start-huge-int": {"start": [10 ** 400, 0.0]},
-        "formats-int": {"output": {"directory": "out", "formats": 5}},
-        "formula-list": {"certificate": {"formula": ["auto"]}},
-        "family-list": {"schedule": {"family": ["example1"], "params": {}}},
-        "radius-nan": {"operator": {"name": "ball_projection", "params": {"radius": float("nan")}}},
-        "center-infinity": {"operator": {"name": "ball_projection",
-                                         "params": {"center": [float("inf"), 0.0]}}},
-        "normal-overflow": {"operator": {"name": "halfspace_projection",
-                                         "params": {"normal": [1e308, 0.0]}}},
-        "shift-overflow": {"operator": {"name": "affine_avg", "params": {
-            "matrix": [[0.5, 0.0], [0.0, 0.5]], "shift": [1e308, 0.0]}}},
-    }
-    # one misspelt schedule param per family; the anchor's is in its base
-    misspelt = {"example1": {"lam": 0.5, "ofset": 1}, "example2": {"lam": 0.5, "r_str": None},
-                "classical_km": {"beta": 0.5, "bta": 0.5},
-                "inexact_km": {"beta": 0.5, "weight_divergence": inexact["weight_divergence"],
-                               "perturbaton": inverse_square},
-                "anchor": {"base": {"family": "example2", "params": {"lam": 0.5, "j": 3}},
-                           "u": [1.0, 0.0]},
-                "custom": dict(custom, perturbaton=inverse_square)}
+    # the malformed configs of the test suite: values of the wrong JSON type or
+    # shape, non-finite numbers, operator vectors whose squared norm overflows,
+    # and keys an operator entry or a schedule family does not accept; the
+    # cases the two tables share are one job
+    wrong_types = {name: changes for name, (changes, _) in CONFIG_VALUES.items()}
+    for name, (op, params, _) in OPERATOR_PARAMS.items():
+        changes = {"operator": {"name": op, "params": params}}
+        if wrong_types.setdefault(name, changes) != changes:
+            raise ValueError(f"two different malformed configs are named {name!r}")
     wrong_types.update({f"misspelt-{family}": {"schedule": {"family": family, "params": params}}
-                        for family, params in misspelt.items()})
+                        for family, (params, _) in MISSPELT_PARAMS.items()})
     # every catalog entry under each operator.fixed_point choice: (params, a
     # declared vector that is fixed, one that is not); the identity fixes all
     q3 = [[0.5, -0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 0.75]]
