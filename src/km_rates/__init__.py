@@ -39,7 +39,6 @@ from .operators import (
 from .certificates import (
     Certificate,
     CertificateOverflow,
-    FormulaTag,
     InstanceConstants,
     hilbert_threshold,
     instance_constants,

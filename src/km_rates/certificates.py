@@ -8,16 +8,16 @@ machinery produces three naturals-to-naturals functions:
 * ``step_rate``       a rate of convergence of ||x_{n+1} - x_n|| to 0,
 
 plus a liminf modulus locating a residual dip inside any window.  All values
-are exact integers; the only double-precision step is the evaluation of the
-uniform-convexity modulus inside the threshold quotient, whose ceiling is
-snap-guarded (see :func:`km_rates.moduli.ceil_int`).  Larger pointwise values
-stay valid rates, so conservative upward rounding is always sound.
+are integers.  Double precision enters through the instance bounds and the
+convexity modulus in the threshold quotient of the "general" and "factored"
+routes; their ceilings are snap-guarded (see :func:`km_rates.moduli.ceil_int`).
+Larger pointwise values stay valid rates, so rounding up is sound, but the
+snap can round down: for p != 2 a threshold can be one below its exact ceiling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, List
 
 import numpy as np
@@ -29,6 +29,7 @@ from .moduli import (
     UcModulus,
     ceil_int,
     combine_cauchy_moduli,
+    hilbert_modulus,
     rate_from_liminf,
 )
 from .schedules import Schedule
@@ -37,14 +38,6 @@ from .schedules import Schedule
 class CertificateOverflow(RuntimeError):
     """Certificate arithmetic left the finite range (for example the convexity
     modulus underflowed to zero)."""
-
-
-class FormulaTag(Enum):
-    """The threshold route a certificate was built along."""
-
-    GENERAL = "general"
-    FACTORED = "factored"
-    HILBERT = "hilbert"
 
 
 @dataclass(frozen=True)
@@ -153,20 +146,28 @@ def hilbert_threshold(constants: InstanceConstants) -> RateFn:
     )
 
 
+#: route name -> threshold lemma (constants, modulus); a certificate carries
+#: the name of its route
+THRESHOLD_ROUTES = {
+    "general": weight_threshold,
+    "factored": weight_threshold_factored,
+    "hilbert": lambda constants, uc: hilbert_threshold(constants),
+}
+
+
 def select_threshold(constants: InstanceConstants, uc: UcModulus, route: str = "auto"):
-    """Threshold along ``route`` ("general", "factored", "hilbert"); "auto"
-    picks the sharpest valid form for the modulus at hand."""
+    """(threshold, route name) along ``route``, a key of
+    :data:`THRESHOLD_ROUTES`; "auto" picks the sharpest valid form for the
+    modulus at hand.  Only :func:`hilbert_modulus` itself, tested by
+    identity, takes the "hilbert" route."""
+    euclidean = uc is hilbert_modulus()
     if route == "auto":
-        route = "hilbert" if uc.hilbert else "factored" if uc.factored else "general"
-    if route == "general":
-        return weight_threshold(constants, uc), FormulaTag.GENERAL
-    if route == "factored":
-        return weight_threshold_factored(constants, uc), FormulaTag.FACTORED
-    if route == "hilbert":
-        if not uc.hilbert:
-            raise ValueError("the Euclidean closed form needs the Euclidean modulus")
-        return hilbert_threshold(constants), FormulaTag.HILBERT
-    raise ValueError(f"unknown threshold route {route!r}")
+        route = "hilbert" if euclidean else "factored" if uc.factored else "general"
+    if route not in THRESHOLD_ROUTES:
+        raise ValueError(f"unknown threshold route {route!r}")
+    if route == "hilbert" and not euclidean:
+        raise ValueError("the Euclidean closed form needs the Euclidean modulus")
+    return THRESHOLD_ROUTES[route](constants, uc), route
 
 
 def make_step_rate(residual_rate: RateFn) -> RateFn:
@@ -188,7 +189,7 @@ def make_liminf_modulus(threshold: RateFn, weight_divergence: RateFn) -> LiminfM
 
 @dataclass(frozen=True)
 class Certificate:
-    formula: FormulaTag
+    formula: str  # a key of THRESHOLD_ROUTES
     constants: InstanceConstants
     threshold: RateFn
     residual_rate: RateFn
@@ -209,7 +210,7 @@ class Certificate:
 
     def to_dict(self, k_max: int) -> dict:
         return {
-            "formula": self.formula.value,
+            "formula": self.formula,
             "constants": self.constants.to_dict(),
             "table": self.table(k_max),
         }
@@ -226,7 +227,7 @@ def make_certificate(constants: InstanceConstants, schedule: Schedule,
     turns both into the residual rate, and the step rate is the residual rate
     at 2k+1.
     """
-    threshold, tag = select_threshold(constants, uc, route)
+    threshold, formula = select_threshold(constants, uc, route)
     dip = make_liminf_modulus(threshold, schedule.weight_divergence)
     increments = combine_cauchy_moduli(schedule.defect_series.modulus,
                                        schedule.perturbation_series.modulus,
@@ -234,7 +235,7 @@ def make_certificate(constants: InstanceConstants, schedule: Schedule,
     residual = replace(rate_from_liminf(dip, increments),
                        description="operator-residual rate")
     return Certificate(
-        formula=tag,
+        formula=formula,
         constants=constants,
         threshold=threshold,
         residual_rate=residual,

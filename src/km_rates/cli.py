@@ -102,7 +102,7 @@ def cmd_certify(args) -> int:
             for row in table:
                 handle.write(f"{row['k']},{row['threshold']},{row['residual_rate']},"
                              f"{row['step_rate']}\n")
-    print(f"certificate [{cert.formula.value}] constants: {cert.constants.to_dict()}")
+    print(f"certificate [{cert.formula}] constants: {cert.constants.to_dict()}")
     for row in table:
         print(f"  k={row['k']:>3}  threshold={row['threshold']}  "
               f"residual_rate={row['residual_rate']}  step_rate={row['step_rate']}")

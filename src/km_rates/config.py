@@ -22,13 +22,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .certificates import (
+    THRESHOLD_ROUTES,
     Certificate,
-    FormulaTag,
     InstanceConstants,
     instance_constants,
     make_certificate,
 )
-from .moduli import ZERO_CAUCHY, RateFn, RateKind
+from .moduli import ZERO_CAUCHY, RateFn, RateKind, lp_modulus
 from .operators import (
     Operator,
     Space,
@@ -51,7 +51,7 @@ from .schedules import (
     make_inexact_km,
 )
 
-_FORMULAS = sorted({"auto"} | {tag.value for tag in FormulaTag})
+_FORMULAS = sorted({"auto", *THRESHOLD_ROUTES})
 _FORMATS = ("csv", "json")
 
 #: the ``schedule.params`` each family accepts, as ``km-rates catalog`` prints
@@ -347,8 +347,7 @@ def build_schedule(family, params, space: Space, what: str) -> Schedule:
 def build_certificate(cfg: RunConfig, schedule: Schedule, space: Space,
                       constants: InstanceConstants) -> Certificate:
     try:
-        cert = make_certificate(constants, schedule, space.uc_modulus(),
-                                cfg.certificate_formula)
+        cert = make_certificate(constants, schedule, lp_modulus(space.p), cfg.certificate_formula)
         overrides = read_object(json.loads(cfg.certificate_overrides), "certificate.overrides",
                                 "residual_rate?, step_rate?")
         fields = {key: _rate_spec(spec, f"certificate.overrides.{key}",

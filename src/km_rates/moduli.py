@@ -4,9 +4,8 @@ liminf moduli and moduli of uniform convexity.
 Rate-valued functions map naturals to naturals in exact (arbitrary width)
 integer arithmetic; wraparound cannot occur and any non-finite intermediate is
 a hard error.  Real-valued quantities are evaluated in double precision, and
-integer ceilings of them go through :func:`ceil_int`, which snaps values
-sitting within a few ulps of an integer so that closed-form integer identities
-survive the float round trip.
+integer ceilings of them go through :func:`ceil_int`, whose snap keeps
+closed-form integer identities but can land one below the exact ceiling.
 
 Contract semantics used throughout (for a sequence ``a_n`` and ``k`` natural):
 
@@ -47,7 +46,10 @@ def ceil_int(x: float) -> int:
     Certificate quotients are exact integers whenever the convexity modulus is
     a rational power formula; accumulated rounding then leaves the computed
     value within a few ulps of that integer, where a naive ceiling could land
-    one above it.  Values within 8 ulps of an integer are snapped to it.
+    one above it.  Values within 8 ulps of an integer are snapped to it.  That
+    is not always sound: once the rounding error passes one half, the nearest
+    integer can be below the exact ceiling (seen for lp moduli with p > 4; exact
+    arithmetic is direction 1 of ROADMAP.md).
 
     Raises OverflowError on non-finite input.
     """
@@ -59,11 +61,15 @@ def ceil_int(x: float) -> int:
     return int(math.ceil(x))
 
 
-def _as_index(value, what: str) -> int:
+def _natural(value, what: str) -> int:
+    """``value`` as a natural number: a non-integer (a float included) raises
+    TypeError and a negative integer ValueError, each naming ``what``."""
     try:
         out = operator.index(value)
     except TypeError:
         raise TypeError(f"{what} must be an exact integer, got {value!r}") from None
+    if out < 0:
+        raise ValueError(f"{what} must be a natural number, got {out}")
     return out
 
 
@@ -106,26 +112,19 @@ class RateFn:
     description: str = ""
 
     def __call__(self, k: int) -> int:
-        k = _as_index(k, "rate argument")
-        if k < 0:
-            raise ValueError(f"rate functions are defined on naturals, got {k}")
-        value = _as_index(self.fn(k), f"value of {self.description or 'rate function'}")
-        if value < 0:
-            raise ValueError(
-                f"rate function produced a negative value {value} at {k}"
-            )
-        return value
+        k = _natural(k, "rate argument")
+        return _natural(self.fn(k), f"value of {self.description or 'rate function'}")
 
     @staticmethod
     def constant(value: int, kind: RateKind, description: str = "") -> "RateFn":
-        value = _as_index(value, "constant rate value")
+        value = _natural(value, "constant rate value")
         return RateFn(lambda k: value, kind, description)
 
     @staticmethod
     def affine(slope: int, intercept: int, kind: RateKind, description: str = "") -> "RateFn":
         """k -> slope*k + intercept."""
-        slope = _as_index(slope, "slope")
-        intercept = _as_index(intercept, "intercept")
+        slope = _natural(slope, "slope")
+        intercept = _natural(intercept, "intercept")
         return RateFn(lambda k: slope * k + intercept, kind, description)
 
 
@@ -140,14 +139,9 @@ class LiminfModulus:
     description: str = ""
 
     def __call__(self, k: int, L: int) -> int:
-        k = _as_index(k, "liminf argument k")
-        L = _as_index(L, "liminf argument L")
-        if k < 0 or L < 0:
-            raise ValueError(f"liminf modulus arguments must be naturals, got ({k}, {L})")
-        value = _as_index(self.fn(k, L), "liminf modulus value")
-        if value < 0:
-            raise ValueError(f"liminf modulus produced a negative value at ({k}, {L})")
-        return value
+        k = _natural(k, "liminf argument k")
+        L = _natural(L, "liminf argument L")
+        return _natural(self.fn(k, L), "liminf modulus value")
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,6 @@ class UcModulus:
     eta: Callable[[float], float]
     name: str = "custom"
     eta_tilde: Optional[Callable[[float], float]] = None
-    hilbert: bool = False
 
     @property
     def factored(self) -> bool:
@@ -196,14 +189,14 @@ def lp_convexity_modulus(p: float, eps: float) -> float:
     return eps**p / (p * 2.0**p)
 
 
+_EUCLIDEAN = UcModulus(eta=lambda e: e * e / 8.0, name="hilbert", eta_tilde=lambda e: e / 8.0)
+
+
 def hilbert_modulus() -> UcModulus:
-    """eps^2/8, factored as eps * (eps/8)."""
-    return UcModulus(
-        eta=lambda e: e * e / 8.0,
-        name="hilbert",
-        eta_tilde=lambda e: e / 8.0,
-        hilbert=True,
-    )
+    """eps^2/8, factored as eps * (eps/8).  There is one such object, and the
+    threshold routes recognise the Euclidean modulus by its identity, so an
+    equal copy is an ordinary modulus."""
+    return _EUCLIDEAN
 
 
 def lp_modulus(p: float) -> UcModulus:
@@ -227,8 +220,8 @@ def combine_cauchy_moduli(modulus_a: RateFn, modulus_b: RateFn,
                           scale_a: int, scale_b: int) -> RateFn:
     """Cauchy modulus of scale_a*a_n + scale_b*b_n from Cauchy moduli of the
     two sequences: k -> max over both of modulus(2*scale*(k+1)-1)."""
-    scale_a = _as_index(scale_a, "scale_a")
-    scale_b = _as_index(scale_b, "scale_b")
+    scale_a = _natural(scale_a, "scale_a")
+    scale_b = _natural(scale_b, "scale_b")
     if scale_a < 1 or scale_b < 1:
         raise ValueError(
             f"combination coefficients must be positive integers, got {scale_a}, {scale_b}")
@@ -266,7 +259,7 @@ def inverse_square_modulus(scale: float, offset: int) -> RateFn:
     offset >= 1."""
     if scale < 0.0:
         raise ValueError(f"series scale must be nonnegative, got {scale}")
-    offset = _as_index(offset, "offset")
+    offset = _natural(offset, "offset")
     if offset < 1:
         raise ValueError(f"offset must be a positive integer, got {offset}")
     cs = ceil_int(scale)
@@ -311,24 +304,23 @@ def check_divergence_rate(
     summand: Callable,
     rate: RateFn,
     n_max: int,
-    window: Optional[int] = None,
+    window: int,
 ) -> DivergenceReport:
-    """Check a claimed divergence rate on [0, n_max].
+    """Check a claimed divergence rate on [0, n_max], within the summand
+    indices [0, window].
 
     For each n the partial sum up to index rate(n) must reach n.  When every
     summand seen lies in [0, 1) the growth property rate(n) >= n is checked
-    as well; summands outside [0, 1) disable only that sub-check.  The
-    summand stream is evaluated once, up to rate(n) of the last n checked.
-    With a ``window`` the check stops before the first n with rate(n) >
-    window, and the report's ``n_max`` is the last n checked (-1 if none).
+    as well; summands outside [0, 1) disable only that sub-check.  The check
+    stops before the first n with rate(n) > window, and the report's
+    ``n_max`` is the last n checked (-1 if none); the summand stream is
+    evaluated once, up to rate(n) of that last n.
     """
     if rate.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError(f"expected a rate of divergence, got kind {rate.kind}")
-    n_max = _as_index(n_max, "n_max")
-    values = (rate(n) for n in range(n_max + 1))
-    if window is not None:
-        values = itertools.takewhile(lambda rv: rv <= window, values)
-    values = list(values)
+    n_max = _natural(n_max, "n_max")
+    values = list(itertools.takewhile(lambda rv: rv <= window,
+                                      (rate(n) for n in range(n_max + 1))))
     terms = stream_values(summand, np.arange(max(values, default=-1) + 1))
     in_unit = bool(np.all((terms >= 0.0) & (terms < 1.0)))
     partials = np.cumsum(terms)[values]
@@ -397,7 +389,7 @@ def check_series_cauchy_modulus(
     """
     if modulus.kind is not RateKind.CAUCHY_MODULUS:
         raise ValueError(f"expected a Cauchy modulus, got kind {modulus.kind}")
-    window = _as_index(window, "window")
+    window = _natural(window, "window")
     terms = stream_values(summand, np.arange(window + 1))
     if np.any(terms < -CHECK_TOL):
         raise ValueError("series summands must be nonnegative")

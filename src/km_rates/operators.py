@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .moduli import UcModulus, _norm2, lp_modulus
+from .moduli import _norm2
 
 FIXED_POINT_TOL = 1e-12
 NONEXPANSIVE_TOL = 1e-12
@@ -40,9 +40,6 @@ class Space:
     @property
     def is_euclidean(self) -> bool:
         return self.p == 2.0
-
-    def uc_modulus(self) -> UcModulus:
-        return lp_modulus(self.p)
 
     def norm(self, v):
         """The p-norm along the last axis: a float for one vector, an array of
@@ -200,6 +197,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
         radius = read("radius", 1.0, ())
         if radius <= 0.0:
             raise ValueError(f"ball radius must be positive, got {radius}")
+        squared_norm("anchor", read("anchor", center) - center)  # apply(anchor) squares it
 
         def apply(x, center=center, radius=radius):
             x = np.asarray(x, dtype=float)

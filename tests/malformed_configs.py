@@ -85,6 +85,10 @@ CONFIG_VALUES = {
     "family-list": ({"schedule": {"family": ["example1"], "params": {}}}, "schedule.family"),
     "fixed-point-overflow": ({"operator": {"name": "identity", "fixed_point": [1e200, 0.0]}},
                              "operator.fixed_point"),
+    # the start becomes the ball's anchor, whose squared distance to the center overflows
+    "nearest-start-overflow": ({"operator": {"name": "ball_projection", "params": {},
+                                             "fixed_point": "nearest"}, "start": [1e200, 0.0]},
+                               "'anchor'"),
 }
 
 #: id -> (operator name, its params, the parameter the error message names)
@@ -110,6 +114,11 @@ OPERATOR_PARAMS = {
     "anchor-overflow": ("box_projection", {"lo": [-1e308, -1e308], "hi": [1e308, 1e308],
                                            "anchor": [1e308, 1e308]}, "anchor"),
     "fixed_point-param-overflow": ("identity", {"fixed_point": [1e200, 0.0]}, "fixed_point"),
+    "anchor-square-overflow": ("ball_projection", {"radius": 1.0, "anchor": [1e200, 0.0]},
+                               "anchor"),
+    # each squared norm is finite, that of anchor - center is not
+    "anchor-center-overflow": ("ball_projection", {"center": [-1e154, 0.0],
+                                                   "anchor": [1e154, 0.0]}, "anchor"),
 }
 
 #: schedule family -> (its params with one misspelt key, that key); the

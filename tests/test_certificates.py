@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 import km_rates as km
 from km_rates.certificates import (
     CertificateOverflow,
-    FormulaTag,
     InstanceConstants,
     make_liminf_modulus,
     make_step_rate,
@@ -164,7 +165,7 @@ def test_inexact_km_certificate_thresholds():
 
 def test_classical_reduction_matches_inexact_with_zero_perturbation():
     classical = CLASSICAL
-    assert classical.formula is FormulaTag.HILBERT
+    assert classical.formula == "hilbert"
     sigma2 = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
     inexact = inexact_certificate(1, 0, sigma2, ZERO)
     for k in range(50):
@@ -229,15 +230,15 @@ def test_general_certificate_routes():
     s = km.make_classical_km(0.5)
     c = InstanceConstants(1, 0, 0)
     auto = km.make_certificate(c, s, HILBERT)
-    assert auto.formula is FormulaTag.HILBERT
+    assert auto.formula == "hilbert"
     # cross-check: the double-precision factored route gives the same rates
     factored = km.make_certificate(c, s, HILBERT, route="factored")
-    assert factored.formula is FormulaTag.FACTORED
+    assert factored.formula == "factored"
     for k in range(30):
         assert auto.residual_rate(k) == factored.residual_rate(k)
         assert auto.step_rate(k) == factored.step_rate(k)
     direct = km.make_certificate(c, s, HILBERT, route="general")
-    assert direct.formula is FormulaTag.GENERAL
+    assert direct.formula == "general"
     # the direct route uses the unfactored modulus and is coarser
     assert direct.residual_rate(0) == 516
     with pytest.raises(ValueError):
@@ -249,12 +250,24 @@ def test_general_certificate_routes():
 def test_select_threshold_prefers_closed_form():
     c = InstanceConstants(1, 0, 0)
     thr, tag = select_threshold(c, HILBERT)
-    assert tag is FormulaTag.HILBERT
+    assert tag == "hilbert"
     thr_lp, tag_lp = select_threshold(c, km.lp_modulus(3.0))
-    assert tag_lp is FormulaTag.FACTORED
+    assert tag_lp == "factored"
     bare = UcModulus(eta=lambda e: e * e / 8.0)
     _, tag_bare = select_threshold(c, bare)
-    assert tag_bare is FormulaTag.GENERAL
+    assert tag_bare == "general"
+
+
+def test_hilbert_route_needs_the_euclidean_modulus_itself():
+    # an equal copy of the Euclidean modulus is an ordinary factored modulus
+    c = InstanceConstants(1, 0, 0)
+    copy = replace(HILBERT, name="copy")
+    _, formula = select_threshold(c, copy)
+    assert formula == "factored"
+    with pytest.raises(ValueError, match="needs the Euclidean modulus"):
+        select_threshold(c, copy, route="hilbert")
+    with pytest.raises(ValueError, match="needs the Euclidean modulus"):
+        km.make_certificate(c, km.make_classical_km(0.5), copy, route="hilbert")
 
 
 def test_divergence_rate_growth_for_constructed_schedules():

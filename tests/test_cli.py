@@ -9,6 +9,7 @@ import pytest
 
 import km_rates as km
 from km_rates import cli
+from km_rates.certificates import THRESHOLD_ROUTES
 from km_rates.cli import main
 from km_rates.engine import DEFAULT_STORE_LIMIT
 
@@ -54,11 +55,19 @@ def test_config_validation_errors():
     doc["start"] = [1.0]  # wrong length
     with pytest.raises(km.ConfigError):
         km.RunConfig.from_dict(doc)
-    for formula in ("nonsense", "example2", "classical_km"):
+    for formula in ("nonsense", "example2", "classical_km", "Hilbert", "FormulaTag.HILBERT",
+                    "", None):
         doc = example2_ball_config()
         doc["certificate"]["formula"] = formula
-        with pytest.raises(km.ConfigError):
+        with pytest.raises(km.ConfigError, match=r"one of \['auto', 'factored', 'general', "
+                                                 r"'hilbert'\]"):
             km.RunConfig.from_dict(doc)
+    # certificate.formula accepts exactly "auto" and the threshold route names
+    assert sorted(THRESHOLD_ROUTES) == ["factored", "general", "hilbert"]
+    for formula in ("auto", *THRESHOLD_ROUTES):
+        doc = example2_ball_config()
+        doc["certificate"]["formula"] = formula
+        assert km.RunConfig.from_dict(doc).certificate_formula == formula
 
 
 def test_certify_table_rotation(tmp_path, capsys):

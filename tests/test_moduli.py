@@ -102,7 +102,8 @@ def test_lp_modulus_range_and_factorization(p):
 
 def test_hilbert_modulus_flags():
     uc = km.hilbert_modulus()
-    assert uc.hilbert and uc.factored
+    assert uc is km.hilbert_modulus() and uc.factored
+    assert km.lp_modulus(2.0) is uc
     assert uc.eval(2.0) == 0.5
     assert uc.eval_tilde(2.0) == 0.25
 
@@ -213,20 +214,23 @@ def test_inverse_square_modulus_contract(scale, offset):
 
 def test_check_divergence_rate_constant_summand():
     theta = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(constant_stream(0.25), theta, 1000)
+    report = km.check_divergence_rate(constant_stream(0.25), theta, 1000,
+                                      window=max(map(theta, range(1001))))
     assert report.passed and report.summands_in_unit
 
 
 def test_check_divergence_rate_growth_contradiction():
     theta = RateFn(lambda n: max(n - 1, 0), RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(constant_stream(0.5), theta, 10)
+    report = km.check_divergence_rate(constant_stream(0.5), theta, 10,
+                                      window=max(map(theta, range(11))))
     assert not report.passed
     assert report.rows[1].growth_ok is False
 
 
 def test_check_divergence_rate_out_of_unit_disables_growth():
     theta = RateFn(lambda n: max(n - 1, 0), RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(constant_stream(1.5), theta, 5)
+    report = km.check_divergence_rate(constant_stream(1.5), theta, 5,
+                                      window=max(map(theta, range(6))))
     assert not report.summands_in_unit
     assert all(r.growth_ok is None for r in report.rows)
     assert report.rows[0].sum_ok  # 1.5 >= 0
@@ -251,7 +255,8 @@ def test_check_divergence_rate_stays_in_window():
 def test_check_divergence_rate_shrinking_weights():
     schedule = km.make_example2(0.5, J=2)
     report = km.check_divergence_rate(schedule.coupling_weight,
-                                      schedule.weight_divergence, 100)
+                                      schedule.weight_divergence, 100,
+                                      window=max(map(schedule.weight_divergence, range(101))))
     assert report.passed and report.summands_in_unit
 
 

@@ -122,7 +122,8 @@ def test_classical_km_is_inexact_with_zero_perturbation():
     assert s.perturbation_series.bound == 0
     assert [s.weight_divergence(k) for k in range(3)] == [0, 4, 8]
     # the synthesized divergence rate really works: sum_{i<=4k} 1/4 >= k
-    report = km.check_divergence_rate(s.coupling_weight, s.weight_divergence, 500)
+    report = km.check_divergence_rate(s.coupling_weight, s.weight_divergence, 500,
+                                      window=max(map(s.weight_divergence, range(501))))
     assert report.passed
 
 

@@ -27,6 +27,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +226,10 @@ def make_jobs(work: Path, seeds) -> list:
 def run_jobs(src: str, jobs_path: str, out_root: str) -> None:
     """Worker: runs every job through ``km_rates.cli.main`` of ``src``, each
     in ``out_root/<name>``, and writes ``results.json`` there.  A job that
-    raises records the exception's type and message as its exit."""
+    raises records the exception's type and message as its exit.  As in the
+    test suite, a RuntimeWarning is raised as an error, so a leaked numpy
+    warning ends the job that hit it."""
+    warnings.simplefilter("error", RuntimeWarning)
     from km_rates import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
