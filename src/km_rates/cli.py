@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -40,22 +39,29 @@ EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
 
-def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
-    fields = {}
-    if args.out is not None:
-        fields["out_dir"] = args.out
-    if getattr(args, "k_max", None) is not None:
-        fields["k_max"] = args.k_max
-    if getattr(args, "horizon", None) is not None:
-        fields["horizon"] = args.horizon
-    if getattr(args, "format", None) is not None:
-        fields["formats"] = (args.format,)
-    return replace(cfg, **fields) if fields else cfg
+#: flag -> (section, key) of the document it sets
+FLAG_KEYS = {"out": ("output", "directory"), "k_max": ("run", "k_max"),
+             "horizon": ("run", "horizon"), "format": ("output", "formats")}
 
 
-def _ensure_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
+def _load(args) -> RunConfig:
+    """The config at ``--config`` with each flag given written into the key it
+    sets and the document read again, so that a flag is checked, and refused,
+    as that key is."""
+    cfg = load_config(args.config)
+    given = [(flag, getattr(args, flag)) for flag in FLAG_KEYS if getattr(args, flag) is not None]
+    if not given:
+        return cfg
+    doc = cfg.to_dict()
+    for flag, value in given:
+        section, key = FLAG_KEYS[flag]
+        doc[section][key] = [value] if flag == "format" else value
+    return RunConfig.from_dict(doc)
+
+
+def _ensure_out(doc: dict) -> str:
+    os.makedirs(doc["output"]["directory"], exist_ok=True)
+    return doc["output"]["directory"]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -72,31 +78,33 @@ def _validate_schedule_window(instance: Instance, horizon: int) -> None:
         raise ConfigError(min(findings, key=lambda f: f.index).message)
 
 
-def _resolve_horizon(instance: Instance) -> int:
-    cfg = instance.config
-    if cfg.horizon is not None:
-        return cfg.horizon
+def _resolve_horizon(instance: Instance, run: dict) -> int:
+    """``run.horizon`` of the ``run`` section, or the auto horizon."""
+    if run["horizon"] != "auto":
+        return run["horizon"]
     cert = instance.certificate
-    requested = [cert.residual_rate(k) for k in range(cfg.k_max + 1)]
-    requested += [cert.step_rate(k) for k in range(cfg.k_max + 1)]
+    requested = [cert.residual_rate(k) for k in range(run["k_max"] + 1)]
+    requested += [cert.step_rate(k) for k in range(run["k_max"] + 1)]
     horizon = auto_horizon(requested)
     log.info("auto horizon: %d", horizon)
     return horizon
 
 
 def cmd_certify(args) -> int:
-    cfg = _apply_cli_overrides(load_config(args.config), args)
+    cfg = _load(args)
     instance = assemble(cfg)
+    doc = cfg.to_dict()
+    k_max, formats = doc["run"]["k_max"], doc["output"]["formats"]
     cert = instance.certificate
-    table = cert.table(cfg.k_max)
-    out = _ensure_out(cfg)
+    table = cert.table(k_max)
+    out = _ensure_out(doc)
     report = {
-        "config": cfg.to_dict(),
-        "certificate": cert.to_dict(cfg.k_max),
+        "config": doc,
+        "certificate": cert.to_dict(k_max),
     }
-    if "json" in cfg.formats:
+    if "json" in formats:
         _write_json(os.path.join(out, "certificate.json"), report)
-    if "csv" in cfg.formats:
+    if "csv" in formats:
         with open(os.path.join(out, "certificate.csv"), "w", encoding="utf-8") as handle:
             handle.write("k,threshold,residual_rate,step_rate\n")
             for row in table:
@@ -112,35 +120,35 @@ def cmd_certify(args) -> int:
 def _load_and_run(args):
     """Load and assemble the config of a run, audit or verify command, check
     its weights on the run window, iterate and audit the trajectory.  No
-    command reads the points, so only the scalar streams are kept."""
-    cfg = _apply_cli_overrides(load_config(args.config), args)
+    command reads the points, so only the scalar streams are kept.  Returns
+    the config's document with the run's objects."""
+    cfg = _load(args)
     instance = assemble(cfg)
-    horizon = _resolve_horizon(instance)
+    doc = cfg.to_dict()
+    horizon = _resolve_horizon(instance, doc["run"])
     _validate_schedule_window(instance, horizon)
     traj = iterate(instance.space, instance.operator, instance.start,
                    instance.schedule, horizon, store_limit=0)
-    return cfg, instance, horizon, traj, audit_inequalities(traj, instance.constants)
+    return doc, instance, horizon, traj, audit_inequalities(traj, instance.constants)
 
 
 def cmd_run(args) -> int:
-    cfg, _, horizon, traj, audit = _load_and_run(args)
-    out = _ensure_out(cfg)
-    if "csv" in cfg.formats:
+    doc, _, horizon, traj, audit = _load_and_run(args)
+    out = _ensure_out(doc)
+    if "csv" in doc["output"]["formats"]:
         write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-    if "json" in cfg.formats:
-        _write_json(os.path.join(out, "audit.json"),
-                    {"config": cfg.to_dict(), "audit": audit.to_dict()})
+    if "json" in doc["output"]["formats"]:
+        _write_json(os.path.join(out, "audit.json"), {"config": doc, "audit": audit.to_dict()})
     status = "clean" if audit.passed else f"{audit.total_violations} violation(s)"
     print(f"run horizon={horizon} audit: {status}")
     return EXIT_OK if audit.passed else EXIT_VERIFY
 
 
 def cmd_audit(args) -> int:
-    cfg, _, _, _, audit = _load_and_run(args)
-    out = _ensure_out(cfg)
-    if "json" in cfg.formats:
-        _write_json(os.path.join(out, "audit.json"),
-                    {"config": cfg.to_dict(), "audit": audit.to_dict()})
+    doc, _, _, _, audit = _load_and_run(args)
+    out = _ensure_out(doc)
+    if "json" in doc["output"]["formats"]:
+        _write_json(os.path.join(out, "audit.json"), {"config": doc, "audit": audit.to_dict()})
     for name, check in audit.checks.items():
         print(f"  {name}: checked={check.checked} violations={check.count} "
               f"max_excess={check.max_excess:.3e}")
@@ -160,24 +168,24 @@ def _soundness_csv(path: str, report: SoundnessReport) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg, instance, horizon, traj, audit = _load_and_run(args)
+    doc, instance, horizon, traj, audit = _load_and_run(args)
+    k_max, formats = doc["run"]["k_max"], doc["output"]["formats"]
     cert = instance.certificate
     hypotheses = verify_hypotheses(instance.schedule, horizon)
 
-    residual_report = check_rate_soundness(traj, cert.residual_rate, "res_T", cfg.k_max)
-    step_report = check_rate_soundness(traj, cert.step_rate, "res_step", cfg.k_max)
+    residual_report = check_rate_soundness(traj, cert.residual_rate, "res_T", k_max)
+    step_report = check_rate_soundness(traj, cert.step_rate, "res_step", k_max)
     reports = [residual_report, step_report]
-    liminf_report = check_liminf_contract(traj, cert.liminf_modulus,
-                                          min(8, cfg.k_max), 8)
+    liminf_report = check_liminf_contract(traj, cert.liminf_modulus, min(8, k_max), 8)
 
-    out = _ensure_out(cfg)
-    if "csv" in cfg.formats:
+    out = _ensure_out(doc)
+    if "csv" in formats:
         _soundness_csv(os.path.join(out, "soundness_res_T.csv"), residual_report)
         _soundness_csv(os.path.join(out, "soundness_res_step.csv"), step_report)
-    if "json" in cfg.formats:
+    if "json" in formats:
         _write_json(os.path.join(out, "verify.json"), {
-            "config": cfg.to_dict(),
-            "certificate": cert.to_dict(cfg.k_max),
+            "config": doc,
+            "certificate": cert.to_dict(k_max),
             "horizon": horizon,
             "hypotheses": hypotheses.to_dict(),
             "audit": audit.to_dict(),

@@ -1,11 +1,12 @@
 """Run configuration: one JSON document fully determines a run.
 
 The document has seven sections (space, operator, start, schedule,
-certificate, run, output); :func:`RunConfig.from_dict` normalizes it into an
-immutable value whose serialization round-trips exactly.  :func:`assemble`
-turns a config into live objects.  Every value is read by the typed readers of
-:mod:`.operators`, so an object with a key it does not accept, a non-integer
-where an integer belongs and a non-finite number are all config errors.
+certificate, run, output); :func:`RunConfig.from_dict` checks it and keeps
+the one normalized document, whose serialization round-trips exactly.
+:func:`assemble` reads its sections into live objects.  Every value is read
+by the typed readers of :mod:`.operators`, so an object with a key it does
+not accept, a non-integer where an integer belongs and a non-finite number
+are all config errors.
 
 Schedule parameter streams in custom configs use sequence specs
 (``0.5`` | ``{"const": v}`` | ``{"values": [...], "then": v}``) and moduli use
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Union
 
 import numpy as np
 
@@ -73,35 +73,24 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _canonical(params) -> str:
-    try:
-        return json.dumps(params if params is not None else {}, sort_keys=True)
-    except TypeError as exc:
-        raise ConfigError(f"parameters are not JSON-serializable: {exc}") from None
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
+def _object(value):
+    """A section's ``params`` or ``overrides`` as the document keeps them:
+    null reads as ``{}``; anything else is checked where it is used."""
+    return {} if value is None else value
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    space_dim: int
-    space_norm: str
-    space_p: Optional[float]
-    operator_name: str
-    operator_params: str
-    operator_fixed_point: Union[str, tuple]
-    start: tuple
-    schedule_family: str
-    schedule_params: str
-    certificate_formula: str
-    certificate_overrides: str
-    horizon: Optional[int]
-    k_max: int
-    out_dir: str
-    formats: tuple
+    """The normalized run document, stored once as canonical JSON: every
+    section present with its defaults filled in.  Built by :meth:`from_dict`
+    only; :meth:`to_dict` returns the document."""
+
+    document: str
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -113,24 +102,24 @@ class RunConfig:
             norm = space.get("norm", "euclidean")
             _require(norm in ("euclidean", "lp"), "space.norm must be 'euclidean' or 'lp'")
             p = space.get("p")
+            space = {"dim": dim, "norm": norm}
             if norm == "lp":
-                p = read_numbers(p, "space.p")
-                _require(p > 1, "space.p must exceed 1")
+                space["p"] = read_numbers(p, "space.p")
+                _require(space["p"] > 1, "space.p must exceed 1")
             else:
                 _require(p is None or p == 2, "space.p is only meaningful for the lp norm")
-                p = None
 
             op = read_object(doc.get("operator"), "operator", "name, params?, fixed_point?")
             name = op.get("name")
             _require(name in catalog_names(), f"operator.name must be one of {catalog_names()}")
             fixed = op.get("fixed_point", "default")
             if isinstance(fixed, (list, tuple)):
-                fixed = tuple(read_numbers(fixed, "operator.fixed_point", (dim,)).tolist())
+                fixed = read_numbers(fixed, "operator.fixed_point", (dim,)).tolist()
             else:
                 _require(fixed in ("default", "nearest"),
                          "operator.fixed_point must be 'default', 'nearest' or a vector")
 
-            start = tuple(read_numbers(doc.get("start"), "start", (dim,)).tolist())
+            start = read_numbers(doc.get("start"), "start", (dim,)).tolist()
             sched = read_object(doc.get("schedule"), "schedule", "family, params?")
 
             cert = read_object(doc.get("certificate"), "certificate", "formula?, overrides?")
@@ -140,7 +129,7 @@ class RunConfig:
             # run.seed, which older documents carry, is accepted and ignored
             run = read_object(doc.get("run"), "run", "horizon?, k_max?, seed?")
             horizon = run.get("horizon")
-            horizon = None if horizon in ("auto", None) else read_int(horizon, "run.horizon", 1)
+            horizon = "auto" if horizon in ("auto", None) else read_int(horizon, "run.horizon", 1)
             k_max = read_int(run.get("k_max", 10), "run.k_max", 0)
 
             output = read_object(doc.get("output"), "output", "directory?, formats?")
@@ -153,53 +142,28 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-        return cls(
-            space_dim=dim,
-            space_norm=norm,
-            space_p=p,
-            operator_name=name,
-            operator_params=_canonical(op.get("params")),
-            operator_fixed_point=fixed,
-            start=start,
-            schedule_family=sched.get("family"),
-            schedule_params=_canonical(sched.get("params")),
-            certificate_formula=formula,
-            certificate_overrides=_canonical(cert.get("overrides")),
-            horizon=horizon,
-            k_max=k_max,
-            out_dir=out_dir,
-            formats=tuple(formats),
-        )
+        normalized = {
+            "space": space,
+            "operator": {"name": name, "params": _object(op.get("params")), "fixed_point": fixed},
+            "start": start,
+            "schedule": {"family": sched.get("family"), "params": _object(sched.get("params"))},
+            "certificate": {"formula": formula, "overrides": _object(cert.get("overrides"))},
+            "run": {"horizon": horizon, "k_max": k_max},
+            "output": {"directory": out_dir, "formats": list(formats)},
+        }
+        try:
+            return cls(json.dumps(normalized, sort_keys=True))
+        except TypeError as exc:
+            raise ConfigError(f"parameters are not JSON-serializable: {exc}") from None
 
     def to_dict(self) -> dict:
-        space = {"dim": self.space_dim, "norm": self.space_norm}
-        if self.space_p is not None:
-            space["p"] = self.space_p
-        fixed = (list(self.operator_fixed_point)
-                 if isinstance(self.operator_fixed_point, tuple)
-                 else self.operator_fixed_point)
-        return {
-            "space": space,
-            "operator": {
-                "name": self.operator_name,
-                "params": json.loads(self.operator_params),
-                "fixed_point": fixed,
-            },
-            "start": list(self.start),
-            "schedule": {
-                "family": self.schedule_family,
-                "params": json.loads(self.schedule_params),
-            },
-            "certificate": {
-                "formula": self.certificate_formula,
-                "overrides": json.loads(self.certificate_overrides),
-            },
-            "run": {
-                "horizon": "auto" if self.horizon is None else self.horizon,
-                "k_max": self.k_max,
-            },
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
-        }
+        return json.loads(self.document)
+
+    @property
+    def k_max(self) -> int:
+        """``run.k_max``.  Each read parses the document: a command reads the
+        sections it needs from one :meth:`to_dict` instead."""
+        return self.to_dict()["run"]["k_max"]
 
 
 def load_config(path) -> RunConfig:
@@ -211,20 +175,6 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return RunConfig.from_dict(doc)
-
-
-def build_space(cfg: RunConfig) -> Space:
-    return Space(dim=cfg.space_dim, p=cfg.space_p if cfg.space_norm == "lp" else 2.0)
-
-
-def build_operator(cfg: RunConfig, space: Space) -> Operator:
-    fixed = cfg.operator_fixed_point
-    try:
-        return make_operator(cfg.operator_name, space, json.loads(cfg.operator_params),
-                             near=cfg.start if fixed == "nearest" else None,
-                             fixed_point=fixed if isinstance(fixed, tuple) else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _sequence_spec(spec, what: str) -> Stream:
@@ -344,20 +294,6 @@ def build_schedule(family, params, space: Space, what: str) -> Schedule:
     return schedule
 
 
-def build_certificate(cfg: RunConfig, schedule: Schedule, space: Space,
-                      constants: InstanceConstants) -> Certificate:
-    try:
-        cert = make_certificate(constants, schedule, lp_modulus(space.p), cfg.certificate_formula)
-        overrides = read_object(json.loads(cfg.certificate_overrides), "certificate.overrides",
-                                "residual_rate?, step_rate?")
-        fields = {key: _rate_spec(spec, f"certificate.overrides.{key}",
-                                  RateKind.RATE_OF_CONVERGENCE)
-                  for key, spec in overrides.items()}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return replace(cert, **fields) if fields else cert
-
-
 @dataclass
 class Instance:
     config: RunConfig
@@ -370,11 +306,19 @@ class Instance:
 
 
 def assemble(cfg: RunConfig) -> Instance:
-    space = build_space(cfg)
-    operator = build_operator(cfg, space)
-    start = np.asarray(cfg.start, dtype=float)
+    """The live objects of the config's run, read from its document."""
+    doc = cfg.to_dict()
+    space = Space(dim=doc["space"]["dim"], p=doc["space"].get("p", 2.0))
+    start = np.asarray(doc["start"], dtype=float)
+    op, fixed = doc["operator"], doc["operator"]["fixed_point"]
     try:
-        schedule = build_schedule(cfg.schedule_family, json.loads(cfg.schedule_params), space,
+        operator = make_operator(op["name"], space, op["params"],
+                                 near=doc["start"] if fixed == "nearest" else None,
+                                 fixed_point=fixed if isinstance(fixed, list) else None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        schedule = build_schedule(doc["schedule"]["family"], doc["schedule"]["params"], space,
                                   "schedule")
     except OverflowError as exc:
         raise ConfigError(f"schedule constants are not representable: {exc}") from None
@@ -383,6 +327,17 @@ def assemble(cfg: RunConfig) -> Instance:
                                        norm=space.norm)
     except OverflowError as exc:
         raise ConfigError(f"instance bounds are not representable: {exc}") from None
-    certificate = build_certificate(cfg, schedule, space, constants)
+    try:
+        certificate = make_certificate(constants, schedule, lp_modulus(space.p),
+                                       doc["certificate"]["formula"])
+        overrides = read_object(doc["certificate"]["overrides"], "certificate.overrides",
+                                "residual_rate?, step_rate?")
+        fields = {key: _rate_spec(spec, f"certificate.overrides.{key}",
+                                  RateKind.RATE_OF_CONVERGENCE)
+                  for key, spec in overrides.items()}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if fields:
+        certificate = replace(certificate, **fields)
     return Instance(config=cfg, space=space, operator=operator, start=start,
                     schedule=schedule, constants=constants, certificate=certificate)

@@ -101,7 +101,7 @@ def read_object(value, what: str, accepted: str) -> dict:
     """``value``, a JSON object whose keys are among ``accepted`` (written as
     the catalog prints them), as a new dict; null reads as the empty object.
     Anything else is refused with a ValueError that names ``what`` and any
-    unknown key."""
+    unknown key, as is an object with two keys of one ``a|b`` alternative."""
     if value is None:
         return {}
     if not isinstance(value, dict):
@@ -109,6 +109,11 @@ def read_object(value, what: str, accepted: str) -> dict:
     unknown = sorted(set(value) - set(re.findall(r"\w+", accepted)))
     if unknown:
         raise ValueError(f"unknown keys {unknown} in {what}; accepted: {{{accepted}}}")
+    for alternatives in re.findall(r"\w+(?:\|\w+)+", accepted):
+        given = [key for key in alternatives.split("|") if key in value]
+        if len(given) > 1:
+            raise ValueError(f"keys {given} in {what} exclude each other; accepted: "
+                             f"{{{accepted}}}")
     return dict(value)
 
 
@@ -246,7 +251,10 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
     source = (f"operator parameter {entry.nearest!r}" if entry.nearest in params
               else f"operator {name!r}")
     if entry.nearest:
-        z = apply(read(entry.nearest, z))
+        with np.errstate(all="ignore"):
+            z = apply(read(entry.nearest, z))
+        if not np.isfinite(z).all():  # a halfspace's normal . anchor can overflow
+            raise ValueError(f"{source} is too large: its projection overflows")
     if fixed_point is not None:
         z = read_numbers(fixed_point, "declared fixed point", (space.dim,))
         source = "operator.fixed_point"
@@ -254,7 +262,8 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
     if not math.isfinite(space.norm(z)):
         raise ValueError(f"the stored fixed point is too large: its norm overflows "
                          f"(from {source})")
-    residual = space.norm(apply(z) - z)
-    if residual > FIXED_POINT_TOL:
+    with np.errstate(all="ignore"):
+        residual = space.norm(apply(z) - z)
+    if not residual <= FIXED_POINT_TOL:  # nan when apply(z) overflows
         raise ValueError(f"stored point is not fixed for {name!r}: residual {residual:.3e}")
     return Operator(apply=apply, fixed_point=z)

@@ -1,6 +1,6 @@
-"""Malformed run configs that must exit 2 with a config error naming the bad
-value: the one table that ``tests/test_cli.py`` checks and that
-``tools/compare_outputs.py`` runs on two checkouts.  Pure data, so both can
+"""Malformed run configs and command-line flags that must exit 2 with a config
+error naming the bad value: the tables that ``tests/test_cli.py`` checks and
+that ``tools/compare_outputs.py`` runs on two checkouts.  Pure data, so both can
 import it; each case changes sections of the README rotation config.
 """
 
@@ -89,6 +89,22 @@ CONFIG_VALUES = {
     "nearest-start-overflow": ({"operator": {"name": "ball_projection", "params": {},
                                              "fixed_point": "nearest"}, "start": [1e200, 0.0]},
                                "'anchor'"),
+    # the halfspace image of this declared point has inf * 0 = nan in one entry
+    "fixed-point-nan-residual": ({"operator": {"name": "halfspace_projection",
+                                               "params": {"normal": [1e-160, 0.0]},
+                                               "fixed_point": [1e150, 0.0]}}, "residual nan"),
+    # the two keys of an a|b alternative
+    "angle-and-angle_deg": ({"operator": {"name": "rotation",
+                                          "params": {"angle": 1.0, "angle_deg": 90.0}}},
+                            "['angle', 'angle_deg']"),
+    "const-and-values": ({"schedule": {"family": "inexact_km", "params": dict(
+        INEXACT, beta={"const": 0.5, "values": [0.25]})}}, "['const', 'values']"),
+    "const-and-affine": ({"schedule": {"family": "inexact_km", "params": dict(
+        INEXACT, weight_divergence={"const": 4, "affine": {"slope": 4, "intercept": 0}})}},
+        "['const', 'affine']"),
+    "zero-and-inverse_square": ({"schedule": {"family": "custom", "params": dict(
+        CUSTOM, perturbation=dict(INVERSE_SQUARE, zero=True))}},
+        "['zero', 'inverse_square']"),
 }
 
 #: id -> (operator name, its params, the parameter the error message names)
@@ -119,6 +135,21 @@ OPERATOR_PARAMS = {
     # each squared norm is finite, that of anchor - center is not
     "anchor-center-overflow": ("ball_projection", {"center": [-1e154, 0.0],
                                                    "anchor": [1e154, 0.0]}, "anchor"),
+    # each squared norm is finite, normal . anchor is not
+    "anchor-normal-overflow": ("halfspace_projection", {"normal": [1e150, 0.0],
+                                                        "anchor": [1e200, 0.0]}, "anchor"),
+}
+
+#: id -> (changed config sections, the command and its flags, text the error
+#: message contains): a flag is read as the key it sets
+FLAGS = {
+    "horizon-0": ({}, ["run", "--horizon", "0"], "run.horizon"),
+    "horizon-negative": ({}, ["run", "--horizon", "-5"], "run.horizon"),
+    "verify-k_max-negative": ({}, ["verify", "--k-max", "-1"], "run.k_max"),
+    "verify-k_max-negative-auto-horizon": ({"run": {"horizon": "auto", "k_max": 3}},
+                                           ["verify", "--k-max", "-1"], "run.k_max"),
+    "certify-k_max-negative": ({}, ["certify", "--k-max", "-2"], "run.k_max"),
+    "out-empty": ({}, ["run", "--out", ""], "output.directory"),
 }
 
 #: schedule family -> (its params with one misspelt key, that key); the

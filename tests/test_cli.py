@@ -14,7 +14,7 @@ from km_rates.cli import main
 from km_rates.engine import DEFAULT_STORE_LIMIT
 
 from conftest import example2_ball_config
-from malformed_configs import CONFIG_VALUES, MISSPELT_PARAMS, OPERATOR_PARAMS
+from malformed_configs import CONFIG_VALUES, FLAGS, MISSPELT_PARAMS, OPERATOR_PARAMS
 
 
 def rotation_config(out_dir, **run):
@@ -67,7 +67,7 @@ def test_config_validation_errors():
     for formula in ("auto", *THRESHOLD_ROUTES):
         doc = example2_ball_config()
         doc["certificate"]["formula"] = formula
-        assert km.RunConfig.from_dict(doc).certificate_formula == formula
+        assert km.RunConfig.from_dict(doc).to_dict()["certificate"]["formula"] == formula
 
 
 def test_certify_table_rotation(tmp_path, capsys):
@@ -350,6 +350,15 @@ def test_cli_flag_overrides(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "other" / "audit.json").exists()
     assert not (tmp_path / "other" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("changes,argv,key", FLAGS.values(), ids=FLAGS)
+def test_flags_are_checked_as_the_keys_they_set(tmp_path, capsys, changes, argv, key):
+    doc = dict(rotation_config(tmp_path / "out"), **changes)
+    assert main([argv[0], "--config", write_config(tmp_path, doc), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and key in err and "Traceback" not in err
+    assert "all checks passed" not in out
 
 
 def test_lp_instance_verifies(tmp_path, capsys):

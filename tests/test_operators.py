@@ -133,11 +133,13 @@ def test_affine_avg_rejections():
     ("affine_avg", {"matrix": [[0.5, 0.0], [0.0, 0.5]], "shift": [1e308, 0.0]}, "shift"),
     ("ball_projection", {"radius": 1.0, "anchor": [1e200, 0.0]}, "anchor"),
     ("ball_projection", {"center": [-1e154, 0.0], "anchor": [1e154, 0.0]}, "anchor"),
-], ids=["normal", "shift", "anchor", "anchor-minus-center"])
+    ("halfspace_projection", {"normal": [1e150, 0.0], "anchor": [1e200, 0.0]}, "anchor"),
+], ids=["normal", "shift", "anchor", "anchor-minus-center", "anchor-dot-normal"])
 def test_vectors_whose_squared_norm_overflows_are_refused(name, params, key):
     """Finite entries whose squared norm leaves the double range: a halfspace
     with nn = inf would return x unprojected, and a ball would store its center
-    as the anchor's nearest point."""
+    as the anchor's nearest point.  A halfspace anchor whose product with the
+    normal overflows has no finite projection."""
     with pytest.raises(ValueError, match=f"{key!r} is too large"):
         km.make_operator(name, km.Space(dim=2), params)
 

@@ -6,10 +6,10 @@ Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
 test suite, plus config-parse edge cases and multi-block runs of the two
 matrix operators and of per-index coefficients, goes through the commands
-the tests give them.  Each checkout's CLI runs the whole list in a fresh
-interpreter that imports ``km_rates`` from that checkout's ``src/``.  Every command runs in its own directory with
-the relative output directory ``out``, so the echoed ``output.directory`` is
-the same on both sides.  Then exit codes, stdout and stderr lines, the set of
+and flags the tests give them.  Each checkout's CLI runs the whole list in a
+fresh interpreter that imports ``km_rates`` from that checkout's ``src/``.
+Every command runs in its own directory with the relative output directory
+``out``, so the echoed ``output.directory`` is the same on both sides.  Then exit codes, stdout and stderr lines, the set of
 output files and the bytes of every file are compared.
 
 Prints one line per difference and a summary; exits 1 when there is any
@@ -53,7 +53,7 @@ def _test_suite_jobs() -> list:
     """(name, config document or None, argv after the config) as the tests
     run them, plus config-parse edges; a document None runs the argv alone."""
     sys.path.insert(0, str(ROOT / "tests"))
-    from malformed_configs import (CONFIG_VALUES, CUSTOM, INEXACT, INVERSE_SQUARE,
+    from malformed_configs import (CONFIG_VALUES, CUSTOM, FLAGS, INEXACT, INVERSE_SQUARE,
                                    MISSPELT_PARAMS, OPERATOR_PARAMS)
 
     out_of_range = _rotation(50, schedule={"family": "custom", "params": {
@@ -168,6 +168,8 @@ def _test_suite_jobs() -> list:
              for name, family, params, command in parse_edges]
     jobs += [(f"wrong-type-{name}", _rotation(20, **changes), ["run"])
              for name, changes in wrong_types.items()]
+    jobs += [(f"flag-{name}", _rotation(**changes), argv)
+             for name, (changes, argv, _) in FLAGS.items()]
     jobs += [("huge-r-star", huge_r_star, ["certify"])]
     jobs += fixed_point_jobs
     jobs += [
