@@ -65,9 +65,10 @@ def _ensure_out(doc: dict) -> str:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """One ``json.dumps`` and one write: ``json.dump`` would write each token
+    of the indented output with its own ``write`` call."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _validate_schedule_window(instance: Instance, horizon: int) -> None:
@@ -119,16 +120,15 @@ def cmd_certify(args) -> int:
 
 def _load_and_run(args):
     """Load and assemble the config of a run, audit or verify command, check
-    its weights on the run window, iterate and audit the trajectory.  No
-    command reads the points, so only the scalar streams are kept.  Returns
-    the config's document with the run's objects."""
+    its weights on the run window, iterate and audit the trajectory (its
+    scalar streams; no command reads the points).  Returns the config's
+    document with the run's objects."""
     cfg = _load(args)
     instance = assemble(cfg)
     doc = cfg.to_dict()
     horizon = _resolve_horizon(instance, doc["run"])
     _validate_schedule_window(instance, horizon)
-    traj = iterate(instance.space, instance.operator, instance.start,
-                   instance.schedule, horizon, store_limit=0)
+    traj = iterate(instance.space, instance.operator, instance.start, instance.schedule, horizon)
     return doc, instance, horizon, traj, audit_inequalities(traj, instance.constants)
 
 

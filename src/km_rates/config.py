@@ -182,6 +182,7 @@ def _sequence_spec(spec, what: str) -> Stream:
         return constant_stream(read_numbers(spec, what))
     spec = read_object(spec, what, "const|values, then?")
     if "const" in spec:
+        _require("then" not in spec, f"{what}.then is read only beside {what}.values")
         return constant_stream(read_numbers(spec["const"], f"{what}.const"))
     if "values" in spec:
         values = spec["values"]

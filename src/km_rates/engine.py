@@ -2,11 +2,11 @@
 records residual streams and audits the bookkeeping inequalities along the
 trajectory.
 
-Storage policy: full point storage up to ``store_limit`` points (default
-1e5); longer runs, and every CLI run (``store_limit=0``), keep only the
-scalar streams.  The audit, the soundness checks and ``trajectory.csv`` read
-only those streams, so they are the same either way.  The CSV is written in
-bulk-formatted chunks of ``CSV_CHUNK`` rows.  The iteration itself is
+Only the scalar streams are kept, never the points: the audit, the
+soundness checks and ``trajectory.csv`` read nothing else.  A caller that
+wants x_n takes it from the arguments of ``op.apply``, which sees each point
+x_0 .. x_horizon once, in order, after the fixed-point check.  The CSV is
+written in bulk-formatted chunks of ``CSV_CHUNK`` rows.  The iteration is
 deterministic: identical inputs give bit-identical trajectories.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -24,10 +24,9 @@ from .operators import FIXED_POINT_TOL, Operator, Space
 from .schedules import Schedule
 
 AUDIT_TOL = 1e-9
-DEFAULT_STORE_LIMIT = 100_000
 #: points per block of the step loop: enough that the per-block array calls
 #: are a small share of the steps, few enough that the block's scratch rows
-#: add little to peak memory next to stored points
+#: add little to peak memory
 BLOCK = 256
 #: rows of trajectory.csv formatted per write, so its buffers stay bounded
 CSV_CHUNK = 4096
@@ -48,8 +47,7 @@ class Trajectory:
 
     ``res_T[n] = ||x_n - T(x_n)||`` and ``dist_z``/``norm_x``/``K_z`` have
     ``horizon + 1`` entries; ``res_step[n] = ||x_{n+1} - x_n||`` and the
-    recorded schedule streams have ``horizon`` entries.  ``points`` is None
-    when the run exceeded its ``store_limit``, which is every CLI run.
+    recorded schedule streams have ``horizon`` entries.
     """
 
     horizon: int
@@ -61,13 +59,11 @@ class Trajectory:
     alpha: np.ndarray
     beta: np.ndarray
     r_norm: np.ndarray
-    points: Optional[np.ndarray]
     norm_z: float
     fix_residual: float  # ||T(z) - z||, clamped to 0 below FIXED_POINT_TOL
 
 
-def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
-            store_limit: int = DEFAULT_STORE_LIMIT) -> Trajectory:
+def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int) -> Trajectory:
     """Materialize the trajectory up to ``horizon`` steps.
 
     Two phases: the schedule streams for the whole horizon are read in one
@@ -113,8 +109,6 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         dist_z = np.empty(horizon + 1)
         norm_x = np.empty(horizon + 1)
         res_step = np.empty(horizon)
-        store = horizon <= store_limit
-        points = np.empty((horizon + 1, space.dim)) if store else None
         apply = op.apply
         z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
         for n0 in range(0, horizon + 1, BLOCK):
@@ -151,8 +145,6 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             norm_x[n0:n1] = space.norm(pts)
             dist_z[n0:n1] = norm_x[n0:n1] if z_is_zero else space.norm(pts - z)
             res_step[n0:n0 + s] = space.norm(block_x[1:s + 1] - block_x[:s])
-            if store:
-                points[n0:n1] = pts
             bad = ~np.isfinite(res_T[n0:n1])
             bad[:s] |= ~np.isfinite(res_step[n0:n0 + s])
             if bad.any():
@@ -160,8 +152,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
 
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
-        norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, points=points,
-        norm_z=norm_z, fix_residual=fix_residual,
+        norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, norm_z=norm_z,
+        fix_residual=fix_residual,
     )
 
 

@@ -56,13 +56,15 @@ class Space:
 
 @dataclass(frozen=True)
 class Operator:
-    """A map on the space with a known fixed point."""
+    """A map on the space with a known fixed point.  ``apply`` takes a float
+    array of shape (dim,), which the engine holds at every step; calling the
+    operator casts any vector to one first."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     fixed_point: np.ndarray
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
+    def __call__(self, x) -> np.ndarray:
+        return self.apply(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
 
     z = np.zeros(space.dim)
     if name == "identity":
-        apply = lambda x: np.asarray(x, dtype=float)
+        apply = lambda x: x
     elif name == "rotation":
         if "angle_deg" in params:
             angle = math.radians(read("angle_deg", shape=()))
@@ -205,7 +207,6 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
         squared_norm("anchor", read("anchor", center) - center)  # apply(anchor) squares it
 
         def apply(x, center=center, radius=radius):
-            x = np.asarray(x, dtype=float)
             d = x - center
             nd = math.sqrt(float(np.dot(d, d)))
             if nd <= radius:
@@ -219,7 +220,6 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
             raise ValueError("halfspace normal must be nonzero")
 
         def apply(x, normal=normal, offset=offset, nn=nn):
-            x = np.asarray(x, dtype=float)
             excess = float(np.dot(normal, x)) - offset
             if excess <= 0.0:
                 return x
@@ -229,7 +229,7 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
         hi = read("hi")
         if np.any(lo > hi):
             raise ValueError("box bounds must satisfy lo <= hi componentwise")
-        apply = lambda x, lo=lo, hi=hi: np.clip(np.asarray(x, dtype=float), lo, hi)
+        apply = lambda x, lo=lo, hi=hi: np.clip(x, lo, hi)
     elif name == "affine_avg":
         Q = read("matrix", shape=(space.dim, space.dim))
         shift = read("shift", z)
@@ -254,7 +254,11 @@ def make_operator(name: str, space: Space, params: Optional[dict] = None,
         with np.errstate(all="ignore"):
             z = apply(read(entry.nearest, z))
         if not np.isfinite(z).all():  # a halfspace's normal . anchor can overflow
-            raise ValueError(f"{source} is too large: its projection overflows")
+            if entry.nearest in params:
+                raise ValueError(f"{source} is too large: its projection overflows")
+            # the origin, projected onto a halfspace as (offset / ||normal||^2) * normal
+            raise ValueError("operator parameters 'offset' and 'normal' are too large: the "
+                             "projection of the origin overflows")
     if fixed_point is not None:
         z = read_numbers(fixed_point, "declared fixed point", (space.dim,))
         source = "operator.fixed_point"

@@ -3,6 +3,8 @@ import pytest
 
 import km_rates as km
 
+import lemmas
+
 
 def rotation_instance():
     """90-degree plane rotation averaged with constant weight 1/2."""
@@ -79,9 +81,10 @@ def sample_admissible_triples(count, seed, dim=3):
 
 @pytest.fixture(scope="session")
 def rotation_traj_35k():
-    space, op, start, schedule, constants, cert = rotation_instance()
-    traj = km.iterate(space, op, start, schedule, 35000)
-    return traj, constants, cert
+    """The rotation run of 35 000 steps, its points and its constants."""
+    space, op, start, schedule, constants, _ = rotation_instance()
+    traj, points = lemmas.iterate_with_points(km.iterate, space, op, start, schedule, 35000)
+    return traj, points, constants
 
 
 @pytest.fixture(scope="session")

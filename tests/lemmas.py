@@ -1,9 +1,9 @@
 """Test oracles and negative controls for the moduli lemmas, the operator
 catalog and the audit: the sampled convexity-transfer and nonexpansiveness
 checks, the factorization self-check of a convexity modulus, the shifted
-inverse-square modulus with its sharp sum bound, and a point corruption that
-the audit must catch.  The library runs none of them; the tests hold its
-objects against them."""
+inverse-square modulus with its sharp sum bound, the points of a run as its
+operator sees them, and a point corruption that the audit must catch.  The
+library runs none of them; the tests hold its objects against them."""
 
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
@@ -137,15 +137,32 @@ def inverse_square_sum_bound(scale: float, offset: int) -> int:
     return ceil_int(scale * (1.0 / offset + 1.0 / (offset * offset)))
 
 
-def corrupt_point(space: Space, op: Operator, traj, index: int, magnitude: float = 1.0):
-    """Negative control for the audit: push x_index of a stored-points
-    trajectory of ``op`` on ``space`` radially away from the fixed point by
+def iterate_with_points(run: Callable, space: Space, op: Operator, start, schedule,
+                        horizon: int):
+    """``run(space, op, start, schedule, horizon)``, for ``km.iterate`` or the
+    reference loop, and its points x_0 .. x_horizon as a (horizon + 1, dim)
+    array: copies of the arguments of ``op.apply`` after the first call, the
+    fixed-point check."""
+    seen = []
+
+    def apply(x):
+        seen.append(x.copy())
+        return op.apply(x)
+
+    traj = run(space, replace(op, apply=apply), start, schedule, horizon)
+    assert len(seen) == horizon + 2
+    return traj, np.array(seen[1:])
+
+
+def corrupt_point(space: Space, op: Operator, traj, points, index: int,
+                  magnitude: float = 1.0):
+    """Negative control for the audit: push x_index of a trajectory of ``op``
+    on ``space`` with ``points`` x_0 .. x_horizon (from
+    :func:`iterate_with_points`) radially away from the fixed point by
     ``magnitude`` and recompute the streams that depend on it."""
-    if traj.points is None:
-        raise ValueError("corruption needs a stored-points trajectory")
     if not 0 <= index <= traj.horizon:
         raise ValueError(f"index {index} outside [0, {traj.horizon}]")
-    points = traj.points.copy()
+    points = points.copy()
     z = op.fixed_point
     d = points[index] - z
     nd = space.norm(d)
@@ -163,5 +180,4 @@ def corrupt_point(space: Space, op: Operator, traj, index: int, magnitude: float
         res_step[index - 1] = space.norm(x - points[index - 1])
     if index < traj.horizon:
         res_step[index] = space.norm(points[index + 1] - x)
-    return replace(traj, points=points, res_T=res_T, dist_z=dist, norm_x=normx,
-                   res_step=res_step)
+    return replace(traj, res_T=res_T, dist_z=dist, norm_x=normx, res_step=res_step)

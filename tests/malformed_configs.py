@@ -105,6 +105,11 @@ CONFIG_VALUES = {
     "zero-and-inverse_square": ({"schedule": {"family": "custom", "params": dict(
         CUSTOM, perturbation=dict(INVERSE_SQUARE, zero=True))}},
         "['zero', 'inverse_square']"),
+    # then continues a values table; beside const it would be ignored, and
+    # the schedule is valid without it
+    "then-beside-const": ({"schedule": {"family": "inexact_km", "params": dict(
+        INEXACT, beta={"const": 0.5, "then": 0.9}, perturbation_sum_bound=4)}},
+        "schedule.params.beta.then"),
 }
 
 #: id -> (operator name, its params, the parameter the error message names)
@@ -138,6 +143,9 @@ OPERATOR_PARAMS = {
     # each squared norm is finite, normal . anchor is not
     "anchor-normal-overflow": ("halfspace_projection", {"normal": [1e150, 0.0],
                                                         "anchor": [1e200, 0.0]}, "anchor"),
+    # no anchor: the origin's projection, offset / ||normal||^2 * normal, overflows
+    "offset-normal-overflow": ("halfspace_projection", {"normal": [1e-100, 0.0],
+                                                        "offset": -1e300}, "offset"),
 }
 
 #: id -> (changed config sections, the command and its flags, text the error

@@ -7,12 +7,11 @@ import math
 
 import numpy as np
 
-from km_rates.engine import DEFAULT_STORE_LIMIT, NumericAbort, Trajectory
+from km_rates.engine import NumericAbort, Trajectory
 from km_rates.operators import FIXED_POINT_TOL
 
 
-def reference_iterate(space, op, start, schedule, horizon,
-                      store_limit=DEFAULT_STORE_LIMIT) -> Trajectory:
+def reference_iterate(space, op, start, schedule, horizon) -> Trajectory:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     x = np.asarray(start, dtype=float).copy()
@@ -32,8 +31,6 @@ def reference_iterate(space, op, start, schedule, horizon,
     alpha = np.empty(horizon)
     beta = np.empty(horizon)
     r_norm = np.empty(horizon)
-    store = horizon <= store_limit
-    points = np.empty((horizon + 1, space.dim)) if store else None
 
     K = space.norm(x - z)
     if not math.isfinite(K) or not math.isfinite(space.norm(x)):
@@ -44,8 +41,6 @@ def reference_iterate(space, op, start, schedule, horizon,
         dist_z[n] = space.norm(x - z)
         norm_x[n] = space.norm(x)
         K_z[n] = K
-        if store:
-            points[n] = x
         a = schedule.alpha(n)
         b = schedule.beta(n)
         r = schedule.perturbation(n)
@@ -64,15 +59,13 @@ def reference_iterate(space, op, start, schedule, horizon,
     dist_z[horizon] = space.norm(x - z)
     norm_x[horizon] = space.norm(x)
     K_z[horizon] = K
-    if store:
-        points[horizon] = x
     if not math.isfinite(res_T[horizon]):
         raise NumericAbort(horizon)
 
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
-        norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, points=points,
-        norm_z=norm_z, fix_residual=fix_residual,
+        norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, norm_z=norm_z,
+        fix_residual=fix_residual,
     )
 
 

@@ -132,7 +132,7 @@ def test_criterion_5_inequality_audit(rotation_traj_35k, example2_ball_run):
     """Zero audit violations on every instance; the corrupted trajectory
     reports exactly one anchor-bound violation at the corrupted index."""
     t0 = time.perf_counter()
-    rot_traj, rot_constants, _ = rotation_traj_35k
+    rot_traj, rot_points, rot_constants = rotation_traj_35k
     ex2_instance, ex2_traj = example2_ball_run
 
     clean = []
@@ -155,7 +155,8 @@ def test_criterion_5_inequality_audit(rotation_traj_35k, example2_ball_run):
                                          norm=space.norm)).passed)
 
     rot_space, rot_op = rotation_instance()[:2]
-    corrupted = lemmas.corrupt_point(rot_space, rot_op, rot_traj, 50, magnitude=1.0)
+    corrupted = lemmas.corrupt_point(rot_space, rot_op, rot_traj, rot_points, 50,
+                                     magnitude=1.0)
     bad_audit = km.audit_inequalities(corrupted, rot_constants)
     anchor = bad_audit.checks["anchor_bound"].violations
     control_ok = len(anchor) == 1 and anchor[0].index == 50

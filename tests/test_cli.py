@@ -11,7 +11,6 @@ import km_rates as km
 from km_rates import cli
 from km_rates.certificates import THRESHOLD_ROUTES
 from km_rates.cli import main
-from km_rates.engine import DEFAULT_STORE_LIMIT
 
 from conftest import example2_ball_config
 from malformed_configs import CONFIG_VALUES, FLAGS, MISSPELT_PARAMS, OPERATOR_PARAMS
@@ -111,22 +110,21 @@ def test_run_writes_trajectory_and_audit(tmp_path, capsys):
 
 def test_cli_runs_keep_only_scalar_streams(tmp_path, capsys):
     horizon = 3000
-    assert horizon < DEFAULT_STORE_LIMIT
     cfg = write_config(tmp_path, rotation_config(tmp_path / "out", horizon=horizon))
     for command in ("run", "audit", "verify"):
         args = cli.build_parser().parse_args([command, "--config", cfg])
         _, _, _, traj, audit = cli._load_and_run(args)
-        assert traj.points is None and traj.horizon == horizon and audit.passed
+        assert traj.horizon == horizon and audit.passed
+        assert all(np.ndim(value) <= 1 for value in vars(traj).values())
 
     assert main(["run", "--config", cfg]) == 0
     capsys.readouterr()
     instance = km.assemble(km.load_config(cfg))
-    stored = km.iterate(instance.space, instance.operator, instance.start,
-                        instance.schedule, horizon)
-    assert stored.points is not None
-    km.write_trajectory_csv(stored, tmp_path / "stored.csv")
+    library = km.iterate(instance.space, instance.operator, instance.start,
+                         instance.schedule, horizon)
+    km.write_trajectory_csv(library, tmp_path / "library.csv")
     assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
-            == (tmp_path / "stored.csv").read_bytes())
+            == (tmp_path / "library.csv").read_bytes())
 
 
 def test_run_rejects_out_of_range_schedule(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +17,9 @@ import lemmas
 def test_identity_schedule_keeps_start_fixed():
     space = km.Space(dim=2)
     op = km.make_operator("identity", space)
-    traj = km.iterate(space, op, [0.3, -0.7], km.make_classical_km(0.5), 50)
-    np.testing.assert_allclose(traj.points[-1], [0.3, -0.7], atol=1e-15)
+    traj, points = lemmas.iterate_with_points(km.iterate, space, op, [0.3, -0.7],
+                                              km.make_classical_km(0.5), 50)
+    np.testing.assert_allclose(points[-1], [0.3, -0.7], atol=1e-15)
     assert np.all(traj.res_T == 0.0)
     assert np.all(traj.res_step <= 1e-16)
 
@@ -48,8 +49,9 @@ def test_rotation_residual_matches_closed_form():
 def test_ball_projection_km_hand_values():
     space = km.Space(dim=2)
     op = km.make_operator("ball_projection", space, {"center": [0.0, 0.0], "radius": 1.0})
-    traj = km.iterate(space, op, [2.0, 0.0], km.make_classical_km(0.5), 10)
-    np.testing.assert_allclose(traj.points[1], [1.5, 0.0])
+    traj, points = lemmas.iterate_with_points(km.iterate, space, op, [2.0, 0.0],
+                                              km.make_classical_km(0.5), 10)
+    np.testing.assert_allclose(points[1], [1.5, 0.0])
     assert traj.res_T[1] == pytest.approx(0.5)
 
 
@@ -70,8 +72,8 @@ def test_audit_rotation_clean():
 
 def test_audit_flags_corrupted_point():
     space, op, start, schedule, constants, _ = rotation_instance()
-    traj = km.iterate(space, op, start, schedule, 200)
-    bad = lemmas.corrupt_point(space, op, traj, 50, magnitude=1.0)
+    traj, points = lemmas.iterate_with_points(km.iterate, space, op, start, schedule, 200)
+    bad = lemmas.corrupt_point(space, op, traj, points, 50, magnitude=1.0)
     audit = km.audit_inequalities(bad, constants)
     anchor = audit.checks["anchor_bound"].violations
     assert len(anchor) == 1
@@ -99,23 +101,11 @@ def test_classical_km_residual_nonincreasing():
 
 def test_iterate_deterministic():
     space, op, start, schedule, _, _ = rotation_instance()
-    t1 = km.iterate(space, op, start, schedule, 300)
-    t2 = km.iterate(space, op, start, schedule, 300)
+    t1, p1 = lemmas.iterate_with_points(km.iterate, space, op, start, schedule, 300)
+    t2, p2 = lemmas.iterate_with_points(km.iterate, space, op, start, schedule, 300)
     assert np.array_equal(t1.res_T, t2.res_T)
-    assert np.array_equal(t1.points, t2.points)
+    assert np.array_equal(p1.view(np.uint64), p2.view(np.uint64))
     assert np.array_equal(t1.K_z, t2.K_z)
-
-
-def test_streaming_mode_drops_points_but_keeps_audit():
-    space, op, start, schedule, constants, _ = rotation_instance()
-    full = km.iterate(space, op, start, schedule, 400)
-    lean = km.iterate(space, op, start, schedule, 400, store_limit=100)
-    assert lean.points is None
-    assert np.array_equal(full.res_T, lean.res_T)
-    audit = km.audit_inequalities(lean, constants)
-    assert audit.passed
-    with pytest.raises(ValueError):
-        lemmas.corrupt_point(space, op, lean, 10)
 
 
 def test_trajectory_lengths():
@@ -123,7 +113,16 @@ def test_trajectory_lengths():
     traj = km.iterate(space, op, start, schedule, 77)
     assert len(traj.res_T) == 78 and len(traj.K_z) == 78
     assert len(traj.res_step) == 77 and len(traj.alpha) == 77
-    assert traj.points.shape == (78, 2)
+
+
+def test_trajectory_keeps_no_points():
+    """Every array of a trajectory is a scalar stream: the memory of a run
+    grows with its horizon, never with horizon * dim."""
+    space = km.Space(dim=8)
+    op = km.make_operator("coordinate_shrink", space, {"factors": [0.5] * 8})
+    traj = km.iterate(space, op, np.ones(8), km.make_classical_km(0.5), BLOCK + 1)
+    arrays = [f.name for f in fields(traj) if isinstance(getattr(traj, f.name), np.ndarray)]
+    assert arrays and all(getattr(traj, name).ndim == 1 for name in arrays), arrays
 
 
 def test_iterate_validation():
@@ -145,10 +144,12 @@ def test_zero_fixed_point_dist_is_norm(p, name, params, z):
     op = replace(km.make_operator(name, space, params), fixed_point=np.array(z))
     schedule = km.make_example1(0.5, 1, r_star=[0.0, -0.0, 0.25], norm=space.norm)
     start = [-0.0, 1.0, -0.5]
-    new = km.iterate(space, op, start, schedule, BLOCK + 3)
-    ref = reference_iterate(space, op, start, schedule, BLOCK + 3)
+    new, new_points = lemmas.iterate_with_points(km.iterate, space, op, start, schedule,
+                                                 BLOCK + 3)
+    ref, ref_points = lemmas.iterate_with_points(reference_iterate, space, op, start, schedule,
+                                                 BLOCK + 3)
     assert np.array_equal(new.dist_z, new.norm_x)
-    assert np.array_equal(new.points, ref.points)
+    assert np.array_equal(new_points.view(np.uint64), ref_points.view(np.uint64))
     for stream in ("res_T", "res_step", "dist_z", "norm_x"):
         np.testing.assert_allclose(getattr(new, stream), getattr(ref, stream),
                                    rtol=1e-12, atol=0.0, err_msg=stream)
@@ -156,8 +157,7 @@ def test_zero_fixed_point_dist_is_norm(p, name, params, z):
 
 def test_numeric_abort_reports_index():
     space = km.Space(dim=2)
-    blower = Operator(apply=lambda x: 1e200 * np.asarray(x, dtype=float),
-                      fixed_point=np.zeros(2))
+    blower = Operator(apply=lambda x: 1e200 * x, fixed_point=np.zeros(2))
     with pytest.raises(NumericAbort) as exc:
         km.iterate(space, blower, [1.0, 0.0], km.make_classical_km(0.5), 50)
     assert 0 < exc.value.index <= 50

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import km_rates as km
-from km_rates.engine import BLOCK, DEFAULT_STORE_LIMIT, NumericAbort
+from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
 
+from lemmas import iterate_with_points
 from reference_engine import reference_iterate
 
 LP_SAFE = ("identity", "coordinate_shrink")
@@ -83,14 +84,12 @@ def assembled(op_name, family, dim, p, seed):
 
 @given(op_name=st.sampled_from(km.catalog_names()), family=st.sampled_from(FAMILIES),
        dim=st.sampled_from([2, 3, 8]), p=st.sampled_from([2.0, 1.5, 3.0, 7.0]),
-       horizon=st.sampled_from(HORIZONS), streamed=st.booleans(), moved_z=st.booleans(),
-       seed=st.integers(0, 2**16))
+       horizon=st.sampled_from(HORIZONS), moved_z=st.booleans(), seed=st.integers(0, 2**16))
 @settings(max_examples=50, deadline=None)
-def test_block_engine_matches_reference_loop(op_name, family, dim, p, horizon, streamed,
-                                             moved_z, seed):
+def test_block_engine_matches_reference_loop(op_name, family, dim, p, horizon, moved_z, seed):
     if op_name not in LP_SAFE:
         p = 2.0
-    _assert_matches_reference(op_name, family, dim, p, horizon, streamed, moved_z, seed)
+    _assert_matches_reference(op_name, family, dim, p, horizon, moved_z, seed)
 
 
 @pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1])
@@ -98,8 +97,8 @@ def test_block_engine_matches_reference_loop(op_name, family, dim, p, horizon, s
 def test_block_engine_matches_reference_loop_dim64(family, horizon):
     """beta_n and r_n vary per index and r_n fills whole rows, across the
     block boundary."""
-    _assert_matches_reference("coordinate_shrink", family, 64, 3.0, horizon, streamed=False,
-                              moved_z=False, seed=5)
+    _assert_matches_reference("coordinate_shrink", family, 64, 3.0, horizon, moved_z=False,
+                              seed=5)
 
 
 def test_block_engine_keeps_the_sign_of_zero():
@@ -108,28 +107,27 @@ def test_block_engine_keeps_the_sign_of_zero():
     space = km.Space(dim=8)
     op = km.make_operator("coordinate_shrink", space, {"factors": [0.5] * 8})
     args = (space, op, np.array([-0.0, 0.0] * 4), km.make_classical_km(0.5), BLOCK + 1)
-    ref, new = reference_iterate(*args), km.iterate(*args)
-    assert np.signbit(new.points[0]).any()
-    assert np.array_equal(new.points.view(np.uint64), ref.points.view(np.uint64))
+    _, ref_points = iterate_with_points(reference_iterate, *args)
+    _, new_points = iterate_with_points(km.iterate, *args)
+    assert np.signbit(new_points[0]).any()
+    assert np.array_equal(new_points.view(np.uint64), ref_points.view(np.uint64))
 
 
-def _assert_matches_reference(op_name, family, dim, p, horizon, streamed, moved_z, seed):
+def _assert_matches_reference(op_name, family, dim, p, horizon, moved_z, seed):
     inst = assembled(op_name, family, dim, p, seed)
     op = inst.operator
     if moved_z:  # a reference point that is not fixed: ||T(z) - z|| > 0 enters K_z
         op = replace(op, fixed_point=op.fixed_point + 0.25)
-    store_limit = 10 if streamed else DEFAULT_STORE_LIMIT
     args = (inst.space, op, inst.start, inst.schedule, horizon)
-    ref = reference_iterate(*args, store_limit=store_limit)
-    new = km.iterate(*args, store_limit=store_limit)
+    ref, ref_points = iterate_with_points(reference_iterate, *args)
+    new, new_points = iterate_with_points(km.iterate, *args)
     for name in ("alpha", "beta", "r_norm", "K_z"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
     for name in ("res_T", "res_step", "dist_z", "norm_x"):
         np.testing.assert_allclose(getattr(new, name), getattr(ref, name),
                                    rtol=1e-12, atol=0.0, err_msg=name)
-    assert (new.points is None) == (ref.points is None) == (horizon > store_limit)
-    if ref.points is not None:  # bit for bit: array_equal would count -0.0 == 0.0
-        assert np.array_equal(new.points.view(np.uint64), ref.points.view(np.uint64))
+    # bit for bit: array_equal would count -0.0 == 0.0
+    assert np.array_equal(new_points.view(np.uint64), ref_points.view(np.uint64))
 
 
 def _spike(n):
@@ -139,13 +137,11 @@ def _spike(n):
 
 @pytest.mark.parametrize("factor, spike", [(1e200, False), (2.0, False), (1.5, False),
                                            (1.0, True)])
-@pytest.mark.parametrize("store_limit", [10, DEFAULT_STORE_LIMIT])
-def test_blower_aborts_at_reference_index(factor, spike, store_limit):
+def test_blower_aborts_at_reference_index(factor, spike):
     """The operator x -> factor*x overflows the norms; the spike makes only
     a step non-finite, since the identity keeps the residual at 0."""
     space = km.Space(dim=2)
-    blower = Operator(apply=lambda x: factor * np.asarray(x, dtype=float),
-                      fixed_point=np.zeros(2))
+    blower = Operator(apply=lambda x: factor * x, fixed_point=np.zeros(2))
     schedule = km.make_classical_km(0.5)
     if spike:
         schedule = km.make_inexact_km(
@@ -154,7 +150,7 @@ def test_blower_aborts_at_reference_index(factor, spike, store_limit):
 
     def abort_index(run, horizon):
         try:
-            run(space, blower, [1.0, 0.0], schedule, horizon, store_limit=store_limit)
+            run(space, blower, [1.0, 0.0], schedule, horizon)
         except NumericAbort as exc:
             return exc.index
         return None

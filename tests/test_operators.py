@@ -28,6 +28,17 @@ def test_catalog_fixed_points_certified(name, params):
 
 
 @pytest.mark.parametrize("name,params", EUCLIDEAN_CASES)
+def test_call_casts_any_vector_as_apply_expects(name, params):
+    """``Operator.__call__`` is the one cast: a list, of ints or floats, is
+    mapped to the same bits as the float array the engine hands ``apply``."""
+    assert {case for case, _ in EUCLIDEAN_CASES} == set(km.catalog_names())
+    op = km.make_operator(name, km.Space(dim=2), params)
+    for x in ([3, -2], [-0.0, 0.5], [0.25, 5.0]):
+        assert np.array_equal(op(x).view(np.uint64),
+                              op(np.array(x, dtype=float)).view(np.uint64)), x
+
+
+@pytest.mark.parametrize("name,params", EUCLIDEAN_CASES)
 def test_catalog_nonexpansive_sampled(name, params):
     space = km.Space(dim=2)
     op = km.make_operator(name, space, params)
