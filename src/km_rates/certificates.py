@@ -195,7 +195,6 @@ class Certificate:
     residual_rate: RateFn
     step_rate: RateFn
     liminf_modulus: LiminfModulus
-    step_series_modulus: RateFn
 
     def table(self, k_max: int) -> List[dict]:
         return [
@@ -241,5 +240,4 @@ def make_certificate(constants: InstanceConstants, schedule: Schedule,
         residual_rate=residual,
         step_rate=make_step_rate(residual),
         liminf_modulus=dip,
-        step_series_modulus=increments,
     )

@@ -22,7 +22,7 @@ from .certificates import CertificateOverflow
 from .config import FAMILY_PARAMS, ConfigError, Instance, RunConfig, assemble, load_config
 from .engine import NumericAbort, audit_inequalities, iterate, write_trajectory_csv
 from .operators import CATALOG
-from .schedules import range_findings, verify_hypotheses
+from .schedules import range_findings, stream_values, verify_hypotheses
 from .verify import (
     auto_horizon,
     check_liminf_contract,
@@ -72,9 +72,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _validate_schedule_window(instance: Instance, horizon: int) -> None:
-    """The range check of :func:`range_findings` on [0, horizon); the first
-    violating index rejects the config before any iteration runs."""
-    findings = range_findings(instance.schedule, np.arange(horizon))
+    """The range check of :func:`range_findings` on the weights of [0,
+    horizon); the first violating index rejects the config before any
+    iteration runs."""
+    ns = np.arange(horizon)
+    findings = range_findings(stream_values(instance.schedule.alpha, ns),
+                              stream_values(instance.schedule.beta, ns))
     if findings:
         raise ConfigError(min(findings, key=lambda f: f.index).message)
 
@@ -97,14 +100,12 @@ def cmd_certify(args) -> int:
     doc = cfg.to_dict()
     k_max, formats = doc["run"]["k_max"], doc["output"]["formats"]
     cert = instance.certificate
-    table = cert.table(k_max)
+    certificate = cert.to_dict(k_max)
+    table = certificate["table"]
     out = _ensure_out(doc)
-    report = {
-        "config": doc,
-        "certificate": cert.to_dict(k_max),
-    }
     if "json" in formats:
-        _write_json(os.path.join(out, "certificate.json"), report)
+        _write_json(os.path.join(out, "certificate.json"),
+                    {"config": doc, "certificate": certificate})
     if "csv" in formats:
         with open(os.path.join(out, "certificate.csv"), "w", encoding="utf-8") as handle:
             handle.write("k,threshold,residual_rate,step_rate\n")
@@ -221,41 +222,33 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+#: the subcommands that read a config: name, handler, help
+CONFIG_COMMANDS = (
+    ("certify", cmd_certify, "compute and tabulate the certificate"),
+    ("run", cmd_run, "run the iteration, export the trajectory, audit"),
+    ("verify", cmd_verify, "certify + run + soundness checks"),
+    ("audit", cmd_audit, "run and report the inequality audit"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="km-rates",
         description="Averaged fixed-point iteration with explicit, empirically "
                     "verified asymptotic-regularity rate certificates.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to the JSON run config")
+    common.add_argument("--out", default=None, help="output directory override")
+    common.add_argument("--k-max", dest="k_max", type=int, default=None)
+    common.add_argument("--horizon", type=int, default=None)
+    common.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="restrict outputs to one format")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--k-max", dest="k_max", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="restrict outputs to one format")
-
-    p_certify = sub.add_parser("certify", help="compute and tabulate the certificate")
-    add_common(p_certify)
-    p_certify.set_defaults(fn=cmd_certify)
-
-    p_run = sub.add_parser("run", help="run the iteration, export the trajectory, audit")
-    add_common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_verify = sub.add_parser("verify", help="certify + run + soundness checks")
-    add_common(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_audit = sub.add_parser("audit", help="run and report the inequality audit")
-    add_common(p_audit)
-    p_audit.set_defaults(fn=cmd_audit)
-
-    p_catalog = sub.add_parser("catalog", help="list operators and schedule families")
-    p_catalog.set_defaults(fn=cmd_catalog, out=None)
-
+    for name, fn, text in CONFIG_COMMANDS:
+        sub.add_parser(name, help=text, parents=[common]).set_defaults(fn=fn)
+    sub.add_parser("catalog", help="list operators and schedule families").set_defaults(
+        fn=cmd_catalog)
     return parser
 
 

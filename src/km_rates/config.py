@@ -259,8 +259,7 @@ def build_schedule(family, params, space: Space, what: str) -> Schedule:
             if not series.zero:
                 series = replace(series, modulus=_rate_spec(*param("perturbation_cauchy")),
                                  bound=read_int(*param("perturbation_sum_bound"), 0))
-            schedule = make_inexact_km(beta, divergence, None if series.zero else pert, series,
-                                       perturbation_norm=pert_norm)
+            schedule = make_inexact_km(beta, divergence, pert, series, perturbation_norm=pert_norm)
         elif family == "anchor":
             base = read_object(params.get("base"), f"{what}.params.base", "family, params?")
             base = build_schedule(base.get("family"), base.get("params"), space,

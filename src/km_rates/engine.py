@@ -19,9 +19,8 @@ from typing import List
 import numpy as np
 
 from .certificates import InstanceConstants
-from .moduli import stream_values
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import Schedule
+from .schedules import Schedule, stream_values
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls

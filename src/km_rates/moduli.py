@@ -73,24 +73,6 @@ def _natural(value, what: str) -> int:
     return out
 
 
-def _norm2(v):
-    """Euclidean norm along the last axis: one value for a vector, one per row
-    for a stack of vectors.  Each is sqrt(v . v) with the dot product np.dot
-    takes, so a row norm equals the norm of that row alone, bit for bit."""
-    v = np.asarray(v, dtype=float)
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
-
-
-def stream_values(stream: Callable, ns: np.ndarray) -> np.ndarray:
-    """A scalar stream evaluated on the index array ``ns`` in one call, as
-    floats of the shape of ``ns``; a result of any other shape breaks the
-    stream contract and raises ValueError."""
-    values = np.asarray(stream(ns), dtype=float)
-    if values.shape != ns.shape:
-        raise ValueError(f"stream returned shape {values.shape} for indices of shape {ns.shape}")
-    return values
-
-
 class RateKind(Enum):
     RATE_OF_CONVERGENCE = "rate_of_convergence"
     CAUCHY_MODULUS = "cauchy_modulus"
@@ -300,28 +282,23 @@ class DivergenceReport:
         }
 
 
-def check_divergence_rate(
-    summand: Callable,
-    rate: RateFn,
-    n_max: int,
-    window: int,
-) -> DivergenceReport:
-    """Check a claimed divergence rate on [0, n_max], within the summand
-    indices [0, window].
+def check_divergence_rate(terms: np.ndarray, rate: RateFn, n_max: int) -> DivergenceReport:
+    """Check a claimed divergence rate on [0, n_max] against the summand
+    values ``terms`` of the indices [0, len(terms) - 1], the window.
 
     For each n the partial sum up to index rate(n) must reach n.  When every
-    summand seen lies in [0, 1) the growth property rate(n) >= n is checked
-    as well; summands outside [0, 1) disable only that sub-check.  The check
-    stops before the first n with rate(n) > window, and the report's
-    ``n_max`` is the last n checked (-1 if none); the summand stream is
-    evaluated once, up to rate(n) of that last n.
+    summand up to rate(n) of the last n checked lies in [0, 1) the growth
+    property rate(n) >= n is checked as well; summands outside [0, 1) disable
+    only that sub-check.  The check stops before the first n whose rate(n)
+    leaves the window, and the report's ``n_max`` is the last n checked (-1
+    if none).
     """
     if rate.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError(f"expected a rate of divergence, got kind {rate.kind}")
     n_max = _natural(n_max, "n_max")
-    values = list(itertools.takewhile(lambda rv: rv <= window,
+    values = list(itertools.takewhile(lambda rv: rv < len(terms),
                                       (rate(n) for n in range(n_max + 1))))
-    terms = stream_values(summand, np.arange(max(values, default=-1) + 1))
+    terms = np.asarray(terms[:max(values, default=-1) + 1], dtype=float)
     in_unit = bool(np.all((terms >= 0.0) & (terms < 1.0)))
     partials = np.cumsum(terms)[values]
     sum_ok = partials >= np.arange(len(values)) - CHECK_TOL
@@ -372,25 +349,24 @@ class CauchyReport:
 
 
 def check_series_cauchy_modulus(
-    summand: Callable,
+    terms: np.ndarray,
     modulus: RateFn,
     k_max: int,
-    window: int,
     tail_bound: Optional[Callable[[int], float]] = None,
 ) -> CauchyReport:
-    """Check a Cauchy modulus of a nonnegative series on a finite window.
+    """Check a Cauchy modulus of a nonnegative series against its summand
+    values ``terms`` of the indices [0, window], window = len(terms) - 1.
 
     For nonnegative summands the worst gap past index n is the full remaining
     tail, so each k reduces to one comparison at n = modulus(k).  When
     ``tail_bound(m)`` bounds the sum beyond index m the check covers all p,
     otherwise it covers the window only (row stays honest about that via
-    ``tail_bounded`` on the report).  The summand stream is evaluated once,
-    on the index array [0, window].
+    ``tail_bounded`` on the report).
     """
     if modulus.kind is not RateKind.CAUCHY_MODULUS:
         raise ValueError(f"expected a Cauchy modulus, got kind {modulus.kind}")
-    window = _natural(window, "window")
-    terms = stream_values(summand, np.arange(window + 1))
+    terms = np.asarray(terms, dtype=float)
+    window = len(terms) - 1
     if np.any(terms < -CHECK_TOL):
         raise ValueError("series summands must be nonnegative")
     sums = np.concatenate([[0.0], np.cumsum(terms)])  # sums[i] = sum of first i terms

@@ -18,10 +18,16 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .moduli import _norm2
-
 FIXED_POINT_TOL = 1e-12
 NONEXPANSIVE_TOL = 1e-12
+
+
+def _norm2(v):
+    """Euclidean norm along the last axis: one value for a vector, one per row
+    for a stack of vectors.  Each is sqrt(v . v) with the dot product np.dot
+    takes, so a row norm equals the norm of that row alone, bit for bit."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .moduli import (
     check_divergence_rate,
     check_series_cauchy_modulus,
     inverse_square_modulus,
-    stream_values,
 )
 
 #: index (array) -> value (array of the index's shape)
@@ -108,13 +107,15 @@ class Schedule:
     def defect(self, n):
         return 1.0 - self.alpha(n) - self.beta(n)
 
-    def coupling_weight(self, n):
-        """alpha*beta/(alpha+beta); NaN where alpha+beta vanishes, which the
-        range check reports."""
-        a = self.alpha(n)
-        b = self.beta(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a * b / (a + b)
+
+def stream_values(stream: Stream, ns: np.ndarray) -> np.ndarray:
+    """A scalar stream evaluated on the index array ``ns`` in one call, as
+    floats of the shape of ``ns``; a result of any other shape breaks the
+    stream contract and raises ValueError."""
+    values = np.asarray(stream(ns), dtype=float)
+    if values.shape != ns.shape:
+        raise ValueError(f"stream returned shape {values.shape} for indices of shape {ns.shape}")
+    return values
 
 
 def constant_stream(value: float) -> Stream:
@@ -276,13 +277,12 @@ class Finding:
     message: str
 
 
-def range_findings(schedule: Schedule, ns: np.ndarray) -> List[Finding]:
-    """The range check of the averaging weights on the index array ``ns``:
-    alpha_n and beta_n lie in [0, 1] and 0 < alpha_n + beta_n <= 1, each up to
-    RANGE_TOL; NaN is out of range.  Returns up to 20 findings per check,
-    checks in the order above, indices ascending within each."""
-    alpha = stream_values(schedule.alpha, ns)
-    beta = stream_values(schedule.beta, ns)
+def range_findings(alpha: np.ndarray, beta: np.ndarray) -> List[Finding]:
+    """The range check of the averaging weights' values alpha_n and beta_n,
+    n the position in the arrays: both lie in [0, 1] and 0 < alpha_n + beta_n
+    <= 1, each up to RANGE_TOL; NaN is out of range.  Returns up to 20
+    findings per check, checks in the order above, indices ascending within
+    each."""
     total = alpha + beta
     checks = (
         ("alpha_range", "alpha out of [0, 1]", alpha,
@@ -292,7 +292,7 @@ def range_findings(schedule: Schedule, ns: np.ndarray) -> List[Finding]:
         ("sum_range", "alpha+beta exceeds 1", total, total > 1.0 + RANGE_TOL),
         ("sum_positive", "alpha+beta not positive", total, total <= 0.0),
     )
-    return [Finding(check, int(ns[i]), f"{message} at n={ns[i]}: {values[i]}")
+    return [Finding(check, int(i), f"{message} at n={i}: {values[i]}")
             for check, message, values, bad in checks
             for i in np.flatnonzero(bad)[:20]]
 
@@ -342,26 +342,44 @@ def verify_hypotheses(schedule: Schedule, n_max: int) -> HypothesesReport:
     """Check ranges (see :func:`range_findings`), modulus contracts and sum
     bounds on [0, n_max].
 
-    All findings land in the report; nothing raises.  The two Cauchy
-    contracts are checked for k <= HYPOTHESES_K_MAX, with the analytic tail
-    bounds when the series provide them and on the window only otherwise; the
-    divergence rate for targets n <= min(n_max, DIVERGENCE_N_MAX).
+    Each scalar stream is evaluated once, on [0, n_max]; the defect and
+    coupling summands are derived from those values.  All findings land in the
+    report; nothing raises.  The two Cauchy contracts are checked for k <=
+    HYPOTHESES_K_MAX, with the analytic tail bounds when the series provide
+    them and on the window only otherwise; the divergence rate for targets n
+    <= min(n_max, DIVERGENCE_N_MAX).
     """
     ns = np.arange(n_max + 1)
-    findings = range_findings(schedule, ns)
+    alpha = stream_values(schedule.alpha, ns)
+    beta = stream_values(schedule.beta, ns)
     pert = stream_values(schedule.perturbation_norm, ns)
+    # each window-sized array goes once it is read for the last time, which
+    # keeps at most five alive; an index below is a position in these arrays
+    del ns
+    findings = range_findings(alpha, beta)
     findings += [Finding("perturbation_norm", int(n), f"negative perturbation norm at n={n}")
                  for n in np.flatnonzero(pert < -RANGE_TOL)[:20]]
     # a negative summand voids the series contracts; the findings say why
     series_checked = not findings
 
-    defect = stream_values(schedule.defect, ns)
+    # the coupling alpha*beta/(alpha+beta) and the defect (1 - alpha) - beta,
+    # in arrays of their own (a stream may hand out an array it keeps); the
+    # coupling is NaN or inf only where the range check reports the weights
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coupling = alpha * beta
+        coupling /= alpha + beta
+    defect = np.subtract(1.0, alpha)
+    defect -= beta
+    del alpha, beta
+    divergence_report = check_divergence_rate(coupling, schedule.weight_divergence,
+                                              min(n_max, DIVERGENCE_N_MAX))
+    del coupling
+
     reports, sums = [], []
     # a defect declared zero may not stray either way; a norm is checked as is
-    for name, summand, values, size, series in (
-            ("defect", schedule.defect, defect, np.abs(defect), schedule.defect_series),
-            ("perturbation", schedule.perturbation_norm, pert, pert,
-             schedule.perturbation_series)):
+    for name, values, size, series in (
+            ("defect", defect, np.abs(defect), schedule.defect_series),
+            ("perturbation", pert, pert, schedule.perturbation_series)):
         report = None
         window_sum = float(np.sum(values))
         if series.zero:
@@ -371,18 +389,14 @@ def verify_hypotheses(schedule: Schedule, n_max: int) -> HypothesesReport:
                                         f"{name} declared zero but nonzero at n={n_bad}"))
         else:
             if series_checked:
-                report = check_series_cauchy_modulus(summand, series.modulus, HYPOTHESES_K_MAX,
-                                                     n_max, tail_bound=series.tail)
+                report = check_series_cauchy_modulus(values, series.modulus, HYPOTHESES_K_MAX,
+                                                     tail_bound=series.tail)
             if window_sum > series.bound + CHECK_TOL:
                 findings.append(Finding(f"{name}_sum_bound", None,
                                         f"window {name} sum {window_sum} exceeds bound "
                                         f"{series.bound}"))
         reports.append(report)
         sums.append(window_sum)
-
-    divergence_report = check_divergence_rate(
-        schedule.coupling_weight, schedule.weight_divergence, min(n_max, DIVERGENCE_N_MAX),
-        window=n_max)
 
     return HypothesesReport(
         window=n_max,

@@ -1,9 +1,10 @@
 """Test oracles and negative controls for the moduli lemmas, the operator
 catalog and the audit: the sampled convexity-transfer and nonexpansiveness
 checks, the factorization self-check of a convexity modulus, the shifted
-inverse-square modulus with its sharp sum bound, the points of a run as its
-operator sees them, and a point corruption that the audit must catch.  The
-library runs none of them; the tests hold its objects against them."""
+inverse-square modulus with its sharp sum bound, the summands of a schedule's
+coupling series, the points of a run as its operator sees them, and a point
+corruption that the audit must catch.  The library runs none of them; the
+tests hold its objects against them."""
 
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
@@ -135,6 +136,14 @@ def inverse_square_sum_bound(scale: float, offset: int) -> int:
     if scale == 0.0:
         return 0
     return ceil_int(scale * (1.0 / offset + 1.0 / (offset * offset)))
+
+
+def coupling_values(schedule, n_max: int) -> np.ndarray:
+    """alpha_n*beta_n/(alpha_n+beta_n) of ``schedule`` for n in [0, n_max]:
+    the summands whose series its weight_divergence must drive past every k."""
+    ns = np.arange(n_max + 1)
+    a, b = schedule.alpha(ns), schedule.beta(ns)
+    return a * b / (a + b)
 
 
 def iterate_with_points(run: Callable, space: Space, op: Operator, start, schedule,

@@ -180,8 +180,8 @@ def test_criterion_6_moduli_contracts():
         tail = lambda m, s=scale, o=offset: s / (m + o)
         for modulus in (km.inverse_square_modulus(scale, offset),
                         lemmas.shifted_inverse_square_modulus(scale, offset)):
-            report = check_series_cauchy_modulus(summand, modulus, k_max=100,
-                                                 window=4000, tail_bound=tail)
+            report = check_series_cauchy_modulus(summand(np.arange(4001)), modulus, k_max=100,
+                                                 tail_bound=tail)
             if not report.passed:
                 problems.append(f"inverse-square ({scale},{offset})")
 
@@ -204,8 +204,9 @@ def test_criterion_6_moduli_contracts():
 
     # shrinking-weight divergence rate over the full stated window
     ex2 = km.make_example2(0.5, J=2)
-    div = km.check_divergence_rate(ex2.coupling_weight, ex2.weight_divergence, 2000,
-                                   window=max(map(ex2.weight_divergence, range(2001))))
+    window = max(map(ex2.weight_divergence, range(2001)))
+    div = km.check_divergence_rate(lemmas.coupling_values(ex2, window), ex2.weight_divergence,
+                                   2000)
     if not div.passed:
         problems.append("shrinking-weight divergence rate")
 

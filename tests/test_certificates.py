@@ -309,17 +309,25 @@ def test_certificate_monotone_in_instance_bounds():
 
 
 def test_step_series_modulus_diagnostic():
-    classical = CLASSICAL
-    assert all(classical.step_series_modulus(k) == 0 for k in range(10))
+    def step_series_modulus(cert, schedule):
+        """The Cauchy modulus of the residual increments
+        2*norm_bound*defect_n + 2*||r_n||."""
+        return km.combine_cauchy_moduli(schedule.defect_series.modulus,
+                                        schedule.perturbation_series.modulus,
+                                        2 * cert.constants.norm_bound, 2)
+
+    classical = step_series_modulus(CLASSICAL, km.make_classical_km(0.5))
+    assert all(classical(k) == 0 for k in range(10))
 
     ex2 = example2_certificate(1, 0)
+    s2 = km.make_example2(0.5, J=2)
+    increments = step_series_modulus(ex2, s2)
     # norm bound 4, unperturbed: max(defect modulus at 16(k+1)-1, 0) = 16(k+1)
     for k in range(10):
-        assert ex2.step_series_modulus(k) == 16 * (k + 1)
+        assert increments(k) == 16 * (k + 1)
     # the residual rate is exactly the divergence rate of the composed argument
-    s2 = km.make_example2(0.5, J=2)
     for k in range(20):
-        arg = ex2.threshold(2 * k + 1) + ex2.step_series_modulus(2 * k + 1) + 1
+        arg = ex2.threshold(2 * k + 1) + increments(2 * k + 1) + 1
         assert ex2.residual_rate(k) == s2.weight_divergence(arg)
 
 

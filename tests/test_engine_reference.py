@@ -171,7 +171,7 @@ def test_streams_scalar_and_array_forms_agree(family):
     dim = 3
     schedule = assembled("identity", family, dim, 2.0, seed=11).schedule
     ns = np.arange(40)
-    for name in ("alpha", "beta", "perturbation_norm", "defect", "coupling_weight"):
+    for name in ("alpha", "beta", "perturbation_norm", "defect"):
         stream = getattr(schedule, name)
         values = stream(ns)
         assert np.shape(values) == ns.shape, name

@@ -11,7 +11,6 @@ from km_rates.moduli import (
     ceil_int,
     check_series_cauchy_modulus,
 )
-from km_rates.schedules import constant_stream
 
 import lemmas
 
@@ -167,7 +166,7 @@ def test_combine_cauchy_moduli_contract_brute_force():
     modulus = km.inverse_square_modulus(1.0, 1)
     combined = km.combine_cauchy_moduli(modulus, modulus, 1, 1)
     report = check_series_cauchy_modulus(
-        lambda n: 2.0 / (n + 1) ** 2, combined, k_max=50, window=10**4,
+        2.0 / (np.arange(10**4 + 1) + 1) ** 2, combined, k_max=50,
         tail_bound=lambda m: 2.0 / (m + 1))
     assert report.passed and report.checked == 51
 
@@ -203,8 +202,8 @@ def test_inverse_square_modulus_contract(scale, offset):
     tail = lambda m: scale / (m + offset)
     for modulus in (km.inverse_square_modulus(scale, offset),
                     lemmas.shifted_inverse_square_modulus(scale, offset)):
-        report = check_series_cauchy_modulus(summand, modulus, k_max=100,
-                                             window=2000, tail_bound=tail)
+        report = check_series_cauchy_modulus(summand(np.arange(2001)), modulus, k_max=100,
+                                             tail_bound=tail)
         assert report.passed
     total = sum(summand(n) for n in range(10**5)) + tail(10**5 - 1)
     assert total <= lemmas.inverse_square_sum_bound(scale, offset) + 1e-9
@@ -214,23 +213,23 @@ def test_inverse_square_modulus_contract(scale, offset):
 
 def test_check_divergence_rate_constant_summand():
     theta = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(constant_stream(0.25), theta, 1000,
-                                      window=max(map(theta, range(1001))))
+    report = km.check_divergence_rate(np.full(max(map(theta, range(1001))) + 1, 0.25),
+                                      theta, 1000)
     assert report.passed and report.summands_in_unit
 
 
 def test_check_divergence_rate_growth_contradiction():
     theta = RateFn(lambda n: max(n - 1, 0), RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(constant_stream(0.5), theta, 10,
-                                      window=max(map(theta, range(11))))
+    report = km.check_divergence_rate(np.full(max(map(theta, range(11))) + 1, 0.5),
+                                      theta, 10)
     assert not report.passed
     assert report.rows[1].growth_ok is False
 
 
 def test_check_divergence_rate_out_of_unit_disables_growth():
     theta = RateFn(lambda n: max(n - 1, 0), RateKind.RATE_OF_DIVERGENCE)
-    report = km.check_divergence_rate(constant_stream(1.5), theta, 5,
-                                      window=max(map(theta, range(6))))
+    report = km.check_divergence_rate(np.full(max(map(theta, range(6))) + 1, 1.5),
+                                      theta, 5)
     assert not report.summands_in_unit
     assert all(r.growth_ok is None for r in report.rows)
     assert report.rows[0].sum_ok  # 1.5 >= 0
@@ -238,25 +237,21 @@ def test_check_divergence_rate_out_of_unit_disables_growth():
 
 def test_check_divergence_rate_stays_in_window():
     theta = RateFn.affine(4, 1, RateKind.RATE_OF_DIVERGENCE)
-    seen = []
+    terms = np.full(101, 0.25)  # the window [0, 100]
 
-    def summand(ns):
-        seen.append(int(ns.max(initial=-1)))
-        return np.full(ns.shape, 0.25)
-
-    report = km.check_divergence_rate(summand, theta, 1000, window=100)
-    assert seen == [97] and report.n_max == 24 and report.passed
+    report = km.check_divergence_rate(terms, theta, 1000)
+    assert report.n_max == 24 and report.passed
     assert [r.n for r in report.rows] == list(range(25))
     # rate(0) = 1 already passes a window of 0: nothing is checked
-    empty = km.check_divergence_rate(summand, theta, 10, window=0)
-    assert empty.rows == [] and empty.n_max == -1 and seen[-1] == -1
+    empty = km.check_divergence_rate(terms[:1], theta, 10)
+    assert empty.rows == [] and empty.n_max == -1
 
 
 def test_check_divergence_rate_shrinking_weights():
     schedule = km.make_example2(0.5, J=2)
-    report = km.check_divergence_rate(schedule.coupling_weight,
-                                      schedule.weight_divergence, 100,
-                                      window=max(map(schedule.weight_divergence, range(101))))
+    window = max(map(schedule.weight_divergence, range(101)))
+    report = km.check_divergence_rate(lemmas.coupling_values(schedule, window),
+                                      schedule.weight_divergence, 100)
     assert report.passed and report.summands_in_unit
 
 

@@ -7,6 +7,8 @@ import km_rates as km
 from km_rates.moduli import RateFn, RateKind
 from km_rates.schedules import DIVERGENCE_N_MAX, HYPOTHESES_K_MAX, constant_stream
 
+import lemmas
+
 PLANE = km.Space(dim=2)
 SPACE3 = km.Space(dim=3)
 
@@ -83,9 +85,10 @@ def test_inexact_km_coupling_identity():
         perturbation=None,
         perturbation_series=km.Series(RateFn.constant(0, RateKind.CAUCHY_MODULUS), 0),
     )
+    coupling = lemmas.coupling_values(s, 199)
     for n in range(0, 200, 11):
         b = s.beta(n)
-        assert abs(s.coupling_weight(n) - b * (1 - b)) <= 1e-15
+        assert abs(coupling[n] - b * (1 - b)) <= 1e-15
         assert s.alpha(n) + s.beta(n) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -122,8 +125,9 @@ def test_classical_km_is_inexact_with_zero_perturbation():
     assert s.perturbation_series.bound == 0
     assert [s.weight_divergence(k) for k in range(3)] == [0, 4, 8]
     # the synthesized divergence rate really works: sum_{i<=4k} 1/4 >= k
-    report = km.check_divergence_rate(s.coupling_weight, s.weight_divergence, 500,
-                                      window=max(map(s.weight_divergence, range(501))))
+    window = max(map(s.weight_divergence, range(501)))
+    report = km.check_divergence_rate(lemmas.coupling_values(s, window), s.weight_divergence,
+                                      500)
     assert report.passed
 
 
@@ -162,7 +166,7 @@ def test_make_anchor_rejects_zero_direction():
                                     np.linspace(-1.0, 1.0, 8).tolist()])
 def test_example_perturbation_norm_is_the_space_norm(r_star):
     # the Euclidean default lives in Space; it is the old fallback bit for bit
-    from km_rates.moduli import _norm2
+    from km_rates.operators import _norm2
 
     ns = np.arange(500)
     for make in (km.make_example1, km.make_example2):
@@ -263,6 +267,34 @@ def test_verify_hypotheses_flags_declared_zero_and_sum_bounds():
         ("perturbation_sum_bound", None,
          f"window perturbation sum {report.perturbation_window_sum} exceeds bound 0")]
     assert report.defect_window_sum > 0.5 and report.perturbation_window_sum > 1.5
+
+
+@pytest.mark.parametrize("schedule", [km.make_classical_km(0.5), km.make_example2(0.5, J=2)],
+                         ids=["classical_km", "example2"])
+def test_verify_hypotheses_reads_each_stream_once(schedule):
+    """One call per stream, on exactly [0, n_max]: the premise check reads
+    nothing past its window and derives the defect and coupling summands from
+    the weights it read."""
+    calls = {}
+
+    def counted(name):
+        stream = getattr(schedule, name)
+
+        def wrapper(ns):
+            calls.setdefault(name, []).append(np.array(ns))
+            return stream(ns)
+
+        return wrapper
+
+    n_max = 300
+    counted_schedule = replace(schedule, **{name: counted(name) for name in (
+        "alpha", "beta", "perturbation", "perturbation_norm")})
+    assert km.verify_hypotheses(counted_schedule, n_max).passed
+    assert sorted(calls) == ["alpha", "beta", "perturbation_norm"]
+    for name, seen in calls.items():
+        assert len(seen) == 1, name
+        assert seen[0].dtype == np.arange(1).dtype, name
+        assert np.array_equal(seen[0], np.arange(n_max + 1)), name
 
 
 def test_schedule_report_serializes():

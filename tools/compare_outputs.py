@@ -4,9 +4,10 @@
 
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
-test suite, plus config-parse edge cases and multi-block runs of the two
-matrix operators and of per-index coefficients, goes through the commands
-and flags the tests give them.  Each checkout's CLI runs the whole list in a
+test suite, plus config-parse edge cases, false schedule premises, usage
+errors, help text and multi-block runs of the two matrix operators and of
+per-index coefficients, goes through the commands and flags the tests give
+them.  Each checkout's CLI runs the whole list in a
 fresh interpreter that imports ``km_rates`` from that checkout's ``src/``.
 Every command runs in its own directory with the relative output directory
 ``out``, so the echoed ``output.directory`` is the same on both sides.  Then exit codes, stdout and stderr lines, the set of
@@ -68,6 +69,16 @@ def _test_suite_jobs() -> list:
     false_premise = _rotation(schedule={"family": "custom", "params": {
         "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
         "weight_divergence": {"affine": {"slope": 1, "intercept": 0}}}})
+    # a declared defect modulus the window refutes (the defect is 0.1 on the
+    # first ten indices, so the modulus 0 fails from k = 1 on), and a
+    # divergence rate that fails both the sum and the growth check
+    false_defect_modulus = _rotation(500, 3, schedule={"family": "custom", "params": {
+        "alpha": 0.5, "beta": {"values": [0.4] * 10, "then": 0.5},
+        "defect_cauchy": {"const": 0}, "defect_sum_bound": 1,
+        "weight_divergence": {"affine": {"slope": 5, "intercept": 0}}}})
+    no_divergence = _rotation(schedule={"family": "custom", "params": {
+        "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+        "weight_divergence": {"const": 0}}})
     lp = _rotation("auto", 2, space={"dim": 2, "norm": "lp", "p": 3.0},
                    operator={"name": "coordinate_shrink", "params": {"factors": [0.5, 0.5]}},
                    start=[1.0, 1.0])
@@ -180,6 +191,8 @@ def _test_suite_jobs() -> list:
         ("negative-override", negative, ["verify"]),
         ("out-of-range", out_of_range, ["run"]),
         ("false-premise", false_premise, ["verify"]),
+        ("false-defect-modulus", false_defect_modulus, ["verify"]),
+        ("constant-divergence-rate", no_divergence, ["verify"]),
         ("small-weight", _rotation(schedule={"family": "classical_km",
                                              "params": {"beta": 1e-5}}), ["verify"]),
         ("unrepresentable-start", _rotation(10, start=[1e308, 0.0]), ["run"]),
@@ -196,6 +209,10 @@ def _test_suite_jobs() -> list:
         ("anchor-rotation-dim64-verify", anchor64, ["verify"]),
         ("missing-config", None, ["certify", "--config", "missing.json"]),
         ("catalog", None, ["catalog"]),
+        ("verify-without-config", None, ["verify"]),
+        ("run-format-xml", _rotation(), ["run", "--format", "xml"]),
+        ("verify-help", None, ["verify", "--help"]),
+        ("help", None, ["--help"]),
     ]
     return jobs
 
