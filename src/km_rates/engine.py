@@ -5,13 +5,15 @@ trajectory.
 Only the scalar streams are kept, never the points: the audit, the
 soundness checks and ``trajectory.csv`` read nothing else.  A caller that
 wants x_n takes it from the arguments of ``op.apply``, which sees each point
-x_0 .. x_horizon once, in order, after the fixed-point check.  The CSV is
+x_0 .. x_horizon once, in order, after the fixed-point check; no point is
+written after ``apply`` has seen it, so a reference to it suffices.  The CSV is
 written in bulk-formatted chunks of ``CSV_CHUNK`` rows.  The iteration is
 deterministic: identical inputs give bit-identical trajectories.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -62,13 +64,31 @@ class Trajectory:
     fix_residual: float  # ||T(z) - z||, clamped to 0 below FIXED_POINT_TOL
 
 
+def _coefficient_rows(values: np.ndarray, rows: tuple):
+    """A block's coefficient rows, ``values`` broadcast to ``rows``: read-only
+    zero-stride views, so that row k repeats entry k dim times without a
+    copy and every product and sum of the update is array by array, the same
+    IEEE operation as with a scalar but without numpy's promotion of one.
+
+    When every row has the same bits, one row repeated; bits, not ``==``,
+    because +0.0 == -0.0 and the two give points that differ in the sign of
+    a zero.
+    """
+    full = np.broadcast_to(values, rows)
+    bits = values.view(np.uint64)
+    if (bits == bits[0]).all():
+        return itertools.repeat(full[0])
+    return full
+
+
 def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int) -> Trajectory:
     """Materialize the trajectory up to ``horizon`` steps.
 
     Two phases: the schedule streams for the whole horizon are read in one
     call each, with ``K_z`` as one accumulate; then the steps run in blocks of
-    ``BLOCK`` points, each step only applying the operator and the update, and
-    the norm streams of a block are taken as row norms after it.  Aborts with
+    ``BLOCK`` points, each step only applying the operator and writing the
+    update into its row of the block's point array, and the norm streams of
+    a block are taken as row norms after it.  Aborts with
     :class:`NumericAbort` at the first non-finite iterate.
     """
     if horizon < 1:
@@ -108,7 +128,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int)
         dist_z = np.empty(horizon + 1)
         norm_x = np.empty(horizon + 1)
         res_step = np.empty(horizon)
-        apply = op.apply
+        apply, multiply, add = op.apply, np.multiply, np.add
+        scratch = np.empty(space.dim)
         z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
         for n0 in range(0, horizon + 1, BLOCK):
             n1 = min(n0 + BLOCK, horizon + 1)
@@ -117,30 +138,26 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int)
             if r.shape not in ((m, space.dim), (m, 1)):
                 raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
                                  f"not ({m}, {space.dim}) or ({m}, 1)")
-            # the coefficients as read-only zero-stride rows: row k repeats
-            # alpha_{n0+k} dim times without copying it.  Array-by-array
-            # products skip numpy's promotion of a scalar operand, and each
-            # entry is the same IEEE product or sum as with the scalar, so
-            # every bit, the sign of zero included, is unchanged
             rows = (m, space.dim)
-            coefficients = zip(np.broadcast_to(a_all[n0:n1, None], rows),
-                               np.broadcast_to(b_all[n0:n1, None], rows),
-                               np.broadcast_to(r, rows))
-            xs, txs = [], []
-            for a, b, ri in coefficients:
+            # x_n0 .. x_n1: row k + 1 is written once, by step k, from row k
+            block_x = np.empty((m + 1, space.dim))
+            block_x[0] = x
+            txs = []
+            for a, b, ri, row in zip(_coefficient_rows(a_all[n0:n1, None], rows),
+                                     _coefficient_rows(b_all[n0:n1, None], rows),
+                                     _coefficient_rows(r, rows), block_x[1:]):
                 tx = apply(x)
-                xs.append(x)
                 txs.append(tx)
-                # a*x + b*tx + ri in that order; the in-place adds write to
-                # the fresh array a*x, never to a point already collected
-                x = a * x
-                x += b * tx
-                x += ri
-            xs.append(x)  # x_n0 .. x_n1, the last one carried on
-            block_x = np.array(xs, dtype=float)
+                # a*x + b*tx + ri in that order, the same IEEE operations as
+                # the expression; no point apply has seen is written again
+                multiply(a, x, row)
+                multiply(b, tx, scratch)
+                add(row, scratch, row)
+                add(row, ri, row)
+                x = row  # x_n1, the last row, is carried into the next block
             pts = block_x[:m]
             s = min(n1, horizon) - n0  # steps of this block inside the horizon
-            res_T[n0:n1] = space.norm(pts - np.array(txs, dtype=float))
+            res_T[n0:n1] = space.norm(pts - np.concatenate(txs).reshape(rows))
             norm_x[n0:n1] = space.norm(pts)
             dist_z[n0:n1] = norm_x[n0:n1] if z_is_zero else space.norm(pts - z)
             res_step[n0:n0 + s] = space.norm(block_x[1:s + 1] - block_x[:s])
@@ -210,7 +227,7 @@ class AuditReport:
 
 def _collect(lhs: np.ndarray, rhs: np.ndarray) -> AuditCheck:
     excess = lhs - rhs
-    bad = np.nonzero(excess > AUDIT_TOL)[0]
+    bad = np.nonzero(~(excess <= AUDIT_TOL))[0]  # a NaN excess is a violation
     violations = [AuditViolation(int(i), float(lhs[i]), float(rhs[i])) for i in bad]
     return AuditCheck(checked=int(lhs.size),
                       max_excess=float(np.max(excess)) if lhs.size else 0.0,
@@ -235,10 +252,12 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     * dist_bound / norm_bound: ||x_n-z|| <= dist_bound, ||x_n|| <= norm_bound
     * dist_by_sums: ||x_n-z|| <= ||x_0-z|| + defect_sum_bound*||z||
                     + perturbation_sum_bound
+
+    Overflow and inf - inf give inf or NaN without a warning; a row whose
+    excess is NaN counts as a violation.
     """
     a = traj.alpha
     b = traj.beta
-    defect = 1.0 - a - b
     rn = traj.r_norm
     dist = traj.dist_z
     normx = traj.norm_x
@@ -248,21 +267,25 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     nz = traj.norm_z
     fr = traj.fix_residual
 
-    chain = np.minimum(2.0 * dist, 2.0 * K)
-    sums = dist[0] + constants.defect_sum_bound * nz + constants.perturbation_sum_bound
-    checks = {
-        "step_to_anchor": _collect(dist[1:], (a + b) * dist[:-1] + b * fr + defect * nz + rn),
-        "anchor_bound": _collect(dist, K),
-        "step_by_anchor": _collect(res_step, 2.0 * K[1:]),
-        "residual_by_dist": _collect(res_T, 2.0 * dist + fr),
-        "residual_chain": _collect(res_T, chain),
-        "step_decomposition": _collect(res_step, b * res_T[:-1] + defect * normx[:-1] + rn),
-        "residual_increment": _collect(
-            res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
-        "dist_bound": _collect(dist, np.full_like(dist, float(constants.dist_bound))),
-        "norm_bound": _collect(normx, np.full_like(normx, float(constants.norm_bound))),
-        "dist_by_sums": _collect(dist, np.full_like(dist, sums)),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = 1.0 - a - b
+        chain = np.minimum(2.0 * dist, 2.0 * K)
+        sums = dist[0] + constants.defect_sum_bound * nz + constants.perturbation_sum_bound
+        checks = {
+            "step_to_anchor": _collect(dist[1:],
+                                       (a + b) * dist[:-1] + b * fr + defect * nz + rn),
+            "anchor_bound": _collect(dist, K),
+            "step_by_anchor": _collect(res_step, 2.0 * K[1:]),
+            "residual_by_dist": _collect(res_T, 2.0 * dist + fr),
+            "residual_chain": _collect(res_T, chain),
+            "step_decomposition": _collect(res_step,
+                                           b * res_T[:-1] + defect * normx[:-1] + rn),
+            "residual_increment": _collect(
+                res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
+            "dist_bound": _collect(dist, np.full_like(dist, float(constants.dist_bound))),
+            "norm_bound": _collect(normx, np.full_like(normx, float(constants.norm_bound))),
+            "dist_by_sums": _collect(dist, np.full_like(dist, sums)),
+        }
     return AuditReport(horizon=traj.horizon, checks=checks)
 
 

@@ -369,7 +369,9 @@ def check_series_cauchy_modulus(
     window = len(terms) - 1
     if np.any(terms < -CHECK_TOL):
         raise ValueError("series summands must be nonnegative")
-    sums = np.concatenate([[0.0], np.cumsum(terms)])  # sums[i] = sum of first i terms
+    sums = np.empty(window + 2)  # sums[i] = sum of the first i terms
+    sums[0] = 0.0
+    np.cumsum(terms, out=sums[1:])
     total = float(sums[window + 1])
     extra = float(tail_bound(window)) if tail_bound is not None else 0.0
     rows = []

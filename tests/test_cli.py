@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,25 @@ def test_verify_small_weight_reads_premises_on_window(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     divergence = report["hypotheses"]["coupling_divergence"]
     assert divergence["passed"] and divergence["n_max"] == 0
+
+
+@pytest.mark.parametrize("command, report", [("verify", "verify.json"), ("run", "audit.json")])
+def test_non_finite_audit_rows_fail_without_warnings(tmp_path, capsys, command, report):
+    """A start near 1e154 makes the anchor recursion overflow: its rows
+    compare inf with inf, which is a violation, not a clean row, and no
+    numpy warning leaks."""
+    doc = rotation_config(tmp_path / "out", horizon=3)
+    doc["operator"]["params"]["angle_deg"] = 1e-160
+    doc["start"] = [1.0, 1e154]
+    doc["schedule"] = {"family": "example1",
+                       "params": {"lam": 1e-160, "r_star": [1.0, 1e154]}}
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == 5
+    capsys.readouterr()
+    audit = json.loads((tmp_path / "out" / report).read_text())["audit"]
+    assert audit["checks"]["step_to_anchor"]["violations"] == 3
 
 
 def test_certify_overflow_exits_3(tmp_path, capsys):

@@ -187,3 +187,55 @@ def test_audit_report_serializes():
         "residual_chain", "step_decomposition", "residual_increment",
         "dist_bound", "norm_bound", "dist_by_sums",
     }
+
+
+@pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("dim", [2, 64])
+@pytest.mark.parametrize("family", ["classical_km", "example2"])
+def test_no_point_is_written_after_apply_sees_it(family, dim, horizon):
+    """The arguments of ``op.apply``, held by reference and not copied, are
+    still x_0 .. x_horizon of the reference loop, bit for bit, after the run."""
+    space = km.Space(dim=dim)
+    op = km.make_operator("rotation", space, {"angle_deg": 37.0, "axes": [0, dim - 1]})
+    schedule = (km.make_classical_km(0.5) if family == "classical_km" else
+                km.make_example2(0.5, r_star=[0.25] * dim, norm=space.norm))
+    start = np.linspace(-1.0, 1.0, dim)
+    held = []
+
+    def apply(x):
+        held.append(x)
+        return op.apply(x)
+
+    km.iterate(space, replace(op, apply=apply), start, schedule, horizon)
+    _, ref_points = lemmas.iterate_with_points(reference_iterate, space, op, start, schedule,
+                                               horizon)
+    assert len(held) == horizon + 2
+    assert np.array_equal(np.array(held[1:]).view(np.uint64), ref_points.view(np.uint64))
+
+
+def _alternating_zeros(n, first):
+    """``first`` at even indices and ``-first`` at odd ones."""
+    return np.where(np.asarray(n) % 2 == 0, first, -first)
+
+
+@pytest.mark.parametrize("stream", ["alpha", "perturbation"])
+def test_repeated_coefficient_row_tells_signed_zeros_apart(stream):
+    """+0.0 == -0.0, but a block whose alpha or r rows differ only in the
+    sign of a zero may not take one repeated row: from a -0.0 coordinate
+    the points differ in the sign of that zero."""
+    space = km.Space(dim=2)
+    op = km.make_operator("coordinate_shrink", space, {"factors": [0.5, 0.5]})
+    classical = km.make_classical_km(0.5)
+    if stream == "alpha":
+        # -0.0 * -0.0 is +0.0; a -0.0 perturbation keeps the sign of the sum
+        schedule = replace(classical, alpha=lambda n: _alternating_zeros(n, 0.0),
+                           perturbation=lambda n: np.full(np.shape(n) + (1,), -0.0))
+    else:
+        schedule = replace(classical,
+                           perturbation=lambda n: _alternating_zeros(n, -0.0)[..., None])
+    args = (space, op, [-0.0, 1.0], schedule, BLOCK + 1)
+    _, ref_points = lemmas.iterate_with_points(reference_iterate, *args)
+    _, new_points = lemmas.iterate_with_points(km.iterate, *args)
+    signs = np.signbit(ref_points[:, 0])
+    assert signs.any() and not signs.all()
+    assert np.array_equal(new_points.view(np.uint64), ref_points.view(np.uint64))

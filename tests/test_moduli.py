@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,23 @@ def test_combine_cauchy_moduli_contract_brute_force():
         2.0 / (np.arange(10**4 + 1) + 1) ** 2, combined, k_max=50,
         tail_bound=lambda m: 2.0 / (m + 1))
     assert report.passed and report.checked == 51
+
+
+def test_series_check_holds_one_prefix_sum_array():
+    """The prefix sums are one window-sized array, with the bits of 0.0
+    followed by ``np.cumsum(terms)``."""
+    terms = 1.0 / (np.arange(100_101) + 1.0) ** 2
+    modulus = km.inverse_square_modulus(1.0, 1)
+    tracemalloc.start()
+    try:
+        report = check_series_cauchy_modulus(terms, modulus, k_max=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * terms.nbytes, (peak, terms.nbytes)
+    sums = np.concatenate([[0.0], np.cumsum(terms)])
+    assert [row.tail_gap for row in report.rows] == [
+        float(sums[-1]) - float(sums[modulus(k) + 1]) + 0.0 for k in range(21)]
 
 
 def test_rate_from_liminf_values():

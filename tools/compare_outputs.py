@@ -5,12 +5,13 @@
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
 test suite, plus config-parse edge cases, false schedule premises, usage
-errors, help text and multi-block runs of the two matrix operators and of
-per-index coefficients, goes through the commands and flags the tests give
-them.  Each checkout's CLI runs the whole list in a
-fresh interpreter that imports ``km_rates`` from that checkout's ``src/``.
-Every command runs in its own directory with the relative output directory
-``out``, so the echoed ``output.directory`` is the same on both sides.  Then exit codes, stdout and stderr lines, the set of
+errors, help text and multi-block runs of the two matrix operators, of
+per-index coefficients and of a coefficient table that turns constant, goes
+through the commands and flags the tests give them.  Each checkout's CLI runs
+the whole list in a fresh interpreter that imports ``km_rates`` from that
+checkout's ``src/``.  Every command runs in its own directory with the
+relative output directory ``out``, so the echoed ``output.directory`` is the
+same on both sides.  Then exit codes, stdout and stderr lines, the set of
 output files and the bytes of every file are compared.
 
 Prints one line per difference and a summary; exits 1 when there is any
@@ -117,6 +118,19 @@ def _test_suite_jobs() -> list:
     anchor64 = dict(rotation64, schedule={"family": "anchor", "params": {
         "base": {"family": "example2", "params": {"lam": 0.5}},
         "u": rng.uniform(-1.0, 1.0, 64).tolist()}})
+    # alpha per index on its first 300 indices, then constant: the step loop
+    # takes per-row coefficients in the first two blocks of 256 points and
+    # one repeated row from index 512 on
+    alpha_table = _rotation(3 * 256 + 5, schedule={"family": "custom", "params": {
+        "alpha": {"values": [0.5 - 0.1 / (n + 1) ** 2 for n in range(300)], "then": 0.5},
+        "beta": 0.5, "perturbation": {"zero": True}, "defect_is_zero": False,
+        "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}}, "defect_sum_bound": 1,
+        "weight_divergence": {"affine": {"slope": 5, "intercept": 0}}}})
+    # the anchor recursion overflows, so audit rows compare inf with inf
+    non_finite_audit = _rotation(3, start=[1.0, 1e154],
+                                 operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
+                                 schedule={"family": "example1", "params": {
+                                     "lam": 1e-160, "r_star": [1.0, 1e154]}})
     # config-parse edges: bounds kept for series declared zero, a missing
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
@@ -207,6 +221,10 @@ def _test_suite_jobs() -> list:
         ("example2-shrink-dim8-verify", shrink8, ["verify"]),
         ("anchor-rotation-dim64-run", anchor64, ["run"]),
         ("anchor-rotation-dim64-verify", anchor64, ["verify"]),
+        ("alpha-table-run", alpha_table, ["run"]),
+        ("alpha-table-verify", alpha_table, ["verify"]),
+        ("non-finite-audit-run", non_finite_audit, ["run"]),
+        ("non-finite-audit-verify", non_finite_audit, ["verify"]),
         ("missing-config", None, ["certify", "--config", "missing.json"]),
         ("catalog", None, ["catalog"]),
         ("verify-without-config", None, ["verify"]),
