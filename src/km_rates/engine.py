@@ -154,7 +154,7 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int)
                 multiply(b, tx, scratch)
                 add(row, scratch, row)
                 add(row, ri, row)
-                x = row  # x_n1, the last row, is carried into the next block
+                x = row  # after the block, x_n1 is carried into the next one
             pts = block_x[:m]
             s = min(n1, horizon) - n0  # steps of this block inside the horizon
             res_T[n0:n1] = space.norm(pts - np.concatenate(txs).reshape(rows))

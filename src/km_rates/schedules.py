@@ -377,13 +377,13 @@ def verify_hypotheses(schedule: Schedule, n_max: int) -> HypothesesReport:
 
     reports, sums = [], []
     # a defect declared zero may not stray either way; a norm is checked as is
-    for name, values, size, series in (
+    for name, values, magnitude, series in (
             ("defect", defect, np.abs, schedule.defect_series),
             ("perturbation", pert, np.asarray, schedule.perturbation_series)):
         report = None
         window_sum = float(np.sum(values))
         if series.zero:
-            size = size(values)
+            size = magnitude(values)
             if float(np.max(size)) > CHECK_TOL:
                 n_bad = int(np.argmax(size))
                 findings.append(Finding(f"{name}_zero", n_bad,
