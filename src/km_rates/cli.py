@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from typing import List, Optional
@@ -64,11 +65,29 @@ def _ensure_out(doc: dict) -> str:
     return doc["output"]["directory"]
 
 
+def _json_safe(value):
+    """``value`` with each non-finite float replaced by the JSON string
+    ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
-    """One ``json.dumps`` and one write: ``json.dump`` would write each token
-    of the indented output with its own ``write`` call."""
+    """Strict JSON (RFC 8259 has no NaN or Infinity), one ``json.dumps`` and
+    one write: ``json.dump`` would write each token of the indented output
+    with its own ``write`` call.  A payload with a non-finite float is
+    written as :func:`_json_safe` gives it; any other keeps its bytes."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        handle.write(text + "\n")
 
 
 def _validate_schedule_window(instance: Instance, horizon: int) -> None:

@@ -4,10 +4,11 @@ trajectory.
 
 Only the scalar streams are kept, never the points: the audit, the
 soundness checks and ``trajectory.csv`` read nothing else.  A caller that
-wants x_n takes it from the arguments of ``op.apply``, which sees each point
-x_0 .. x_horizon once, in order, after the fixed-point check; no point is
-written after ``apply`` has seen it, so a reference to it suffices.  The CSV is
-written in bulk-formatted chunks of ``CSV_CHUNK`` rows.  The iteration is
+wants x_n takes it from the arguments of ``op.apply``, which sees the points
+x_0 .. x_m once each, in order, after the fixed-point check, for some
+m <= horizon; x_n = x_m for every n > m.  No point is written after ``apply``
+has seen it, so a reference to it suffices.  The CSV is written in
+bulk-formatted chunks of ``CSV_CHUNK`` rows.  The iteration is
 deterministic: identical inputs give bit-identical trajectories.
 """
 
@@ -29,6 +30,8 @@ AUDIT_TOL = 1e-9
 #: are a small share of the steps, few enough that the block's scratch rows
 #: add little to peak memory
 BLOCK = 256
+#: rows of the perturbation read per call by the search for its settled tail
+SETTLED_CHUNK = 16 * BLOCK
 #: rows of trajectory.csv formatted per write, so its buffers stay bounded
 CSV_CHUNK = 4096
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
@@ -81,6 +84,47 @@ def _coefficient_rows(values: np.ndarray, rows: tuple):
     return full
 
 
+def _perturbation_rows(schedule: Schedule, n0: int, n1: int, dim: int) -> np.ndarray:
+    """r_n for n in [n0, n1) in one call, as floats of shape (m, dim), or
+    (m, 1) for one coordinate that broadcasts; any other shape breaks the
+    stream contract and raises ValueError."""
+    m = n1 - n0
+    r = np.asarray(schedule.perturbation(np.arange(n0, n1)), dtype=float)
+    if r.shape not in ((m, dim), (m, 1)):
+        raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
+                         f"not ({m}, {dim}) or ({m}, 1)")
+    return r
+
+
+def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int) -> int:
+    """The smallest s such that alpha_n, beta_n and the row r_n have the bits
+    of alpha_H, beta_H and r_H for every n in [s, H], where ``a_all`` and
+    ``b_all`` hold alpha and beta on [0, H]: from step s on, every step
+    applies the same map.
+
+    The perturbation is read backwards from H, ``SETTLED_CHUNK`` rows per
+    call, and the walk stops at the first row that differs, or where alpha
+    and beta already rule the earlier indices out.
+    """
+    h = a_all.size - 1
+    settled = 0
+    for values in (a_all, b_all):
+        bits = values.view(np.uint64)
+        differ = np.flatnonzero(bits != bits[h])
+        if differ.size:
+            settled = max(settled, int(differ[-1]) + 1)
+    last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
+    n1 = h
+    while n1 > settled:
+        n0 = max(settled, n1 - SETTLED_CHUNK)
+        rows = _perturbation_rows(schedule, n0, n1, dim).view(np.uint64)
+        differ = np.flatnonzero((rows != last).any(axis=1))
+        if differ.size:
+            return n0 + int(differ[-1]) + 1
+        n1 = n0
+    return settled
+
+
 def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int) -> Trajectory:
     """Materialize the trajectory up to ``horizon`` steps.
 
@@ -90,6 +134,13 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int)
     update into its row of the block's point array, and the norm streams of
     a block are taken as row norms after it.  Aborts with
     :class:`NumericAbort` at the first non-finite iterate.
+
+    A block that ends on x_{k+1} with the bits of x_k ends the walk when
+    k >= :func:`_settled` (found once, at the first such block): from k on
+    the step map is one map and x_k is a bit-exact fixed point of it, so
+    x_n = x_k for every n > k, and the norm streams past k repeat their
+    value at k.  This needs ``op.apply`` to be a function of its
+    argument's bits.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -131,13 +182,11 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int)
         apply, multiply, add = op.apply, np.multiply, np.add
         scratch = np.empty(space.dim)
         z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
+        settled = None  # found at the first block that ends on a repeated point
         for n0 in range(0, horizon + 1, BLOCK):
             n1 = min(n0 + BLOCK, horizon + 1)
             m = n1 - n0
-            r = np.asarray(schedule.perturbation(np.arange(n0, n1)), dtype=float)
-            if r.shape not in ((m, space.dim), (m, 1)):
-                raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
-                                 f"not ({m}, {space.dim}) or ({m}, 1)")
+            r = _perturbation_rows(schedule, n0, n1, space.dim)
             rows = (m, space.dim)
             # x_n0 .. x_n1: row k + 1 is written once, by step k, from row k
             block_x = np.empty((m + 1, space.dim))
@@ -165,6 +214,16 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int)
             bad[:s] |= ~np.isfinite(res_step[n0:n0 + s])
             if bad.any():
                 raise NumericAbort(min(n0 + int(np.argmax(bad)) + 1, horizon))
+            # x_n1 with the bits of x_k, k = n1 - 1, repeats for good from a
+            # settled k on; the streams past k take their value at k
+            k = n1 - 1
+            if n1 <= horizon and np.array_equal(x.view(np.uint64), pts[-1].view(np.uint64)):
+                if settled is None:
+                    settled = _settled(a_all, b_all, schedule, space.dim)
+                if k >= settled:
+                    for stream in (res_T, norm_x, dist_z, res_step):
+                        stream[n1:] = stream[k]
+                    break
 
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,

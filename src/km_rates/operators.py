@@ -64,7 +64,9 @@ class Space:
 class Operator:
     """A map on the space with a known fixed point.  ``apply`` takes a float
     array of shape (dim,), which the engine holds at every step; calling the
-    operator casts any vector to one first."""
+    operator casts any vector to one first.  ``apply`` must be a function of
+    the bits of its argument: the engine stops at a point that the step map
+    sends to itself, bit for bit, and takes every later point to be it."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     fixed_point: np.ndarray

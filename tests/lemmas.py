@@ -20,6 +20,7 @@ from km_rates.moduli import (
     ceil_int,
 )
 from km_rates.operators import NONEXPANSIVE_TOL, Operator, Space
+from reference_engine import reference_iterate
 
 #: Tolerance for the eta(eps) = eps * eta_tilde(eps) factorization check.
 FACTOR_TOL = 1e-12
@@ -151,7 +152,9 @@ def iterate_with_points(run: Callable, space: Space, op: Operator, start, schedu
     """``run(space, op, start, schedule, horizon)``, for ``km.iterate`` or the
     reference loop, and its points x_0 .. x_horizon as a (horizon + 1, dim)
     array: copies of the arguments of ``op.apply`` after the first call, the
-    fixed-point check."""
+    fixed-point check.  The reference loop applies the operator to every
+    point; ``km.iterate`` stops at the m-th point once it is a settled fixed
+    point, so its last argument x_m stands for every x_n with n > m."""
     seen = []
 
     def apply(x):
@@ -159,8 +162,12 @@ def iterate_with_points(run: Callable, space: Space, op: Operator, start, schedu
         return op.apply(x)
 
     traj = run(space, replace(op, apply=apply), start, schedule, horizon)
-    assert len(seen) == horizon + 2
-    return traj, np.array(seen[1:])
+    if run is reference_iterate:
+        assert len(seen) == horizon + 2
+    else:
+        assert 2 <= len(seen) <= horizon + 2
+    points = np.array(seen[1:])
+    return traj, np.concatenate([points, np.repeat(points[-1:], horizon + 2 - len(seen), 0)])
 
 
 def corrupt_point(space: Space, op: Operator, traj, points, index: int,

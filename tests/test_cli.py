@@ -276,23 +276,51 @@ def test_verify_small_weight_reads_premises_on_window(tmp_path, capsys):
     assert divergence["passed"] and divergence["n_max"] == 0
 
 
-@pytest.mark.parametrize("command, report", [("verify", "verify.json"), ("run", "audit.json")])
-def test_non_finite_audit_rows_fail_without_warnings(tmp_path, capsys, command, report):
-    """A start near 1e154 makes the anchor recursion overflow: its rows
-    compare inf with inf, which is a violation, not a clean row, and no
-    numpy warning leaks."""
+def non_finite_audit_config(tmp_path):
+    """A start near 1e154 makes the anchor recursion overflow: its audit rows
+    compare inf with inf."""
     doc = rotation_config(tmp_path / "out", horizon=3)
     doc["operator"]["params"]["angle_deg"] = 1e-160
     doc["start"] = [1.0, 1e154]
     doc["schedule"] = {"family": "example1",
                        "params": {"lam": 1e-160, "r_star": [1.0, 1e154]}}
-    cfg = write_config(tmp_path, doc)
+    return write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("command, report", [("verify", "verify.json"), ("run", "audit.json")])
+def test_non_finite_audit_rows_fail_without_warnings(tmp_path, capsys, command, report):
+    """A row that compares inf with inf is a violation, not a clean row, and
+    no numpy warning leaks."""
+    cfg = non_finite_audit_config(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--config", cfg]) == 5
     capsys.readouterr()
     audit = json.loads((tmp_path / "out" / report).read_text())["audit"]
     assert audit["checks"]["step_to_anchor"]["violations"] == 3
+
+
+@pytest.mark.parametrize("command, report", [("verify", "verify.json"), ("run", "audit.json")])
+def test_non_finite_values_are_written_as_strict_json(tmp_path, capsys, command, report):
+    """RFC 8259 has no NaN or Infinity: a non-finite float is written as the
+    string of its name, so a parser that refuses the bare tokens reads the
+    report."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    assert main([command, "--config", non_finite_audit_config(tmp_path)]) == 5
+    capsys.readouterr()
+    text = (tmp_path / "out" / report).read_text()
+    check = json.loads(text, parse_constant=refuse)["audit"]["checks"]["step_to_anchor"]
+    assert check["max_excess"] == "NaN"
+    assert {v["lhs"] for v in check["first_violations"]} == {"Infinity"}
+
+
+def test_finite_json_keeps_its_bytes(tmp_path):
+    payload = {"b": [1.5, 1e308, -0.0], "a": {"n": 3, "x": None}}
+    cli._write_json(str(tmp_path / "x.json"), payload)
+    assert (tmp_path / "x.json").read_text() == json.dumps(payload, indent=2,
+                                                           sort_keys=True) + "\n"
 
 
 def test_certify_overflow_exits_3(tmp_path, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import km_rates as km
-from km_rates.engine import BLOCK, NumericAbort
+from km_rates import engine
+from km_rates.engine import BLOCK, SETTLED_CHUNK, NumericAbort
 from km_rates.operators import Operator
 
 from conftest import rotation_instance
@@ -239,3 +240,104 @@ def test_repeated_coefficient_row_tells_signed_zeros_apart(stream):
     signs = np.signbit(ref_points[:, 0])
     assert signs.any() and not signs.all()
     assert np.array_equal(new_points.view(np.uint64), ref_points.view(np.uint64))
+
+
+def _counting(op):
+    """``op`` and a list whose length is the number of ``apply`` calls."""
+    calls = []
+
+    def apply(x):
+        calls.append(None)
+        return op.apply(x)
+
+    return replace(op, apply=apply), calls
+
+
+def test_identity_ends_the_walk_at_the_first_block():
+    """Positive control: under beta 1/2 the identity repeats x_0 from the
+    first step, so the first block ends the walk."""
+    space = km.Space(dim=2)
+    op, calls = _counting(km.make_operator("identity", space))
+    traj = km.iterate(space, op, [0.3, -0.7], km.make_classical_km(0.5), 10 * BLOCK)
+    assert len(calls) <= BLOCK + 2
+    assert np.all(traj.res_T == 0.0) and np.all(traj.res_step == 0.0)
+    assert np.all(traj.norm_x == traj.norm_x[0]) and len(traj.norm_x) == 10 * BLOCK + 1
+
+
+def test_readme_rotation_reaches_its_fixed_point_early():
+    """Positive control: the README rotation at its auto horizon reaches
+    (0, 0) bit for bit near step 2150, so most of its 100 100 steps are
+    never taken."""
+    space, op, start, schedule, _, _ = rotation_instance()
+    op, calls = _counting(op)
+    traj = km.iterate(space, op, start, schedule, 100_100)
+    assert len(calls) < 5000
+    assert traj.res_T[-1] == 0.0 and traj.norm_x[-1] == 0.0 and traj.dist_z[-1] == 0.0
+
+
+def test_perturbation_shape_is_checked_past_the_settled_search():
+    """A perturbation that breaks the shape contract only from index 1000 on
+    raises, though the identity repeats its start from the first block."""
+    space = km.Space(dim=2)
+    op = km.make_operator("identity", space)
+
+    def late_bad_shape(n):
+        n = np.asarray(n)
+        return np.zeros(n.shape + ((1,) if n.max() < 1000 else (3,)))
+
+    schedule = replace(km.make_classical_km(0.5), perturbation=late_bad_shape)
+    with pytest.raises(ValueError, match="perturbation returned shape"):
+        km.iterate(space, op, [0.3, -0.7], schedule, 2000)
+
+
+def _table_stream(values):
+    values = np.asarray(values, dtype=float)
+    return lambda n: values[np.asarray(n)]
+
+
+@pytest.mark.parametrize("horizon", [1, 5, SETTLED_CHUNK + 3, 3 * SETTLED_CHUNK])
+def test_settled_index(horizon):
+    """The smallest s from which alpha_n, beta_n and the row r_n have the
+    bits of their value at the horizon, with r_n read in chunks backwards."""
+    dim = 3
+    h = horizon
+    ones = np.ones(h + 1)
+
+    def settled(alpha=ones, beta=ones, rows=np.zeros((h + 1, 1))):
+        schedule = replace(km.make_classical_km(0.5), perturbation=_table_stream(rows))
+        return engine._settled(np.asarray(alpha, float), np.asarray(beta, float), schedule, dim)
+
+    assert settled() == 0
+    changed = ones.copy()
+    changed[h - 1] = 0.5
+    assert settled(alpha=changed) == h and settled(beta=changed) == h
+    signed = np.zeros(h + 1)
+    signed[0] = -0.0  # == 0.0, but not the same bits
+    assert settled(alpha=signed) == 1
+    rows = np.zeros((h + 1, dim))
+    assert settled(rows=rows) == 0  # (m, dim) rows against the zero (m, 1) form
+    rows[h // 2, 1] = -0.0
+    assert settled(rows=rows) == h // 2 + 1
+    # alpha already rules out the indices of the differing row
+    assert settled(alpha=changed, rows=rows) == max(h, h // 2 + 1)
+
+
+def test_settled_index_is_found_once_per_call(monkeypatch):
+    """alpha switches from 1/2 to 1/4 at index 600: the first two blocks end
+    on a repeated point but before the settled index; x_n then shrinks to a
+    subnormal fixed point, which ends the walk.  The settled index is found
+    once."""
+    found = []
+    settled = engine._settled
+    monkeypatch.setattr(engine, "_settled", lambda *args: found.append(settled(*args)) or found[-1])
+    space = km.Space(dim=2)
+    op = km.make_operator("identity", space)
+    schedule = replace(km.make_classical_km(0.5),
+                       alpha=lambda n: np.where(np.asarray(n) < 600, 0.5, 0.25))
+    args = (space, op, [0.3, -0.7], schedule, 16 * BLOCK)
+    _, ref_points = lemmas.iterate_with_points(reference_iterate, *args)
+    counted, applied = _counting(op)
+    _, points = lemmas.iterate_with_points(km.iterate, space, counted, *args[2:])
+    assert found == [600]
+    assert len(applied) < 16 * BLOCK + 2
+    assert np.array_equal(points.view(np.uint64), ref_points.view(np.uint64))

@@ -118,7 +118,12 @@ def _assert_matches_reference(op_name, family, dim, p, horizon, moved_z, seed):
     op = inst.operator
     if moved_z:  # a reference point that is not fixed: ||T(z) - z|| > 0 enters K_z
         op = replace(op, fixed_point=op.fixed_point + 0.25)
-    args = (inst.space, op, inst.start, inst.schedule, horizon)
+    assert_run_matches_reference(inst.space, op, inst.start, inst.schedule, horizon)
+
+
+def assert_run_matches_reference(*args):
+    """``km.iterate`` and the reference loop on ``args``: equal schedule
+    streams, norm streams to 1e-12 and the points bit for bit."""
     ref, ref_points = iterate_with_points(reference_iterate, *args)
     new, new_points = iterate_with_points(km.iterate, *args)
     for name in ("alpha", "beta", "r_norm", "K_z"):
@@ -128,6 +133,65 @@ def _assert_matches_reference(op_name, family, dim, p, horizon, moved_z, seed):
                                    rtol=1e-12, atol=0.0, err_msg=name)
     # bit for bit: array_equal would count -0.0 == 0.0
     assert np.array_equal(new_points.view(np.uint64), ref_points.view(np.uint64))
+
+
+def _rotation_90(space):
+    return km.make_operator("rotation", space, {"angle_deg": 90.0})
+
+
+@pytest.mark.parametrize("horizon", [3 * BLOCK + 7, 10 * BLOCK + 7])
+@pytest.mark.parametrize("case", ["identity", "inside-ball", "rotation-90", "moved-z",
+                                  "shrink-example1", "ball-example2"])
+def test_block_engine_matches_reference_loop_over_many_blocks(case, horizon):
+    """Runs over several blocks, some of which reach a settled fixed point
+    and end the walk early: the identity and a start inside the ball at the
+    first block, the 90 degree rotation (which reaches (0, 0) near step
+    2150) in the longer horizon, and none under a decaying perturbation."""
+    space = km.Space(dim=2)
+    schedule = km.make_classical_km(0.5)
+    start = [0.3, -0.2]
+    if case in ("identity", "moved-z"):
+        op = km.make_operator("identity", space)
+        if case == "moved-z":
+            op = replace(op, fixed_point=np.array([0.25, 0.25]))
+    elif case == "inside-ball":
+        op = km.make_operator("ball_projection", space, {"center": [0.0, 0.0], "radius": 1.0})
+    elif case == "rotation-90":
+        op, start = _rotation_90(space), [1.0, 0.0]
+    elif case == "shrink-example1":
+        op = km.make_operator("coordinate_shrink", space, {"factors": [0.5, -0.5]})
+        schedule = km.make_example1(0.5, r_star=[0.25, 0.0], norm=space.norm)
+    else:
+        op = km.make_operator("ball_projection", space, {"center": [0.0, 0.0], "radius": 0.1})
+        schedule = km.make_example2(0.5, r_star=[0.25, 0.0], norm=space.norm)
+    assert_run_matches_reference(space, op, start, schedule, horizon)
+
+
+def _switch_at_600(before, after):
+    """A stream that is ``before`` on indices below 600 and ``after`` from 600 on."""
+    return lambda n: np.where(np.asarray(n) < 600, before, after)
+
+
+@pytest.mark.parametrize("stream", ["alpha", "perturbation"])
+@pytest.mark.parametrize("op_name", ["identity", "inside-ball"])
+def test_coefficient_switch_after_a_repeated_point_is_not_skipped(op_name, stream):
+    """Negative controls: every point up to index 600 repeats x_0 under beta
+    1/2, but the step map changes at 600 (alpha to 1/4, or r_n to 1e-3*e_1),
+    so the walk may not end at the first blocks."""
+    space = km.Space(dim=2)
+    op = (km.make_operator("identity", space) if op_name == "identity" else
+          km.make_operator("ball_projection", space, {"center": [0.0, 0.0], "radius": 1.0}))
+    classical = km.make_classical_km(0.5)
+    if stream == "alpha":
+        schedule = replace(classical, alpha=_switch_at_600(0.5, 0.25))
+    else:
+        r = _switch_at_600(0.0, 1e-3)
+        schedule = replace(classical, perturbation=lambda n: r(n)[..., None] * [1.0, 0.0],
+                           perturbation_norm=r)
+    start = [0.3, -0.2]
+    _, points = iterate_with_points(reference_iterate, space, op, start, schedule, 3 * BLOCK + 7)
+    assert np.array_equal(points[600], points[0]) and not np.array_equal(points[601], points[0])
+    assert_run_matches_reference(space, op, start, schedule, 3 * BLOCK + 7)
 
 
 def _spike(n):

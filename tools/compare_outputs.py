@@ -6,7 +6,8 @@ Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
 test suite, plus config-parse edge cases, false schedule premises, usage
 errors, help text and multi-block runs of the two matrix operators, of
-per-index coefficients and of a coefficient table that turns constant, goes
+per-index coefficients, of a coefficient table that turns constant and of
+points that repeat before and after a change of the step map, goes
 through the commands and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
@@ -126,6 +127,18 @@ def _test_suite_jobs() -> list:
         "beta": 0.5, "perturbation": {"zero": True}, "defect_is_zero": False,
         "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}}, "defect_sum_bound": 1,
         "weight_divergence": {"affine": {"slope": 5, "intercept": 0}}}})
+    # the identity repeats its start from the first step, so the step loop
+    # ends after the first block; under the alpha table the points repeat up
+    # to index 600, where alpha turns 0.25 and they shrink to a fixed point
+    identity = _rotation(5 * 256 + 3, operator={"name": "identity", "params": {}})
+    alpha_switch = _rotation(16 * 256 + 3, operator={"name": "identity", "params": {}},
+                             schedule={"family": "custom", "params": {
+                                 "alpha": {"values": [0.5] * 600, "then": 0.25},
+                                 "beta": {"const": 0.5}, "perturbation": {"zero": True},
+                                 "defect_is_zero": False,
+                                 "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}},
+                                 "defect_sum_bound": 1,
+                                 "weight_divergence": {"affine": {"slope": 5, "intercept": 0}}}})
     # the anchor recursion overflows, so audit rows compare inf with inf
     non_finite_audit = _rotation(3, start=[1.0, 1e154],
                                  operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
@@ -223,6 +236,8 @@ def _test_suite_jobs() -> list:
         ("anchor-rotation-dim64-verify", anchor64, ["verify"]),
         ("alpha-table-run", alpha_table, ["run"]),
         ("alpha-table-verify", alpha_table, ["verify"]),
+        ("identity-run", identity, ["run"]),
+        ("alpha-switch-run", alpha_switch, ["run"]),
         ("non-finite-audit-run", non_finite_audit, ["run"]),
         ("non-finite-audit-verify", non_finite_audit, ["verify"]),
         ("missing-config", None, ["certify", "--config", "missing.json"]),
