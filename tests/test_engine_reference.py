@@ -135,10 +135,6 @@ def assert_run_matches_reference(*args):
     assert np.array_equal(new_points.view(np.uint64), ref_points.view(np.uint64))
 
 
-def _rotation_90(space):
-    return km.make_operator("rotation", space, {"angle_deg": 90.0})
-
-
 @pytest.mark.parametrize("horizon", [3 * BLOCK + 7, 10 * BLOCK + 7])
 @pytest.mark.parametrize("case", ["identity", "inside-ball", "rotation-90", "moved-z",
                                   "shrink-example1", "ball-example2"])
@@ -157,7 +153,7 @@ def test_block_engine_matches_reference_loop_over_many_blocks(case, horizon):
     elif case == "inside-ball":
         op = km.make_operator("ball_projection", space, {"center": [0.0, 0.0], "radius": 1.0})
     elif case == "rotation-90":
-        op, start = _rotation_90(space), [1.0, 0.0]
+        op, start = km.make_operator("rotation", space, {"angle_deg": 90.0}), [1.0, 0.0]
     elif case == "shrink-example1":
         op = km.make_operator("coordinate_shrink", space, {"factors": [0.5, -0.5]})
         schedule = km.make_example1(0.5, r_star=[0.25, 0.0], norm=space.norm)
