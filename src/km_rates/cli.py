@@ -78,14 +78,10 @@ def _json_safe(value):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Strict JSON (RFC 8259 has no NaN or Infinity), one ``json.dumps`` and
-    one write: ``json.dump`` would write each token of the indented output
-    with its own ``write`` call.  A payload with a non-finite float is
-    written as :func:`_json_safe` gives it; any other keeps its bytes."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    """Strict JSON (RFC 8259 has no NaN or Infinity) of :func:`_json_safe`
+    of ``payload``, one ``json.dumps`` and one write: ``json.dump`` would
+    write each token of the indented output with its own ``write`` call."""
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 

@@ -30,8 +30,6 @@ AUDIT_TOL = 1e-9
 #: are a small share of the steps, few enough that the block's scratch rows
 #: add little to peak memory
 BLOCK = 256
-#: rows of the perturbation read per call by the search for its settled tail
-SETTLED_CHUNK = 16 * BLOCK
 #: rows of trajectory.csv formatted per write, so its buffers stay bounded
 CSV_CHUNK = 4096
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
@@ -102,9 +100,9 @@ def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int)
     ``b_all`` hold alpha and beta on [0, H]: from step s on, every step
     applies the same map.
 
-    The perturbation is read backwards from H, ``SETTLED_CHUNK`` rows per
-    call, and the walk stops at the first row that differs, or where alpha
-    and beta already rule the earlier indices out.
+    The perturbation is read backwards from H, ``BLOCK`` rows per call as in
+    the step loop, and the walk stops at the first row that differs, or
+    where alpha and beta already rule the earlier indices out.
     """
     h = a_all.size - 1
     settled = 0
@@ -116,7 +114,7 @@ def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int)
     last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
     n1 = h
     while n1 > settled:
-        n0 = max(settled, n1 - SETTLED_CHUNK)
+        n0 = max(settled, n1 - BLOCK)
         rows = _perturbation_rows(schedule, n0, n1, dim).view(np.uint64)
         differ = np.flatnonzero((rows != last).any(axis=1))
         if differ.size:

@@ -154,7 +154,8 @@ def iterate_with_points(run: Callable, space: Space, op: Operator, start, schedu
     array: copies of the arguments of ``op.apply`` after the first call, the
     fixed-point check.  The reference loop applies the operator to every
     point; ``km.iterate`` stops at the m-th point once it is a settled fixed
-    point, so its last argument x_m stands for every x_n with n > m."""
+    point, so its last argument x_m stands for every x_n with n > m, and
+    ``res_step`` reads 0 from m on."""
     seen = []
 
     def apply(x):
@@ -166,6 +167,7 @@ def iterate_with_points(run: Callable, space: Space, op: Operator, start, schedu
         assert len(seen) == horizon + 2
     else:
         assert 2 <= len(seen) <= horizon + 2
+        assert np.all(traj.res_step[len(seen) - 2:] == 0)
     points = np.array(seen[1:])
     return traj, np.concatenate([points, np.repeat(points[-1:], horizon + 2 - len(seen), 0)])
 

@@ -7,7 +7,7 @@ import pytest
 
 import km_rates as km
 from km_rates import engine
-from km_rates.engine import BLOCK, SETTLED_CHUNK, NumericAbort
+from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
 
 from conftest import rotation_instance
@@ -295,7 +295,7 @@ def _table_stream(values):
     return lambda n: values[np.asarray(n)]
 
 
-@pytest.mark.parametrize("horizon", [1, 5, SETTLED_CHUNK + 3, 3 * SETTLED_CHUNK])
+@pytest.mark.parametrize("horizon", [1, 5, BLOCK + 3, 3 * BLOCK])
 def test_settled_index(horizon):
     """The smallest s from which alpha_n, beta_n and the row r_n have the
     bits of their value at the horizon, with r_n read in chunks backwards."""
