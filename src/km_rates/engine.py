@@ -94,15 +94,23 @@ def _perturbation_rows(schedule: Schedule, n0: int, n1: int, dim: int) -> np.nda
     return r
 
 
+def _settled_chunk(dim: int) -> int:
+    """Rows per perturbation read of :func:`_settled`: no more values than
+    the larger of a block of the step loop (``BLOCK`` rows of ``dim``) and
+    the table of one chunk of trajectory.csv (``CSV_CHUNK`` rows of 6
+    columns), so the walk's buffers stay within what a run already holds."""
+    return max(BLOCK, 6 * CSV_CHUNK // dim)
+
+
 def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int) -> int:
     """The smallest s such that alpha_n, beta_n and the row r_n have the bits
     of alpha_H, beta_H and r_H for every n in [s, H], where ``a_all`` and
     ``b_all`` hold alpha and beta on [0, H]: from step s on, every step
     applies the same map.
 
-    The perturbation is read backwards from H, ``BLOCK`` rows per call as in
-    the step loop, and the walk stops at the first row that differs, or
-    where alpha and beta already rule the earlier indices out.
+    The perturbation is read backwards from H in chunks of
+    :func:`_settled_chunk` rows, and the walk stops at the first row that
+    differs, or where alpha and beta already rule the earlier indices out.
     """
     h = a_all.size - 1
     settled = 0
@@ -112,9 +120,10 @@ def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int)
         if differ.size:
             settled = max(settled, int(differ[-1]) + 1)
     last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
+    chunk = _settled_chunk(dim)
     n1 = h
     while n1 > settled:
-        n0 = max(settled, n1 - BLOCK)
+        n0 = max(settled, n1 - chunk)
         rows = _perturbation_rows(schedule, n0, n1, dim).view(np.uint64)
         differ = np.flatnonzero((rows != last).any(axis=1))
         if differ.size:
@@ -282,7 +291,10 @@ class AuditReport:
         }
 
 
-def _collect(lhs: np.ndarray, rhs: np.ndarray) -> AuditCheck:
+def _collect(lhs: np.ndarray, rhs) -> AuditCheck:
+    """``lhs <= rhs`` row by row; a scalar ``rhs`` is one bound for every
+    row, broadcast to ``lhs``'s shape without a copy."""
+    rhs = np.broadcast_to(rhs, lhs.shape)
     excess = lhs - rhs
     bad = np.nonzero(~(excess <= AUDIT_TOL))[0]  # a NaN excess is a violation
     violations = [AuditViolation(int(i), float(lhs[i]), float(rhs[i])) for i in bad]
@@ -339,9 +351,9 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
                                            b * res_T[:-1] + defect * normx[:-1] + rn),
             "residual_increment": _collect(
                 res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
-            "dist_bound": _collect(dist, np.full_like(dist, float(constants.dist_bound))),
-            "norm_bound": _collect(normx, np.full_like(normx, float(constants.norm_bound))),
-            "dist_by_sums": _collect(dist, np.full_like(dist, sums)),
+            "dist_bound": _collect(dist, float(constants.dist_bound)),
+            "norm_bound": _collect(normx, float(constants.norm_bound)),
+            "dist_by_sums": _collect(dist, sums),
         }
     return AuditReport(horizon=traj.horizon, checks=checks)
 

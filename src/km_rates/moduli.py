@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, List, Optional
 
@@ -260,25 +260,51 @@ class DivergenceRow:
 
 @dataclass
 class DivergenceReport:
-    n_max: int
-    rows: List[DivergenceRow]
+    """The checks of the targets n = 0 .. n_max, held as arrays indexed by n:
+    ``rate_values[n]`` = rate(n), ``partials[n]`` the partial sum up to index
+    rate(n) and ``sum_ok[n]`` whether it reaches n.  The verdict and the
+    first failures are read off the arrays; ``rows`` builds one
+    :class:`DivergenceRow` per target on access."""
+
+    rate_values: np.ndarray
+    partials: np.ndarray
+    sum_ok: np.ndarray
     summands_in_unit: bool
 
     @property
+    def n_max(self) -> int:
+        """The last target checked, -1 if none."""
+        return self.rate_values.size - 1
+
+    def _failed(self) -> np.ndarray:
+        """Per target: the sum check failed, or the growth check rate(n) >= n
+        did, which runs only when the summands lie in [0, 1)."""
+        ok = self.sum_ok
+        if self.summands_in_unit:
+            ok = ok & (self.rate_values >= np.arange(self.rate_values.size))
+        return ~ok
+
+    def _row(self, n: int) -> DivergenceRow:
+        rv = int(self.rate_values[n])
+        return DivergenceRow(n=n, rate_value=rv, partial_sum=float(self.partials[n]),
+                             sum_ok=bool(self.sum_ok[n]),
+                             growth_ok=(rv >= n) if self.summands_in_unit else None)
+
+    @property
+    def rows(self) -> List[DivergenceRow]:
+        return [self._row(n) for n in range(self.rate_values.size)]
+
+    @property
     def passed(self) -> bool:
-        return all(r.sum_ok and r.growth_ok is not False for r in self.rows)
+        return not self._failed().any()
 
     def to_dict(self) -> dict:
-        failures = [r for r in self.rows if not (r.sum_ok and r.growth_ok is not False)]
         return {
             "n_max": self.n_max,
             "passed": self.passed,
             "summands_in_unit": self.summands_in_unit,
-            "failures": [
-                {"n": r.n, "rate_value": r.rate_value, "partial_sum": r.partial_sum,
-                 "sum_ok": r.sum_ok, "growth_ok": r.growth_ok}
-                for r in failures[:20]
-            ],
+            "failures": [asdict(self._row(int(n)))
+                         for n in np.flatnonzero(self._failed())[:20]],
         }
 
 
@@ -296,17 +322,15 @@ def check_divergence_rate(terms: np.ndarray, rate: RateFn, n_max: int) -> Diverg
     if rate.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError(f"expected a rate of divergence, got kind {rate.kind}")
     n_max = _natural(n_max, "n_max")
-    values = list(itertools.takewhile(lambda rv: rv < len(terms),
-                                      (rate(n) for n in range(n_max + 1))))
-    terms = np.asarray(terms[:max(values, default=-1) + 1], dtype=float)
+    # every value is below len(terms), so it fits an index array
+    values = np.fromiter(itertools.takewhile(lambda rv: rv < len(terms),
+                                             (rate(n) for n in range(n_max + 1))), dtype=np.intp)
+    terms = np.asarray(terms[:values.max(initial=-1) + 1], dtype=float)
     in_unit = bool(np.all((terms >= 0.0) & (terms < 1.0)))
     partials = np.cumsum(terms)[values]
-    sum_ok = partials >= np.arange(len(values)) - CHECK_TOL
-    rows = [DivergenceRow(n=n, rate_value=rv, partial_sum=partial, sum_ok=ok,
-                          growth_ok=(rv >= n) if in_unit else None)
-            for n, (rv, partial, ok) in enumerate(zip(values, partials.tolist(),
-                                                      sum_ok.tolist()))]
-    return DivergenceReport(n_max=len(values) - 1, rows=rows, summands_in_unit=in_unit)
+    sum_ok = partials >= np.arange(values.size) - CHECK_TOL
+    return DivergenceReport(rate_values=values, partials=partials, sum_ok=sum_ok,
+                            summands_in_unit=in_unit)
 
 
 @dataclass(frozen=True)

@@ -90,15 +90,21 @@ class SoundnessReport:
 
 
 def _suffix_max(values: np.ndarray) -> np.ndarray:
+    """max(values[n:]) at every n: a reversed view of the running max of the
+    reversed values, which is contiguous and nondecreasing."""
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
 def _first_quiet_index(suffix: np.ndarray, threshold: float) -> Optional[int]:
-    # suffix max is nonincreasing, so the quiet region is a suffix
-    quiet = suffix <= threshold
-    if not quiet[-1]:
-        return None
-    return int(np.argmax(quiet))
+    """Least n with ``suffix[n] <= threshold``, None when there is none.
+
+    ``suffix`` is nonincreasing, so the quiet indices are a suffix of it:
+    reversed, it is the contiguous running max, and its quiet prefix has the
+    length that one binary search finds, with no array built per call.  A
+    NaN is above every threshold, as numpy sorts it last.
+    """
+    quiet = int(np.searchsorted(suffix[::-1], threshold, side="right"))
+    return suffix.size - quiet if quiet else None
 
 
 def empirical_first_index(traj: Trajectory, quantity: str, k: int) -> Optional[int]:

@@ -9,6 +9,7 @@ import km_rates as km
 from km_rates import engine
 from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
+from km_rates.schedules import stream_values
 
 from conftest import rotation_instance
 from reference_engine import reference_iterate
@@ -295,10 +296,15 @@ def _table_stream(values):
     return lambda n: values[np.asarray(n)]
 
 
-@pytest.mark.parametrize("horizon", [1, 5, BLOCK + 3, 3 * BLOCK])
+_CHUNK3 = engine._settled_chunk(3)
+
+
+@pytest.mark.parametrize("horizon", [1, 5, BLOCK + 3, 3 * BLOCK, _CHUNK3 - 1, _CHUNK3,
+                                     _CHUNK3 + 1, 2 * _CHUNK3 + 3])
 def test_settled_index(horizon):
     """The smallest s from which alpha_n, beta_n and the row r_n have the
-    bits of their value at the horizon, with r_n read in chunks backwards."""
+    bits of their value at the horizon, with r_n read in chunks backwards;
+    a differing row on either side of a chunk boundary is found."""
     dim = 3
     h = horizon
     ones = np.ones(h + 1)
@@ -320,6 +326,28 @@ def test_settled_index(horizon):
     assert settled(rows=rows) == h // 2 + 1
     # alpha already rules out the indices of the differing row
     assert settled(alpha=changed, rows=rows) == max(h, h // 2 + 1)
+    # the backward walk reads [h - chunk, h), then [h - 2*chunk, h - chunk), ...
+    for boundary in range(h - _CHUNK3, 0, -_CHUNK3):
+        for index in (boundary - 1, boundary):
+            rows = np.zeros((h + 1, 1))
+            rows[index] = 1e-300
+            assert settled(rows=rows) == index + 1
+
+
+def test_settled_walk_reads_the_perturbation_in_few_chunks():
+    """The README rotation at its auto horizon is settled from index 0, so
+    the walk reads the whole perturbation back to 0: one call for r_H and
+    one per chunk of at least ``CSV_CHUNK`` rows (``BLOCK`` rows per read
+    took 393 calls)."""
+    space, _, _, schedule, _, _ = rotation_instance()
+    h = 100_100
+    reads = []
+    perturbation = schedule.perturbation
+    counted = replace(schedule, perturbation=lambda n: reads.append(None) or perturbation(n))
+    weights = [stream_values(stream, np.arange(h + 1))
+               for stream in (schedule.alpha, schedule.beta)]
+    assert engine._settled(*weights, counted, space.dim) == 0
+    assert len(reads) <= math.ceil(h / engine.CSV_CHUNK) + 2
 
 
 def test_settled_index_is_found_once_per_call(monkeypatch):

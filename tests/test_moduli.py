@@ -1,3 +1,5 @@
+import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 import km_rates as km
 from km_rates.moduli import (
+    CHECK_TOL,
+    DivergenceRow,
     PreconditionViolation,
     RateFn,
     RateKind,
@@ -264,6 +268,61 @@ def test_check_divergence_rate_stays_in_window():
     # rate(0) = 1 already passes a window of 0: nothing is checked
     empty = km.check_divergence_rate(terms[:1], theta, 10)
     assert empty.rows == [] and empty.n_max == -1
+
+
+def _divergence_rows(terms, rate, n_max):
+    """The report's rows by their definition, one row object per target, and
+    whether the summands checked lie in [0, 1)."""
+    sums = np.cumsum(np.asarray(terms, dtype=float))
+    values = list(itertools.takewhile(lambda rv: rv < len(terms), map(rate, range(n_max + 1))))
+    window = np.asarray(terms[:max(values, default=-1) + 1], dtype=float)
+    in_unit = bool(np.all((window >= 0.0) & (window < 1.0)))
+    return [DivergenceRow(n, rv, float(sums[rv]), bool(sums[rv] >= n - CHECK_TOL),
+                          (rv >= n) if in_unit else None)
+            for n, rv in enumerate(values)], in_unit
+
+
+_SHIFTED = RateFn(lambda n: max(n - 1, 0), RateKind.RATE_OF_DIVERGENCE)  # rate(n) < n
+_DIVERGENCE_CASES = {
+    # the sum fails from n = 1 on: 100 failures, 20 listed
+    "sum-fails": (np.full(200, 0.25), RateFn.affine(1, 0, RateKind.RATE_OF_DIVERGENCE), 100),
+    # the growth check alone fails, each sum short of n by less than the tolerance
+    "growth-fails": (np.full(60, 1.0 - 1e-12), _SHIFTED, 50),
+    "both-fail": (np.full(12, 0.5), _SHIFTED, 10),
+    # summands outside [0, 1): no growth check, so rate(n) < n passes
+    "outside-unit": (np.full(30, 1.5), _SHIFTED, 25),
+    "negative-summands": (np.linspace(-0.5, 0.9, 40),
+                          RateFn.affine(2, 0, RateKind.RATE_OF_DIVERGENCE), 30),
+    # a passing rate cut by the window, and an empty window
+    "window-cut": (np.full(101, 0.25), RateFn.affine(4, 1, RateKind.RATE_OF_DIVERGENCE), 1000),
+    "empty": (np.full(1, 0.25), RateFn.affine(4, 1, RateKind.RATE_OF_DIVERGENCE), 10),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIVERGENCE_CASES))
+def test_divergence_report_matches_its_rows(case):
+    """The array-backed report gives the verdict, the rows and the first 20
+    failures of the row-object definition."""
+    terms, rate, n_max = _DIVERGENCE_CASES[case]
+    rows, in_unit = _divergence_rows(terms, rate, n_max)
+    failures = [r for r in rows if not (r.sum_ok and r.growth_ok is not False)]
+    report = km.check_divergence_rate(terms, rate, n_max)
+    assert report.rows == rows and report.n_max == len(rows) - 1
+    assert report.passed is (not failures)
+    expected = {"n_max": len(rows) - 1, "passed": not failures, "summands_in_unit": in_unit,
+                "failures": [{"n": r.n, "rate_value": r.rate_value, "partial_sum": r.partial_sum,
+                              "sum_ok": r.sum_ok, "growth_ok": r.growth_ok}
+                             for r in failures[:20]]}
+    assert json.dumps(report.to_dict()) == json.dumps(expected)
+    # what each case is there for
+    if case == "sum-fails":
+        assert len(failures) > 20 and all(r.growth_ok for r in rows)
+    elif case == "growth-fails":
+        assert failures and all(r.sum_ok for r in rows)
+    elif case in ("outside-unit", "negative-summands"):
+        assert not in_unit and all(r.growth_ok is None for r in rows)
+    elif case == "empty":
+        assert rows == [] and report.passed
 
 
 def test_check_divergence_rate_shrinking_weights():

@@ -1,6 +1,12 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import km_rates as km
+from km_rates import verify
 from km_rates.moduli import RateFn, RateKind
 
 from conftest import rotation_instance
@@ -61,6 +67,57 @@ def test_empirical_first_index_edge_cases():
     rot = km.make_operator("rotation", space, {"angle_deg": 90.0})
     short = km.iterate(space, rot, [1.0, 0.0], schedule, 3)
     assert km.empirical_first_index(short, "res_T", 100) is None
+
+
+def _scan_first_quiet(values, threshold):
+    """The definition: the least n with values[m] <= threshold for every
+    m >= n, None when the last value is above it; a scan from the end."""
+    first = None
+    for n in range(len(values) - 1, -1, -1):
+        if not values[n] <= threshold:
+            break
+        first = n
+    return first
+
+
+def _searched_first_quiet(values, threshold):
+    return verify._first_quiet_index(verify._suffix_max(np.asarray(values, float)), threshold)
+
+
+# values around the thresholds below, so that ties at a threshold are common
+_NEAR = [0.0, -0.0, 0.25, 0.5, 0.5 + 1e-9, 1.0 / 3.0, 1.0, math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.sampled_from(_NEAR) | st.floats(-1.0, 2.0), min_size=1, max_size=40),
+       threshold=st.sampled_from([0.25, 0.5, 0.5 + 1e-9, 1.0 / 3.0 + verify.SOUNDNESS_TOL]))
+def test_first_quiet_index_matches_the_scan(values, threshold):
+    assert _searched_first_quiet(values, threshold) == _scan_first_quiet(values, threshold)
+
+
+@pytest.mark.parametrize("values, threshold, first", [
+    ([0.5], 0.5, 0),                  # length 1, a tie
+    ([0.75], 0.5, None),              # length 1, above
+    ([0.5] * 7, 0.5, 0),              # constant at the threshold: all quiet
+    ([0.25] * 7, 0.5, 0),             # all quiet
+    ([0.75] * 7, 0.5, None),          # never quiet
+    ([0.1, 0.9, 0.5, 0.5, 0.2], 0.5, 2),
+    ([0.1, 0.2, 0.3, 0.9], 0.5, None),
+    ([math.nan, 0.1], 0.5, 1),
+    ([0.1, math.nan], 0.5, None),
+])
+def test_first_quiet_index_edge_cases(values, threshold, first):
+    assert _scan_first_quiet(values, threshold) == first
+    assert _searched_first_quiet(values, threshold) == first
+
+
+def test_empirical_first_index_matches_the_scan(rotation_run):
+    traj, _, _ = rotation_run
+    for quantity in ("res_T", "res_step"):
+        values = getattr(traj, quantity).tolist()
+        for k in (0, 1, 2, 7, 40, 300, 10**6):
+            expected = _scan_first_quiet(values, 1.0 / (k + 1) + verify.SOUNDNESS_TOL)
+            assert km.empirical_first_index(traj, quantity, k) == expected
 
 
 def test_soundness_slack_reported(rotation_run):

@@ -6,8 +6,10 @@ Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
 test suite, plus config-parse edge cases, false schedule premises, usage
 errors, help text and multi-block runs of the two matrix operators, of
-per-index coefficients, of a coefficient table that turns constant and of
-points that repeat before and after a change of the step map, goes
+per-index coefficients, of a coefficient table that turns constant, of
+points that repeat before and after a change of the step map and of a
+perturbation that underflows to 0 mid-run, and a divergence rate that fails
+on its whole window, goes
 through the commands and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
@@ -139,6 +141,16 @@ def _test_suite_jobs() -> list:
                                  "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}},
                                  "defect_sum_bound": 1,
                                  "weight_divergence": {"affine": {"slope": 5, "intercept": 0}}}})
+    # r_n = 1e-316/(n+1)^2 underflows to 0 near n = 6300, so the settled
+    # index falls mid-window and the backward walk of the perturbation
+    # crosses more than one of its chunks
+    subnormal_r = _rotation(30_000, 15, schedule={"family": "example1", "params": {
+        "lam": 0.5, "r_star": [1e-316, 0.0]}})
+    # a divergence rate k -> k that the coupling 1/4 refutes at every target
+    # from 1 on, over the whole window of 2001 targets
+    false_divergence = _rotation(5000, 3, schedule={"family": "custom", "params": {
+        "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+        "weight_divergence": {"affine": {"slope": 1, "intercept": 0}}}})
     # the anchor recursion overflows, so audit rows compare inf with inf
     non_finite_audit = _rotation(3, start=[1.0, 1e154],
                                  operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
@@ -238,6 +250,8 @@ def _test_suite_jobs() -> list:
         ("alpha-table-verify", alpha_table, ["verify"]),
         ("identity-run", identity, ["run"]),
         ("alpha-switch-run", alpha_switch, ["run"]),
+        ("subnormal-perturbation-verify", subnormal_r, ["verify"]),
+        ("false-divergence-5000", false_divergence, ["verify"]),
         ("non-finite-audit-run", non_finite_audit, ["run"]),
         ("non-finite-audit-verify", non_finite_audit, ["verify"]),
         ("missing-config", None, ["certify", "--config", "missing.json"]),
