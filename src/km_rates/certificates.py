@@ -96,26 +96,24 @@ def instance_constants(x, z, schedule: Schedule, norm: Callable) -> InstanceCons
                              schedule.perturbation_series.bound)
 
 
-def _guarded_quotient(numerator: int, denominator: float) -> int:
-    if not denominator > 0.0:
-        raise CertificateOverflow(
-            f"convexity modulus evaluated to {denominator}; threshold undefined"
-        )
+def _guarded_quotient(num: int, m0: int, k: int, eta: Callable[[float], float]) -> int:
+    """ceil( num*(k+1) / eta(1/(m0*(k+1))) ).  A value past the double range
+    on the way, or a modulus that is not positive, is a CertificateOverflow."""
     try:
-        return ceil_int(numerator / denominator)
+        denominator = eta(1.0 / (m0 * (k + 1)))
+        if not denominator > 0.0:
+            raise CertificateOverflow(f"convexity modulus evaluated to {denominator}; "
+                                      "threshold undefined")
+        return ceil_int(num * (k + 1) / denominator)
     except OverflowError as exc:
         raise CertificateOverflow(str(exc)) from None
 
 
 def weight_threshold(constants: InstanceConstants, uc: UcModulus) -> RateFn:
     """k -> ceil( numerator*(k+1) / eta(1/(dist_bound*(k+1))) )."""
-    num = constants.threshold_numerator
-    m0 = constants.dist_bound
-
-    def fn(k: int) -> int:
-        return _guarded_quotient(num * (k + 1), uc.eval(1.0 / (m0 * (k + 1))))
-
-    return RateFn(fn, RateKind.THRESHOLD, description="coupling-mass threshold (direct modulus)")
+    num, m0 = constants.threshold_numerator, constants.dist_bound
+    return RateFn(lambda k: _guarded_quotient(num, m0, k, uc.eval), RateKind.THRESHOLD,
+                  description="coupling-mass threshold (direct modulus)")
 
 
 def weight_threshold_factored(constants: InstanceConstants, uc: UcModulus) -> RateFn:
@@ -126,13 +124,9 @@ def weight_threshold_factored(constants: InstanceConstants, uc: UcModulus) -> Ra
     """
     if not uc.factored:
         raise ValueError(f"modulus {uc.name!r} carries no increasing factorization")
-    num = constants.threshold_numerator
-    m0 = constants.dist_bound
-
-    def fn(k: int) -> int:
-        return _guarded_quotient(num * (k + 1), 2.0 * uc.eval_tilde(1.0 / (m0 * (k + 1))))
-
-    return RateFn(fn, RateKind.THRESHOLD, description="coupling-mass threshold (factored modulus)")
+    num, m0 = constants.threshold_numerator, constants.dist_bound
+    return RateFn(lambda k: _guarded_quotient(num, m0, k, lambda e: 2.0 * uc.eval_tilde(e)),
+                  RateKind.THRESHOLD, description="coupling-mass threshold (factored modulus)")
 
 
 def hilbert_threshold(constants: InstanceConstants) -> RateFn:

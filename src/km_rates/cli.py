@@ -17,13 +17,11 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from .certificates import CertificateOverflow
 from .config import FAMILY_PARAMS, ConfigError, Instance, RunConfig, assemble, load_config
 from .engine import NumericAbort, audit_inequalities, iterate, write_trajectory_csv
 from .operators import CATALOG
-from .schedules import range_findings, stream_values, verify_hypotheses
+from .schedules import Window, range_findings, verify_hypotheses
 from .verify import (
     auto_horizon,
     check_liminf_contract,
@@ -95,15 +93,16 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write(text + "\n")
 
 
-def _validate_schedule_window(instance: Instance, horizon: int) -> None:
-    """The range check of :func:`range_findings` on the weights of [0,
-    horizon); the first violating index rejects the config before any
-    iteration runs."""
-    ns = np.arange(horizon)
-    findings = range_findings(stream_values(instance.schedule.alpha, ns),
-                              stream_values(instance.schedule.beta, ns))
+def _validate_schedule_window(instance: Instance, horizon: int) -> Window:
+    """The schedule's window on [0, horizon], the command's one read of its
+    scalar streams, after the range check of :func:`range_findings` on the
+    weights of [0, horizon): the first violating index rejects the config
+    before any iteration runs."""
+    window = Window.read(instance.schedule, horizon)
+    findings = range_findings(window.alpha[:horizon], window.beta[:horizon])
     if findings:
         raise ConfigError(min(findings, key=lambda f: f.index).message)
+    return window
 
 
 def _resolve_horizon(instance: Instance, run: dict) -> int:
@@ -144,28 +143,29 @@ def cmd_certify(args) -> int:
 
 
 def _load_and_run(args):
-    """Load and assemble the config of a run, audit or verify command, check
-    its weights on the run window, iterate and audit the trajectory (its
-    scalar streams; no command reads the points).  Returns the config's
-    document with the run's objects."""
+    """Load and assemble the config of a run, audit or verify command, read
+    and check its schedule window, iterate on that window and audit the
+    trajectory (its scalar streams; no command reads the points).  Returns
+    the config's document with the run's objects."""
     cfg = _load(args)
     instance = assemble(cfg)
     doc = cfg.to_dict()
     horizon = _resolve_horizon(instance, doc["run"])
-    _validate_schedule_window(instance, horizon)
-    traj = iterate(instance.space, instance.operator, instance.start, instance.schedule, horizon)
-    return doc, instance, horizon, traj, audit_inequalities(traj, instance.constants)
+    window = _validate_schedule_window(instance, horizon)
+    traj = iterate(instance.space, instance.operator, instance.start, instance.schedule, horizon,
+                   window=window)
+    return doc, instance, window, traj, audit_inequalities(traj, instance.constants)
 
 
 def cmd_run(args) -> int:
-    doc, _, horizon, traj, audit = _load_and_run(args)
+    doc, _, _, traj, audit = _load_and_run(args)
     out = _ensure_out(doc)
     if "csv" in doc["output"]["formats"]:
         write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
     if "json" in doc["output"]["formats"]:
         _write_json(os.path.join(out, "audit.json"), {"config": doc, "audit": audit.to_dict()})
     status = "clean" if audit.passed else f"{audit.total_violations} violation(s)"
-    print(f"run horizon={horizon} audit: {status}")
+    print(f"run horizon={traj.horizon} audit: {status}")
     return EXIT_OK if audit.passed else EXIT_VERIFY
 
 
@@ -193,10 +193,10 @@ def _soundness_csv(path: str, report: SoundnessReport) -> None:
 
 
 def cmd_verify(args) -> int:
-    doc, instance, horizon, traj, audit = _load_and_run(args)
-    k_max, formats = doc["run"]["k_max"], doc["output"]["formats"]
+    doc, instance, window, traj, audit = _load_and_run(args)
+    k_max, formats, horizon = doc["run"]["k_max"], doc["output"]["formats"], traj.horizon
     cert = instance.certificate
-    hypotheses = verify_hypotheses(instance.schedule, horizon)
+    hypotheses = verify_hypotheses(instance.schedule, horizon, window)
 
     residual_report = check_rate_soundness(traj, cert.residual_rate, "res_T", k_max)
     step_report = check_rate_soundness(traj, cert.step_rate, "res_step", k_max)
@@ -218,9 +218,8 @@ def cmd_verify(args) -> int:
             "liminf": liminf_report.to_dict(),
         })
 
-    ok = (hypotheses.passed and audit.passed and liminf_report.all_passed
-          and all(r.all_passed for r in reports))
-    for report in (residual_report, step_report):
+    ok = all(r.passed for r in (hypotheses, audit, liminf_report, *reports))
+    for report in reports:
         for row in report.rows:
             state = ("trunc" if row.truncated else ("pass" if row.passed else "FAIL"))
             slack = (f" slack={row.slack_factor:.1f}"
@@ -228,7 +227,7 @@ def cmd_verify(args) -> int:
             print(f"  {report.quantity} k={row.k:>3} bound={row.bound} "
                   f"[{state}]{slack}")
     print(f"liminf cells checked={liminf_report.checked} "
-          f"{'pass' if liminf_report.all_passed else 'FAIL'}")
+          f"{'pass' if liminf_report.passed else 'FAIL'}")
     print(f"schedule hypotheses on [0, {horizon}]: "
           f"{'pass' if hypotheses.passed else 'FAIL'}")
     print(f"verify: {'all checks passed' if ok else 'FAILURES found'} "

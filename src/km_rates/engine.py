@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from .certificates import InstanceConstants
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import Schedule, stream_values
+from .schedules import Schedule, Window
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
@@ -49,7 +49,8 @@ class Trajectory:
 
     ``res_T[n] = ||x_n - T(x_n)||`` and ``dist_z``/``norm_x``/``K_z`` have
     ``horizon + 1`` entries; ``res_step[n] = ||x_{n+1} - x_n||`` and the
-    recorded schedule streams have ``horizon`` entries.
+    recorded schedule streams, views of the run's ``Window``, have
+    ``horizon`` entries.
     """
 
     horizon: int
@@ -132,14 +133,16 @@ def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int)
     return settled
 
 
-def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int) -> Trajectory:
+def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
+            window: Optional[Window] = None) -> Trajectory:
     """Materialize the trajectory up to ``horizon`` steps.
 
-    Two phases: the schedule streams for the whole horizon are read in one
-    call each, with ``K_z`` as one accumulate; then the steps run in blocks of
-    ``BLOCK`` points, each step only applying the operator and writing the
-    update into its row of the block's point array, and the norm streams of
-    a block are taken as row norms after it.  Aborts with
+    Two phases: alpha, beta and ||r_n|| on [0, horizon] are those of
+    ``window``, which must cover exactly that (else ValueError), or of the
+    window read without one, with ``K_z`` as one accumulate; then the steps
+    run in blocks of ``BLOCK`` points, each step only applying the operator
+    and writing the update into its row of the block's point array, and the
+    norm streams of a block are taken as row norms after it.  Aborts with
     :class:`NumericAbort` at the first non-finite iterate.
 
     A block that ends on x_{k+1} with the bits of x_k ends the walk when
@@ -167,10 +170,9 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int)
     with np.errstate(over="ignore", invalid="ignore"):
         # one step past the horizon, so that every point x_0..x_horizon is
         # reached by the same step body; x_{horizon+1} is dropped
-        a_all = stream_values(schedule.alpha, np.arange(horizon + 1))
-        b_all = stream_values(schedule.beta, np.arange(horizon + 1))
-        alpha, beta = a_all[:horizon], b_all[:horizon]
-        r_norm = stream_values(schedule.perturbation_norm, np.arange(horizon))
+        window = Window.read(schedule, horizon) if window is None else window.covering(horizon)
+        a_all, b_all = window.alpha, window.beta
+        alpha, beta, r_norm = a_all[:horizon], b_all[:horizon], window.r_norm[:horizon]
         # K_{n+1} = ((K_n + beta_n*fr) + defect_n*||z||) + ||r_n||, summed in this order
         terms = np.empty(3 * horizon + 1)
         terms[0] = K0

@@ -333,31 +333,46 @@ def check_divergence_rate(terms: np.ndarray, rate: RateFn, n_max: int) -> Diverg
                             summands_in_unit=in_unit)
 
 
-@dataclass(frozen=True)
-class CauchyRow:
-    k: int
-    start: int
-    tail_gap: Optional[float]  # worst |S_{n+p} - S_n| witnessed/bounded, None if truncated
-    ok: Optional[bool]
+class Row:
+    """A checked row whose ``passed`` is True, False, or None when the row
+    lies past the window and is not checked."""
 
     @property
     def truncated(self) -> bool:
-        return self.ok is None
+        return self.passed is None
 
 
-@dataclass
-class CauchyReport:
-    window: int
-    tail_bounded: bool
-    rows: List[CauchyRow]
+class RowReport:
+    """The one verdict of a report of :class:`Row` s in ``rows``: it passes
+    when no row failed, so truncation is not failure."""
 
     @property
     def passed(self) -> bool:
-        return all(r.ok is not False for r in self.rows)
+        return all(r.passed is not False for r in self.rows)
 
     @property
     def checked(self) -> int:
-        return sum(1 for r in self.rows if not r.truncated)
+        return sum(r.passed is not None for r in self.rows)
+
+    @property
+    def failures(self) -> List[Row]:
+        """The first 20 failed rows."""
+        return [r for r in self.rows if r.passed is False][:20]
+
+
+@dataclass(frozen=True)
+class CauchyRow(Row):
+    k: int
+    start: int
+    tail_gap: Optional[float]  # worst |S_{n+p} - S_n| witnessed/bounded, None if truncated
+    passed: Optional[bool]
+
+
+@dataclass
+class CauchyReport(RowReport):
+    window: int
+    tail_bounded: bool
+    rows: List[CauchyRow]
 
     def to_dict(self) -> dict:
         return {
@@ -365,10 +380,8 @@ class CauchyReport:
             "tail_bounded": self.tail_bounded,
             "passed": self.passed,
             "checked": self.checked,
-            "failures": [
-                {"k": r.k, "start": r.start, "tail_gap": r.tail_gap}
-                for r in self.rows if r.ok is False
-            ][:20],
+            "failures": [{"k": r.k, "start": r.start, "tail_gap": r.tail_gap}
+                         for r in self.failures],
         }
 
 

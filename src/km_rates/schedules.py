@@ -118,6 +118,33 @@ def stream_values(stream: Stream, ns: np.ndarray) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
+class Window:
+    """The scalar streams alpha_n, beta_n and ||r_n|| of a schedule on [0,
+    n_max], as read-only arrays of n_max + 1 values: one read per command,
+    which the range check, the engine and the premise check all take."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    r_norm: np.ndarray
+
+    @classmethod
+    def read(cls, schedule: Schedule, n_max: int) -> Window:
+        """Each stream in one call on [0, n_max], through :func:`stream_values`."""
+        ns = np.arange(n_max + 1)
+        views = [stream_values(s, ns).view()  # read-only views: a stream may keep its array
+                 for s in (schedule.alpha, schedule.beta, schedule.perturbation_norm)]
+        for view in views:
+            view.flags.writeable = False
+        return cls(*views)
+
+    def covering(self, n_max: int) -> Window:
+        """This window, which must cover exactly [0, n_max] (else ValueError)."""
+        if any(v.shape != (n_max + 1,) for v in (self.alpha, self.beta, self.r_norm)):
+            raise ValueError(f"the window does not cover exactly [0, {n_max}]")
+        return self
+
+
 def constant_stream(value: float) -> Stream:
     """The stream n -> value, shaped like n."""
     value = float(value)
@@ -255,7 +282,7 @@ def make_anchor(base: Schedule, u, norm: Callable) -> Schedule:
     nu = norm(u)
     if nu == 0.0:
         raise ValueError("anchor direction must be nonzero; use a zero perturbation instead")
-    cu = ceil_int(nu)
+    cu = max(1, ceil_int(nu))  # ||u|| > 0, however small
     defect = base.defect_series
     return replace(
         base,
@@ -314,12 +341,9 @@ class HypothesesReport:
 
     @property
     def passed(self) -> bool:
-        if self.findings:
-            return False
-        for rep in (self.defect_report, self.perturbation_report):
-            if rep is not None and not rep.passed:
-                return False
-        return self.divergence_report.passed
+        return (not self.findings and self.divergence_report.passed
+                and all(r is None or r.passed for r in (self.defect_report,
+                                                        self.perturbation_report)))
 
     def to_dict(self) -> dict:
         return {
@@ -338,24 +362,22 @@ class HypothesesReport:
         }
 
 
-def verify_hypotheses(schedule: Schedule, n_max: int) -> HypothesesReport:
+def verify_hypotheses(schedule: Schedule, n_max: int,
+                      window: Optional[Window] = None) -> HypothesesReport:
     """Check ranges (see :func:`range_findings`), modulus contracts and sum
     bounds on [0, n_max].
 
-    Each scalar stream is evaluated once, on [0, n_max]; the defect and
-    coupling summands are derived from those values.  All findings land in the
-    report; nothing raises.  The two Cauchy contracts are checked for k <=
+    The values are those of ``window``, which must cover exactly [0, n_max]
+    (else ValueError), or of the window read without one; the defect and
+    coupling summands are derived from them.  All findings land in the
+    report; none raises.  The two Cauchy contracts are checked for k <=
     HYPOTHESES_K_MAX, with the analytic tail bounds when the series provide
     them and on the window only otherwise; the divergence rate for targets n
-    <= min(n_max, DIVERGENCE_N_MAX).
+    <= min(n_max, DIVERGENCE_N_MAX).  An index below is a position in the
+    window's arrays.
     """
-    ns = np.arange(n_max + 1)
-    alpha = stream_values(schedule.alpha, ns)
-    beta = stream_values(schedule.beta, ns)
-    pert = stream_values(schedule.perturbation_norm, ns)
-    # each window-sized array goes once it is read for the last time, which
-    # keeps at most five alive; an index below is a position in these arrays
-    del ns
+    window = Window.read(schedule, n_max) if window is None else window.covering(n_max)
+    alpha, beta, pert = window.alpha, window.beta, window.r_norm
     findings = range_findings(alpha, beta)
     findings += [Finding("perturbation_norm", int(n), f"negative perturbation norm at n={n}")
                  for n in np.flatnonzero(pert < -RANGE_TOL)[:20]]
@@ -363,14 +385,13 @@ def verify_hypotheses(schedule: Schedule, n_max: int) -> HypothesesReport:
     series_checked = not findings
 
     # the coupling alpha*beta/(alpha+beta) and the defect (1 - alpha) - beta,
-    # in arrays of their own (a stream may hand out an array it keeps); the
-    # coupling is NaN or inf only where the range check reports the weights
+    # in arrays of their own; the coupling is NaN or inf only where the range
+    # check reports the weights
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coupling = alpha * beta
         coupling /= alpha + beta
     defect = np.subtract(1.0, alpha)
     defect -= beta
-    del alpha, beta
     divergence_report = check_divergence_rate(coupling, schedule.weight_divergence,
                                               min(n_max, DIVERGENCE_N_MAX))
     del coupling

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .engine import Trajectory
-from .moduli import LiminfModulus, RateFn
+from .moduli import LiminfModulus, RateFn, Row, RowReport
 
 SOUNDNESS_TOL = 1e-9
 HORIZON_CAP = 100_000
@@ -23,11 +23,9 @@ HORIZON_MARGIN = 100
 
 
 def _series(traj: Trajectory, quantity: str) -> np.ndarray:
-    if quantity == "res_T":
-        return traj.res_T
-    if quantity == "res_step":
-        return traj.res_step
-    raise ValueError(f"unknown quantity {quantity!r}; use 'res_T' or 'res_step'")
+    if quantity not in ("res_T", "res_step"):
+        raise ValueError(f"unknown quantity {quantity!r}; use 'res_T' or 'res_step'")
+    return getattr(traj, quantity)
 
 
 def auto_horizon(rate_values: Iterable[int]) -> int:
@@ -39,7 +37,7 @@ def auto_horizon(rate_values: Iterable[int]) -> int:
 
 
 @dataclass(frozen=True)
-class SoundnessRow:
+class SoundnessRow(Row):
     k: int
     bound: int
     window: Optional[tuple]
@@ -48,26 +46,13 @@ class SoundnessRow:
     empirical_first_index: Optional[int]
     slack_factor: Optional[float]
 
-    @property
-    def truncated(self) -> bool:
-        return self.passed is None
-
 
 @dataclass
-class SoundnessReport:
+class SoundnessReport(RowReport):
     quantity: str
     rate_description: str
     horizon: int
     rows: List[SoundnessRow]
-
-    @property
-    def all_passed(self) -> bool:
-        """True when every non-truncated row passes; truncation is not failure."""
-        return all(r.passed for r in self.rows if not r.truncated)
-
-    @property
-    def checked(self) -> int:
-        return sum(1 for r in self.rows if not r.truncated)
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +60,7 @@ class SoundnessReport:
             "rate": self.rate_description,
             "horizon": self.horizon,
             "tol": SOUNDNESS_TOL,
-            "all_passed": self.all_passed,
+            "all_passed": self.passed,
             "checked": self.checked,
             "rows": [
                 {
@@ -131,57 +116,42 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
         bound = rate(k)
         threshold = 1.0 / (k + 1)
         first = _first_quiet_index(suffix, threshold + SOUNDNESS_TOL)
-        if bound > last:
-            rows.append(SoundnessRow(
-                k=k, bound=bound, window=None, max_excess=None, passed=None,
-                empirical_first_index=first, slack_factor=None))
-            continue
-        max_excess = float(suffix[bound] - threshold)
-        passed = bool(max_excess <= SOUNDNESS_TOL)
-        slack = float(bound) / max(1, first) if first is not None else None
-        rows.append(SoundnessRow(
-            k=k, bound=bound, window=(bound, last), max_excess=max_excess, passed=passed,
-            empirical_first_index=first, slack_factor=slack))
+        window = max_excess = passed = slack = None
+        if bound <= last:
+            window, max_excess = (bound, last), float(suffix[bound] - threshold)
+            passed = bool(max_excess <= SOUNDNESS_TOL)
+            slack = float(bound) / max(1, first) if first is not None else None
+        rows.append(SoundnessRow(k=k, bound=bound, window=window, max_excess=max_excess,
+                                 passed=passed, empirical_first_index=first, slack_factor=slack))
     return SoundnessReport(quantity=quantity, rate_description=rate.description,
                            horizon=traj.horizon, rows=rows)
 
 
 @dataclass(frozen=True)
-class LiminfCell:
+class LiminfCell(Row):
     k: int
     L: int
     bound: int
     witness: Optional[int]
     passed: Optional[bool]
 
-    @property
-    def truncated(self) -> bool:
-        return self.passed is None
-
 
 @dataclass
-class LiminfReport:
+class LiminfReport(RowReport):
     horizon: int
     cells: List[LiminfCell]
 
     @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.cells if not c.truncated)
-
-    @property
-    def checked(self) -> int:
-        return sum(1 for c in self.cells if not c.truncated)
+    def rows(self) -> List[LiminfCell]:
+        return self.cells
 
     def to_dict(self) -> dict:
         return {
             "horizon": self.horizon,
             "quantity": "res_T",
-            "all_passed": self.all_passed,
+            "all_passed": self.passed,
             "checked": self.checked,
-            "failures": [
-                {"k": c.k, "L": c.L, "bound": c.bound}
-                for c in self.cells if c.passed is False
-            ][:20],
+            "failures": [{"k": c.k, "L": c.L, "bound": c.bound} for c in self.failures],
         }
 
 

@@ -1,5 +1,6 @@
 """Malformed run configs and command-line flags that must exit 2 with a config
-error naming the bad value: the tables that ``tests/test_cli.py`` checks and
+error naming the bad value, and configs whose certificate arithmetic reaches
+the edges of the double range: the tables that ``tests/test_cli.py`` checks and
 that ``tools/compare_outputs.py`` runs on two checkouts.  Pure data, so both can
 import it; each case changes sections of the README rotation config.
 """
@@ -171,4 +172,28 @@ MISSPELT_PARAMS = {
     "anchor": ({"base": {"family": "example2", "params": {"lam": 0.5, "j": 3}},
                 "u": [1.0, 0.0]}, "j"),
     "custom": (dict(CUSTOM, perturbaton=INVERSE_SQUARE), "perturbaton"),
+}
+
+#: the operator of the lp cases below
+SHRINK = {"name": "coordinate_shrink", "params": {"factors": [0.5, 0.5]}}
+
+#: id -> (changed config sections, command -> the exit codes it may give):
+#: certificate arithmetic at the edges of the double range ends in a verdict
+#: or a certificate overflow (exit 3), never in a traceback
+CERTIFICATE_EDGES = {
+    # ||u|| = 1e-17 is positive, so its integer bound is 1, not 0
+    "anchor-tiny-u": ({"schedule": {"family": "anchor", "params": {
+        "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [1e-17, 0.0]}}},
+        {"certify": (0,), "verify": (0, 5)}),
+    # dist_bound*(k+1) passes the double range in the threshold's argument;
+    # the auto horizon reaches it before the run
+    "threshold-argument-overflow": ({
+        "space": {"dim": 2, "norm": "lp", "p": 1.0000001}, "operator": SHRINK,
+        "schedule": {"family": "anchor", "params": {
+            "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [0.5, 1.7e308]}},
+        "certificate": {"formula": "general"}, "run": {"horizon": "auto", "k_max": 3}},
+        {"certify": (3,), "verify": (3,)}),
+    # 2^p in the lp modulus passes the double range
+    "lp-modulus-overflow": ({"space": {"dim": 2, "norm": "lp", "p": 1100.0},
+                             "operator": SHRINK}, {"certify": (3,), "verify": (3,)}),
 }

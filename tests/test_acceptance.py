@@ -91,7 +91,7 @@ def test_criterion_3_rotation_rate_soundness():
         for n in range(0, 60)
     )
     elapsed = time.perf_counter() - t0
-    ok = (residual.all_passed and step.all_passed and residual.checked == 16
+    ok = (residual.passed and step.passed and residual.checked == 16
           and step.checked >= 8 and efi == 1 and decay_ok and elapsed < 5.0)
     _stamp(3, ok, elapsed,
            f"res_T checked={residual.checked} res_step checked={step.checked} "
@@ -119,8 +119,8 @@ def test_criterion_4_shrinking_weight_ball_soundness():
                       and cert.step_rate(k) == closed_step(k) for k in range(6))
     liminf = km.check_liminf_contract(traj, cert.liminf_modulus, 5, 8)
     elapsed = time.perf_counter() - t0
-    ok = (audit.passed and residual.all_passed and step.all_passed
-          and closed_form and liminf.all_passed
+    ok = (audit.passed and residual.passed and step.passed
+          and closed_form and liminf.passed
           and residual.checked == 6 and elapsed < 10.0)
     _stamp(4, ok, elapsed,
            f"horizon={horizon} res_T checked={residual.checked} "
@@ -252,5 +252,5 @@ def test_criterion_8_liminf_contract_long_horizon():
     traj = km.iterate(space, op, start, schedule, 10**5)
     report = km.check_liminf_contract(traj, cert.liminf_modulus, 8, 8)
     elapsed = time.perf_counter() - t0
-    ok = report.all_passed and report.checked == 81
+    ok = report.passed and report.checked == 81
     _stamp(8, ok, elapsed, f"cells checked={report.checked}")

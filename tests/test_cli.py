@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from km_rates.certificates import THRESHOLD_ROUTES
 from km_rates.cli import main
 
 from conftest import example2_ball_config
-from malformed_configs import CONFIG_VALUES, FLAGS, MISSPELT_PARAMS, OPERATOR_PARAMS
+from malformed_configs import (CERTIFICATE_EDGES, CONFIG_VALUES, FLAGS, MISSPELT_PARAMS,
+                               OPERATOR_PARAMS)
 
 
 def rotation_config(out_dir, **run):
@@ -478,3 +480,39 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "identity" in proc.stdout
+
+
+@pytest.mark.parametrize("changes,exits", CERTIFICATE_EDGES.values(), ids=CERTIFICATE_EDGES)
+def test_certificate_edges_end_in_a_verdict_or_an_overflow(tmp_path, capsys, changes, exits):
+    cfg = write_config(tmp_path, dict(rotation_config(tmp_path / "out"), **changes))
+    for command, codes in exits.items():
+        assert main([command, "--config", cfg]) in codes, command
+        assert ("certificate overflow" in capsys.readouterr().err) == (codes == (3,)), command
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "audit"])
+def test_commands_read_each_schedule_stream_once(tmp_path, monkeypatch, command):
+    """alpha, beta and perturbation_norm are read once per command, on [0,
+    horizon]: the range check, the engine and the premise check share that
+    window."""
+    calls = {}
+    assemble = cli.assemble
+
+    def counted(stream, name):
+        def wrapper(ns):
+            calls.setdefault(name, []).append(np.shape(ns))
+            return stream(ns)
+
+        return wrapper
+
+    def counted_assemble(cfg):
+        instance = assemble(cfg)
+        instance.schedule = replace(instance.schedule, **{
+            name: counted(getattr(instance.schedule, name), name)
+            for name in ("alpha", "beta", "perturbation_norm")})
+        return instance
+
+    monkeypatch.setattr(cli, "assemble", counted_assemble)
+    cfg = write_config(tmp_path, rotation_config(tmp_path / "out"))
+    assert main([command, "--config", cfg]) == 0
+    assert calls == {name: [(2001,)] for name in ("alpha", "beta", "perturbation_norm")}

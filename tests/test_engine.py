@@ -9,7 +9,7 @@ import km_rates as km
 from km_rates import engine
 from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
-from km_rates.schedules import stream_values
+from km_rates.schedules import Window, stream_values
 
 from conftest import rotation_instance
 from reference_engine import reference_iterate
@@ -369,3 +369,39 @@ def test_settled_index_is_found_once_per_call(monkeypatch):
     assert found == [600]
     assert len(applied) < 16 * BLOCK + 2
     assert np.array_equal(points.view(np.uint64), ref_points.view(np.uint64))
+
+
+def _window_cases():
+    """(space, operator, start, schedule) whose three scalar streams all vary
+    per index: an anchor over example2 on a rotation, over a few blocks."""
+    space = km.Space(dim=3)
+    op = km.make_operator("rotation", space, {"angle_deg": 40.0})
+    base = km.make_example2(0.4, J=3, r_star=[0.2, -0.1, 0.3], norm=space.norm)
+    return space, op, [1.0, -2.0, 0.5], km.make_anchor(base, [0.5, 0.25, -1.0], space.norm)
+
+
+@pytest.mark.parametrize("horizon", [1, BLOCK + 3, 3 * BLOCK])
+def test_iterate_on_a_given_window_matches_its_own_read(horizon):
+    space, op, start, schedule = _window_cases()
+    read = km.iterate(space, op, start, schedule, horizon)
+    given = km.iterate(space, op, start, schedule, horizon,
+                       window=Window.read(schedule, horizon))
+    for f in fields(read):
+        a, b = getattr(read, f.name), getattr(given, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+def test_window_is_read_only_and_must_cover_the_horizon():
+    space, op, start, schedule = _window_cases()
+    window = Window.read(schedule, 100)
+    assert all(not v.flags.writeable and v.shape == (101,)
+               for v in (window.alpha, window.beta, window.r_norm))
+    traj = km.iterate(space, op, start, schedule, 100, window=window)
+    with pytest.raises(ValueError, match="read-only"):
+        traj.alpha[0] = 0.0
+    for wrong in (Window.read(schedule, 99), Window.read(schedule, 101),
+                  replace(window, r_norm=window.r_norm[:100])):
+        with pytest.raises(ValueError, match=r"does not cover exactly \[0, 100\]"):
+            km.iterate(space, op, start, schedule, 100, window=wrong)
+        with pytest.raises(ValueError, match=r"does not cover exactly \[0, 100\]"):
+            km.verify_hypotheses(schedule, 100, wrong)

@@ -5,7 +5,7 @@ import pytest
 
 import km_rates as km
 from km_rates.moduli import RateFn, RateKind
-from km_rates.schedules import DIVERGENCE_N_MAX, HYPOTHESES_K_MAX, constant_stream
+from km_rates.schedules import DIVERGENCE_N_MAX, HYPOTHESES_K_MAX, Window, constant_stream
 
 import lemmas
 
@@ -311,3 +311,15 @@ def test_verify_hypotheses_caps():
     assert report.passed and report.window == 10_000
     assert report.divergence_report.n_max == DIVERGENCE_N_MAX == 2000
     assert len(report.defect_report.rows) == HYPOTHESES_K_MAX + 1 == 21
+
+
+@pytest.mark.parametrize("schedule", [
+    km.make_example2(0.5, J=2, r_star=[0.5, 0.0], norm=np.linalg.norm),
+    km.make_anchor(km.make_example2(0.3, J=3), [1.0, -0.5], np.linalg.norm),
+    replace(km.make_classical_km(0.5), beta=lambda n: 0.5 + 0.6 * (np.asarray(n) == 7)),
+], ids=["example2", "anchor", "out-of-range"])
+def test_verify_hypotheses_on_a_given_window_matches_its_own_read(schedule):
+    n_max = 2500
+    read = km.verify_hypotheses(schedule, n_max).to_dict()
+    given = km.verify_hypotheses(schedule, n_max, Window.read(schedule, n_max)).to_dict()
+    assert repr(read) == repr(given)

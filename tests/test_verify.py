@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import km_rates as km
 from km_rates import verify
-from km_rates.moduli import RateFn, RateKind
+from km_rates.moduli import CauchyReport, CauchyRow, RateFn, RateKind
+from km_rates.verify import LiminfCell, LiminfReport, SoundnessReport, SoundnessRow
 
 from conftest import rotation_instance
 
@@ -22,7 +23,7 @@ def rotation_run():
 def test_soundness_rotation_passes(rotation_run):
     traj, _, cert = rotation_run
     report = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 5)
-    assert report.all_passed
+    assert report.passed
     assert report.checked == 6
     row = report.rows[0]
     assert row.bound == 132
@@ -47,7 +48,7 @@ def test_soundness_negative_control_zero_rate(rotation_run):
     zero = RateFn.constant(0, RateKind.RATE_OF_CONVERGENCE)
     report = km.check_rate_soundness(traj, zero, "res_T", 3)
     assert report.rows[1].passed is False  # res_T[0] = sqrt(2) > 1/2
-    assert not report.all_passed
+    assert not report.passed
 
 
 def test_empirical_first_index_rotation(rotation_run):
@@ -144,13 +145,13 @@ def test_monotone_soundness_inflated_rate_stays_valid(rotation_run):
                       RateKind.RATE_OF_CONVERGENCE)
     base = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 4)
     bigger = km.check_rate_soundness(traj, inflated, "res_T", 4)
-    assert base.all_passed and bigger.all_passed
+    assert base.passed and bigger.passed
 
 
 def test_liminf_contract_rotation(rotation_run):
     traj, _, cert = rotation_run
     report = km.check_liminf_contract(traj, cert.liminf_modulus, 5, 5)
-    assert report.all_passed
+    assert report.passed
     assert report.checked == 36
 
 
@@ -160,7 +161,7 @@ def test_liminf_witness_at_window_start_for_zero_residuals():
     traj = km.iterate(space, op, [0.0, 0.0], km.make_classical_km(0.5), 30)
     delta = km.LiminfModulus(lambda k, L: L + 3)
     report = km.check_liminf_contract(traj, delta, 4, 4)
-    assert report.all_passed
+    assert report.passed
     for cell in report.cells:
         assert cell.witness == cell.L
 
@@ -171,7 +172,7 @@ def test_liminf_negative_control(rotation_run):
     report = km.check_liminf_contract(traj, lazy, 4, 4)
     cell = next(c for c in report.cells if (c.k, c.L) == (2, 0))
     assert cell.passed is False  # res_T[0] = sqrt(2) >= 1/3
-    assert not report.all_passed
+    assert not report.passed
 
 
 def test_liminf_truncation():
@@ -180,7 +181,7 @@ def test_liminf_truncation():
     big = km.LiminfModulus(lambda k, L: 10**6)
     report = km.check_liminf_contract(traj, big, 2, 2)
     assert report.checked == 0
-    assert report.all_passed  # truncation is not failure
+    assert report.passed  # truncation is not failure
 
 
 def test_auto_horizon_rule():
@@ -197,3 +198,24 @@ def test_soundness_report_serializes(rotation_run):
     assert doc["all_passed"] is True
     assert doc["rows"][0]["bound"] == 132
     assert doc["rows"][0]["empirical_first_index"] == 1
+
+
+@pytest.mark.parametrize("report", [
+    SoundnessReport("res_T", "rate", 10, [
+        SoundnessRow(0, 2, (2, 10), -0.5, True, 1, 2.0),
+        SoundnessRow(1, 3, (3, 10), 0.25, False, None, None),
+        SoundnessRow(2, 20, None, None, None, 4, None)]),
+    LiminfReport(10, [LiminfCell(0, 0, 3, 1, True), LiminfCell(1, 0, 5, None, False),
+                      LiminfCell(2, 0, 30, None, None)]),
+    CauchyReport(10, False, [CauchyRow(0, 1, 0.5, True), CauchyRow(1, 2, 0.75, False),
+                             CauchyRow(2, 20, None, None)]),
+], ids=["soundness", "liminf", "cauchy"])
+def test_row_reports_share_one_verdict(report):
+    """A passing, a failing and a truncated row: the report fails, has
+    checked two rows and lists the failing one."""
+    assert [r.truncated for r in report.rows] == [False, False, True]
+    assert report.passed is False and report.checked == 2
+    assert report.failures == [report.rows[1]]
+    doc = report.to_dict()
+    assert doc["all_passed" if "all_passed" in doc else "passed"] is False
+    assert doc["checked"] == 2

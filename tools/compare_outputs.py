@@ -4,7 +4,8 @@
 
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
-test suite, plus config-parse edge cases, false schedule premises, usage
+test suite, plus config-parse edge cases, certificate arithmetic at the
+edges of the double range, false schedule premises, usage
 errors, help text and multi-block runs of the two matrix operators, of
 per-index coefficients, of a coefficient table that turns constant, of
 points that repeat before and after a change of the step map and of a
@@ -58,8 +59,8 @@ def _test_suite_jobs() -> list:
     """(name, config document or None, argv after the config) as the tests
     run them, plus config-parse edges; a document None runs the argv alone."""
     sys.path.insert(0, str(ROOT / "tests"))
-    from malformed_configs import (CONFIG_VALUES, CUSTOM, FLAGS, INEXACT, INVERSE_SQUARE,
-                                   MISSPELT_PARAMS, OPERATOR_PARAMS)
+    from malformed_configs import (CERTIFICATE_EDGES, CONFIG_VALUES, CUSTOM, FLAGS, INEXACT,
+                                   INVERSE_SQUARE, MISSPELT_PARAMS, OPERATOR_PARAMS)
 
     out_of_range = _rotation(50, schedule={"family": "custom", "params": {
         "alpha": {"const": 0.5},
@@ -221,6 +222,8 @@ def _test_suite_jobs() -> list:
     jobs += [(f"flag-{name}", _rotation(**changes), argv)
              for name, (changes, argv, _) in FLAGS.items()]
     jobs += [("huge-r-star", huge_r_star, ["certify"])]
+    jobs += [(f"edge-{name}-{command}", _rotation(**changes), [command])
+             for name, (changes, exits) in CERTIFICATE_EDGES.items() for command in exits]
     jobs += fixed_point_jobs
     jobs += [
         ("rotation-run-100", _rotation(100), ["run"]),
