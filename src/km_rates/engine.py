@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -250,13 +250,13 @@ class AuditViolation:
 
 @dataclass
 class AuditCheck:
-    checked: int
-    max_excess: float
-    violations: List[AuditViolation] = field(default_factory=list)
+    """``count`` of the ``checked`` rows break the inequality;
+    ``first_violations`` holds the first ten of them in index order."""
 
-    @property
-    def count(self) -> int:
-        return len(self.violations)
+    checked: int
+    count: int
+    max_excess: float
+    first_violations: List[AuditViolation]
 
 
 @dataclass
@@ -285,7 +285,7 @@ class AuditReport:
                     "max_excess": c.max_excess,
                     "first_violations": [
                         {"index": v.index, "lhs": v.lhs, "rhs": v.rhs}
-                        for v in c.violations[:10]
+                        for v in c.first_violations
                     ],
                 }
                 for name, c in self.checks.items()
@@ -298,11 +298,19 @@ def _collect(lhs: np.ndarray, rhs) -> AuditCheck:
     row, broadcast to ``lhs``'s shape without a copy."""
     rhs = np.broadcast_to(rhs, lhs.shape)
     excess = lhs - rhs
-    bad = np.nonzero(~(excess <= AUDIT_TOL))[0]  # a NaN excess is a violation
-    violations = [AuditViolation(int(i), float(lhs[i]), float(rhs[i])) for i in bad]
-    return AuditCheck(checked=int(lhs.size),
+    bad = ~(excess <= AUDIT_TOL)  # a NaN excess is a violation
+    return AuditCheck(checked=int(lhs.size), count=int(np.count_nonzero(bad)),
                       max_excess=float(np.max(excess)) if lhs.size else 0.0,
-                      violations=violations)
+                      first_violations=[AuditViolation(int(i), float(lhs[i]), float(rhs[i]))
+                                        for i in np.flatnonzero(bad)[:10]])
+
+
+def _as_double(bound: int) -> float:
+    """An integer bound as a double, +inf past the double range."""
+    try:
+        return float(bound)
+    except OverflowError:
+        return math.inf
 
 
 def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditReport:
@@ -325,7 +333,8 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
                     + perturbation_sum_bound
 
     Overflow and inf - inf give inf or NaN without a warning; a row whose
-    excess is NaN counts as a violation.
+    excess is NaN counts as a violation.  An integer bound past the double
+    range acts as +inf.
     """
     a = traj.alpha
     b = traj.beta
@@ -341,7 +350,9 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     with np.errstate(over="ignore", invalid="ignore"):
         defect = 1.0 - a - b
         chain = np.minimum(2.0 * dist, 2.0 * K)
-        sums = dist[0] + constants.defect_sum_bound * nz + constants.perturbation_sum_bound
+        # a defect bound past the double range times ||z|| = 0 is still 0
+        defect_sum = _as_double(constants.defect_sum_bound) * nz if nz else 0.0
+        sums = dist[0] + defect_sum + _as_double(constants.perturbation_sum_bound)
         checks = {
             "step_to_anchor": _collect(dist[1:],
                                        (a + b) * dist[:-1] + b * fr + defect * nz + rn),
@@ -353,8 +364,8 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
                                            b * res_T[:-1] + defect * normx[:-1] + rn),
             "residual_increment": _collect(
                 res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
-            "dist_bound": _collect(dist, float(constants.dist_bound)),
-            "norm_bound": _collect(normx, float(constants.norm_bound)),
+            "dist_bound": _collect(dist, _as_double(constants.dist_bound)),
+            "norm_bound": _collect(normx, _as_double(constants.norm_bound)),
             "dist_by_sums": _collect(dist, sums),
         }
     return AuditReport(horizon=traj.horizon, checks=checks)

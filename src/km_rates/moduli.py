@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional
 
@@ -249,22 +249,12 @@ def inverse_square_modulus(scale: float, offset: int) -> RateFn:
                          description=f"inverse-square series modulus (scale={scale})")
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
-    n: int
-    rate_value: int
-    partial_sum: float
-    sum_ok: bool
-    growth_ok: Optional[bool]  # None when the summands leave [0, 1)
-
-
 @dataclass
 class DivergenceReport:
     """The checks of the targets n = 0 .. n_max, held as arrays indexed by n:
     ``rate_values[n]`` = rate(n), ``partials[n]`` the partial sum up to index
     rate(n) and ``sum_ok[n]`` whether it reaches n.  The verdict and the
-    first failures are read off the arrays; ``rows`` builds one
-    :class:`DivergenceRow` per target on access."""
+    first 20 failures are read off the arrays."""
 
     rate_values: np.ndarray
     partials: np.ndarray
@@ -284,16 +274,6 @@ class DivergenceReport:
             ok = ok & (self.rate_values >= np.arange(self.rate_values.size))
         return ~ok
 
-    def _row(self, n: int) -> DivergenceRow:
-        rv = int(self.rate_values[n])
-        return DivergenceRow(n=n, rate_value=rv, partial_sum=float(self.partials[n]),
-                             sum_ok=bool(self.sum_ok[n]),
-                             growth_ok=(rv >= n) if self.summands_in_unit else None)
-
-    @property
-    def rows(self) -> List[DivergenceRow]:
-        return [self._row(n) for n in range(self.rate_values.size)]
-
     @property
     def passed(self) -> bool:
         return not self._failed().any()
@@ -303,8 +283,12 @@ class DivergenceReport:
             "n_max": self.n_max,
             "passed": self.passed,
             "summands_in_unit": self.summands_in_unit,
-            "failures": [asdict(self._row(int(n)))
-                         for n in np.flatnonzero(self._failed())[:20]],
+            "failures": [{"n": n, "rate_value": int(self.rate_values[n]),
+                          "partial_sum": float(self.partials[n]),
+                          "sum_ok": bool(self.sum_ok[n]),
+                          "growth_ok": bool(self.rate_values[n] >= n)
+                          if self.summands_in_unit else None}
+                         for n in np.flatnonzero(self._failed())[:20].tolist()],
         }
 
 

@@ -75,15 +75,18 @@ ZERO_SERIES = Series(ZERO_CAUCHY, 0, zero=True)
 def inverse_square_series(scale: float, offset: int) -> Series:
     """sum_n scale/(n+offset)^2 with the modulus of
     :func:`~km_rates.moduli.inverse_square_modulus`, the paper's bound
-    2*ceil(scale) and the tail bound scale/(m+offset).
+    2*ceil(scale) and the tail bound scale/(m+offset), the double nearest
+    to it for every m, also past the double range.
 
     Raises OverflowError when the sum, at most scale*(1/offset + 1/offset^2),
     is not a finite double.
     """
     modulus = inverse_square_modulus(scale, offset)
     ceil_int(scale * (1.0 / offset + 1.0 / (offset * offset)))
+    # an int quotient is correctly rounded at any size
+    num, den = float(scale).as_integer_ratio()
     return Series(modulus, 2 * ceil_int(scale),
-                  lambda m: scale / float(m + offset), scale == 0.0)
+                  lambda m: num / (den * (m + offset)), scale == 0.0)
 
 
 @dataclass(frozen=True)
@@ -413,7 +416,7 @@ def verify_hypotheses(schedule: Schedule, n_max: int,
             if series_checked:
                 report = check_series_cauchy_modulus(values, series.modulus, HYPOTHESES_K_MAX,
                                                      tail_bound=series.tail)
-            if window_sum > series.bound + CHECK_TOL:
+            if window_sum - CHECK_TOL > series.bound:  # exact for any int bound
                 findings.append(Finding(f"{name}_sum_bound", None,
                                         f"window {name} sum {window_sum} exceeds bound "
                                         f"{series.bound}"))

@@ -193,6 +193,15 @@ CERTIFICATE_EDGES = {
             "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [0.5, 1.7e308]}},
         "certificate": {"formula": "general"}, "run": {"horizon": "auto", "k_max": 3}},
         {"certify": (3,), "verify": (3,)}),
+    # the same instance at a fixed horizon: the audit and the premise check
+    # meet its integer bounds past the double range before any certificate
+    # value is computed, and the soundness check overflows
+    "threshold-argument-overflow-fixed-horizon": ({
+        "space": {"dim": 2, "norm": "lp", "p": 1.0000001}, "operator": SHRINK,
+        "schedule": {"family": "anchor", "params": {
+            "base": {"family": "example2", "params": {"lam": 0.5}}, "u": [0.5, 1.7e308]}},
+        "certificate": {"formula": "general"}, "run": {"horizon": 2000, "k_max": 3}},
+        {"run": (0,), "audit": (0,), "verify": (3,)}),
     # 2^p in the lp modulus passes the double range
     "lp-modulus-overflow": ({"space": {"dim": 2, "norm": "lp", "p": 1100.0},
                              "operator": SHRINK}, {"certify": (3,), "verify": (3,)}),

@@ -158,15 +158,15 @@ def test_criterion_5_inequality_audit(rotation_traj_35k, example2_ball_run):
     corrupted = lemmas.corrupt_point(rot_space, rot_op, rot_traj, rot_points, 50,
                                      magnitude=1.0)
     bad_audit = km.audit_inequalities(corrupted, rot_constants)
-    anchor = bad_audit.checks["anchor_bound"].violations
-    control_ok = len(anchor) == 1 and anchor[0].index == 50
+    anchor = bad_audit.checks["anchor_bound"]
+    control_ok = anchor.count == 1 and anchor.first_violations[0].index == 50
 
     elapsed = time.perf_counter() - t0
     ok = all(clean) and control_ok
     _stamp(5, ok, elapsed,
            f"clean audits={sum(clean)}/4, corrupted control: "
-           f"{len(anchor)} anchor violation(s) at "
-           f"{[v.index for v in anchor]}")
+           f"{anchor.count} anchor violation(s) at "
+           f"{[v.index for v in anchor.first_violations]}")
 
 
 def test_criterion_6_moduli_contracts():

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -77,10 +78,46 @@ def test_audit_flags_corrupted_point():
     traj, points = lemmas.iterate_with_points(km.iterate, space, op, start, schedule, 200)
     bad = lemmas.corrupt_point(space, op, traj, points, 50, magnitude=1.0)
     audit = km.audit_inequalities(bad, constants)
-    anchor = audit.checks["anchor_bound"].violations
-    assert len(anchor) == 1
-    assert anchor[0].index == 50
+    anchor = audit.checks["anchor_bound"]
+    assert anchor.count == 1
+    assert anchor.first_violations[0].index == 50
     assert not audit.passed
+
+
+def test_failing_audit_keeps_counts_and_first_rows():
+    """The identity pushed out by r_n = [3, 0]/(n+1)^2 under a declared
+    perturbation sum bound of 0 breaks dist_bound, norm_bound and
+    dist_by_sums at every index but 0.  Each check keeps its count and its
+    first ten rows, and the failing audit peaks at no more than twice the
+    memory of the same run audited under a true bound of 20."""
+    horizon = 20_000
+    doc = {"space": {"dim": 2, "norm": "euclidean"}, "operator": {"name": "identity"},
+           "start": [0.5, 0.0], "run": {"horizon": horizon, "k_max": 3},
+           "schedule": {"family": "custom", "params": {
+               "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+               "perturbation": {"inverse_square": {"r_star": [3.0, 0.0], "offset": 1}},
+               "weight_divergence": {"affine": {"slope": 4, "intercept": 0}},
+               "perturbation_cauchy": {"affine": {"slope": 3, "intercept": 3}}}}}
+    audits, peaks = [], []
+    for bound in (0, 20):
+        doc["schedule"]["params"]["perturbation_sum_bound"] = bound
+        instance = km.assemble(km.RunConfig.from_dict(doc))
+        traj = km.iterate(instance.space, instance.operator, instance.start,
+                          instance.schedule, horizon)
+        tracemalloc.start()
+        try:
+            audits.append(km.audit_inequalities(traj, instance.constants))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    failing, clean = audits
+    assert clean.passed, clean.to_dict()
+    assert failing.total_violations == 3 * horizon
+    for name in ("dist_bound", "norm_bound", "dist_by_sums"):
+        check = failing.checks[name]
+        assert (check.checked, check.count) == (horizon + 1, horizon)
+        assert [v.index for v in check.first_violations] == list(range(1, 11))
+    assert peaks[0] <= 2 * peaks[1], peaks
 
 
 def test_residual_bounded_by_twice_dist_bound():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import km_rates as km
 from km_rates.moduli import (
     CHECK_TOL,
-    DivergenceRow,
     PreconditionViolation,
     RateFn,
     RateKind,
@@ -246,7 +245,8 @@ def test_check_divergence_rate_growth_contradiction():
     report = km.check_divergence_rate(np.full(max(map(theta, range(11))) + 1, 0.5),
                                       theta, 10)
     assert not report.passed
-    assert report.rows[1].growth_ok is False
+    first = report.to_dict()["failures"][0]
+    assert first["n"] == 1 and first["rate_value"] == 0 and first["growth_ok"] is False
 
 
 def test_check_divergence_rate_out_of_unit_disables_growth():
@@ -254,8 +254,10 @@ def test_check_divergence_rate_out_of_unit_disables_growth():
     report = km.check_divergence_rate(np.full(max(map(theta, range(6))) + 1, 1.5),
                                       theta, 5)
     assert not report.summands_in_unit
-    assert all(r.growth_ok is None for r in report.rows)
-    assert report.rows[0].sum_ok  # 1.5 >= 0
+    # rate(n) < n from n = 1 on, yet every sum check passes and so does the report
+    assert (report.rate_values < np.arange(6))[1:].all() and report.sum_ok.all()
+    assert report.passed and report.to_dict()["failures"] == []
+    assert report.partials[0] == 1.5  # 1.5 >= 0
 
 
 def test_check_divergence_rate_stays_in_window():
@@ -264,21 +266,22 @@ def test_check_divergence_rate_stays_in_window():
 
     report = km.check_divergence_rate(terms, theta, 1000)
     assert report.n_max == 24 and report.passed
-    assert [r.n for r in report.rows] == list(range(25))
+    assert report.rate_values.tolist() == [4 * n + 1 for n in range(25)]
     # rate(0) = 1 already passes a window of 0: nothing is checked
     empty = km.check_divergence_rate(terms[:1], theta, 10)
-    assert empty.rows == [] and empty.n_max == -1
+    assert empty.rate_values.size == 0 and empty.n_max == -1
 
 
 def _divergence_rows(terms, rate, n_max):
-    """The report's rows by their definition, one row object per target, and
+    """The report's rows by their definition, one dict per target, and
     whether the summands checked lie in [0, 1)."""
     sums = np.cumsum(np.asarray(terms, dtype=float))
     values = list(itertools.takewhile(lambda rv: rv < len(terms), map(rate, range(n_max + 1))))
     window = np.asarray(terms[:max(values, default=-1) + 1], dtype=float)
     in_unit = bool(np.all((window >= 0.0) & (window < 1.0)))
-    return [DivergenceRow(n, rv, float(sums[rv]), bool(sums[rv] >= n - CHECK_TOL),
-                          (rv >= n) if in_unit else None)
+    return [{"n": n, "rate_value": rv, "partial_sum": float(sums[rv]),
+             "sum_ok": bool(sums[rv] >= n - CHECK_TOL),
+             "growth_ok": (rv >= n) if in_unit else None}
             for n, rv in enumerate(values)], in_unit
 
 
@@ -301,26 +304,27 @@ _DIVERGENCE_CASES = {
 
 @pytest.mark.parametrize("case", list(_DIVERGENCE_CASES))
 def test_divergence_report_matches_its_rows(case):
-    """The array-backed report gives the verdict, the rows and the first 20
-    failures of the row-object definition."""
+    """The array-backed report holds the rows of the definition and gives
+    their verdict and first 20 failures."""
     terms, rate, n_max = _DIVERGENCE_CASES[case]
     rows, in_unit = _divergence_rows(terms, rate, n_max)
-    failures = [r for r in rows if not (r.sum_ok and r.growth_ok is not False)]
+    failures = [r for r in rows if not (r["sum_ok"] and r["growth_ok"] is not False)]
     report = km.check_divergence_rate(terms, rate, n_max)
-    assert report.rows == rows and report.n_max == len(rows) - 1
+    assert report.n_max == len(rows) - 1 and report.summands_in_unit is in_unit
+    assert report.rate_values.tolist() == [r["rate_value"] for r in rows]
+    assert report.partials.tolist() == [r["partial_sum"] for r in rows]
+    assert report.sum_ok.tolist() == [r["sum_ok"] for r in rows]
     assert report.passed is (not failures)
     expected = {"n_max": len(rows) - 1, "passed": not failures, "summands_in_unit": in_unit,
-                "failures": [{"n": r.n, "rate_value": r.rate_value, "partial_sum": r.partial_sum,
-                              "sum_ok": r.sum_ok, "growth_ok": r.growth_ok}
-                             for r in failures[:20]]}
+                "failures": failures[:20]}
     assert json.dumps(report.to_dict()) == json.dumps(expected)
     # what each case is there for
     if case == "sum-fails":
-        assert len(failures) > 20 and all(r.growth_ok for r in rows)
+        assert len(failures) > 20 and all(r["growth_ok"] for r in rows)
     elif case == "growth-fails":
-        assert failures and all(r.sum_ok for r in rows)
+        assert failures and all(r["sum_ok"] for r in rows)
     elif case in ("outside-unit", "negative-summands"):
-        assert not in_unit and all(r.growth_ok is None for r in rows)
+        assert not in_unit and all(r["growth_ok"] is None for r in rows)
     elif case == "empty":
         assert rows == [] and report.passed
 

@@ -9,8 +9,8 @@ edges of the double range, false schedule premises, usage
 errors, help text and multi-block runs of the two matrix operators, of
 per-index coefficients, of a coefficient table that turns constant, of
 points that repeat before and after a change of the step map and of a
-perturbation that underflows to 0 mid-run, and a divergence rate that fails
-on its whole window, goes
+perturbation that underflows to 0 mid-run, a divergence rate that fails
+on its whole window, and an audit that fails on every row of three checks, goes
 through the commands and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
@@ -152,6 +152,17 @@ def _test_suite_jobs() -> list:
     false_divergence = _rotation(5000, 3, schedule={"family": "custom", "params": {
         "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
         "weight_divergence": {"affine": {"slope": 1, "intercept": 0}}}})
+    # a declared perturbation sum bound of 0 that the run passes at every
+    # index from 1 on: dist_bound, norm_bound and dist_by_sums fail on 5000
+    # rows each
+    failing_audit = _rotation(5000, 3, operator={"name": "identity"}, start=[0.5, 0.0],
+                              schedule={"family": "custom", "params": {
+                                  "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+                                  "perturbation": {"inverse_square": {
+                                      "r_star": [3.0, 0.0], "offset": 1}},
+                                  "weight_divergence": {"affine": {"slope": 4, "intercept": 0}},
+                                  "perturbation_cauchy": {"affine": {"slope": 3, "intercept": 3}},
+                                  "perturbation_sum_bound": 0}})
     # the anchor recursion overflows, so audit rows compare inf with inf
     non_finite_audit = _rotation(3, start=[1.0, 1e154],
                                  operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
@@ -255,6 +266,8 @@ def _test_suite_jobs() -> list:
         ("alpha-switch-run", alpha_switch, ["run"]),
         ("subnormal-perturbation-verify", subnormal_r, ["verify"]),
         ("false-divergence-5000", false_divergence, ["verify"]),
+        ("failing-audit-run", failing_audit, ["run"]),
+        ("failing-audit-audit", failing_audit, ["audit"]),
         ("non-finite-audit-run", non_finite_audit, ["run"]),
         ("non-finite-audit-verify", non_finite_audit, ["verify"]),
         ("missing-config", None, ["certify", "--config", "missing.json"]),
