@@ -51,6 +51,11 @@ class Trajectory:
     ``horizon + 1`` entries; ``res_step[n] = ||x_{n+1} - x_n||`` and the
     recorded schedule streams, views of the run's ``Window``, have
     ``horizon`` entries.
+
+    ``settled`` is an index k < ``horizon`` past which no stream changes:
+    every entry at n >= k, ``K_z`` and the schedule streams included, has
+    the bits of entry k, so a check of a row past k is the check of row k.
+    ``None`` claims nothing.
     """
 
     horizon: int
@@ -64,6 +69,7 @@ class Trajectory:
     r_norm: np.ndarray
     norm_z: float
     fix_residual: float  # ||T(z) - z||, clamped to 0 below FIXED_POINT_TOL
+    settled: Optional[int] = None
 
 
 def _coefficient_rows(values: np.ndarray, rows: tuple):
@@ -133,24 +139,54 @@ def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int)
     return settled
 
 
+def _anchor_bounds(K0: float, alpha, beta, r_norm, norm_z: float, fix_residual: float,
+                   head: int) -> np.ndarray:
+    """K_0 .. K_H of K_{m+1} = ((K_m + beta_m*fr) + defect_m*||z||) + ||r_m||,
+    summed in this order, for the H increments of ``alpha``, ``beta`` and
+    ``r_norm``: accumulated up to K_head, which the entries past it repeat.
+
+    ``CSV_CHUNK`` increments at a time, each chunk one sequential accumulate
+    that starts from the carried K_m, so the sums are those of one accumulate
+    over all 3*head + 1 terms without a buffer of that size.
+    """
+    K_z = np.empty(alpha.size + 1)
+    K_z[0] = K0
+    terms = np.empty(3 * min(head, CSV_CHUNK) + 1)
+    for m0 in range(0, head, CSV_CHUNK):
+        m1 = min(m0 + CSV_CHUNK, head)
+        t = terms[:3 * (m1 - m0) + 1]
+        t[0] = K_z[m0]
+        np.multiply(beta[m0:m1], fix_residual, out=t[1::3])
+        np.subtract(1.0, alpha[m0:m1], out=t[2::3])
+        t[2::3] -= beta[m0:m1]
+        t[2::3] *= norm_z
+        t[3::3] = r_norm[m0:m1]
+        K_z[m0 + 1:m1 + 1] = np.add.accumulate(t, out=t)[3::3]
+    K_z[head + 1:] = K_z[head]
+    return K_z
+
+
 def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             window: Optional[Window] = None) -> Trajectory:
     """Materialize the trajectory up to ``horizon`` steps.
 
-    Two phases: alpha, beta and ||r_n|| on [0, horizon] are those of
-    ``window``, which must cover exactly that (else ValueError), or of the
-    window read without one, with ``K_z`` as one accumulate; then the steps
-    run in blocks of ``BLOCK`` points, each step only applying the operator
-    and writing the update into its row of the block's point array, and the
-    norm streams of a block are taken as row norms after it.  Aborts with
-    :class:`NumericAbort` at the first non-finite iterate.
+    Alpha, beta and ||r_n|| on [0, horizon] are those of ``window``, which
+    must cover exactly that (else ValueError), or of the window read without
+    one.  The steps run in blocks of ``BLOCK`` points, each step only
+    applying the operator and writing the update into its row of the block's
+    point array, and the norm streams of a block are taken as row norms
+    after it.  Aborts with :class:`NumericAbort` at the first non-finite
+    iterate.  ``K_z`` is accumulated after the walk.
 
     A block that ends on x_{k+1} with the bits of x_k ends the walk when
     k >= :func:`_settled` (found once, at the first such block): from k on
     the step map is one map and x_k is a bit-exact fixed point of it, so
     x_n = x_k for every n > k, and the norm streams past k repeat their
     value at k.  This needs ``op.apply`` to be a function of its
-    argument's bits.
+    argument's bits.  When, besides, ||r_n|| keeps its bits past k and the
+    three increments of ``K_z`` at k are 0 (-0.0 too, as K + -0.0 is K),
+    ``K_z`` is accumulated up to k only and repeats K_k after it, and the
+    trajectory is ``settled`` at k; otherwise ``settled`` is None.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -173,17 +209,6 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         window = Window.read(schedule, horizon) if window is None else window.covering(horizon)
         a_all, b_all = window.alpha, window.beta
         alpha, beta, r_norm = a_all[:horizon], b_all[:horizon], window.r_norm[:horizon]
-        # K_{n+1} = ((K_n + beta_n*fr) + defect_n*||z||) + ||r_n||, summed in this order
-        terms = np.empty(3 * horizon + 1)
-        terms[0] = K0
-        np.multiply(beta, fix_residual, out=terms[1::3])
-        np.subtract(1.0, alpha, out=terms[2::3])
-        terms[2::3] -= beta
-        terms[2::3] *= norm_z
-        terms[3::3] = r_norm
-        K_z = np.add.accumulate(terms, out=terms)[::3].copy()
-        del terms  # 3*horizon floats, not held through the block walk
-
         res_T = np.empty(horizon + 1)
         dist_z = np.empty(horizon + 1)
         norm_x = np.empty(horizon + 1)
@@ -191,7 +216,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         apply, multiply, add = op.apply, np.multiply, np.add
         scratch = np.empty(space.dim)
         z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
-        settled = None  # found at the first block that ends on a repeated point
+        steady = None  # found at the first block that ends on a repeated point
+        stop = None  # the k whose point x_k ends the walk
         for n0 in range(0, horizon + 1, BLOCK):
             n1 = min(n0 + BLOCK, horizon + 1)
             m = n1 - n0
@@ -227,17 +253,28 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             # settled k on; the streams past k take their value at k
             k = n1 - 1
             if n1 <= horizon and np.array_equal(x.view(np.uint64), pts[-1].view(np.uint64)):
-                if settled is None:
-                    settled = _settled(a_all, b_all, schedule, space.dim)
-                if k >= settled:
+                if steady is None:
+                    steady = _settled(a_all, b_all, schedule, space.dim)
+                if k >= steady:
                     for stream in (res_T, norm_x, dist_z, res_step):
                         stream[n1:] = stream[k]
+                    stop = k
                     break
+
+        # alpha, beta and the rows r_n keep their bits past the walk's end k;
+        # with ||r_n|| too, every later increment of K_z is the one at k
+        head = horizon
+        if (stop is not None and beta[stop] * fix_residual == 0.0
+                and ((1.0 - alpha[stop]) - beta[stop]) * norm_z == 0.0 and r_norm[stop] == 0.0):
+            r_bits = r_norm[stop:].view(np.uint64)
+            if (r_bits == r_bits[0]).all():
+                head = stop
+        K_z = _anchor_bounds(K0, alpha, beta, r_norm, norm_z, fix_residual, head)
 
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
         norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, norm_z=norm_z,
-        fix_residual=fix_residual,
+        fix_residual=fix_residual, settled=None if head == horizon else head,
     )
 
 
@@ -293,16 +330,25 @@ class AuditReport:
         }
 
 
-def _collect(lhs: np.ndarray, rhs) -> AuditCheck:
-    """``lhs <= rhs`` row by row; a scalar ``rhs`` is one bound for every
-    row, broadcast to ``lhs``'s shape without a copy."""
+def _collect(lhs: np.ndarray, rhs, rows: int) -> AuditCheck:
+    """``lhs <= rhs`` on ``rows`` rows, of which ``lhs`` holds a head: every
+    row past the head is its last row again, so it counts for the rest when
+    it fails.  A scalar ``rhs`` is one bound for every row, broadcast to
+    ``lhs``'s shape without a copy."""
     rhs = np.broadcast_to(rhs, lhs.shape)
     excess = lhs - rhs
     bad = ~(excess <= AUDIT_TOL)  # a NaN excess is a violation
-    return AuditCheck(checked=int(lhs.size), count=int(np.count_nonzero(bad)),
-                      max_excess=float(np.max(excess)) if lhs.size else 0.0,
-                      first_violations=[AuditViolation(int(i), float(lhs[i]), float(rhs[i]))
-                                        for i in np.flatnonzero(bad)[:10]])
+    head = lhs.size
+    count = int(np.count_nonzero(bad))
+    first = np.flatnonzero(bad)[:10].tolist()
+    if head and bad[-1]:
+        count += rows - head
+        first += range(head, min(rows, head + 10 - len(first)))
+    return AuditCheck(checked=rows, count=count,
+                      max_excess=float(np.max(excess)) if head else 0.0,
+                      first_violations=[AuditViolation(i, float(lhs[min(i, head - 1)]),
+                                                       float(rhs[min(i, head - 1)]))
+                                        for i in first])
 
 
 def _as_double(bound: int) -> float:
@@ -315,6 +361,10 @@ def _as_double(bound: int) -> float:
 
 def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditReport:
     """Check every bookkeeping inequality along the full trajectory.
+
+    On a trajectory ``settled`` at k every row past k is row k again, so
+    each check reads the streams up to index k + 1 and counts the rows past
+    them with the last row it read: the report is that of every row.
 
     Checked, each to the absolute tolerance AUDIT_TOL, writing findings into the
     report (nothing raises):
@@ -336,14 +386,11 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     excess is NaN counts as a violation.  An integer bound past the double
     range acts as +inf.
     """
-    a = traj.alpha
-    b = traj.beta
-    rn = traj.r_norm
-    dist = traj.dist_z
-    normx = traj.norm_x
-    res_T = traj.res_T
-    res_step = traj.res_step
-    K = traj.K_z
+    h = traj.horizon
+    end = h if traj.settled is None else traj.settled + 1
+    a, b, rn, res_step = (s[:end] for s in (traj.alpha, traj.beta, traj.r_norm, traj.res_step))
+    dist, normx, res_T, K = (s[:end + 1] for s in (traj.dist_z, traj.norm_x, traj.res_T,
+                                                    traj.K_z))
     nz = traj.norm_z
     fr = traj.fix_residual
 
@@ -355,18 +402,18 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
         sums = dist[0] + defect_sum + _as_double(constants.perturbation_sum_bound)
         checks = {
             "step_to_anchor": _collect(dist[1:],
-                                       (a + b) * dist[:-1] + b * fr + defect * nz + rn),
-            "anchor_bound": _collect(dist, K),
-            "step_by_anchor": _collect(res_step, 2.0 * K[1:]),
-            "residual_by_dist": _collect(res_T, 2.0 * dist + fr),
-            "residual_chain": _collect(res_T, chain),
+                                       (a + b) * dist[:-1] + b * fr + defect * nz + rn, h),
+            "anchor_bound": _collect(dist, K, h + 1),
+            "step_by_anchor": _collect(res_step, 2.0 * K[1:], h),
+            "residual_by_dist": _collect(res_T, 2.0 * dist + fr, h + 1),
+            "residual_chain": _collect(res_T, chain, h + 1),
             "step_decomposition": _collect(res_step,
-                                           b * res_T[:-1] + defect * normx[:-1] + rn),
+                                           b * res_T[:-1] + defect * normx[:-1] + rn, h),
             "residual_increment": _collect(
-                res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
-            "dist_bound": _collect(dist, _as_double(constants.dist_bound)),
-            "norm_bound": _collect(normx, _as_double(constants.norm_bound)),
-            "dist_by_sums": _collect(dist, sums),
+                res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn, h),
+            "dist_bound": _collect(dist, _as_double(constants.dist_bound), h + 1),
+            "norm_bound": _collect(normx, _as_double(constants.norm_bound), h + 1),
+            "dist_by_sums": _collect(dist, sums, h + 1),
         }
     return AuditReport(horizon=traj.horizon, checks=checks)
 

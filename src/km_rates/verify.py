@@ -28,6 +28,15 @@ def _series(traj: Trajectory, quantity: str) -> np.ndarray:
     return getattr(traj, quantity)
 
 
+def _head_suffix_max(traj: Trajectory, values: np.ndarray) -> np.ndarray:
+    """:func:`_suffix_max` of ``values`` up to the index k the trajectory is
+    settled at, or of all of them.  Every entry past k is entry k, so the
+    suffix max at any n > k is the one at k, and the first quiet index of
+    the head is that of the whole stream."""
+    head = len(values) if traj.settled is None else traj.settled + 1
+    return _suffix_max(values[:head])
+
+
 def auto_horizon(rate_values: Iterable[int]) -> int:
     """min(HORIZON_CAP, max requested bound) + HORIZON_MARGIN."""
     values = list(rate_values)
@@ -96,8 +105,8 @@ def empirical_first_index(traj: Trajectory, quantity: str, k: int) -> Optional[i
     """Least index from which the quantity stays at or below
     1/(k+1)+SOUNDNESS_TOL up to the horizon; None when even the final entry is
     above."""
-    values = _series(traj, quantity)
-    return _first_quiet_index(_suffix_max(values), 1.0 / (k + 1) + SOUNDNESS_TOL)
+    suffix = _head_suffix_max(traj, _series(traj, quantity))
+    return _first_quiet_index(suffix, 1.0 / (k + 1) + SOUNDNESS_TOL)
 
 
 def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
@@ -106,11 +115,14 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
     per k.
 
     ``end`` is the last defined index of the stream (horizon for res_T,
-    horizon-1 for res_step); rows with rate(k) beyond it are truncated.
+    horizon-1 for res_step); rows with rate(k) beyond it are truncated.  On
+    a settled trajectory the suffix maxima are taken up to the settled index
+    only, and a bound past it reads the one there.
     """
     values = _series(traj, quantity)
     last = len(values) - 1
-    suffix = _suffix_max(values)
+    suffix = _head_suffix_max(traj, values)
+    head = suffix.size - 1
     rows: List[SoundnessRow] = []
     for k in range(k_max + 1):
         bound = rate(k)
@@ -118,7 +130,7 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
         first = _first_quiet_index(suffix, threshold + SOUNDNESS_TOL)
         window = max_excess = passed = slack = None
         if bound <= last:
-            window, max_excess = (bound, last), float(suffix[bound] - threshold)
+            window, max_excess = (bound, last), float(suffix[min(bound, head)] - threshold)
             passed = bool(max_excess <= SOUNDNESS_TOL)
             slack = float(bound) / max(1, first) if first is not None else None
         rows.append(SoundnessRow(k=k, bound=bound, window=window, max_excess=max_excess,

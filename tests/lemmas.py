@@ -2,8 +2,9 @@
 catalog and the audit: the sampled convexity-transfer and nonexpansiveness
 checks, the factorization self-check of a convexity modulus, the shifted
 inverse-square modulus with its sharp sum bound, the summands of a schedule's
-coupling series, the points of a run as its operator sees them, and a point
-corruption that the audit must catch.  The library runs none of them; the
+coupling series, the points of a run as its operator sees them, a point
+corruption that the audit must catch, and the audit over whole arrays that
+the library's folded audit replaced.  The library runs none of them; the
 tests hold its objects against them."""
 
 from dataclasses import dataclass, field, replace
@@ -18,6 +19,14 @@ from km_rates.moduli import (
     RateKind,
     UcModulus,
     ceil_int,
+)
+from km_rates.engine import (
+    AUDIT_TOL,
+    AuditCheck,
+    AuditReport,
+    AuditViolation,
+    _as_double,
+    audit_inequalities,
 )
 from km_rates.operators import NONEXPANSIVE_TOL, Operator, Space
 from reference_engine import reference_iterate
@@ -198,4 +207,71 @@ def corrupt_point(space: Space, op: Operator, traj, points, index: int,
         res_step[index - 1] = space.norm(x - points[index - 1])
     if index < traj.horizon:
         res_step[index] = space.norm(points[index + 1] - x)
-    return replace(traj, res_T=res_T, dist_z=dist, norm_x=normx, res_step=res_step)
+    # the corrupted point breaks any claim that the streams settle
+    return replace(traj, res_T=res_T, dist_z=dist, norm_x=normx, res_step=res_step,
+                   settled=None)
+
+
+def _whole_array_collect(lhs: np.ndarray, rhs) -> AuditCheck:
+    rhs = np.broadcast_to(rhs, lhs.shape)
+    excess = lhs - rhs
+    bad = ~(excess <= AUDIT_TOL)
+    return AuditCheck(checked=int(lhs.size), count=int(np.count_nonzero(bad)),
+                      max_excess=float(np.max(excess)) if lhs.size else 0.0,
+                      first_violations=[AuditViolation(int(i), float(lhs[i]), float(rhs[i]))
+                                        for i in np.flatnonzero(bad)[:10]])
+
+
+def whole_array_audit(traj, constants) -> AuditReport:
+    """``audit_inequalities`` as it was before it folded a settled tail:
+    every row of every check computed over the whole horizon, whatever
+    ``traj.settled`` claims."""
+    a, b, rn = traj.alpha, traj.beta, traj.r_norm
+    dist, normx, res_T, res_step, K = (traj.dist_z, traj.norm_x, traj.res_T, traj.res_step,
+                                       traj.K_z)
+    nz, fr = traj.norm_z, traj.fix_residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = 1.0 - a - b
+        chain = np.minimum(2.0 * dist, 2.0 * K)
+        defect_sum = _as_double(constants.defect_sum_bound) * nz if nz else 0.0
+        sums = dist[0] + defect_sum + _as_double(constants.perturbation_sum_bound)
+        checks = {
+            "step_to_anchor": (dist[1:], (a + b) * dist[:-1] + b * fr + defect * nz + rn),
+            "anchor_bound": (dist, K),
+            "step_by_anchor": (res_step, 2.0 * K[1:]),
+            "residual_by_dist": (res_T, 2.0 * dist + fr),
+            "residual_chain": (res_T, chain),
+            "step_decomposition": (res_step, b * res_T[:-1] + defect * normx[:-1] + rn),
+            "residual_increment": (res_T[1:],
+                                   res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
+            "dist_bound": (dist, _as_double(constants.dist_bound)),
+            "norm_bound": (normx, _as_double(constants.norm_bound)),
+            "dist_by_sums": (dist, sums),
+        }
+        return AuditReport(horizon=traj.horizon, checks={
+            name: _whole_array_collect(lhs, rhs) for name, (lhs, rhs) in checks.items()})
+
+
+def _check_fields(check: AuditCheck) -> tuple:
+    """Every field of an audit check, its doubles as bits."""
+    def bits(value):
+        return int(np.float64(value).view(np.uint64))
+
+    return (check.checked, check.count, bits(check.max_excess),
+            [(v.index, bits(v.lhs), bits(v.rhs)) for v in check.first_violations])
+
+
+def assert_audit_matches_whole_array(traj, constants) -> AuditReport:
+    """``audit_inequalities`` of ``traj``, of ``traj`` with no settled claim
+    and :func:`whole_array_audit` of ``traj`` agree in every field of every
+    check; returns the first."""
+    reports = [audit_inequalities(traj, constants),
+               audit_inequalities(replace(traj, settled=None), constants),
+               whole_array_audit(traj, constants)]
+    for report in reports:
+        assert report.horizon == traj.horizon
+        assert list(report.checks) == list(reports[-1].checks)
+    for name in reports[-1].checks:
+        expected = _check_fields(reports[-1].checks[name])
+        assert [_check_fields(r.checks[name]) for r in reports[:2]] == [expected] * 2, name
+    return reports[0]

@@ -228,6 +228,81 @@ def test_audit_report_serializes():
     }
 
 
+#: the tail-failing document of ``tools/compare_outputs.py``: the identity
+#: from its fixed point [1, 0] shrinks by 3/4 for three steps and then stays,
+#: while a defect sum bound of 0 claims that x_n never leaves z
+TAIL_FAILING = {
+    "space": {"dim": 2, "norm": "euclidean"},
+    "operator": {"name": "identity", "fixed_point": [1.0, 0.0]}, "start": [1.0, 0.0],
+    "schedule": {"family": "custom", "params": {
+        "alpha": {"values": [0.25, 0.25, 0.25], "then": 0.5}, "beta": 0.5,
+        "defect_cauchy": {"const": 3}, "defect_sum_bound": 0,
+        "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}},
+    "run": {"horizon": 10, "k_max": 3}}
+
+
+def _settling_run(case, horizon):
+    """One of three runs whose walk ends early once the horizon reaches
+    their settled point, with its instance constants."""
+    if case == "tail-failing":
+        instance = km.assemble(km.RunConfig.from_dict(TAIL_FAILING))
+        space, op, start, schedule = (instance.space, instance.operator, instance.start,
+                                      instance.schedule)
+        constants = instance.constants
+    elif case == "identity":
+        space = km.Space(dim=2)
+        op, start, schedule = (km.make_operator("identity", space), [0.3, -0.7],
+                               km.make_classical_km(0.5))
+        constants = km.instance_constants(start, op.fixed_point, schedule, norm=space.norm)
+    else:
+        space, op, start, schedule, constants, _ = rotation_instance()
+    return km.iterate(space, op, start, schedule, horizon), constants
+
+
+@pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 100_100])
+@pytest.mark.parametrize("case", ["identity", "rotation-90", "tail-failing"])
+def test_folded_audit_matches_whole_array_audit_on_settled_runs(case, horizon):
+    """The identity and the tail-failing document settle at the first block
+    (k = BLOCK - 1, so not below BLOCK), the rotation near step 2150, and
+    each folded audit is the audit of every row.  The tail-failing audit
+    breaks dist_by_sums on every row but 0."""
+    traj, constants = _settling_run(case, horizon)
+    if case == "rotation-90":
+        expected = 2303 if horizon > 2303 else None
+    else:
+        expected = BLOCK - 1 if horizon >= BLOCK else None
+    assert traj.settled == expected
+    audit = lemmas.assert_audit_matches_whole_array(traj, constants)
+    sums = audit.checks["dist_by_sums"]
+    assert audit.passed == (case != "tail-failing")
+    if case == "tail-failing":
+        assert (sums.checked, sums.count) == (horizon + 1, horizon)
+        assert [v.index for v in sums.first_violations] == list(range(1, 11))
+
+
+def test_folded_audit_runs_its_first_violations_into_the_tail():
+    """A hand-built trajectory settled at k = 40 of 100 whose distance is 5
+    at index 3 and from k on, against a distance bound of 2: the head holds
+    rows 0 .. k + 1, and the failing rows past it are counted and listed
+    with the values of its last row."""
+    h, k = 100, 40
+    dist = np.ones(h + 1)
+    dist[3] = dist[k:] = 5.0
+    traj = engine.Trajectory(
+        horizon=h, res_T=np.zeros(h + 1), res_step=np.zeros(h), K_z=np.full(h + 1, 10.0),
+        dist_z=dist, norm_x=dist, alpha=np.full(h, 0.5), beta=np.full(h, 0.5),
+        r_norm=np.zeros(h), norm_z=0.0, fix_residual=0.0, settled=k)
+    constants = km.InstanceConstants(2, 0, 0)  # dist_bound 2, norm_bound 4
+    audit = lemmas.assert_audit_matches_whole_array(traj, constants)
+    check = audit.checks["dist_bound"]
+    head_failures = 3  # rows 3, k and k + 1
+    assert (check.checked, check.count) == (h + 1, head_failures + h + 1 - (k + 2))
+    assert [v.index for v in check.first_violations] == [3] + list(range(k, k + 9))
+    assert {(v.lhs, v.rhs) for v in check.first_violations} == {(5.0, 2.0)}
+    # the recursion breaks where the distance jumps, at rows 2 and k - 1 of the head only
+    assert [v.index for v in audit.checks["step_to_anchor"].first_violations] == [2, k - 1]
+
+
 @pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("dim", [2, 64])
 @pytest.mark.parametrize("family", ["classical_km", "example2"])

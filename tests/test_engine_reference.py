@@ -12,7 +12,7 @@ import km_rates as km
 from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
 
-from lemmas import iterate_with_points
+from lemmas import assert_audit_matches_whole_array, iterate_with_points
 from reference_engine import reference_iterate
 
 LP_SAFE = ("identity", "coordinate_shrink")
@@ -265,3 +265,64 @@ def test_off_contract_stream_shapes_raise():
     with_norm = replace(per_index, perturbation_norm=lambda n: 1.0 / (n + 1.0) ** 2)
     with pytest.raises(ValueError, match="perturbation returned shape"):
         km.iterate(space, op, np.ones(4), with_norm, 3)
+
+
+@given(op_name=st.sampled_from(km.catalog_names()), family=st.sampled_from(FAMILIES),
+       dim=st.sampled_from([2, 3, 8]), p=st.sampled_from([2.0, 1.5, 3.0, 7.0]),
+       horizon=st.sampled_from(HORIZONS), moved_z=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_folded_audit_matches_whole_array_audit(op_name, family, dim, p, horizon, moved_z, seed):
+    if op_name not in LP_SAFE:
+        p = 2.0
+    inst = assembled(op_name, family, dim, p, seed)
+    op = inst.operator
+    if moved_z:
+        op = replace(op, fixed_point=op.fixed_point + 0.25)
+    traj = km.iterate(inst.space, op, inst.start, inst.schedule, horizon)
+    assert_audit_matches_whole_array(traj, inst.constants)
+
+
+def _r_norm_stream(before, after, switch=600):
+    """A schedule of classical KM at 1/2 whose perturbation rows are zero and
+    whose ||r_n|| stream is ``before`` below ``switch`` and ``after`` from it on."""
+    return replace(km.make_classical_km(0.5),
+                   perturbation_norm=lambda n: np.where(np.asarray(n) < switch, before, after))
+
+
+@pytest.mark.parametrize("case, horizon, settled", [
+    ("moved-z", 10 * BLOCK + 7, None),          # beta_k*||T(z) - z|| > 0
+    ("defect", 12 * BLOCK + 7, None),           # (1 - alpha_k - beta_k)*||z|| > 0
+    ("rounded-r", BLOCK + 1, None),             # x + r_n is x, but ||r_k|| > 0
+    ("signed-zero-r", BLOCK + 1, BLOCK - 1),    # ||r_n|| = -0.0: K + -0.0 is K
+    ("zero-sign-change", 3 * BLOCK + 7, None),  # ||r_n|| turns from -0.0 to +0.0 at 600
+])
+def test_anchor_bounds_fold_only_a_zero_tail(case, horizon, settled):
+    """Each run ends its walk on a settled point; ``K_z`` is cut at it only
+    when its three increments there are 0 and ||r_n|| keeps its bits past
+    it.  Either way ``K_z`` has the bits of the reference loop's."""
+    space = km.Space(dim=2)
+    op = km.make_operator("identity", space)
+    schedule = km.make_classical_km(0.5)
+    start = [0.3, -0.2]
+    if case == "moved-z":
+        op = replace(km.make_operator("rotation", space, {"angle_deg": 90.0}),
+                     fixed_point=np.array([0.25, 0.25]))
+        start = [1.0, 0.0]
+    elif case == "defect":  # x_n shrinks by 3/4 to a point that stays
+        op = replace(op, fixed_point=np.array([1.0, 0.0]))
+        schedule = replace(schedule, alpha=lambda n: np.full(np.shape(n), 0.25))
+    elif case == "rounded-r":  # r_n = 1e-20*e_1, below half an ulp of x_n
+        schedule = replace(schedule,
+                           perturbation=lambda n: np.zeros(np.shape(n) + (2,)) + [1e-20, 0.0],
+                           perturbation_norm=lambda n: np.full(np.shape(n), 1e-20))
+    elif case == "signed-zero-r":
+        schedule = _r_norm_stream(-0.0, -0.0)
+    else:
+        schedule = _r_norm_stream(-0.0, 0.0)
+    calls = []
+    counted = replace(op, apply=lambda x: calls.append(None) or op.apply(x))
+    new = km.iterate(space, counted, start, schedule, horizon)
+    ref = reference_iterate(space, op, start, schedule, horizon)
+    assert len(calls) < horizon + 2  # the walk ended early
+    assert new.settled == settled
+    assert np.array_equal(new.K_z.view(np.uint64), ref.K_z.view(np.uint64))

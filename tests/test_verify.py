@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,46 @@ def test_empirical_first_index_matches_the_scan(rotation_run):
         for k in (0, 1, 2, 7, 40, 300, 10**6):
             expected = _scan_first_quiet(values, 1.0 / (k + 1) + verify.SOUNDNESS_TOL)
             assert km.empirical_first_index(traj, quantity, k) == expected
+
+
+def _settled_runs():
+    """The README rotation settled at 2303 of 2400 steps, and hand-built
+    residual streams on a 60-step run that stay at their value at k from k
+    on: (k, tail) = (0, 0.0), (17, 0.01), (40, 0.5), above every threshold
+    1/(k+1) with k >= 1, and (59, 0.02), at the last step."""
+    space, op, start, schedule, _, _ = rotation_instance()
+    rotation = km.iterate(space, op, start, schedule, 2400)
+    assert rotation.settled == 2303
+    yield rotation
+    short = km.iterate(space, op, start, schedule, 60)
+    rng = np.random.default_rng(21)
+    for k, tail in ((0, 0.0), (17, 0.01), (40, 0.5), (59, 0.02)):
+        res_T, res_step = rng.uniform(0.0, 1.0, 61), rng.uniform(0.0, 0.6, 60)
+        res_T[k:] = res_step[k:] = tail
+        yield replace(short, res_T=res_T, res_step=res_step, settled=k)
+
+
+@pytest.mark.parametrize("traj", list(_settled_runs()),
+                         ids=["rotation", "k0", "k17", "k40-above", "k59"])
+def test_settled_soundness_matches_the_whole_stream(traj):
+    """Each soundness row and first quiet index up to k = 40 is the one of
+    the same streams with no settled claim, for bounds below, at and past
+    the settled index, at the last index of each stream and past both."""
+    whole = replace(traj, settled=None)
+    h, k = traj.horizon, traj.settled
+    bounds = sorted({0, max(k - 1, 0), k, k + 1, h - 1, h, h + 5})
+    rates = [RateFn.constant(b, RateKind.RATE_OF_CONVERGENCE) for b in bounds]
+    rates.append(RateFn.affine(3, 0, RateKind.RATE_OF_CONVERGENCE))
+    firsts = set()
+    for quantity in ("res_T", "res_step"):
+        for rate in rates:
+            folded = km.check_rate_soundness(traj, rate, quantity, 40)
+            assert folded.rows == km.check_rate_soundness(whole, rate, quantity, 40).rows
+        for j in range(41):
+            first = km.empirical_first_index(traj, quantity, j)
+            assert first == km.empirical_first_index(whole, quantity, j)
+            firsts.add(first)
+    assert (None in firsts) == (k == 40)
 
 
 def test_soundness_slack_reported(rotation_run):

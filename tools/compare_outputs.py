@@ -10,8 +10,9 @@ errors, help text and multi-block runs of the two matrix operators, of
 per-index coefficients, of a coefficient table that turns constant, of
 points that repeat before and after a change of the step map and of a
 perturbation that underflows to 0 mid-run, a divergence rate that fails
-on its whole window, and an audit that fails on every row of three checks, goes
-through the commands and flags the tests give them.  Each checkout's CLI runs
+on its whole window, an audit that fails on every row of three checks, and a
+settled run whose audit fails on its tail, goes through the commands and
+flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
 relative output directory ``out``, so the echoed ``output.directory`` is the
@@ -163,6 +164,16 @@ def _test_suite_jobs() -> list:
                                   "weight_divergence": {"affine": {"slope": 4, "intercept": 0}},
                                   "perturbation_cauchy": {"affine": {"slope": 3, "intercept": 3}},
                                   "perturbation_sum_bound": 0}})
+    # a settled run whose audit fails on its tail: the identity from its
+    # fixed point shrinks for three steps and then stays, and the defect sum
+    # bound 0 claims it never leaves; dist_by_sums fails on every row but 0
+    tail_failing = _rotation(operator={"name": "identity", "fixed_point": [1.0, 0.0]},
+                             start=[1.0, 0.0], schedule={"family": "custom", "params": {
+                                 "alpha": {"values": [0.25, 0.25, 0.25], "then": 0.5},
+                                 "beta": 0.5, "defect_cauchy": {"const": 3},
+                                 "defect_sum_bound": 0,
+                                 "weight_divergence": {"affine": {"slope": 4,
+                                                                  "intercept": 0}}}})
     # the anchor recursion overflows, so audit rows compare inf with inf
     non_finite_audit = _rotation(3, start=[1.0, 1e154],
                                  operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
@@ -277,6 +288,9 @@ def _test_suite_jobs() -> list:
         ("verify-help", None, ["verify", "--help"]),
         ("help", None, ["--help"]),
     ]
+    jobs += [(f"tail-failing-audit-{horizon}-{command}",
+              dict(tail_failing, run={"horizon": horizon, "k_max": 3}), [command])
+             for horizon in (257, 5000) for command in ("run", "audit", "verify")]
     return jobs
 
 
