@@ -96,10 +96,11 @@ def _write_json(path: str, payload: dict) -> None:
 def _validate_schedule_window(instance: Instance, horizon: int) -> Window:
     """The schedule's window on [0, horizon], the command's one read of its
     scalar streams, after the range check of :func:`range_findings` on the
-    weights of [0, horizon): the first violating index rejects the config
-    before any iteration runs."""
+    weights of [0, horizon), read up to :meth:`Window.range_prefix`: the
+    first violating index rejects the config before any iteration runs."""
     window = Window.read(instance.schedule, horizon)
-    findings = range_findings(window.alpha[:horizon], window.beta[:horizon])
+    alpha, beta, _ = window.range_prefix(horizon)
+    findings = range_findings(alpha, beta)
     if findings:
         raise ConfigError(min(findings, key=lambda f: f.index).message)
     return window

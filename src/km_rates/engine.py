@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificates import InstanceConstants
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import Schedule, Window
+from .schedules import Schedule, Window, held, held_from
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
@@ -49,13 +49,16 @@ class Trajectory:
 
     ``res_T[n] = ||x_n - T(x_n)||`` and ``dist_z``/``norm_x``/``K_z`` have
     ``horizon + 1`` entries; ``res_step[n] = ||x_{n+1} - x_n||`` and the
-    recorded schedule streams, views of the run's ``Window``, have
+    recorded schedule streams, read from the run's ``Window``, have
     ``horizon`` entries.
 
     ``settled`` is an index k < ``horizon`` past which no stream changes:
     every entry at n >= k, ``K_z`` and the schedule streams included, has
     the bits of entry k, so a check of a row past k is the check of row k.
-    ``None`` claims nothing.
+    A settled trajectory holds each stream on [0, k] only, and entry n is
+    the held entry min(n, k) (see :func:`~km_rates.schedules.held`); longer
+    arrays are read up to index k alike.  ``None`` claims nothing, and every
+    stream is whole.
     """
 
     horizon: int
@@ -109,23 +112,18 @@ def _settled_chunk(dim: int) -> int:
     return max(BLOCK, 6 * CSV_CHUNK // dim)
 
 
-def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int) -> int:
+def _settled(alpha: np.ndarray, beta: np.ndarray, schedule: Schedule, dim: int, h: int) -> int:
     """The smallest s such that alpha_n, beta_n and the row r_n have the bits
-    of alpha_H, beta_H and r_H for every n in [s, H], where ``a_all`` and
-    ``b_all`` hold alpha and beta on [0, H]: from step s on, every step
-    applies the same map.
+    of alpha_H, beta_H and r_H for every n in [s, H], H = ``h``, where
+    ``alpha`` and ``beta`` hold the heads of alpha and beta on [0, H], each
+    entry past a head that head's last: from step s on, every step applies
+    the same map.
 
     The perturbation is read backwards from H in chunks of
     :func:`_settled_chunk` rows, and the walk stops at the first row that
     differs, or where alpha and beta already rule the earlier indices out.
     """
-    h = a_all.size - 1
-    settled = 0
-    for values in (a_all, b_all):
-        bits = values.view(np.uint64)
-        differ = np.flatnonzero(bits != bits[h])
-        if differ.size:
-            settled = max(settled, int(differ[-1]) + 1)
+    settled = max(held_from(alpha), held_from(beta))
     last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
     chunk = _settled_chunk(dim)
     n1 = h
@@ -141,15 +139,15 @@ def _settled(a_all: np.ndarray, b_all: np.ndarray, schedule: Schedule, dim: int)
 
 def _anchor_bounds(K0: float, alpha, beta, r_norm, norm_z: float, fix_residual: float,
                    head: int) -> np.ndarray:
-    """K_0 .. K_H of K_{m+1} = ((K_m + beta_m*fr) + defect_m*||z||) + ||r_m||,
-    summed in this order, for the H increments of ``alpha``, ``beta`` and
-    ``r_norm``: accumulated up to K_head, which the entries past it repeat.
+    """K_0 .. K_head of K_{m+1} = ((K_m + beta_m*fr) + defect_m*||z||) +
+    ||r_m||, summed in this order, for the increments m < head of ``alpha``,
+    ``beta`` and ``r_norm``.
 
     ``CSV_CHUNK`` increments at a time, each chunk one sequential accumulate
     that starts from the carried K_m, so the sums are those of one accumulate
     over all 3*head + 1 terms without a buffer of that size.
     """
-    K_z = np.empty(alpha.size + 1)
+    K_z = np.empty(head + 1)
     K_z[0] = K0
     terms = np.empty(3 * min(head, CSV_CHUNK) + 1)
     for m0 in range(0, head, CSV_CHUNK):
@@ -162,7 +160,6 @@ def _anchor_bounds(K0: float, alpha, beta, r_norm, norm_z: float, fix_residual: 
         t[2::3] *= norm_z
         t[3::3] = r_norm[m0:m1]
         K_z[m0 + 1:m1 + 1] = np.add.accumulate(t, out=t)[3::3]
-    K_z[head + 1:] = K_z[head]
     return K_z
 
 
@@ -185,8 +182,11 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     value at k.  This needs ``op.apply`` to be a function of its
     argument's bits.  When, besides, ||r_n|| keeps its bits past k and the
     three increments of ``K_z`` at k are 0 (-0.0 too, as K + -0.0 is K),
-    ``K_z`` is accumulated up to k only and repeats K_k after it, and the
-    trajectory is ``settled`` at k; otherwise ``settled`` is None.
+    ``K_z`` is accumulated up to k only, and the trajectory is ``settled``
+    at k and holds its streams on [0, k]; otherwise ``settled`` is None and
+    every stream is whole, the norm streams past k filled with their value
+    at k.  The coefficient rows of a block are read from the window's head,
+    each index past it taking the head's last entry.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -207,8 +207,6 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         # one step past the horizon, so that every point x_0..x_horizon is
         # reached by the same step body; x_{horizon+1} is dropped
         window = Window.read(schedule, horizon) if window is None else window.covering(horizon)
-        a_all, b_all = window.alpha, window.beta
-        alpha, beta, r_norm = a_all[:horizon], b_all[:horizon], window.r_norm[:horizon]
         res_T = np.empty(horizon + 1)
         dist_z = np.empty(horizon + 1)
         norm_x = np.empty(horizon + 1)
@@ -221,14 +219,15 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         for n0 in range(0, horizon + 1, BLOCK):
             n1 = min(n0 + BLOCK, horizon + 1)
             m = n1 - n0
+            a_rows, b_rows = held(window.alpha, n0, n1), held(window.beta, n0, n1)
             r = _perturbation_rows(schedule, n0, n1, space.dim)
             rows = (m, space.dim)
             # x_n0 .. x_n1: row k + 1 is written once, by step k, from row k
             block_x = np.empty((m + 1, space.dim))
             block_x[0] = x
             txs = []
-            for a, b, ri, row in zip(_coefficient_rows(a_all[n0:n1, None], rows),
-                                     _coefficient_rows(b_all[n0:n1, None], rows),
+            for a, b, ri, row in zip(_coefficient_rows(a_rows[:, None], rows),
+                                     _coefficient_rows(b_rows[:, None], rows),
                                      _coefficient_rows(r, rows), block_x[1:]):
                 tx = apply(x)
                 txs.append(tx)
@@ -254,21 +253,28 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             k = n1 - 1
             if n1 <= horizon and np.array_equal(x.view(np.uint64), pts[-1].view(np.uint64)):
                 if steady is None:
-                    steady = _settled(a_all, b_all, schedule, space.dim)
+                    steady = _settled(window.alpha, window.beta, schedule, space.dim, horizon)
                 if k >= steady:
-                    for stream in (res_T, norm_x, dist_z, res_step):
-                        stream[n1:] = stream[k]
                     stop = k
                     break
 
         # alpha, beta and the rows r_n keep their bits past the walk's end k;
         # with ||r_n|| too, every later increment of K_z is the one at k
         head = horizon
-        if (stop is not None and beta[stop] * fix_residual == 0.0
-                and ((1.0 - alpha[stop]) - beta[stop]) * norm_z == 0.0 and r_norm[stop] == 0.0):
-            r_bits = r_norm[stop:].view(np.uint64)
-            if (r_bits == r_bits[0]).all():
-                head = stop
+        if stop is not None:
+            at = min(stop, window.settled)
+            a, b, rn = window.alpha[at], window.beta[at], window.r_norm[at]
+            if b * fix_residual == 0.0 and ((1.0 - a) - b) * norm_z == 0.0 and rn == 0.0:
+                r_bits = window.r_norm[at:horizon].view(np.uint64)
+                if (r_bits == r_bits[0]).all():
+                    head = stop
+        streams = (res_T, norm_x, dist_z, res_step)
+        if head < horizon:  # the head [0, k] only, which lets the whole arrays go
+            res_T, norm_x, dist_z, res_step = (v[:head + 1].copy() for v in streams)
+        elif stop is not None:
+            for stream in streams:
+                stream[stop + 1:] = stream[stop]
+        alpha, beta, r_norm = window.values(0, min(head + 1, horizon))
         K_z = _anchor_bounds(K0, alpha, beta, r_norm, norm_z, fix_residual, head)
 
     return Trajectory(
@@ -363,8 +369,9 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     """Check every bookkeeping inequality along the full trajectory.
 
     On a trajectory ``settled`` at k every row past k is row k again, so
-    each check reads the streams up to index k + 1 and counts the rows past
-    them with the last row it read: the report is that of every row.
+    each check reads the streams up to index k + 1, index k + 1 as k, and
+    counts the rows past them with the last row it read: the report is that
+    of every row.
 
     Checked, each to the absolute tolerance AUDIT_TOL, writing findings into the
     report (nothing raises):
@@ -388,9 +395,10 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     """
     h = traj.horizon
     end = h if traj.settled is None else traj.settled + 1
-    a, b, rn, res_step = (s[:end] for s in (traj.alpha, traj.beta, traj.r_norm, traj.res_step))
-    dist, normx, res_T, K = (s[:end + 1] for s in (traj.dist_z, traj.norm_x, traj.res_T,
-                                                    traj.K_z))
+    a, b, rn, res_step = (held(s, 0, end) for s in (traj.alpha, traj.beta, traj.r_norm,
+                                                    traj.res_step))
+    dist, normx, res_T, K = (held(s, 0, end + 1) for s in (traj.dist_z, traj.norm_x, traj.res_T,
+                                                           traj.K_z))
     nz = traj.norm_z
     fr = traj.fix_residual
 
@@ -424,15 +432,25 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Rows are formatted ``CSV_CHUNK`` at a time by one ``%`` over the chunk;
     ``%.17g`` and ``format(v, ".17g")`` are the same conversion, so the bytes
-    are those of a per-value ``format``.
+    are those of a per-value ``format``.  On a trajectory ``settled`` at k
+    the rows past k repeat the five values of row k, which are formatted
+    once; each of those rows formats only its index.
     """
     h = traj.horizon
+    k = h if traj.settled is None else traj.settled
     columns = (traj.res_T, traj.res_step, traj.K_z, traj.norm_x, traj.dist_z)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("n,res_T,res_step,K_zn,norm_xn,dist_xz\n")
-        for n0 in range(0, h, CSV_CHUNK):
-            n1 = min(n0 + CSV_CHUNK, h)
+        for n0 in range(0, min(k + 1, h), CSV_CHUNK):
+            n1 = min(n0 + CSV_CHUNK, k + 1, h)
             rows = np.column_stack([np.arange(n0, n1)] + [c[n0:n1] for c in columns])
             handle.write(_CSV_ROW * (n1 - n0) % tuple(rows.ravel().tolist()))
+        if k + 1 < h:
+            row = "%d" + _CSV_ROW[2:] % tuple(float(c[k]) for c in columns)
+            for n0 in range(k + 1, h, CSV_CHUNK):
+                n1 = min(n0 + CSV_CHUNK, h)
+                handle.write(row * (n1 - n0) % tuple(range(n0, n1)))
+        last = min(h, k)
         handle.write("%d,%.17g,,%.17g,%.17g,%.17g\n"
-                     % (h, traj.res_T[h], traj.K_z[h], traj.norm_x[h], traj.dist_z[h]))
+                     % (h, traj.res_T[last], traj.K_z[last], traj.norm_x[last],
+                        traj.dist_z[last]))

@@ -303,12 +303,25 @@ def check_divergence_rate(terms: np.ndarray, rate: RateFn, n_max: int) -> Diverg
     leaves the window, and the report's ``n_max`` is the last n checked (-1
     if none).
     """
+    return divergence_report_of(terms, divergence_targets(rate, n_max, len(terms)))
+
+
+def divergence_targets(rate: RateFn, n_max: int, length: int) -> np.ndarray:
+    """rate(0), rate(1), ... up to rate(n_max), stopping before the first
+    value that is not below ``length``, the size of the window: the indices
+    whose partial sums :func:`check_divergence_rate` reads."""
     if rate.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError(f"expected a rate of divergence, got kind {rate.kind}")
     n_max = _natural(n_max, "n_max")
-    # every value is below len(terms), so it fits an index array
-    values = np.fromiter(itertools.takewhile(lambda rv: rv < len(terms),
-                                             (rate(n) for n in range(n_max + 1))), dtype=np.intp)
+    # every value is below length, so it fits an index array
+    return np.fromiter(itertools.takewhile(lambda rv: rv < length,
+                                           (rate(n) for n in range(n_max + 1))), dtype=np.intp)
+
+
+def divergence_report_of(terms: np.ndarray, values: np.ndarray) -> DivergenceReport:
+    """The report of :func:`check_divergence_rate` on the rate values
+    ``values`` of :func:`divergence_targets`; ``terms`` must hold at least
+    the summands up to the largest of them, and only those are read."""
     terms = np.asarray(terms[:values.max(initial=-1) + 1], dtype=float)
     in_unit = bool(np.all((terms >= 0.0) & (terms < 1.0)))
     partials = np.cumsum(terms)[values]

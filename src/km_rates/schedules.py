@@ -31,8 +31,9 @@ from .moduli import (
     RateFn,
     RateKind,
     ceil_int,
-    check_divergence_rate,
     check_series_cauchy_modulus,
+    divergence_report_of,
+    divergence_targets,
     inverse_square_modulus,
 )
 
@@ -45,6 +46,8 @@ RANGE_TOL = 1e-12
 HYPOTHESES_K_MAX = 20
 #: the divergence rate is checked for targets n <= DIVERGENCE_N_MAX at most
 DIVERGENCE_N_MAX = 2000
+#: findings kept per range check
+FINDINGS_MAX = 20
 
 
 def coupling_cap(lam: float) -> int:
@@ -121,29 +124,83 @@ def stream_values(stream: Stream, ns: np.ndarray) -> np.ndarray:
     return values
 
 
+def held(values: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """Entries n0 .. n1 - 1 of a stream whose array ``values`` holds its head:
+    entry n is ``values[min(n, len(values) - 1)]``.  A view of ``values``
+    when they cover [n0, n1), else a new read-only array."""
+    if n1 <= values.size:
+        return values[n0:n1]
+    out = np.empty(n1 - n0)
+    split = max(values.size - n0, 0)
+    out[:split] = values[n0:]
+    out[split:] = values[-1]
+    out.flags.writeable = False
+    return out
+
+
+def held_from(values: np.ndarray) -> int:
+    """The smallest s such that every entry from s on has the bits of the last."""
+    bits = values.view(np.uint64)
+    differ = np.flatnonzero(bits != bits[-1])
+    return int(differ[-1]) + 1 if differ.size else 0
+
+
 @dataclass(frozen=True)
 class Window:
     """The scalar streams alpha_n, beta_n and ||r_n|| of a schedule on [0,
-    n_max], as read-only arrays of n_max + 1 values: one read per command,
-    which the range check, the engine and the premise check all take."""
+    n_max]: one read per command, which the range check, the engine and the
+    premise check all take.
+
+    Each stream field holds the head [0, s] of its stream as a read-only
+    array, s the settled index: from s on alpha, beta and ||r_n|| all keep the bits
+    of entry n_max, so entry n is the head's entry min(n, s) (see
+    :meth:`values`).  A window that never settles has s = n_max.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
     r_norm: np.ndarray
+    n_max: int
 
     @classmethod
     def read(cls, schedule: Schedule, n_max: int) -> Window:
-        """Each stream in one call on [0, n_max], through :func:`stream_values`."""
+        """Each stream in one call on [0, n_max], through :func:`stream_values`;
+        only the head is kept."""
         ns = np.arange(n_max + 1)
-        views = [stream_values(s, ns).view()  # read-only views: a stream may keep its array
-                 for s in (schedule.alpha, schedule.beta, schedule.perturbation_norm)]
-        for view in views:
-            view.flags.writeable = False
-        return cls(*views)
+        heads = []
+        for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm):
+            values = stream_values(stream, ns)
+            s = held_from(values)
+            # a copy of a settled head lets the whole array go before the
+            # next stream is read; a view of one that never settles, as a
+            # stream may keep its array
+            heads.append(values[:s + 1].copy() if s < n_max else values.view())
+        s = max(head.size for head in heads) - 1
+        heads = [held(head, 0, s + 1) for head in heads]
+        for head in heads:
+            head.flags.writeable = False
+        return cls(*heads, n_max)
+
+    @property
+    def settled(self) -> int:
+        """The settled index s, the last index of the heads."""
+        return self.alpha.size - 1
+
+    def values(self, n0: int, n1: int) -> tuple:
+        """alpha, beta and ||r_n|| on [n0, n1), through :func:`held`."""
+        return tuple(held(v, n0, n1) for v in (self.alpha, self.beta, self.r_norm))
+
+    def range_prefix(self, length: int) -> tuple:
+        """alpha, beta and ||r_n|| on the first min(length, s + FINDINGS_MAX)
+        indices.  Where an entry past s breaks a check, so do entry s and
+        the FINDINGS_MAX - 1 after it, so a check that keeps its first
+        FINDINGS_MAX findings finds those of the first ``length`` indices."""
+        return self.values(0, min(length, self.settled + FINDINGS_MAX))
 
     def covering(self, n_max: int) -> Window:
         """This window, which must cover exactly [0, n_max] (else ValueError)."""
-        if any(v.shape != (n_max + 1,) for v in (self.alpha, self.beta, self.r_norm)):
+        sizes = {v.shape for v in (self.alpha, self.beta, self.r_norm)}
+        if self.n_max != n_max or len(sizes) != 1 or not 1 <= sizes.pop()[0] <= n_max + 1:
             raise ValueError(f"the window does not cover exactly [0, {n_max}]")
         return self
 
@@ -164,13 +221,13 @@ def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable
     """
     if offset < 1:
         raise ValueError(f"decay offset must be a positive integer, got {offset}")
-    if r_star is None:
-        r_star, r_norm = np.zeros(1), 0.0
-    elif norm is None:
+    if r_star is None:  # +0.0 at every index, as 0.0/(n+offset)^2 is
+        return (lambda n: np.zeros(np.shape(n) + (1,)), constant_stream(0.0),
+                inverse_square_series(0.0, offset))
+    if norm is None:
         raise TypeError("a perturbation r_star needs the norm of its space (norm=space.norm)")
-    else:
-        r_star = np.asarray(r_star, dtype=float)
-        r_norm = float(norm(r_star))
+    r_star = np.asarray(r_star, dtype=float)
+    r_norm = float(norm(r_star))
     return (lambda n: r_star / (np.asarray(n)[..., None] + offset) ** 2,
             lambda n: r_norm / (n + offset) ** 2,
             inverse_square_series(r_norm, offset))
@@ -310,9 +367,9 @@ class Finding:
 def range_findings(alpha: np.ndarray, beta: np.ndarray) -> List[Finding]:
     """The range check of the averaging weights' values alpha_n and beta_n,
     n the position in the arrays: both lie in [0, 1] and 0 < alpha_n + beta_n
-    <= 1, each up to RANGE_TOL; NaN is out of range.  Returns up to 20
-    findings per check, checks in the order above, indices ascending within
-    each."""
+    <= 1, each up to RANGE_TOL; NaN is out of range.  Returns up to
+    FINDINGS_MAX findings per check, checks in the order above, indices
+    ascending within each."""
     total = alpha + beta
     checks = (
         ("alpha_range", "alpha out of [0, 1]", alpha,
@@ -324,7 +381,7 @@ def range_findings(alpha: np.ndarray, beta: np.ndarray) -> List[Finding]:
     )
     return [Finding(check, int(i), f"{message} at n={i}: {values[i]}")
             for check, message, values, bad in checks
-            for i in np.flatnonzero(bad)[:20]]
+            for i in np.flatnonzero(bad)[:FINDINGS_MAX]]
 
 
 @dataclass
@@ -378,36 +435,48 @@ def verify_hypotheses(schedule: Schedule, n_max: int,
     them and on the window only otherwise; the divergence rate for targets n
     <= min(n_max, DIVERGENCE_N_MAX).  An index below is a position in the
     window's arrays.
+
+    Each check reads no further than its result needs, taking an entry past
+    the window's settled index as the entry there: the range and sign
+    checks read :meth:`Window.range_prefix`, the zero checks the head, and
+    the divergence check the prefix its rate values reach.  A window sum and
+    a series' partial sums are taken over the whole window, as ``np.sum``
+    adds in pairs; only a sum of +0.0 entries, +0.0 in any order, is not.
     """
     window = Window.read(schedule, n_max) if window is None else window.covering(n_max)
-    alpha, beta, pert = window.alpha, window.beta, window.r_norm
+    alpha, beta, pert = window.range_prefix(n_max + 1)
     findings = range_findings(alpha, beta)
     findings += [Finding("perturbation_norm", int(n), f"negative perturbation norm at n={n}")
-                 for n in np.flatnonzero(pert < -RANGE_TOL)[:20]]
+                 for n in np.flatnonzero(pert < -RANGE_TOL)[:FINDINGS_MAX]]
     # a negative summand voids the series contracts; the findings say why
     series_checked = not findings
 
-    # the coupling alpha*beta/(alpha+beta) and the defect (1 - alpha) - beta,
-    # in arrays of their own; the coupling is NaN or inf only where the range
-    # check reports the weights
+    # the coupling alpha*beta/(alpha+beta) on the prefix that the rate values
+    # reach; it is NaN or inf only where the range check reports the weights
+    targets = divergence_targets(schedule.weight_divergence, min(n_max, DIVERGENCE_N_MAX),
+                                 n_max + 1)
+    alpha, beta, _ = window.values(0, targets.max(initial=-1) + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coupling = alpha * beta
         coupling /= alpha + beta
-    defect = np.subtract(1.0, alpha)
-    defect -= beta
-    divergence_report = check_divergence_rate(coupling, schedule.weight_divergence,
-                                              min(n_max, DIVERGENCE_N_MAX))
-    del coupling
+    divergence_report = divergence_report_of(coupling, targets)
+    # the defect (1 - alpha) - beta on the head
+    defect = np.subtract(1.0, window.alpha)
+    defect -= window.beta
 
     reports, sums = [], []
     # a defect declared zero may not stray either way; a norm is checked as is
-    for name, values, magnitude, series in (
+    for name, head, magnitude, series in (
             ("defect", defect, np.abs, schedule.defect_series),
-            ("perturbation", pert, np.asarray, schedule.perturbation_series)):
+            ("perturbation", window.r_norm, np.asarray, schedule.perturbation_series)):
         report = None
-        window_sum = float(np.sum(values))
+        if series.zero and not head.view(np.uint64).any():
+            window_sum = 0.0
+        else:
+            values = held(head, 0, n_max + 1)
+            window_sum = float(np.sum(values))
         if series.zero:
-            size = magnitude(values)
+            size = magnitude(head)
             if float(np.max(size)) > CHECK_TOL:
                 n_bad = int(np.argmax(size))
                 findings.append(Finding(f"{name}_zero", n_bad,

@@ -28,13 +28,17 @@ def _series(traj: Trajectory, quantity: str) -> np.ndarray:
     return getattr(traj, quantity)
 
 
+def _head(traj: Trajectory) -> int:
+    """Entries of a stream that a check reads: up to the index k the
+    trajectory is settled at, as every entry past k is entry k, or all."""
+    return traj.horizon + 1 if traj.settled is None else traj.settled + 1
+
+
 def _head_suffix_max(traj: Trajectory, values: np.ndarray) -> np.ndarray:
-    """:func:`_suffix_max` of ``values`` up to the index k the trajectory is
-    settled at, or of all of them.  Every entry past k is entry k, so the
-    suffix max at any n > k is the one at k, and the first quiet index of
+    """:func:`_suffix_max` of the head of ``values`` (see :func:`_head`): the
+    suffix max at any n past it is its last, and the first quiet index of
     the head is that of the whole stream."""
-    head = len(values) if traj.settled is None else traj.settled + 1
-    return _suffix_max(values[:head])
+    return _suffix_max(values[:_head(traj)])
 
 
 def auto_horizon(rate_values: Iterable[int]) -> int:
@@ -120,7 +124,7 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
     only, and a bound past it reads the one there.
     """
     values = _series(traj, quantity)
-    last = len(values) - 1
+    last = traj.horizon - (quantity == "res_step")
     suffix = _head_suffix_max(traj, values)
     head = suffix.size - 1
     rows: List[SoundnessRow] = []
@@ -171,9 +175,12 @@ def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
                           L_max: int) -> LiminfReport:
     """Grid check of the witness property: some index in [L, modulus(k, L)]
     has res_T strictly below 1/(k+1).  Cells whose window end exceeds the
-    horizon are truncated."""
+    horizon are truncated.  On a settled trajectory a window reads its
+    indices up to the settled index k, and from k on only entry k, which
+    stands for every later one."""
     values = traj.res_T
-    last = len(values) - 1
+    last = traj.horizon
+    head = _head(traj)
     cells: List[LiminfCell] = []
     for k in range(k_max + 1):
         threshold = 1.0 / (k + 1)
@@ -182,7 +189,10 @@ def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
             if bound > last:
                 cells.append(LiminfCell(k, L, bound, None, None))
                 continue
-            hits = np.nonzero(values[L:bound + 1] < threshold)[0]
-            witness = int(L + hits[0]) if hits.size else None
+            witness = None
+            if L <= bound:
+                lo = min(L, head - 1)
+                hits = np.nonzero(values[lo:min(bound, head - 1) + 1] < threshold)[0]
+                witness = max(L, lo + int(hits[0])) if hits.size else None
             cells.append(LiminfCell(k, L, bound, witness, witness is not None))
     return LiminfReport(horizon=traj.horizon, cells=cells)

@@ -3,10 +3,13 @@ catalog and the audit: the sampled convexity-transfer and nonexpansiveness
 checks, the factorization self-check of a convexity modulus, the shifted
 inverse-square modulus with its sharp sum bound, the summands of a schedule's
 coupling series, the points of a run as its operator sees them, a point
-corruption that the audit must catch, and the audit over whole arrays that
-the library's folded audit replaced.  The library runs none of them; the
-tests hold its objects against them."""
+corruption that the audit must catch, and the checks over whole arrays that
+the library's settled heads replaced: the schedule window, its range check
+and premise check, the audit, the soundness rows and the liminf cells, with
+the expansion of a settled trajectory to whole streams that they read.  The
+library runs none of them; the tests hold its objects against them."""
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -19,6 +22,8 @@ from km_rates.moduli import (
     RateKind,
     UcModulus,
     ceil_int,
+    check_divergence_rate,
+    check_series_cauchy_modulus,
 )
 from km_rates.engine import (
     AUDIT_TOL,
@@ -29,6 +34,24 @@ from km_rates.engine import (
     audit_inequalities,
 )
 from km_rates.operators import NONEXPANSIVE_TOL, Operator, Space
+from km_rates.schedules import (
+    DIVERGENCE_N_MAX,
+    HYPOTHESES_K_MAX,
+    RANGE_TOL,
+    Finding,
+    HypothesesReport,
+    Window,
+    held,
+    range_findings,
+    stream_values,
+)
+from km_rates.verify import (
+    SOUNDNESS_TOL,
+    LiminfCell,
+    LiminfReport,
+    SoundnessReport,
+    SoundnessRow,
+)
 from reference_engine import reference_iterate
 
 #: Tolerance for the eta(eps) = eps * eta_tilde(eps) factorization check.
@@ -176,7 +199,7 @@ def iterate_with_points(run: Callable, space: Space, op: Operator, start, schedu
         assert len(seen) == horizon + 2
     else:
         assert 2 <= len(seen) <= horizon + 2
-        assert np.all(traj.res_step[len(seen) - 2:] == 0)
+        assert np.all(whole_trajectory(traj).res_step[len(seen) - 2:] == 0)
     points = np.array(seen[1:])
     return traj, np.concatenate([points, np.repeat(points[-1:], horizon + 2 - len(seen), 0)])
 
@@ -189,6 +212,7 @@ def corrupt_point(space: Space, op: Operator, traj, points, index: int,
     ``magnitude`` and recompute the streams that depend on it."""
     if not 0 <= index <= traj.horizon:
         raise ValueError(f"index {index} outside [0, {traj.horizon}]")
+    traj = whole_trajectory(traj)
     points = points.copy()
     z = op.fixed_point
     d = points[index] - z
@@ -207,9 +231,7 @@ def corrupt_point(space: Space, op: Operator, traj, points, index: int,
         res_step[index - 1] = space.norm(x - points[index - 1])
     if index < traj.horizon:
         res_step[index] = space.norm(points[index + 1] - x)
-    # the corrupted point breaks any claim that the streams settle
-    return replace(traj, res_T=res_T, dist_z=dist, norm_x=normx, res_step=res_step,
-                   settled=None)
+    return replace(traj, res_T=res_T, dist_z=dist, norm_x=normx, res_step=res_step)
 
 
 def _whole_array_collect(lhs: np.ndarray, rhs) -> AuditCheck:
@@ -222,10 +244,23 @@ def _whole_array_collect(lhs: np.ndarray, rhs) -> AuditCheck:
                                         for i in np.flatnonzero(bad)[:10]])
 
 
+def whole_trajectory(traj):
+    """``traj`` with every stream whole, ``horizon + 1`` or ``horizon``
+    entries, each entry past the held ones the last held one, and no
+    settled claim: the trajectory as it was before a settled run held its
+    head only."""
+    h = traj.horizon
+    ends = {"res_T": h + 1, "dist_z": h + 1, "norm_x": h + 1, "K_z": h + 1,
+            "res_step": h, "alpha": h, "beta": h, "r_norm": h}
+    return replace(traj, settled=None,
+                   **{name: held(getattr(traj, name), 0, end) for name, end in ends.items()})
+
+
 def whole_array_audit(traj, constants) -> AuditReport:
     """``audit_inequalities`` as it was before it folded a settled tail:
     every row of every check computed over the whole horizon, whatever
     ``traj.settled`` claims."""
+    traj = whole_trajectory(traj)
     a, b, rn = traj.alpha, traj.beta, traj.r_norm
     dist, normx, res_T, res_step, K = (traj.dist_z, traj.norm_x, traj.res_T, traj.res_step,
                                        traj.K_z)
@@ -262,11 +297,11 @@ def _check_fields(check: AuditCheck) -> tuple:
 
 
 def assert_audit_matches_whole_array(traj, constants) -> AuditReport:
-    """``audit_inequalities`` of ``traj``, of ``traj`` with no settled claim
+    """``audit_inequalities`` of ``traj``, of its :func:`whole_trajectory`
     and :func:`whole_array_audit` of ``traj`` agree in every field of every
     check; returns the first."""
     reports = [audit_inequalities(traj, constants),
-               audit_inequalities(replace(traj, settled=None), constants),
+               audit_inequalities(whole_trajectory(traj), constants),
                whole_array_audit(traj, constants)]
     for report in reports:
         assert report.horizon == traj.horizon
@@ -275,3 +310,108 @@ def assert_audit_matches_whole_array(traj, constants) -> AuditReport:
         expected = _check_fields(reports[-1].checks[name])
         assert [_check_fields(r.checks[name]) for r in reports[:2]] == [expected] * 2, name
     return reports[0]
+
+
+def whole_window(schedule, n_max: int) -> Window:
+    """The window as it was read before it kept its settled head only: every
+    stream whole on [0, n_max], in read-only arrays."""
+    ns = np.arange(n_max + 1)
+    views = [stream_values(stream, ns).view()
+             for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm)]
+    for view in views:
+        view.flags.writeable = False
+    return Window(*views, n_max)
+
+
+def whole_range_message(schedule, horizon: int) -> Optional[str]:
+    """The message of the command line's range check as it was: the first
+    finding of :func:`range_findings` on the whole weights of [0, horizon),
+    None when there is none."""
+    window = whole_window(schedule, horizon)
+    findings = range_findings(window.alpha[:horizon], window.beta[:horizon])
+    return min(findings, key=lambda f: f.index).message if findings else None
+
+
+def whole_verify_hypotheses(schedule, n_max: int) -> HypothesesReport:
+    """``verify_hypotheses`` as it was before it read the settled head only:
+    every check, sum and summand array over the whole window."""
+    window = whole_window(schedule, n_max)
+    alpha, beta, pert = window.alpha, window.beta, window.r_norm
+    findings = range_findings(alpha, beta)
+    findings += [Finding("perturbation_norm", int(n), f"negative perturbation norm at n={n}")
+                 for n in np.flatnonzero(pert < -RANGE_TOL)[:20]]
+    series_checked = not findings
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coupling = alpha * beta
+        coupling /= alpha + beta
+    defect = np.subtract(1.0, alpha)
+    defect -= beta
+    divergence_report = check_divergence_rate(coupling, schedule.weight_divergence,
+                                              min(n_max, DIVERGENCE_N_MAX))
+    reports, sums = [], []
+    for name, values, magnitude, series in (
+            ("defect", defect, np.abs, schedule.defect_series),
+            ("perturbation", pert, np.asarray, schedule.perturbation_series)):
+        report = None
+        window_sum = float(np.sum(values))
+        if series.zero:
+            size = magnitude(values)
+            if float(np.max(size)) > CHECK_TOL:
+                n_bad = int(np.argmax(size))
+                findings.append(Finding(f"{name}_zero", n_bad,
+                                        f"{name} declared zero but nonzero at n={n_bad}"))
+        else:
+            if series_checked:
+                report = check_series_cauchy_modulus(values, series.modulus, HYPOTHESES_K_MAX,
+                                                     tail_bound=series.tail)
+            if window_sum - CHECK_TOL > series.bound:
+                findings.append(Finding(f"{name}_sum_bound", None,
+                                        f"window {name} sum {window_sum} exceeds bound "
+                                        f"{series.bound}"))
+        reports.append(report)
+        sums.append(window_sum)
+    return HypothesesReport(window=n_max, findings=findings, defect_report=reports[0],
+                            perturbation_report=reports[1],
+                            divergence_report=divergence_report,
+                            defect_window_sum=sums[0], perturbation_window_sum=sums[1])
+
+
+def whole_soundness(traj, rate: RateFn, quantity: str, k_max: int) -> SoundnessReport:
+    """``check_rate_soundness`` as it was before it read the settled head
+    only: the suffix maxima and the first quiet index of the whole stream,
+    the index found by a scan."""
+    values = getattr(whole_trajectory(traj), quantity)
+    last = len(values) - 1
+    suffix = np.maximum.accumulate(values[::-1])[::-1]
+    rows = []
+    for k in range(k_max + 1):
+        bound, threshold = rate(k), 1.0 / (k + 1)
+        loud = np.flatnonzero(~(suffix <= threshold + SOUNDNESS_TOL))
+        first = int(loud[-1]) + 1 if loud.size else 0
+        first = None if first > last else first
+        window = max_excess = passed = slack = None
+        if bound <= last:
+            window, max_excess = (bound, last), float(suffix[bound] - threshold)
+            passed = bool(max_excess <= SOUNDNESS_TOL)
+            slack = float(bound) / max(1, first) if first is not None else None
+        rows.append(SoundnessRow(k=k, bound=bound, window=window, max_excess=max_excess,
+                                 passed=passed, empirical_first_index=first, slack_factor=slack))
+    return SoundnessReport(quantity=quantity, rate_description=rate.description,
+                           horizon=traj.horizon, rows=rows)
+
+
+def whole_liminf(traj, modulus, k_max: int, L_max: int) -> LiminfReport:
+    """``check_liminf_contract`` as it was before it read the settled head
+    only: each window [L, modulus(k, L)] read from the whole stream."""
+    values = whole_trajectory(traj).res_T
+    last = len(values) - 1
+    cells = []
+    for k, L in itertools.product(range(k_max + 1), range(L_max + 1)):
+        bound = modulus(k, L)
+        if bound > last:
+            cells.append(LiminfCell(k, L, bound, None, None))
+            continue
+        hits = np.nonzero(values[L:bound + 1] < 1.0 / (k + 1))[0]
+        witness = int(L + hits[0]) if hits.size else None
+        cells.append(LiminfCell(k, L, bound, witness, witness is not None))
+    return LiminfReport(horizon=traj.horizon, cells=cells)

@@ -373,8 +373,9 @@ def test_identity_ends_the_walk_at_the_first_block():
     op, calls = _counting(km.make_operator("identity", space))
     traj = km.iterate(space, op, [0.3, -0.7], km.make_classical_km(0.5), 10 * BLOCK)
     assert len(calls) <= BLOCK + 2
-    assert np.all(traj.res_T == 0.0) and np.all(traj.res_step == 0.0)
-    assert np.all(traj.norm_x == traj.norm_x[0]) and len(traj.norm_x) == 10 * BLOCK + 1
+    whole = lemmas.whole_trajectory(traj)
+    assert np.all(whole.res_T == 0.0) and np.all(whole.res_step == 0.0)
+    assert np.all(whole.norm_x == whole.norm_x[0]) and len(whole.norm_x) == 10 * BLOCK + 1
 
 
 def test_readme_rotation_reaches_its_fixed_point_early():
@@ -423,7 +424,8 @@ def test_settled_index(horizon):
 
     def settled(alpha=ones, beta=ones, rows=np.zeros((h + 1, 1))):
         schedule = replace(km.make_classical_km(0.5), perturbation=_table_stream(rows))
-        return engine._settled(np.asarray(alpha, float), np.asarray(beta, float), schedule, dim)
+        return engine._settled(np.asarray(alpha, float), np.asarray(beta, float), schedule, dim,
+                               h)
 
     assert settled() == 0
     changed = ones.copy()
@@ -458,7 +460,7 @@ def test_settled_walk_reads_the_perturbation_in_few_chunks():
     counted = replace(schedule, perturbation=lambda n: reads.append(None) or perturbation(n))
     weights = [stream_values(stream, np.arange(h + 1))
                for stream in (schedule.alpha, schedule.beta)]
-    assert engine._settled(*weights, counted, space.dim) == 0
+    assert engine._settled(*weights, counted, space.dim, h) == 0
     assert len(reads) <= math.ceil(h / engine.CSV_CHUNK) + 2
 
 

@@ -12,7 +12,7 @@ import km_rates as km
 from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
 
-from lemmas import assert_audit_matches_whole_array, iterate_with_points
+from lemmas import assert_audit_matches_whole_array, iterate_with_points, whole_trajectory
 from reference_engine import reference_iterate
 
 LP_SAFE = ("identity", "coordinate_shrink")
@@ -122,10 +122,12 @@ def _assert_matches_reference(op_name, family, dim, p, horizon, moved_z, seed):
 
 
 def assert_run_matches_reference(*args):
-    """``km.iterate`` and the reference loop on ``args``: equal schedule
-    streams, norm streams to 1e-12 and the points bit for bit."""
+    """``km.iterate``, its streams made whole, and the reference loop on
+    ``args``: equal schedule streams, norm streams to 1e-12 and the points
+    bit for bit."""
     ref, ref_points = iterate_with_points(reference_iterate, *args)
     new, new_points = iterate_with_points(km.iterate, *args)
+    new = whole_trajectory(new)
     for name in ("alpha", "beta", "r_norm", "K_z"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
     for name in ("res_T", "res_step", "dist_z", "norm_x"):
@@ -325,4 +327,4 @@ def test_anchor_bounds_fold_only_a_zero_tail(case, horizon, settled):
     ref = reference_iterate(space, op, start, schedule, horizon)
     assert len(calls) < horizon + 2  # the walk ended early
     assert new.settled == settled
-    assert np.array_equal(new.K_z.view(np.uint64), ref.K_z.view(np.uint64))
+    assert np.array_equal(whole_trajectory(new).K_z.view(np.uint64), ref.K_z.view(np.uint64))

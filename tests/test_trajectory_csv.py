@@ -11,6 +11,7 @@ import km_rates as km
 from km_rates.engine import CSV_CHUNK
 
 from conftest import rotation_instance
+from lemmas import whole_trajectory
 from reference_engine import reference_write_trajectory_csv
 
 SPECIAL = (0.0, -0.0, 5e-324, 1e-310, 0.1, 3.0, 1e300, float("inf"), float("nan"))
@@ -18,7 +19,7 @@ SPECIAL = (0.0, -0.0, 5e-324, 1e-310, 0.1, 3.0, 1e300, float("inf"), float("nan"
 
 def _assert_same_bytes(traj, tmp_path):
     km.write_trajectory_csv(traj, tmp_path / "new.csv")
-    reference_write_trajectory_csv(traj, tmp_path / "old.csv")
+    reference_write_trajectory_csv(whole_trajectory(traj), tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -66,3 +67,18 @@ def test_writer_matches_on_any_doubles(tmp_path_factory, values, horizon):
     space, op, start, schedule, _, _ = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 1)
     _assert_same_bytes(_with_columns(traj, horizon, values), tmp_path_factory.mktemp("csv"))
+
+
+@pytest.mark.parametrize("settled, horizon", [
+    (0, 1), (0, 5), (3, CSV_CHUNK - 1), (CSV_CHUNK - 2, CSV_CHUNK), (CSV_CHUNK - 1, CSV_CHUNK + 1),
+    (CSV_CHUNK, 2 * CSV_CHUNK), (CSV_CHUNK, 2 * CSV_CHUNK + 1), (17, 3 * CSV_CHUNK + 17)])
+def test_settled_writer_matches_per_row_writer(tmp_path, settled, horizon):
+    """A trajectory that holds its streams on [0, k] only, each row before k
+    different from row k: the rows past k repeat row k, as in the whole
+    streams."""
+    space, op, start, schedule, _, _ = rotation_instance()
+    traj = km.iterate(space, op, start, schedule, 4)
+    rng = np.random.default_rng(settled)
+    held = replace(_with_columns(traj, settled, rng.standard_normal(5 * (settled + 1))),
+                   res_step=rng.standard_normal(settled + 1))
+    _assert_same_bytes(replace(held, horizon=horizon, settled=settled), tmp_path)

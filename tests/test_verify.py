@@ -12,6 +12,7 @@ from km_rates.moduli import CauchyReport, CauchyRow, RateFn, RateKind
 from km_rates.verify import LiminfCell, LiminfReport, SoundnessReport, SoundnessRow
 
 from conftest import rotation_instance
+import lemmas
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +146,7 @@ def test_settled_soundness_matches_the_whole_stream(traj):
     """Each soundness row and first quiet index up to k = 40 is the one of
     the same streams with no settled claim, for bounds below, at and past
     the settled index, at the last index of each stream and past both."""
-    whole = replace(traj, settled=None)
+    whole = lemmas.whole_trajectory(traj)
     h, k = traj.horizon, traj.settled
     bounds = sorted({0, max(k - 1, 0), k, k + 1, h - 1, h, h + 5})
     rates = [RateFn.constant(b, RateKind.RATE_OF_CONVERGENCE) for b in bounds]

@@ -10,9 +10,12 @@ errors, help text and multi-block runs of the two matrix operators, of
 per-index coefficients, of a coefficient table that turns constant, of
 points that repeat before and after a change of the step map and of a
 perturbation that underflows to 0 mid-run, a divergence rate that fails
-on its whole window, an audit that fails on every row of three checks, and a
-settled run whose audit fails on its tail, goes through the commands and
-flags the tests give them.  Each checkout's CLI runs
+on its whole window, an audit that fails on every row of three checks, a
+settled run whose audit fails on its tail, settled runs whose CSV ends just
+below, at and just above multiples of its chunk, a weight table whose
+``then`` value is out of range, and a constant nonzero defect of rounding
+(``inexact_km`` at beta 0.1) over a long window, goes through the commands
+and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
 relative output directory ``out``, so the echoed ``output.directory`` is the
@@ -174,6 +177,16 @@ def _test_suite_jobs() -> list:
                                  "defect_sum_bound": 0,
                                  "weight_divergence": {"affine": {"slope": 4,
                                                                   "intercept": 0}}}})
+    # beta leaves [0, 1] from index 300 on, where the window settles
+    then_out_of_range = _rotation(5000, schedule={"family": "custom", "params": {
+        "alpha": 0.5, "beta": {"values": [0.5] * 300, "then": 1.2},
+        "perturbation": {"zero": True}, "defect_is_zero": True,
+        "weight_divergence": {"affine": {"slope": 4, "intercept": 0}}}})
+    then_out_of_range["certificate"]["formula"] = "general"
+    # the defect (1 - 0.9) - 0.1 is a nonzero constant of rounding, summed
+    # over the whole window of 100 101 indices
+    inexact_rounding = _rotation(100_100, 15, schedule={"family": "inexact_km", "params": {
+        "beta": 0.1, "weight_divergence": {"affine": {"slope": 12, "intercept": 0}}}})
     # the anchor recursion overflows, so audit rows compare inf with inf
     non_finite_audit = _rotation(3, start=[1.0, 1e154],
                                  operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
@@ -291,6 +304,14 @@ def _test_suite_jobs() -> list:
     jobs += [(f"tail-failing-audit-{horizon}-{command}",
               dict(tail_failing, run={"horizon": horizon, "k_max": 3}), [command])
              for horizon in (257, 5000) for command in ("run", "audit", "verify")]
+    # the README rotation settles at 2303; its CSV is written in chunks of
+    # 4096 rows, and the rows past 2303 repeat row 2303
+    jobs += [(f"settled-csv-{horizon}", _rotation(horizon), ["run"])
+             for chunks in (1, 2, 3) for horizon in (4096 * chunks - 1, 4096 * chunks,
+                                                     4096 * chunks + 1)]
+    jobs += [(f"then-out-of-range-{command}", then_out_of_range, [command])
+             for command in ("run", "verify")]
+    jobs += [("inexact-rounding-defect-verify", inexact_rounding, ["verify"])]
     return jobs
 
 
