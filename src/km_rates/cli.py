@@ -10,6 +10,7 @@ the log level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -20,6 +21,7 @@ from typing import List, Optional
 from .certificates import CertificateOverflow
 from .config import FAMILY_PARAMS, ConfigError, Instance, RunConfig, assemble, load_config
 from .engine import NumericAbort, audit_inequalities, iterate, write_trajectory_csv
+from .moduli import RateFn
 from .operators import CATALOG
 from .schedules import Window, range_findings, verify_hypotheses
 from .verify import (
@@ -63,34 +65,60 @@ def _ensure_out(doc: dict) -> str:
     return doc["output"]["directory"]
 
 
-def _json_safe(value):
-    """``value`` with each non-finite float replaced by the JSON string
-    ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, dict):
-        return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    return value
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, parts: list, newline: str) -> None:
+    """Appends to ``parts`` the text that ``json.dumps(indent=2,
+    sort_keys=True)`` gives ``value`` at the indent of ``newline``, in the
+    dispatch order of ``json.encoder``, but a non-finite float as the string
+    ``"NaN"``, ``"Infinity"`` or ``"-Infinity"`` and a key that is not a
+    ``str`` as a TypeError."""
+    if isinstance(value, str):
+        parts.append(_ESCAPE(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(float.__repr__(value) if math.isfinite(value) else
+                     '"NaN"' if value != value else '"Infinity"' if value > 0 else '"-Infinity"')
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
+        inner, opening = newline + "  ", "["
+        for item in value:
+            parts.append(opening + inner)
+            opening = ","
+            _json_text(item, parts, inner)
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        inner, opening = newline + "  ", "{"
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(opening + inner + _ESCAPE(key) + ": ")
+            opening = ","
+            _json_text(item, parts, inner)
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Strict JSON (RFC 8259 has no NaN or Infinity), one ``json.dumps`` and
-    one write: ``json.dump`` would write each token of the indented output
-    with its own ``write`` call.
-
-    Only a payload that ``allow_nan=False`` refuses is rewritten by
-    :func:`_json_safe`; any other keeps its bytes.  Walking every payload
-    instead made the ``grid_short`` benchmark's commands 9% slower (median
-    of ten pairs, 2-vCPU x86_64, ``BENCH_17.json``), about 1 ms per
-    ``verify.json``."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    """Strict JSON (RFC 8259 has no NaN or Infinity) in one write: the bytes
+    of ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
+    and a newline, with each non-finite float written as the string of its
+    name (see :func:`_json_text`)."""
+    parts: list = []
+    _json_text(payload, parts, "\n")
+    parts.append("\n")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.write("".join(parts))
 
 
 def _validate_schedule_window(instance: Instance, horizon: int) -> Window:
@@ -193,14 +221,25 @@ def _soundness_csv(path: str, report: SoundnessReport) -> None:
                          f"{str(row.truncated).lower()}\n")
 
 
+def _tabled(rate: RateFn, table: List[dict], column: str) -> RateFn:
+    """``rate`` as the values of its ``column`` in a certificate table, which
+    cover the k of the table; the description is the rate's."""
+    values = [row[column] for row in table]
+    return RateFn(values.__getitem__, rate.kind, rate.description)
+
+
 def cmd_verify(args) -> int:
     doc, instance, window, traj, audit = _load_and_run(args)
     k_max, formats, horizon = doc["run"]["k_max"], doc["output"]["formats"], traj.horizon
     cert = instance.certificate
     hypotheses = verify_hypotheses(instance.schedule, horizon, window)
 
-    residual_report = check_rate_soundness(traj, cert.residual_rate, "res_T", k_max)
-    step_report = check_rate_soundness(traj, cert.step_rate, "res_step", k_max)
+    certificate = cert.to_dict(k_max)
+    table = certificate["table"]
+    residual_report = check_rate_soundness(
+        traj, _tabled(cert.residual_rate, table, "residual_rate"), "res_T", k_max)
+    step_report = check_rate_soundness(
+        traj, _tabled(cert.step_rate, table, "step_rate"), "res_step", k_max)
     reports = [residual_report, step_report]
     liminf_report = check_liminf_contract(traj, cert.liminf_modulus, min(8, k_max), 8)
 
@@ -211,7 +250,7 @@ def cmd_verify(args) -> int:
     if "json" in formats:
         _write_json(os.path.join(out, "verify.json"), {
             "config": doc,
-            "certificate": cert.to_dict(k_max),
+            "certificate": certificate,
             "horizon": horizon,
             "hypotheses": hypotheses.to_dict(),
             "audit": audit.to_dict(),
@@ -255,7 +294,10 @@ CONFIG_COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="km-rates",
         description="Averaged fixed-point iteration with explicit, empirically "

@@ -206,9 +206,10 @@ class Window:
 
 
 def constant_stream(value: float) -> Stream:
-    """The stream n -> value, shaped like n."""
-    value = float(value)
-    return lambda n: np.zeros(np.shape(n)) + value
+    """The stream n -> value, shaped like n, one array per call; a -0.0
+    constant reads +0.0, as 0.0 + value does."""
+    value = float(value) + 0.0
+    return lambda n: np.full(np.shape(n), value)
 
 
 def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable] = None):

@@ -6,10 +6,12 @@ coupling series, the points of a run as its operator sees them, a point
 corruption that the audit must catch, and the checks over whole arrays that
 the library's settled heads replaced: the schedule window, its range check
 and premise check, the audit, the soundness rows and the liminf cells, with
-the expansion of a settled trajectory to whole streams that they read.  The
-library runs none of them; the tests hold its objects against them."""
+the expansion of a settled trajectory to whole streams that they read, and
+the non-finite float replacement that strict JSON output is held against.
+The library runs none of them; the tests hold its objects against them."""
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -415,3 +417,16 @@ def whole_liminf(traj, modulus, k_max: int, L_max: int) -> LiminfReport:
         witness = int(L + hits[0]) if hits.size else None
         cells.append(LiminfCell(k, L, bound, witness, witness is not None))
     return LiminfReport(horizon=traj.horizon, cells=cells)
+
+
+def _json_safe(value):
+    """``value`` with each non-finite float replaced by the JSON string
+    ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``: the payload whose
+    ``json.dumps(..., allow_nan=False)`` the CLI's JSON writer must match."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value

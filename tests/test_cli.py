@@ -1,19 +1,24 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import km_rates as km
 from km_rates import cli
 from km_rates.certificates import THRESHOLD_ROUTES
 from km_rates.cli import main
 
+import lemmas
 from conftest import example2_ball_config
 from malformed_configs import (CERTIFICATE_EDGES, CONFIG_VALUES, FLAGS, MISSPELT_PARAMS,
                                OPERATOR_PARAMS)
@@ -323,6 +328,75 @@ def test_finite_json_keeps_its_bytes(tmp_path):
     cli._write_json(str(tmp_path / "x.json"), payload)
     assert (tmp_path / "x.json").read_text() == json.dumps(payload, indent=2,
                                                            sort_keys=True) + "\n"
+
+
+#: strings with non-ASCII characters, quotes, backslashes and control
+#: characters; numbers past 2^64 and the float edges, non-finite ones included
+JSON_TEXT = st.text(st.one_of(st.sampled_from('é"\\\n\t\x00\x1f\x7f\u2028\U0001f600'),
+                              st.characters()), max_size=6)
+JSON_SCALARS = st.one_of(
+    JSON_TEXT, st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**64, max_value=2**200), st.integers(min_value=-2**200,
+                                                               max_value=-2**64),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+JSON_TREES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(JSON_TEXT, children, max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(payload=st.dictionaries(JSON_TEXT, JSON_TREES, max_size=5))
+def test_json_writer_matches_json_dumps_of_the_safe_payload(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    cli._write_json(str(path), payload)
+    expected = json.dumps(lemmas._json_safe(payload), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("payload", [{1: 0}, {"a": {"b": [{2.5: None}]}}, {"a": {1, 2}},
+                                     {"a": np.int64(3)}])
+def test_json_writer_refuses_what_it_cannot_write_as_strict_json(tmp_path, payload):
+    with pytest.raises(TypeError):
+        cli._write_json(str(tmp_path / "x.json"), payload)
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    """Every ``main`` call of a process shares one parser, and parsing leaves
+    no state in it: each call of an in-process sequence (an argparse error,
+    catalog, a flag, the same command without it, certify) exits, prints and
+    writes what it does in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    monkeypatch.delenv("KM_RATES_LOG", raising=False)  # log lines go to the first stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(km.__file__).parents[1]))
+    cfg = write_config(tmp_path, rotation_config("out", horizon=200, k_max=5))
+    calls = [["verify"], ["catalog"], ["verify", "--config", cfg, "--k-max", "3"],
+             ["verify", "--config", cfg], ["certify", "--config", cfg]]
+    codes = []
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / "in-process" / str(i), tmp_path / "fresh" / str(i)
+        here.mkdir(parents=True)
+        fresh.mkdir(parents=True)
+        monkeypatch.chdir(here)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "km_rates.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert _files(here) == _files(fresh), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+    rows = [json.loads((tmp_path / "in-process" / str(i) / "out" / "verify.json").read_text())
+            ["soundness"][0]["rows"] for i in (2, 3)]
+    assert [len(r) for r in rows] == [4, 6]
 
 
 def test_certify_overflow_exits_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -183,6 +184,17 @@ def test_perturbation_needs_its_norm():
         km.make_inexact_km(0.5, divergence, lambda n: np.zeros(np.shape(n) + (2,)))
     # no perturbation is the zero stream, which needs no norm
     assert km.make_example1(0.5).perturbation_norm(3) == 0.0
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 0.5, 5e-324, math.nan])
+@pytest.mark.parametrize("n", [7, np.arange(5)], ids=["scalar", "array"])
+def test_constant_stream_keeps_the_bits_of_zeros_plus_value(value, n):
+    """One array per call, with the shape and bits that np.zeros(shape) +
+    value gave: a -0.0 constant reads +0.0."""
+    old = np.zeros(np.shape(n)) + value
+    new = constant_stream(value)(n)
+    assert np.shape(new) == np.shape(old)
+    assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
 
 
 def test_verify_hypotheses_example1():

@@ -14,8 +14,9 @@ on its whole window, an audit that fails on every row of three checks, a
 settled run whose audit fails on its tail, settled runs whose CSV ends just
 below, at and just above multiples of its chunk, a weight table whose
 ``then`` value is out of range, and a constant nonzero defect of rounding
-(``inexact_km`` at beta 0.1) over a long window, goes through the commands
-and flags the tests give them.  Each checkout's CLI runs
+(``inexact_km`` at beta 0.1) over a long window, an output directory whose
+name needs JSON escapes and a certificate whose integers pass 2^64, goes
+through the commands and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
 relative output directory ``out``, so the echoed ``output.directory`` is the
@@ -192,6 +193,12 @@ def _test_suite_jobs() -> list:
                                  operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
                                  schedule={"family": "example1", "params": {
                                      "lam": 1e-160, "r_star": [1.0, 1e154]}})
+    # the JSON writer's edges: an output directory, echoed in verify.json,
+    # whose name holds a non-ASCII letter, a quote and a backslash, and a
+    # start bound of 10^12, whose certificate integers pass 2^64 from k = 0
+    escaped_directory = _rotation(500, output={"directory": 'out/\u00e9 "q" \\ d',
+                                               "formats": ["csv", "json"]})
+    big_start = _rotation(start=[1e12, 0.0])
     # config-parse edges: bounds kept for series declared zero, a missing
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
@@ -311,7 +318,9 @@ def _test_suite_jobs() -> list:
                                                      4096 * chunks + 1)]
     jobs += [(f"then-out-of-range-{command}", then_out_of_range, [command])
              for command in ("run", "verify")]
-    jobs += [("inexact-rounding-defect-verify", inexact_rounding, ["verify"])]
+    jobs += [("inexact-rounding-defect-verify", inexact_rounding, ["verify"]),
+             ("escaped-directory-verify", escaped_directory, ["verify"]),
+             ("big-integers-certify", big_start, ["certify"])]
     return jobs
 
 
