@@ -17,8 +17,9 @@ snap can round down: for p != 2 a threshold can be one below its exact ceiling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -173,10 +174,20 @@ def make_step_rate(residual_rate: RateFn) -> RateFn:
     )
 
 
+#: threshold values a dip-window modulus keeps: the liminf grid reads 9 k,
+#: and the rates of a table to k_max read k_max + 1 more
+THRESHOLDS_KEPT = 256
+
+
 def make_liminf_modulus(threshold: RateFn, weight_divergence: RateFn) -> LiminfModulus:
-    """(k, L) -> weight_divergence(threshold(k) + L)."""
+    """(k, L) -> weight_divergence(threshold(k) + L).
+
+    threshold(k) is evaluated once per k and kept, for the last
+    ``THRESHOLDS_KEPT`` k, so the cells (k, 0) .. (k, L) of a grid share it;
+    a k whose threshold raises raises again on every call."""
+    kept = functools.lru_cache(maxsize=THRESHOLDS_KEPT)(threshold)
     return LiminfModulus(
-        lambda k, L: weight_divergence(threshold(k) + L),
+        lambda k, L: weight_divergence(kept(k) + L),
         description="residual dip-window modulus",
     )
 
@@ -201,11 +212,13 @@ class Certificate:
             for k in range(k_max + 1)
         ]
 
-    def to_dict(self, k_max: int) -> dict:
+    def to_dict(self, k_max: int, table: Optional[List[dict]] = None) -> dict:
+        """The certificate with its table up to ``k_max``, or with ``table``,
+        one already evaluated to ``k_max``."""
         return {
             "formula": self.formula,
             "constants": self.constants.to_dict(),
-            "table": self.table(k_max),
+            "table": self.table(k_max) if table is None else table,
         }
 
 

@@ -134,16 +134,16 @@ def _validate_schedule_window(instance: Instance, horizon: int) -> Window:
     return window
 
 
-def _resolve_horizon(instance: Instance, run: dict) -> int:
-    """``run.horizon`` of the ``run`` section, or the auto horizon."""
+def _resolve_horizon(instance: Instance, run: dict):
+    """``(horizon, table)``: ``run.horizon`` of the ``run`` section and None,
+    or the auto horizon and the certificate table up to ``run.k_max`` whose
+    rate values it was read from."""
     if run["horizon"] != "auto":
-        return run["horizon"]
-    cert = instance.certificate
-    requested = [cert.residual_rate(k) for k in range(run["k_max"] + 1)]
-    requested += [cert.step_rate(k) for k in range(run["k_max"] + 1)]
-    horizon = auto_horizon(requested)
+        return run["horizon"], None
+    table = instance.certificate.table(run["k_max"])
+    horizon = auto_horizon(row[rate] for row in table for rate in ("residual_rate", "step_rate"))
     log.info("auto horizon: %d", horizon)
-    return horizon
+    return horizon, table
 
 
 def cmd_certify(args) -> int:
@@ -175,19 +175,20 @@ def _load_and_run(args):
     """Load and assemble the config of a run, audit or verify command, read
     and check its schedule window, iterate on that window and audit the
     trajectory (its scalar streams; no command reads the points).  Returns
-    the config's document with the run's objects."""
+    the config's document with the run's objects, and the certificate table
+    an auto horizon was read from (else None)."""
     cfg = _load(args)
     instance = assemble(cfg)
     doc = cfg.to_dict()
-    horizon = _resolve_horizon(instance, doc["run"])
+    horizon, table = _resolve_horizon(instance, doc["run"])
     window = _validate_schedule_window(instance, horizon)
     traj = iterate(instance.space, instance.operator, instance.start, instance.schedule, horizon,
                    window=window)
-    return doc, instance, window, traj, audit_inequalities(traj, instance.constants)
+    return doc, instance, window, traj, audit_inequalities(traj, instance.constants), table
 
 
 def cmd_run(args) -> int:
-    doc, _, _, traj, audit = _load_and_run(args)
+    doc, _, _, traj, audit, _ = _load_and_run(args)
     out = _ensure_out(doc)
     if "csv" in doc["output"]["formats"]:
         write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
@@ -199,7 +200,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    doc, _, _, _, audit = _load_and_run(args)
+    doc, _, _, _, audit, _ = _load_and_run(args)
     out = _ensure_out(doc)
     if "json" in doc["output"]["formats"]:
         _write_json(os.path.join(out, "audit.json"), {"config": doc, "audit": audit.to_dict()})
@@ -229,12 +230,12 @@ def _tabled(rate: RateFn, table: List[dict], column: str) -> RateFn:
 
 
 def cmd_verify(args) -> int:
-    doc, instance, window, traj, audit = _load_and_run(args)
+    doc, instance, window, traj, audit, table = _load_and_run(args)
     k_max, formats, horizon = doc["run"]["k_max"], doc["output"]["formats"], traj.horizon
     cert = instance.certificate
     hypotheses = verify_hypotheses(instance.schedule, horizon, window)
 
-    certificate = cert.to_dict(k_max)
+    certificate = cert.to_dict(k_max, table)
     table = certificate["table"]
     residual_report = check_rate_soundness(
         traj, _tabled(cert.residual_rate, table, "residual_rate"), "res_T", k_max)

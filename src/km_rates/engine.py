@@ -7,9 +7,12 @@ soundness checks and ``trajectory.csv`` read nothing else.  A caller that
 wants x_n takes it from the arguments of ``op.apply``, which sees the points
 x_0 .. x_m once each, in order, after the fixed-point check, for some
 m <= horizon; x_n = x_m for every n > m.  No point is written after ``apply``
-has seen it, so a reference to it suffices.  The CSV is written in
-bulk-formatted chunks of ``CSV_CHUNK`` rows.  The iteration is
-deterministic: identical inputs give bit-identical trajectories.
+has seen it, so a reference to it suffices.  The CSV rows are turned into
+bytes ``CSV_BATCH`` at a time by the numpy kernel of :mod:`km_rates.g17`,
+which writes the digits of ``%.17g`` from an exact double-double product
+and takes ``"%.17g" % x`` for a value whose rounding it cannot prove.  The
+iteration is deterministic: identical inputs give bit-identical
+trajectories.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from .certificates import InstanceConstants
+from .g17 import CSV_BATCH, csv_rows
 from .operators import FIXED_POINT_TOL, Operator, Space
 from .schedules import Schedule, Window, held, held_from
 
@@ -430,27 +434,32 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Columns n, res_T, res_step, K_zn, norm_xn, dist_xz; '.' decimals, 17
     significant digits; the final row has no step entry.
 
-    Rows are formatted ``CSV_CHUNK`` at a time by one ``%`` over the chunk;
-    ``%.17g`` and ``format(v, ".17g")`` are the same conversion, so the bytes
-    are those of a per-value ``format``.  On a trajectory ``settled`` at k
-    the rows past k repeat the five values of row k, which are formatted
-    once; each of those rows formats only its index.
+    Rows are turned into bytes ``CSV_BATCH`` at a time by
+    :func:`~km_rates.g17.csv_rows`,
+    whose fields are the bytes of ``"%.17g" % v``, and so of a per-value
+    ``format(v, ".17g")``.  On a trajectory ``settled`` at k the rows past k
+    repeat the five values of row k, which are formatted once; each of those
+    rows formats only its index.
     """
     h = traj.horizon
     k = h if traj.settled is None else traj.settled
     columns = (traj.res_T, traj.res_step, traj.K_z, traj.norm_x, traj.dist_z)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("n,res_T,res_step,K_zn,norm_xn,dist_xz\n")
-        for n0 in range(0, min(k + 1, h), CSV_CHUNK):
-            n1 = min(n0 + CSV_CHUNK, k + 1, h)
-            rows = np.column_stack([np.arange(n0, n1)] + [c[n0:n1] for c in columns])
-            handle.write(_CSV_ROW * (n1 - n0) % tuple(rows.ravel().tolist()))
+    with open(path, "wb") as handle:
+        handle.write(b"n,res_T,res_step,K_zn,norm_xn,dist_xz\n")
+        head = min(k + 1, h)
+        values = np.empty((min(head, CSV_BATCH), 5))
+        for n0 in range(0, head, CSV_BATCH):
+            n1 = min(n0 + CSV_BATCH, head)
+            block = values[:n1 - n0]
+            for j, column in enumerate(columns):
+                block[:, j] = column[n0:n1]
+            handle.write(csv_rows(n0, block))
         if k + 1 < h:
             row = "%d" + _CSV_ROW[2:] % tuple(float(c[k]) for c in columns)
             for n0 in range(k + 1, h, CSV_CHUNK):
                 n1 = min(n0 + CSV_CHUNK, h)
-                handle.write(row * (n1 - n0) % tuple(range(n0, n1)))
+                handle.write((row * (n1 - n0) % tuple(range(n0, n1))).encode())
         last = min(h, k)
-        handle.write("%d,%.17g,,%.17g,%.17g,%.17g\n"
+        handle.write(b"%d,%.17g,,%.17g,%.17g,%.17g\n"
                      % (h, traj.res_T[last], traj.K_z[last], traj.norm_x[last],
                         traj.dist_z[last]))

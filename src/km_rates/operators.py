@@ -20,6 +20,10 @@ import numpy as np
 
 FIXED_POINT_TOL = 1e-12
 NONEXPANSIVE_TOL = 1e-12
+#: a sum of |v_i|^p below this may have lost bits to terms that went
+#: subnormal (below 2^-1022) or to 0: each such term is off by up to
+#: 2^-1075, and 54 bits of margin keep their sum under the sum's rounding
+TINY_POWER_SUM = 2.0 ** -968
 
 
 def _norm2(v):
@@ -47,16 +51,48 @@ class Space:
     def is_euclidean(self) -> bool:
         return self.p == 2.0
 
+    def _norms(self, v: np.ndarray):
+        if self.p == 2.0:
+            return _norm2(v)
+        return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
+
+    def _rescaled_norms(self, rows: np.ndarray):
+        """The norms of ``rows``, each taken on the row times a power of two
+        and scaled back: the first scaling is exact, and the second rounds
+        only a subnormal norm.  A row's power of two depends on the row
+        alone, so its norm is the same in any stack."""
+        if self.p == 2.0:
+            # a row whose norm comes out below TINY_POWER_SUM ** (1/2) has
+            # its nonzero entries in [2^-1074, 2^-483]; times 2^600 they are
+            # in [2^-474, 2^117], where no square is subnormal or overflows
+            return _norm2(rows * 2.0 ** 600) * 2.0 ** -600
+        # the row's largest entry into [0.5, 1)
+        shift = -np.frexp(np.abs(rows.T, order="C").max(axis=0).T)[1]
+        return np.ldexp(self._norms(np.ldexp(rows, shift[..., None])), -shift)
+
     def norm(self, v):
         """The p-norm along the last axis: a float for one vector, an array of
         row norms for a stack of vectors.  A norm past the double range is
-        inf, with no warning; callers reject it or abort on it."""
+        inf, with no warning; callers reject it or abort on it.
+
+        A row whose norm comes out below ``TINY_POWER_SUM ** (1/p)``, where a
+        term |v_i|^p may have gone subnormal or to 0, is taken again on the
+        row scaled by a power of two (see :meth:`_rescaled_norms`), so a
+        nonzero row has a nonzero norm down to the least subnormal.  Every
+        other row's norm keeps the bits of the plain formula.
+        """
         v = np.asarray(v, dtype=float)
         with np.errstate(over="ignore"):
-            if self.p == 2.0:
-                out = _norm2(v)
-            else:
-                out = np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
+            out = self._norms(v)
+            small = out < TINY_POWER_SUM ** (1.0 / self.p)
+            if small.any() and v.any():  # zero rows have their norm 0 already
+                every = small.all()
+                rows = v if every else v[small]
+                if every:
+                    out = self._rescaled_norms(rows)
+                elif rows.any():
+                    out = out.copy()
+                    out[small] = self._rescaled_norms(rows)
         return float(out) if np.ndim(out) == 0 else out
 
 

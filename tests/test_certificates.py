@@ -155,6 +155,32 @@ def test_liminf_modulus_values():
             assert trivial(k, L) == L
 
 
+def test_liminf_modulus_evaluates_each_threshold_once():
+    """The 9 x 9 grid of the liminf check reads threshold(k) once per k, with
+    the values of the uncached composition; a threshold that raises raises
+    on every call."""
+    calls = []
+    threshold = km.weight_threshold(InstanceConstants(2, 0, 0), HILBERT)
+    counted = RateFn(lambda k: calls.append(k) or threshold(k), RateKind.THRESHOLD)
+    sigma2 = RateFn.affine(4, 1, RateKind.RATE_OF_DIVERGENCE)
+    delta = make_liminf_modulus(counted, sigma2)
+    for _ in range(2):
+        assert [[delta(k, L) for L in range(9)] for k in range(9)] == [
+            [sigma2(threshold(k) + L) for L in range(9)] for k in range(9)]
+    assert calls == list(range(9))
+
+    def overflow(k):
+        calls.append(k)
+        raise CertificateOverflow("no threshold")
+
+    failing = make_liminf_modulus(RateFn(overflow, RateKind.THRESHOLD), sigma2)
+    calls.clear()
+    for L in range(3):
+        with pytest.raises(CertificateOverflow):
+            failing(1, L)
+    assert calls == [1, 1, 1]
+
+
 def test_inexact_km_certificate_thresholds():
     sigma2 = RateFn.affine(4, 0, RateKind.RATE_OF_DIVERGENCE)
     cert0 = inexact_certificate(1, 0, sigma2, ZERO)

@@ -121,7 +121,7 @@ def test_cli_runs_keep_only_scalar_streams(tmp_path, capsys):
     cfg = write_config(tmp_path, rotation_config(tmp_path / "out", horizon=horizon))
     for command in ("run", "audit", "verify"):
         args = cli.build_parser().parse_args([command, "--config", cfg])
-        _, _, _, traj, audit = cli._load_and_run(args)
+        _, _, _, traj, audit, _ = cli._load_and_run(args)
         assert traj.horizon == horizon and audit.passed
         assert all(np.ndim(value) <= 1 for value in vars(traj).values())
 
@@ -562,6 +562,31 @@ def test_certificate_edges_end_in_a_verdict_or_an_overflow(tmp_path, capsys, cha
     for command, codes in exits.items():
         assert main([command, "--config", cfg]) in codes, command
         assert ("certificate overflow" in capsys.readouterr().err) == (codes == (3,)), command
+
+
+def test_auto_horizon_verify_evaluates_each_rate_value_once(tmp_path, monkeypatch):
+    """The auto horizon and the certificate table of verify.json share one
+    evaluation of the residual and step rates at k <= k_max."""
+    calls = []
+    assemble = cli.assemble
+
+    def counted(rate, name):
+        return km.RateFn(lambda k: calls.append((name, k)) or rate(k), rate.kind,
+                         rate.description)
+
+    def counted_assemble(cfg):
+        instance = assemble(cfg)
+        cert = instance.certificate
+        instance.certificate = replace(cert, residual_rate=counted(cert.residual_rate, "res_T"),
+                                       step_rate=counted(cert.step_rate, "res_step"))
+        return instance
+
+    monkeypatch.setattr(cli, "assemble", counted_assemble)
+    cfg = write_config(tmp_path, rotation_config(tmp_path / "out", horizon="auto", k_max=5))
+    assert main(["verify", "--config", cfg]) == 0
+    assert sorted(calls) == sorted((name, k) for name in ("res_T", "res_step") for k in range(6))
+    table = json.loads((tmp_path / "out" / "verify.json").read_text())["certificate"]["table"]
+    assert table == km.assemble(km.load_config(cfg)).certificate.table(5)
 
 
 @pytest.mark.parametrize("command", ["verify", "run", "audit"])

@@ -203,6 +203,40 @@ def test_norm_axioms_sampled():
         assert space.norm(np.zeros(4)) == 0.0
 
 
+@pytest.mark.parametrize("p, v, expected", [
+    (2.0, [1e-300, 1e-300], math.hypot(1e-300, 1e-300)),
+    (2.0, [3e-200, 4e-200], 5e-200),
+    (3.0, [1e-110, 0.0], 1e-110),
+    (2.0, [5e-324, 0.0], 5e-324),
+    (3.0, [-2e-300, 2e-300], 2.0 ** (1 / 3) * 2e-300),
+])
+def test_norm_of_a_tiny_vector_does_not_underflow(p, v, expected):
+    """|v_i|^p would be subnormal or 0; the norm is still the vector's."""
+    space = km.Space(dim=2, p=p)
+    assert space.norm(v) == pytest.approx(expected, rel=1e-15)
+    rows = np.array([v, [3.0, 4.0], [0.0, -0.0], v, [np.nan, 1.0]])
+    norms = space.norm(rows)
+    assert norms[0] == norms[3] == space.norm(v)
+    assert norms[2] == 0.0 and np.isnan(norms[4])
+
+
+def test_norm_keeps_the_bits_of_the_formula_above_its_cutoff():
+    """Rows whose power sum is at least TINY_POWER_SUM take the plain formula,
+    bit for bit, however small their other entries."""
+    rng = np.random.default_rng(11)
+    for p in (2.0, 1.5, 3.0):
+        space = km.Space(dim=3, p=p)
+        scale = km.operators.TINY_POWER_SUM ** (1.0 / p)
+        rows = rng.normal(size=(400, 3)) * 10.0 ** rng.integers(0, 60, (400, 1)) * scale * 4
+        rows[::7, 1] = 1e-320
+        plain = np.sum(np.abs(rows) ** p, axis=-1) ** (1.0 / p)
+        if p == 2.0:
+            plain = km.operators._norm2(rows)
+        kept = plain >= scale
+        assert kept.sum() > 350
+        assert np.array_equal(space.norm(rows)[kept].view(np.uint64), plain[kept].view(np.uint64))
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         km.Space(dim=0)

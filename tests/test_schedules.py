@@ -48,6 +48,20 @@ def test_example1_with_unit_perturbation():
     assert not s.perturbation_series.zero
 
 
+def test_subnormal_perturbation_has_a_nonzero_norm():
+    """r_star = [1e-316, 1e-316]: its squares underflow, but ||r_n|| is
+    nonzero wherever r_n is, in the schedule and in the run's window."""
+    s = km.make_example1(0.5, 1, r_star=[1e-316, 1e-316], norm=PLANE.norm)
+    n = np.arange(200)
+    rows = s.perturbation(n)
+    assert rows.any(axis=1).all()
+    assert (s.perturbation_norm(n) > 0.0).all()
+    assert s.perturbation_norm(0) == pytest.approx(math.sqrt(2) * 1e-316, rel=1e-7)
+    traj = km.iterate(PLANE, km.make_operator("rotation", PLANE, {"angle_deg": 90.0}),
+                      [1.0, 0.0], s, 50)
+    assert (traj.r_norm > 0.0).all()
+
+
 def test_example1_pointwise_evaluation():
     s = km.make_example1(0.25, 2, r_star=[1.0, 0.0], norm=PLANE.norm)
     assert s.alpha(3) == 0.75
