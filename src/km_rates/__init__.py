@@ -2,7 +2,6 @@
 and desk-scale empirical verification."""
 
 from .moduli import (
-    LiminfModulus,
     PreconditionViolation,
     RateFn,
     RateKind,

@@ -24,7 +24,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .moduli import (
-    LiminfModulus,
     RateFn,
     RateKind,
     UcModulus,
@@ -179,17 +178,15 @@ def make_step_rate(residual_rate: RateFn) -> RateFn:
 THRESHOLDS_KEPT = 256
 
 
-def make_liminf_modulus(threshold: RateFn, weight_divergence: RateFn) -> LiminfModulus:
+def make_liminf_modulus(threshold: RateFn, weight_divergence: RateFn) -> RateFn:
     """(k, L) -> weight_divergence(threshold(k) + L).
 
     threshold(k) is evaluated once per k and kept, for the last
     ``THRESHOLDS_KEPT`` k, so the cells (k, 0) .. (k, L) of a grid share it;
     a k whose threshold raises raises again on every call."""
     kept = functools.lru_cache(maxsize=THRESHOLDS_KEPT)(threshold)
-    return LiminfModulus(
-        lambda k, L: weight_divergence(kept(k) + L),
-        description="residual dip-window modulus",
-    )
+    return RateFn(lambda k, L: weight_divergence(kept(k) + L), RateKind.LIMINF_MODULUS,
+                  description="residual dip-window modulus")
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ class Certificate:
     threshold: RateFn
     residual_rate: RateFn
     step_rate: RateFn
-    liminf_modulus: LiminfModulus
+    liminf_modulus: RateFn
 
     def table(self, k_max: int) -> List[dict]:
         return [

@@ -27,14 +27,17 @@ import numpy as np
 from .certificates import InstanceConstants
 from .g17 import CSV_BATCH, csv_rows
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import Schedule, Window, held, held_from
+from .schedules import Schedule, Window, held
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
 #: are a small share of the steps, few enough that the block's scratch rows
 #: add little to peak memory
 BLOCK = 256
-#: rows of trajectory.csv formatted per write, so its buffers stay bounded
+#: increments per accumulate of K_z and rows per write of the settled tail of
+#: trajectory.csv (its head is formatted ``CSV_BATCH`` rows at a time), so
+#: their buffers stay bounded; it also sizes the reads of the perturbation
+#: walk (see :func:`_settled_chunk`)
 CSV_CHUNK = 4096
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
@@ -78,6 +81,12 @@ class Trajectory:
     fix_residual: float  # ||T(z) - z||, clamped to 0 below FIXED_POINT_TOL
     settled: Optional[int] = None
 
+    @property
+    def last_read(self) -> int:
+        """The last index a check reads: ``settled``, as every entry past it
+        is its entry, else ``horizon``."""
+        return self.horizon if self.settled is None else self.settled
+
 
 def _coefficient_rows(values: np.ndarray, rows: tuple):
     """A block's coefficient rows, ``values`` broadcast to ``rows``: read-only
@@ -111,23 +120,22 @@ def _perturbation_rows(schedule: Schedule, n0: int, n1: int, dim: int) -> np.nda
 def _settled_chunk(dim: int) -> int:
     """Rows per perturbation read of :func:`_settled`: no more values than
     the larger of a block of the step loop (``BLOCK`` rows of ``dim``) and
-    the table of one chunk of trajectory.csv (``CSV_CHUNK`` rows of 6
-    columns), so the walk's buffers stay within what a run already holds."""
+    ``6 * CSV_CHUNK``, twice the terms of one accumulate of ``K_z``, so the
+    walk's buffers stay near what a run already holds."""
     return max(BLOCK, 6 * CSV_CHUNK // dim)
 
 
-def _settled(alpha: np.ndarray, beta: np.ndarray, schedule: Schedule, dim: int, h: int) -> int:
-    """The smallest s such that alpha_n, beta_n and the row r_n have the bits
-    of alpha_H, beta_H and r_H for every n in [s, H], H = ``h``, where
-    ``alpha`` and ``beta`` hold the heads of alpha and beta on [0, H], each
-    entry past a head that head's last: from step s on, every step applies
-    the same map.
+def _settled(window: Window, schedule: Schedule, dim: int) -> int:
+    """The smallest s such that alpha_n, beta_n, ||r_n|| and the row r_n have
+    the bits of their entries at H = ``window.n_max`` for every n in [s, H]:
+    from step s on, every step applies the same map.
 
-    The perturbation is read backwards from H in chunks of
-    :func:`_settled_chunk` rows, and the walk stops at the first row that
-    differs, or where alpha and beta already rule the earlier indices out.
+    The walk starts at the window's settled index, from which alpha, beta
+    and ||r_n|| keep their bits: the perturbation is read backwards from H
+    down to it in chunks of :func:`_settled_chunk` rows, and the walk stops
+    at the first row that differs.
     """
-    settled = max(held_from(alpha), held_from(beta))
+    h, settled = window.n_max, window.settled
     last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
     chunk = _settled_chunk(dim)
     n1 = h
@@ -184,8 +192,9 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     the step map is one map and x_k is a bit-exact fixed point of it, so
     x_n = x_k for every n > k, and the norm streams past k repeat their
     value at k.  This needs ``op.apply`` to be a function of its
-    argument's bits.  When, besides, ||r_n|| keeps its bits past k and the
-    three increments of ``K_z`` at k are 0 (-0.0 too, as K + -0.0 is K),
+    argument's bits.  As k is past the window's settled index, alpha, beta
+    and ||r_n|| at k are the last entries of the heads.  When the three
+    increments of ``K_z`` there are 0 (-0.0 too, as K + -0.0 is K),
     ``K_z`` is accumulated up to k only, and the trajectory is ``settled``
     at k and holds its streams on [0, k]; otherwise ``settled`` is None and
     every stream is whole, the norm streams past k filled with their value
@@ -257,21 +266,18 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             k = n1 - 1
             if n1 <= horizon and np.array_equal(x.view(np.uint64), pts[-1].view(np.uint64)):
                 if steady is None:
-                    steady = _settled(window.alpha, window.beta, schedule, space.dim, horizon)
+                    steady = _settled(window, schedule, space.dim)
                 if k >= steady:
                     stop = k
                     break
 
-        # alpha, beta and the rows r_n keep their bits past the walk's end k;
-        # with ||r_n|| too, every later increment of K_z is the one at k
+        # alpha, beta and ||r_n|| keep their bits past the walk's end k, so
+        # every later increment of K_z is the one at k
         head = horizon
         if stop is not None:
-            at = min(stop, window.settled)
-            a, b, rn = window.alpha[at], window.beta[at], window.r_norm[at]
+            a, b, rn = window.alpha[-1], window.beta[-1], window.r_norm[-1]
             if b * fix_residual == 0.0 and ((1.0 - a) - b) * norm_z == 0.0 and rn == 0.0:
-                r_bits = window.r_norm[at:horizon].view(np.uint64)
-                if (r_bits == r_bits[0]).all():
-                    head = stop
+                head = stop
         streams = (res_T, norm_x, dist_z, res_step)
         if head < horizon:  # the head [0, k] only, which lets the whole arrays go
             res_T, norm_x, dist_z, res_step = (v[:head + 1].copy() for v in streams)
@@ -398,7 +404,7 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     range acts as +inf.
     """
     h = traj.horizon
-    end = h if traj.settled is None else traj.settled + 1
+    end = min(traj.last_read + 1, h)
     a, b, rn, res_step = (held(s, 0, end) for s in (traj.alpha, traj.beta, traj.r_norm,
                                                     traj.res_step))
     dist, normx, res_T, K = (held(s, 0, end + 1) for s in (traj.dist_z, traj.norm_x, traj.res_T,
@@ -441,8 +447,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     repeat the five values of row k, which are formatted once; each of those
     rows formats only its index.
     """
-    h = traj.horizon
-    k = h if traj.settled is None else traj.settled
+    h, k = traj.horizon, traj.last_read
     columns = (traj.res_T, traj.res_step, traj.K_z, traj.norm_x, traj.dist_z)
     with open(path, "wb") as handle:
         handle.write(b"n,res_T,res_step,K_zn,norm_xn,dist_xz\n")

@@ -79,23 +79,27 @@ class RateKind(Enum):
     RATE_OF_DIVERGENCE = "rate_of_divergence"
     #: auxiliary naturals-to-naturals functions fed into divergence rates
     THRESHOLD = "threshold"
+    #: (k, L) -> the end of a window [L, d(k, L)] that holds a dip below 1/(k+1)
+    LIMINF_MODULUS = "liminf_modulus"
 
 
 @dataclass(frozen=True)
 class RateFn:
-    """A function from naturals to naturals with a declared contract.
+    """A function from naturals to naturals with a declared contract; a
+    ``LIMINF_MODULUS`` takes the window start L besides k.
 
     ``fn`` must return exact integers; floats are rejected so silent rounding
     cannot forge a certificate.
     """
 
-    fn: Callable[[int], int]
+    fn: Callable[..., int]
     kind: RateKind
     description: str = ""
 
-    def __call__(self, k: int) -> int:
+    def __call__(self, k: int, L: Optional[int] = None) -> int:
         k = _natural(k, "rate argument")
-        return _natural(self.fn(k), f"value of {self.description or 'rate function'}")
+        value = self.fn(k) if L is None else self.fn(k, _natural(L, "rate argument L"))
+        return _natural(value, f"value of {self.description or 'rate function'}")
 
     @staticmethod
     def constant(value: int, kind: RateKind, description: str = "") -> "RateFn":
@@ -111,19 +115,6 @@ class RateFn:
 
 
 ZERO_CAUCHY = RateFn.constant(0, RateKind.CAUCHY_MODULUS, "modulus of an identically zero series")
-
-
-@dataclass(frozen=True)
-class LiminfModulus:
-    """Witness-window function: some index in [L, eval(k, L)] dips below 1/(k+1)."""
-
-    fn: Callable[[int, int], int]
-    description: str = ""
-
-    def __call__(self, k: int, L: int) -> int:
-        k = _natural(k, "liminf argument k")
-        L = _natural(L, "liminf argument L")
-        return _natural(self.fn(k, L), "liminf modulus value")
 
 
 @dataclass(frozen=True)
@@ -218,7 +209,7 @@ def combine_cauchy_moduli(modulus_a: RateFn, modulus_b: RateFn,
     )
 
 
-def rate_from_liminf(dip_modulus: LiminfModulus, increment_modulus: RateFn) -> RateFn:
+def rate_from_liminf(dip_modulus: RateFn, increment_modulus: RateFn) -> RateFn:
     """Full rate of convergence for an almost-decreasing sequence.
 
     If ``dip_modulus`` locates dips of ``a_n``, ``increment_modulus`` is a

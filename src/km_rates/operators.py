@@ -56,19 +56,27 @@ class Space:
             return _norm2(v)
         return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
 
-    def _rescaled_norms(self, rows: np.ndarray):
+    def _rescaled_norms(self, rows: np.ndarray, tiny: bool):
         """The norms of ``rows``, each taken on the row times a power of two
         and scaled back: the first scaling is exact, and the second rounds
         only a subnormal norm.  A row's power of two depends on the row
-        alone, so its norm is the same in any stack."""
-        if self.p == 2.0:
+        alone, so its norm is the same in any stack.
+
+        A row that is not ``tiny`` overflowed the plain formula; it keeps
+        inf where its scaled norm still falls below the cutoff of
+        :meth:`norm`, as its largest term may then have lost bits (p > 968).
+        """
+        if tiny and self.p == 2.0:
             # a row whose norm comes out below TINY_POWER_SUM ** (1/2) has
             # its nonzero entries in [2^-1074, 2^-483]; times 2^600 they are
             # in [2^-474, 2^117], where no square is subnormal or overflows
             return _norm2(rows * 2.0 ** 600) * 2.0 ** -600
-        # the row's largest entry into [0.5, 1)
+        # the row's largest entry into [0.5, 1); an inf entry keeps inf
         shift = -np.frexp(np.abs(rows.T, order="C").max(axis=0).T)[1]
-        return np.ldexp(self._norms(np.ldexp(rows, shift[..., None])), -shift)
+        scaled = self._norms(np.ldexp(rows, shift[..., None]))
+        if not tiny:
+            scaled = np.where(scaled < TINY_POWER_SUM ** (1.0 / self.p), np.inf, scaled)
+        return np.ldexp(scaled, -shift)
 
     def norm(self, v):
         """The p-norm along the last axis: a float for one vector, an array of
@@ -76,23 +84,26 @@ class Space:
         inf, with no warning; callers reject it or abort on it.
 
         A row whose norm comes out below ``TINY_POWER_SUM ** (1/p)``, where a
-        term |v_i|^p may have gone subnormal or to 0, is taken again on the
-        row scaled by a power of two (see :meth:`_rescaled_norms`), so a
-        nonzero row has a nonzero norm down to the least subnormal.  Every
-        other row's norm keeps the bits of the plain formula.
+        term |v_i|^p may have gone subnormal or to 0, or comes out inf, where
+        a term may have overflowed, is taken again on the row scaled by a
+        power of two (see :meth:`_rescaled_norms`), so a nonzero row has a
+        nonzero norm down to the least subnormal, and a finite row a finite
+        norm up to the largest double.  Every other row's norm keeps the
+        bits of the plain formula.
         """
         v = np.asarray(v, dtype=float)
         with np.errstate(over="ignore"):
             out = self._norms(v)
             small = out < TINY_POWER_SUM ** (1.0 / self.p)
-            if small.any() and v.any():  # zero rows have their norm 0 already
-                every = small.all()
-                rows = v if every else v[small]
-                if every:
-                    out = self._rescaled_norms(rows)
-                elif rows.any():
-                    out = out.copy()
-                    out[small] = self._rescaled_norms(rows)
+            for redo, tiny in ((small, True), (out == np.inf, False)):
+                if redo.any() and v.any():  # zero rows have their norm 0 already
+                    every = redo.all()
+                    rows = v if every else v[redo]
+                    if every:
+                        out = self._rescaled_norms(rows, tiny)
+                    elif rows.any():
+                        out = out.copy()
+                        out[redo] = self._rescaled_norms(rows, tiny)
         return float(out) if np.ndim(out) == 0 else out
 
 

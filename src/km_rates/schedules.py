@@ -19,6 +19,7 @@ dimension), so a window of a schedule costs one call, not one per index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -154,7 +155,8 @@ class Window:
     Each stream field holds the head [0, s] of its stream as a read-only
     array, s the settled index: from s on alpha, beta and ||r_n|| all keep the bits
     of entry n_max, so entry n is the head's entry min(n, s) (see
-    :meth:`values`).  A window that never settles has s = n_max.
+    :meth:`values`).  A window that never settles has s = n_max; a window
+    built with longer arrays holds more than its head.
     """
 
     alpha: np.ndarray
@@ -181,10 +183,11 @@ class Window:
             head.flags.writeable = False
         return cls(*heads, n_max)
 
-    @property
+    @cached_property
     def settled(self) -> int:
-        """The settled index s, the last index of the heads."""
-        return self.alpha.size - 1
+        """The settled index s, the largest :func:`held_from` of the three
+        arrays, whatever their length."""
+        return max(held_from(v) for v in (self.alpha, self.beta, self.r_norm))
 
     def values(self, n0: int, n1: int) -> tuple:
         """alpha, beta and ||r_n|| on [n0, n1), through :func:`held`."""
@@ -371,7 +374,8 @@ def range_findings(alpha: np.ndarray, beta: np.ndarray) -> List[Finding]:
     <= 1, each up to RANGE_TOL; NaN is out of range.  Returns up to
     FINDINGS_MAX findings per check, checks in the order above, indices
     ascending within each."""
-    total = alpha + beta
+    with np.errstate(over="ignore"):  # a sum past the double range is inf, out of range
+        total = alpha + beta
     checks = (
         ("alpha_range", "alpha out of [0, 1]", alpha,
          ~((alpha >= -RANGE_TOL) & (alpha <= 1.0 + RANGE_TOL))),
@@ -460,10 +464,10 @@ def verify_hypotheses(schedule: Schedule, n_max: int,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coupling = alpha * beta
         coupling /= alpha + beta
+        # the defect (1 - alpha) - beta on the head
+        defect = np.subtract(1.0, window.alpha)
+        defect -= window.beta
     divergence_report = divergence_report_of(coupling, targets)
-    # the defect (1 - alpha) - beta on the head
-    defect = np.subtract(1.0, window.alpha)
-    defect -= window.beta
 
     reports, sums = [], []
     # a defect declared zero may not stray either way; a norm is checked as is

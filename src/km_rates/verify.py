@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .engine import Trajectory
-from .moduli import LiminfModulus, RateFn, Row, RowReport
+from .moduli import RateFn, Row, RowReport
 
 SOUNDNESS_TOL = 1e-9
 HORIZON_CAP = 100_000
@@ -23,22 +23,11 @@ HORIZON_MARGIN = 100
 
 
 def _series(traj: Trajectory, quantity: str) -> np.ndarray:
+    """The entries of the stream that a check reads, up to
+    :attr:`~km_rates.engine.Trajectory.last_read`."""
     if quantity not in ("res_T", "res_step"):
         raise ValueError(f"unknown quantity {quantity!r}; use 'res_T' or 'res_step'")
-    return getattr(traj, quantity)
-
-
-def _head(traj: Trajectory) -> int:
-    """Entries of a stream that a check reads: up to the index k the
-    trajectory is settled at, as every entry past k is entry k, or all."""
-    return traj.horizon + 1 if traj.settled is None else traj.settled + 1
-
-
-def _head_suffix_max(traj: Trajectory, values: np.ndarray) -> np.ndarray:
-    """:func:`_suffix_max` of the head of ``values`` (see :func:`_head`): the
-    suffix max at any n past it is its last, and the first quiet index of
-    the head is that of the whole stream."""
-    return _suffix_max(values[:_head(traj)])
+    return getattr(traj, quantity)[:traj.last_read + 1]
 
 
 def auto_horizon(rate_values: Iterable[int]) -> int:
@@ -109,7 +98,7 @@ def empirical_first_index(traj: Trajectory, quantity: str, k: int) -> Optional[i
     """Least index from which the quantity stays at or below
     1/(k+1)+SOUNDNESS_TOL up to the horizon; None when even the final entry is
     above."""
-    suffix = _head_suffix_max(traj, _series(traj, quantity))
+    suffix = _suffix_max(_series(traj, quantity))
     return _first_quiet_index(suffix, 1.0 / (k + 1) + SOUNDNESS_TOL)
 
 
@@ -123,9 +112,8 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
     a settled trajectory the suffix maxima are taken up to the settled index
     only, and a bound past it reads the one there.
     """
-    values = _series(traj, quantity)
     last = traj.horizon - (quantity == "res_step")
-    suffix = _head_suffix_max(traj, values)
+    suffix = _suffix_max(_series(traj, quantity))
     head = suffix.size - 1
     rows: List[SoundnessRow] = []
     for k in range(k_max + 1):
@@ -171,7 +159,7 @@ class LiminfReport(RowReport):
         }
 
 
-def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
+def check_liminf_contract(traj: Trajectory, modulus: RateFn, k_max: int,
                           L_max: int) -> LiminfReport:
     """Grid check of the witness property: some index in [L, modulus(k, L)]
     has res_T strictly below 1/(k+1).  Cells whose window end exceeds the
@@ -179,8 +167,7 @@ def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
     indices up to the settled index k, and from k on only entry k, which
     stands for every later one."""
     values = traj.res_T
-    last = traj.horizon
-    head = _head(traj)
+    last, head = traj.horizon, traj.last_read
     cells: List[LiminfCell] = []
     for k in range(k_max + 1):
         threshold = 1.0 / (k + 1)
@@ -191,8 +178,8 @@ def check_liminf_contract(traj: Trajectory, modulus: LiminfModulus, k_max: int,
                 continue
             witness = None
             if L <= bound:
-                lo = min(L, head - 1)
-                hits = np.nonzero(values[lo:min(bound, head - 1) + 1] < threshold)[0]
+                lo = min(L, head)
+                hits = np.nonzero(values[lo:min(bound, head) + 1] < threshold)[0]
                 witness = max(L, lo + int(hits[0])) if hits.size else None
             cells.append(LiminfCell(k, L, bound, witness, witness is not None))
     return LiminfReport(horizon=traj.horizon, cells=cells)

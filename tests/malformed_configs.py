@@ -79,12 +79,14 @@ CONFIG_VALUES = {
     "p-infinity": ({"space": {"dim": 2, "norm": "lp", "p": float("inf")},
                     "operator": {"name": "coordinate_shrink",
                                  "params": {"factors": [0.5, 0.5]}}}, "space.p"),
-    "start-huge": ({"start": [1e308, 0.0]}, "instance bounds are not representable"),
+    # a start whose norm passes the double range
+    "start-huge": ({"start": [1.7e308, 1.7e308]}, "instance bounds are not representable"),
     "start-huge-int": ({"start": [10 ** 400, 0.0]}, "start"),
     "formats-int": ({"output": {"directory": "out", "formats": 5}}, "output.formats"),
     "formula-list": ({"certificate": {"formula": ["auto"]}}, "certificate.formula"),
     "family-list": ({"schedule": {"family": ["example1"], "params": {}}}, "schedule.family"),
-    "fixed-point-overflow": ({"operator": {"name": "identity", "fixed_point": [1e200, 0.0]}},
+    "fixed-point-overflow": ({"operator": {"name": "identity",
+                                           "fixed_point": [1.7e308, 1.7e308]}},
                              "operator.fixed_point"),
     # the start becomes the ball's anchor, whose squared distance to the center overflows
     "nearest-start-overflow": ({"operator": {"name": "ball_projection", "params": {},
@@ -106,6 +108,9 @@ CONFIG_VALUES = {
     "zero-and-inverse_square": ({"schedule": {"family": "custom", "params": dict(
         CUSTOM, perturbation=dict(INVERSE_SQUARE, zero=True))}},
         "['zero', 'inverse_square']"),
+    # weights whose sum passes the double range
+    "weights-sum-overflow": ({"schedule": {"family": "custom", "params": dict(
+        CUSTOM, alpha=1.7e308, beta=1.7e308)}}, "alpha out of [0, 1]"),
     # then continues a values table; beside const it would be ignored, and
     # the schedule is valid without it
     "then-beside-const": ({"schedule": {"family": "inexact_km", "params": dict(
@@ -133,9 +138,12 @@ OPERATOR_PARAMS = {
                                       "shift": [1e308, 0.0]}, "shift"),
     "center-overflow": ("ball_projection", {"center": [1e308, 0.0]}, "center"),
     "center-square-overflow": ("ball_projection", {"center": [1e200, 0.0]}, "center"),
-    "anchor-overflow": ("box_projection", {"lo": [-1e308, -1e308], "hi": [1e308, 1e308],
-                                           "anchor": [1e308, 1e308]}, "anchor"),
-    "fixed_point-param-overflow": ("identity", {"fixed_point": [1e200, 0.0]}, "fixed_point"),
+    # vectors whose norm passes the double range
+    "anchor-overflow": ("box_projection", {"lo": [-1.7e308, -1.7e308],
+                                           "hi": [1.7e308, 1.7e308],
+                                           "anchor": [1.7e308, 1.7e308]}, "anchor"),
+    "fixed_point-param-overflow": ("identity", {"fixed_point": [1.7e308, 1.7e308]},
+                                   "fixed_point"),
     "anchor-square-overflow": ("ball_projection", {"radius": 1.0, "anchor": [1e200, 0.0]},
                                "anchor"),
     # each squared norm is finite, that of anchor - center is not

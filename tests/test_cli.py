@@ -284,13 +284,14 @@ def test_verify_small_weight_reads_premises_on_window(tmp_path, capsys):
 
 
 def non_finite_audit_config(tmp_path):
-    """A start near 1e154 makes the anchor recursion overflow: its audit rows
-    compare inf with inf."""
+    """A start of norm 1.4e308 that the perturbation pushes past the double
+    range makes the distance and the anchor recursion overflow: its audit
+    rows compare inf with inf."""
     doc = rotation_config(tmp_path / "out", horizon=3)
     doc["operator"]["params"]["angle_deg"] = 1e-160
-    doc["start"] = [1.0, 1e154]
+    doc["start"] = [1e308, 1e308]
     doc["schedule"] = {"family": "example1",
-                       "params": {"lam": 1e-160, "r_star": [1.0, 1e154]}}
+                       "params": {"lam": 1e-160, "r_star": [3e307, 3e307]}}
     return write_config(tmp_path, doc)
 
 
@@ -502,9 +503,9 @@ def test_lp_instance_verifies(tmp_path, capsys):
 
 
 def test_unrepresentable_start_exits_2(tmp_path, capsys):
-    # the squared Euclidean norm of this start overflows; rejected up front
+    # the Euclidean norm of this start passes the double range; rejected up front
     doc = rotation_config(tmp_path / "out", horizon=10)
-    doc["start"] = [1e308, 0.0]
+    doc["start"] = [1.7e308, 1.7e308]
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg]) == 2
     capsys.readouterr()

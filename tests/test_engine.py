@@ -424,8 +424,8 @@ def test_settled_index(horizon):
 
     def settled(alpha=ones, beta=ones, rows=np.zeros((h + 1, 1))):
         schedule = replace(km.make_classical_km(0.5), perturbation=_table_stream(rows))
-        return engine._settled(np.asarray(alpha, float), np.asarray(beta, float), schedule, dim,
-                               h)
+        window = Window(np.asarray(alpha, float), np.asarray(beta, float), np.zeros(h + 1), h)
+        return engine._settled(window, schedule, dim)
 
     assert settled() == 0
     changed = ones.copy()
@@ -460,7 +460,7 @@ def test_settled_walk_reads_the_perturbation_in_few_chunks():
     counted = replace(schedule, perturbation=lambda n: reads.append(None) or perturbation(n))
     weights = [stream_values(stream, np.arange(h + 1))
                for stream in (schedule.alpha, schedule.beta)]
-    assert engine._settled(*weights, counted, space.dim, h) == 0
+    assert engine._settled(Window(*weights, np.zeros(h + 1), h), counted, space.dim) == 0
     assert len(reads) <= math.ceil(h / engine.CSV_CHUNK) + 2
 
 

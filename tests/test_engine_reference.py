@@ -193,22 +193,24 @@ def test_coefficient_switch_after_a_repeated_point_is_not_skipped(op_name, strea
 
 
 def _spike(n):
-    """A perturbation of size 1e300 at index 700 and 0 elsewhere."""
-    return np.where(np.asarray(n) == 700, 1e300, 0.0)
+    """A perturbation whose norm passes the double range at index 700, and
+    which is 0 elsewhere: both entries of r_700 are 1.5e308."""
+    return np.where(np.asarray(n) == 700, 1.5e308, 0.0)
 
 
 @pytest.mark.parametrize("factor, spike", [(1e200, False), (2.0, False), (1.5, False),
                                            (1.0, True)])
 def test_blower_aborts_at_reference_index(factor, spike):
-    """The operator x -> factor*x overflows the norms; the spike makes only
+    """The operator x -> factor*x overflows the points; the spike makes only
     a step non-finite, since the identity keeps the residual at 0."""
     space = km.Space(dim=2)
     blower = Operator(apply=lambda x: factor * x, fixed_point=np.zeros(2))
     schedule = km.make_classical_km(0.5)
     if spike:
         schedule = km.make_inexact_km(
-            0.5, schedule.weight_divergence, lambda n: _spike(n)[..., None] * [1.0, 0.0],
-            km.Series(schedule.perturbation_series.modulus, 0), perturbation_norm=_spike)
+            0.5, schedule.weight_divergence, lambda n: _spike(n)[..., None] * [1.0, 1.0],
+            km.Series(schedule.perturbation_series.modulus, 0),
+            perturbation_norm=lambda n: np.where(_spike(n) > 0.0, np.inf, 0.0))
 
     def abort_index(run, horizon):
         try:
@@ -221,10 +223,10 @@ def test_blower_aborts_at_reference_index(factor, spike):
         with np.errstate(over="ignore", invalid="ignore"):  # the loop overflows openly
             return abort_index(reference_iterate, horizon)
 
-    first = reference_index(2000)
+    first = reference_index(4000)
     assert first is not None
     # at horizon first - 1 the final point is the first non-finite one
-    for horizon in sorted({h for h in HORIZONS + (first - 1, first, 2000) if h >= 1}):
+    for horizon in sorted({h for h in HORIZONS + (first - 1, first, 4000) if h >= 1}):
         assert abort_index(km.iterate, horizon) == reference_index(horizon), horizon
 
 
@@ -296,7 +298,9 @@ def _r_norm_stream(before, after, switch=600):
     ("defect", 12 * BLOCK + 7, None),           # (1 - alpha_k - beta_k)*||z|| > 0
     ("rounded-r", BLOCK + 1, None),             # x + r_n is x, but ||r_k|| > 0
     ("signed-zero-r", BLOCK + 1, BLOCK - 1),    # ||r_n|| = -0.0: K + -0.0 is K
-    ("zero-sign-change", 3 * BLOCK + 7, None),  # ||r_n|| turns from -0.0 to +0.0 at 600
+    # ||r_n|| turns from -0.0 to +0.0 at 600, the window's settled index: the
+    # walk ends at the first block end past it
+    ("zero-sign-change", 3 * BLOCK + 7, 3 * BLOCK - 1),
 ])
 def test_anchor_bounds_fold_only_a_zero_tail(case, horizon, settled):
     """Each run ends its walk on a settled point; ``K_z`` is cut at it only

@@ -57,9 +57,22 @@ def test_ratefn_rejects_floats_and_negatives():
     assert ok(3) == 7
 
 
+def test_liminf_modulus_checks_L_as_it_checks_k():
+    delta = RateFn(lambda k, L: k + L, RateKind.LIMINF_MODULUS)
+    for k, L in ((1.0, 2), (1, 2.0)):
+        with pytest.raises(TypeError, match="exact integer"):
+            delta(k, L)
+    for k, L in ((-1, 2), (1, -2)):
+        with pytest.raises(ValueError, match="natural number"):
+            delta(k, L)
+    with pytest.raises(ValueError, match="natural number"):
+        RateFn(lambda k, L: -1, RateKind.LIMINF_MODULUS)(0, 0)
+    assert delta(3, 4) == 7
+
+
 def test_liminf_modulus_contract_on_concrete_sequence():
     # a_N = 1/(N+1); the window [L, k+L+1] always contains N = max(L, k+1)
-    delta = km.LiminfModulus(lambda k, L: k + L + 1)
+    delta = RateFn(lambda k, L: k + L + 1, RateKind.LIMINF_MODULUS)
     a = lambda n: 1.0 / (n + 1)
     for k in range(12):
         for L in range(12):
@@ -194,10 +207,10 @@ def test_series_check_holds_one_prefix_sum_array():
 
 
 def test_rate_from_liminf_values():
-    delta = km.LiminfModulus(lambda k, L: k + L)
+    delta = RateFn(lambda k, L: k + L, RateKind.LIMINF_MODULUS)
     psi = RateFn.affine(1, 0, RateKind.CAUCHY_MODULUS)
     assert km.rate_from_liminf(delta, psi)(0) == 3
-    trivial = km.rate_from_liminf(km.LiminfModulus(lambda k, L: L),
+    trivial = km.rate_from_liminf(RateFn(lambda k, L: L, RateKind.LIMINF_MODULUS),
                                   RateFn.constant(0, RateKind.CAUCHY_MODULUS))
     for k in range(10):
         assert trivial(k) == 1

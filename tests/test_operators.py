@@ -220,6 +220,37 @@ def test_norm_of_a_tiny_vector_does_not_underflow(p, v, expected):
     assert norms[2] == 0.0 and np.isnan(norms[4])
 
 
+@pytest.mark.parametrize("p, v, expected", [
+    (1100.0, [3.0, 0.0], 3.0),
+    (2.0, [1e200, 0.0], 1e200),
+    (3.0, [1e120, 1.0], 1e120),
+])
+def test_norm_of_a_large_vector_does_not_overflow(p, v, expected):
+    """|v_i|^p passes the double range; the norm is still the vector's, alone
+    and in a stack with ordinary, tiny, zero and non-finite rows, each of
+    which has the norm it has alone, an ordinary row that of the formula."""
+    space = km.Space(dim=2, p=p)
+    assert space.norm(v) == pytest.approx(expected, rel=1e-15)
+    rows = np.array([v, [1.0, 0.5], [1e-300, 1e-300], [0.0, -0.0], v, [1.7e308, 1.7e308],
+                     [np.inf, 1.0], [np.nan, 1.0]])
+    norms = space.norm(rows)
+    assert norms[0] == norms[4] == space.norm(v)
+    plain = km.operators._norm2(rows[1]) if p == 2.0 else (1.0 + 0.5 ** p) ** (1.0 / p)
+    assert norms[1] == plain
+    assert norms[2] == space.norm(rows[2]) > 0.0 and norms[3] == 0.0
+    assert norms[5] == space.norm(rows[5]) and norms[6] == math.inf and np.isnan(norms[7])
+
+
+def test_norm_past_the_double_range_is_inf():
+    """A norm past the largest double is inf, and so is one whose largest
+    term would still underflow once scaled, where the norm may have lost
+    bits: 0.5^1100 is below the least subnormal."""
+    assert km.Space(2).norm([1.7e308, 1.7e308]) == math.inf
+    assert km.Space(2, 3.0).norm([1.7e308, 1.7e308]) == math.inf
+    assert km.Space(2, 1100.0).norm([2.0, 0.0]) == math.inf
+    assert km.Space(2, 1100.0).norm([1.7e308, 1.7e308]) == pytest.approx(1.7e308, rel=1e-3)
+
+
 def test_norm_keeps_the_bits_of_the_formula_above_its_cutoff():
     """Rows whose power sum is at least TINY_POWER_SUM take the plain formula,
     bit for bit, however small their other entries."""

@@ -15,7 +15,7 @@ import km_rates as km
 from km_rates import cli
 from km_rates.config import ConfigError
 from km_rates.engine import BLOCK, CSV_CHUNK
-from km_rates.moduli import LiminfModulus, RateFn, RateKind
+from km_rates.moduli import RateFn, RateKind
 from km_rates.schedules import Series, Window
 
 import lemmas
@@ -47,6 +47,9 @@ def _case(name, t=None, horizon=H):
     if name == "no-tail":  # ||r_n|| = 0.25/(n+1)^2 changes at every index
         return space, op, start, km.make_example1(0.5, r_star=[0.25, 0.0], norm=space.norm), \
             horizon
+    if name == "r-norm-at-n_max":  # ||r_n|| is 0 below t and 1/4 from t = n_max on
+        return space, op, start, replace(schedule, perturbation_norm=_switch(t, 0.0, 0.25)), \
+            horizon
     if name == "signed-zero-tail":
         return space, op, start, replace(schedule, perturbation_norm=_switch(0, 0.0, -0.0)), \
             horizon
@@ -63,7 +66,8 @@ def _case(name, t=None, horizon=H):
 TAILS = [BLOCK - 1, BLOCK + 1, CSV_CHUNK - 1, CSV_CHUNK + 1, "H-1"]
 CASES = [("classical_km", None, H), ("classical_km", None, 3 * CSV_CHUNK),
          ("then-rotation", 300, H), ("no-tail", None, 3000), ("signed-zero-tail", None, H),
-         ("inexact-0.1", None, 5000), ("nonzero-series-zero-tail", 700, 4000)]
+         ("inexact-0.1", None, 5000), ("nonzero-series-zero-tail", 700, 4000),
+         ("r-norm-at-n_max", H, H)]
 CASES += [("then-identity", horizon - 1 if t == "H-1" else t, horizon)
           for t in TAILS for horizon in (2 * CSV_CHUNK - 1, 2 * CSV_CHUNK + 1)]
 IDS = [f"{name}-{t}-{horizon}" for name, t, horizon in CASES]
@@ -88,7 +92,7 @@ def test_window_and_premises_match_the_whole_window(name, t, horizon):
     *_, schedule, horizon = _case(name, t, horizon)
     window = Window.read(schedule, horizon)
     whole = lemmas.whole_window(schedule, horizon)
-    assert window.settled == _settled_index(whole)
+    assert window.settled == whole.settled == _settled_index(whole)
     assert window.alpha.size == window.settled + 1
     for got, expected in zip(window.values(0, horizon + 1), (whole.alpha, whole.beta,
                                                              whole.r_norm)):
@@ -128,7 +132,7 @@ def test_run_and_its_checks_match_the_whole_window(tmp_path, name, t, horizon):
             assert km.check_rate_soundness(traj, rate, quantity, 40).rows == \
                 lemmas.whole_soundness(traj, rate, quantity, 40).rows
     for width in bounds:
-        modulus = LiminfModulus(lambda j, L, width=width: L + width)
+        modulus = RateFn(lambda j, L, width=width: L + width, RateKind.LIMINF_MODULUS)
         assert km.check_liminf_contract(traj, modulus, 8, 8).cells == \
             lemmas.whole_liminf(traj, modulus, 8, 8).cells
 
@@ -150,7 +154,7 @@ def test_liminf_and_soundness_past_a_small_settled_index(k):
         res_T[k] = tail
         traj = replace(short, res_T=res_T, res_step=rng.uniform(0.0, 1.0, k + 1), settled=k)
         for width in (0, 1, 5, 60):
-            modulus = LiminfModulus(lambda j, L, width=width: L + width)
+            modulus = RateFn(lambda j, L, width=width: L + width, RateKind.LIMINF_MODULUS)
             assert km.check_liminf_contract(traj, modulus, 8, 8).cells == \
                 lemmas.whole_liminf(traj, modulus, 8, 8).cells
         for bound in (0, k, k + 1, 59, 60):

@@ -11,7 +11,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: and README's documented API use.  Test oracles live in ``tests/lemmas.py``.
 PUBLIC = {
     "Certificate", "CertificateOverflow", "ConfigError", "Instance",
-    "InstanceConstants", "LiminfModulus", "NumericAbort", "Operator",
+    "InstanceConstants", "NumericAbort", "Operator",
     "PreconditionViolation", "RateFn", "RateKind", "RunConfig", "Schedule", "Series",
     "Space", "Trajectory", "UcModulus", "ZERO_SERIES", "assemble", "audit_inequalities",
     "auto_horizon", "catalog_names", "ceil_int", "check_divergence_rate",
@@ -29,7 +29,7 @@ PUBLIC = {
 def test_exported_names_are_the_listed_set():
     exported = {name for name, value in vars(km).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC) == 53
+    assert len(PUBLIC) == 52
     assert exported == PUBLIC
 
 

@@ -201,7 +201,7 @@ def test_liminf_witness_at_window_start_for_zero_residuals():
     space = km.Space(dim=2)
     op = km.make_operator("identity", space)
     traj = km.iterate(space, op, [0.0, 0.0], km.make_classical_km(0.5), 30)
-    delta = km.LiminfModulus(lambda k, L: L + 3)
+    delta = RateFn(lambda k, L: L + 3, RateKind.LIMINF_MODULUS)
     report = km.check_liminf_contract(traj, delta, 4, 4)
     assert report.passed
     for cell in report.cells:
@@ -210,7 +210,7 @@ def test_liminf_witness_at_window_start_for_zero_residuals():
 
 def test_liminf_negative_control(rotation_run):
     traj, _, _ = rotation_run
-    lazy = km.LiminfModulus(lambda k, L: L)
+    lazy = RateFn(lambda k, L: L, RateKind.LIMINF_MODULUS)
     report = km.check_liminf_contract(traj, lazy, 4, 4)
     cell = next(c for c in report.cells if (c.k, c.L) == (2, 0))
     assert cell.passed is False  # res_T[0] = sqrt(2) >= 1/3
@@ -220,7 +220,7 @@ def test_liminf_negative_control(rotation_run):
 def test_liminf_truncation():
     space, op, start, schedule, _, cert = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 20)
-    big = km.LiminfModulus(lambda k, L: 10**6)
+    big = RateFn(lambda k, L: 10**6, RateKind.LIMINF_MODULUS)
     report = km.check_liminf_contract(traj, big, 2, 2)
     assert report.checked == 0
     assert report.passed  # truncation is not failure

@@ -15,7 +15,8 @@ settled run whose audit fails on its tail, settled runs whose CSV ends just
 below, at and just above multiples of its chunk, a weight table whose
 ``then`` value is out of range, and a constant nonzero defect of rounding
 (``inexact_km`` at beta 0.1) over a long window, an output directory whose
-name needs JSON escapes and a certificate whose integers pass 2^64, goes
+name needs JSON escapes, a certificate whose integers pass 2^64 and starts
+whose norm overflows the plain formula though it is finite, goes
 through the commands and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
@@ -188,17 +189,26 @@ def _test_suite_jobs() -> list:
     # over the whole window of 100 101 indices
     inexact_rounding = _rotation(100_100, 15, schedule={"family": "inexact_km", "params": {
         "beta": 0.1, "weight_divergence": {"affine": {"slope": 12, "intercept": 0}}}})
-    # the anchor recursion overflows, so audit rows compare inf with inf
-    non_finite_audit = _rotation(3, start=[1.0, 1e154],
+    # the distance and the anchor recursion overflow, so audit rows compare
+    # inf with inf
+    non_finite_audit = _rotation(3, start=[1e308, 1e308],
                                  operator={"name": "rotation", "params": {"angle_deg": 1e-160}},
                                  schedule={"family": "example1", "params": {
-                                     "lam": 1e-160, "r_star": [1.0, 1e154]}})
+                                     "lam": 1e-160, "r_star": [3e307, 3e307]}})
     # the JSON writer's edges: an output directory, echoed in verify.json,
     # whose name holds a non-ASCII letter, a quote and a backslash, and a
     # start bound of 10^12, whose certificate integers pass 2^64 from k = 0
     escaped_directory = _rotation(500, output={"directory": 'out/\u00e9 "q" \\ d',
                                                "formats": ["csv", "json"]})
     big_start = _rotation(start=[1e12, 0.0])
+    # starts whose norm the plain formula overflows though it is finite: an
+    # entry of 1e200, whose square passes the double range, and an entry of
+    # 3 at p = 1100, whose 1100th power does
+    large_entry = _rotation(500, 3, start=[1e200, 0.0])
+    large_power = _rotation(500, 3, space={"dim": 2, "norm": "lp", "p": 1100.0},
+                            operator={"name": "coordinate_shrink",
+                                      "params": {"factors": [0.5, 0.5]}},
+                            start=[3.0, 0.0])
     # config-parse edges: bounds kept for series declared zero, a missing
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
@@ -279,7 +289,7 @@ def _test_suite_jobs() -> list:
         ("constant-divergence-rate", no_divergence, ["verify"]),
         ("small-weight", _rotation(schedule={"family": "classical_km",
                                              "params": {"beta": 1e-5}}), ["verify"]),
-        ("unrepresentable-start", _rotation(10, start=[1e308, 0.0]), ["run"]),
+        ("unrepresentable-start", _rotation(10, start=[1.7e308, 1.7e308]), ["run"]),
         ("lp-verify", lp, ["verify"]),
         ("overflow", overflow, ["certify"]),
         ("example2-ball", ball, ["verify"]),
@@ -321,6 +331,10 @@ def _test_suite_jobs() -> list:
     jobs += [("inexact-rounding-defect-verify", inexact_rounding, ["verify"]),
              ("escaped-directory-verify", escaped_directory, ["verify"]),
              ("big-integers-certify", big_start, ["certify"])]
+    jobs += [(f"{name}-{command}", doc, [command])
+             for name, doc in (("start-entry-1e200", large_entry),
+                               ("start-entry-3-p1100", large_power))
+             for command in ("certify", "verify")]
     return jobs
 
 
