@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,12 +89,17 @@ class RateFn:
     ``LIMINF_MODULUS`` takes the window start L besides k.
 
     ``fn`` must return exact integers; floats are rejected so silent rounding
-    cannot forge a certificate.
+    cannot forge a certificate.  A rate made by :meth:`affine` or
+    :meth:`constant` also carries ``coefficients``, its (slope, intercept)
+    as Python ints (a constant c is (0, c)), which ``dataclasses.replace``
+    keeps; array checks evaluate such a rate from them in one expression.
+    Every other rate has ``coefficients`` None and is evaluated call by call.
     """
 
     fn: Callable[..., int]
     kind: RateKind
     description: str = ""
+    coefficients: Optional[Tuple[int, int]] = None
 
     def __call__(self, k: int, L: Optional[int] = None) -> int:
         k = _natural(k, "rate argument")
@@ -104,14 +109,14 @@ class RateFn:
     @staticmethod
     def constant(value: int, kind: RateKind, description: str = "") -> "RateFn":
         value = _natural(value, "constant rate value")
-        return RateFn(lambda k: value, kind, description)
+        return RateFn(lambda k: value, kind, description, (0, value))
 
     @staticmethod
     def affine(slope: int, intercept: int, kind: RateKind, description: str = "") -> "RateFn":
         """k -> slope*k + intercept."""
         slope = _natural(slope, "slope")
         intercept = _natural(intercept, "intercept")
-        return RateFn(lambda k: slope * k + intercept, kind, description)
+        return RateFn(lambda k: slope * k + intercept, kind, description, (slope, intercept))
 
 
 ZERO_CAUCHY = RateFn.constant(0, RateKind.CAUCHY_MODULUS, "modulus of an identically zero series")
@@ -300,13 +305,25 @@ def check_divergence_rate(terms: np.ndarray, rate: RateFn, n_max: int) -> Diverg
 def divergence_targets(rate: RateFn, n_max: int, length: int) -> np.ndarray:
     """rate(0), rate(1), ... up to rate(n_max), stopping before the first
     value that is not below ``length``, the size of the window: the indices
-    whose partial sums :func:`check_divergence_rate` reads."""
+    whose partial sums :func:`check_divergence_rate` reads.
+
+    A rate with ``coefficients`` is one array expression, its length found
+    in Python ints; any other rate is called once per target until a value
+    leaves the window."""
     if rate.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError(f"expected a rate of divergence, got kind {rate.kind}")
     n_max = _natural(n_max, "n_max")
     # every value is below length, so it fits an index array
-    return np.fromiter(itertools.takewhile(lambda rv: rv < length,
-                                           (rate(n) for n in range(n_max + 1))), dtype=np.intp)
+    if rate.coefficients is None:
+        return np.fromiter(itertools.takewhile(lambda rv: rv < length,
+                                               (rate(n) for n in range(n_max + 1))),
+                           dtype=np.intp)
+    slope, intercept = rate.coefficients
+    if intercept >= length:
+        return np.empty(0, dtype=np.intp)
+    count = n_max + 1 if slope == 0 else min(n_max + 1, (length - 1 - intercept) // slope + 1)
+    # a slope past the index range leaves at most the first value
+    return intercept + (slope if count > 1 else 0) * np.arange(count, dtype=np.intp)
 
 
 def divergence_report_of(terms: np.ndarray, values: np.ndarray) -> DivergenceReport:

@@ -59,51 +59,60 @@ class Space:
     def _rescaled_norms(self, rows: np.ndarray, tiny: bool):
         """The norms of ``rows``, each taken on the row times a power of two
         and scaled back: the first scaling is exact, and the second rounds
-        only a subnormal norm.  A row's power of two depends on the row
-        alone, so its norm is the same in any stack.
+        only a subnormal norm.  A row's scale depends on the row alone, so
+        its norm is the same in any stack.
 
-        A row that is not ``tiny`` overflowed the plain formula; it keeps
-        inf where its scaled norm still falls below the cutoff of
-        :meth:`norm`, as its largest term may then have lost bits (p > 968).
+        Past p = 968 the p-th power of an entry in [0.5, 1) can underflow,
+        so there a nonzero finite row is divided by its largest entry in
+        magnitude instead, and its norm, at least 1, multiplied back by it.
         """
         if tiny and self.p == 2.0:
             # a row whose norm comes out below TINY_POWER_SUM ** (1/2) has
             # its nonzero entries in [2^-1074, 2^-483]; times 2^600 they are
             # in [2^-474, 2^117], where no square is subnormal or overflows
             return _norm2(rows * 2.0 ** 600) * 2.0 ** -600
+        top = np.abs(rows.T, order="C").max(axis=0).T
+        if 0.5 ** self.p < TINY_POWER_SUM:
+            scale = np.where((top > 0.0) & (top < np.inf), top, 1.0)
+            return self._norms(rows / scale[..., None]) * scale
         # the row's largest entry into [0.5, 1); an inf entry keeps inf
-        shift = -np.frexp(np.abs(rows.T, order="C").max(axis=0).T)[1]
-        scaled = self._norms(np.ldexp(rows, shift[..., None]))
-        if not tiny:
-            scaled = np.where(scaled < TINY_POWER_SUM ** (1.0 / self.p), np.inf, scaled)
-        return np.ldexp(scaled, -shift)
+        shift = -np.frexp(top)[1]
+        return np.ldexp(self._norms(np.ldexp(rows, shift[..., None])), -shift)
 
     def norm(self, v):
         """The p-norm along the last axis: a float for one vector, an array of
         row norms for a stack of vectors.  A norm past the double range is
         inf, with no warning; callers reject it or abort on it.
 
-        A row whose norm comes out below ``TINY_POWER_SUM ** (1/p)``, where a
-        term |v_i|^p may have gone subnormal or to 0, or comes out inf, where
-        a term may have overflowed, is taken again on the row scaled by a
-        power of two (see :meth:`_rescaled_norms`), so a nonzero row has a
-        nonzero norm down to the least subnormal, and a finite row a finite
-        norm up to the largest double.  Every other row's norm keeps the
-        bits of the plain formula.
+        A row whose norm comes out below ``TINY_POWER_SUM ** (1/p)``, where
+        a term |v_i|^p may have gone subnormal or to 0, or comes out inf,
+        where a term may have overflowed, is taken again on the row scaled
+        by a power of two (see :meth:`_rescaled_norms`), so a nonzero row
+        has a nonzero norm down to the least subnormal, and a finite row a
+        finite norm up to the largest double.  Every other row's norm keeps
+        the bits of the plain formula.  A stack whose entries all lie below
+        the cutoff over twice the dimension, where every plain norm would
+        come out below the cutoff, goes to the scaled rows at once.
         """
         v = np.asarray(v, dtype=float)
+        cutoff = TINY_POWER_SUM ** (1.0 / self.p)
+        below = cutoff / (2 * v.shape[-1])
         with np.errstate(over="ignore"):
-            out = self._norms(v)
-            small = out < TINY_POWER_SUM ** (1.0 / self.p)
-            for redo, tiny in ((small, True), (out == np.inf, False)):
-                if redo.any() and v.any():  # zero rows have their norm 0 already
-                    every = redo.all()
-                    rows = v if every else v[redo]
-                    if every:
-                        out = self._rescaled_norms(rows, tiny)
-                    elif rows.any():
-                        out = out.copy()
-                        out[redo] = self._rescaled_norms(rows, tiny)
+            # a first entry at or above the bound rules the stack out in one read
+            if v.size and abs(v.flat[0]) < below and v.max() < below and -v.min() < below:
+                # zero rows have their norm 0 either way
+                out = self._rescaled_norms(v, True) if v.any() else np.zeros(v.shape[:-1])
+            else:
+                out = self._norms(v)
+                for redo, tiny in ((out < cutoff, True), (out == np.inf, False)):
+                    if redo.any() and v.any():  # zero rows have their norm 0 already
+                        every = redo.all()
+                        rows = v if every else v[redo]
+                        if every:
+                            out = self._rescaled_norms(rows, tiny)
+                        elif rows.any():
+                            out = out.copy()
+                            out[redo] = self._rescaled_norms(rows, tiny)
         return float(out) if np.ndim(out) == 0 else out
 
 

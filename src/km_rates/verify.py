@@ -82,16 +82,17 @@ def _suffix_max(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
-def _first_quiet_index(suffix: np.ndarray, threshold: float) -> Optional[int]:
-    """Least n with ``suffix[n] <= threshold``, None when there is none.
+def _first_quiet_indices(suffix: np.ndarray, thresholds) -> np.ndarray:
+    """Per threshold, the least n with ``suffix[n] <= threshold``, or -1
+    when there is none.
 
     ``suffix`` is nonincreasing, so the quiet indices are a suffix of it:
     reversed, it is the contiguous running max, and its quiet prefix has the
-    length that one binary search finds, with no array built per call.  A
+    length that one binary search per threshold finds, all in one call.  A
     NaN is above every threshold, as numpy sorts it last.
     """
-    quiet = int(np.searchsorted(suffix[::-1], threshold, side="right"))
-    return suffix.size - quiet if quiet else None
+    quiet = np.searchsorted(suffix[::-1], thresholds, side="right")
+    return np.where(quiet > 0, suffix.size - quiet, -1)
 
 
 def empirical_first_index(traj: Trajectory, quantity: str, k: int) -> Optional[int]:
@@ -99,7 +100,8 @@ def empirical_first_index(traj: Trajectory, quantity: str, k: int) -> Optional[i
     1/(k+1)+SOUNDNESS_TOL up to the horizon; None when even the final entry is
     above."""
     suffix = _suffix_max(_series(traj, quantity))
-    return _first_quiet_index(suffix, 1.0 / (k + 1) + SOUNDNESS_TOL)
+    first = int(_first_quiet_indices(suffix, 1.0 / (k + 1) + SOUNDNESS_TOL))
+    return first if first >= 0 else None
 
 
 def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
@@ -110,16 +112,19 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
     ``end`` is the last defined index of the stream (horizon for res_T,
     horizon-1 for res_step); rows with rate(k) beyond it are truncated.  On
     a settled trajectory the suffix maxima are taken up to the settled index
-    only, and a bound past it reads the one there.
+    only, and a bound past it reads the one there.  The empirical first
+    indices of all k_max + 1 rows come from one binary search over the
+    suffix maxima; the rate is called once per row.
     """
     last = traj.horizon - (quantity == "res_step")
     suffix = _suffix_max(_series(traj, quantity))
     head = suffix.size - 1
+    thresholds = 1.0 / np.arange(1, k_max + 2)
+    firsts = _first_quiet_indices(suffix, thresholds + SOUNDNESS_TOL).tolist()
     rows: List[SoundnessRow] = []
-    for k in range(k_max + 1):
+    for k, threshold, first in zip(range(k_max + 1), thresholds.tolist(), firsts):
         bound = rate(k)
-        threshold = 1.0 / (k + 1)
-        first = _first_quiet_index(suffix, threshold + SOUNDNESS_TOL)
+        first = first if first >= 0 else None
         window = max_excess = passed = slack = None
         if bound <= last:
             window, max_excess = (bound, last), float(suffix[min(bound, head)] - threshold)
@@ -165,21 +170,29 @@ def check_liminf_contract(traj: Trajectory, modulus: RateFn, k_max: int,
     has res_T strictly below 1/(k+1).  Cells whose window end exceeds the
     horizon are truncated.  On a settled trajectory a window reads its
     indices up to the settled index k, and from k on only entry k, which
-    stands for every later one."""
-    values = traj.res_T
+    stands for every later one.
+
+    Per k the indices below the threshold are found once, unless every
+    cell of the row is truncated, and one binary search gives every window
+    start its first such index at or after it; a cell's witness is that
+    index when its window reaches it.  The modulus is called once per
+    cell."""
     last, head = traj.horizon, traj.last_read
+    values = traj.res_T[:head + 1]
+    starts = np.minimum(np.arange(L_max + 1), head)
     cells: List[LiminfCell] = []
     for k in range(k_max + 1):
-        threshold = 1.0 / (k + 1)
+        first_hits = None  # a row of truncated cells reads no value
         for L in range(L_max + 1):
             bound = modulus(k, L)
             if bound > last:
                 cells.append(LiminfCell(k, L, bound, None, None))
                 continue
-            witness = None
-            if L <= bound:
-                lo = min(L, head)
-                hits = np.nonzero(values[lo:min(bound, head) + 1] < threshold)[0]
-                witness = max(L, lo + int(hits[0])) if hits.size else None
+            if first_hits is None:
+                hits = np.flatnonzero(values < 1.0 / (k + 1))
+                # per L, the first hit at or after min(L, head), -1 when none
+                first_hits = np.append(hits, -1)[np.searchsorted(hits, starts)].tolist()
+            hit = first_hits[L]
+            witness = max(L, hit) if L <= bound and 0 <= hit <= bound else None
             cells.append(LiminfCell(k, L, bound, witness, witness is not None))
     return LiminfReport(horizon=traj.horizon, cells=cells)

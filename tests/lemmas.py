@@ -6,8 +6,9 @@ coupling series, the points of a run as its operator sees them, a point
 corruption that the audit must catch, and the checks over whole arrays that
 the library's settled heads replaced: the schedule window, its range check
 and premise check, the audit, the soundness rows and the liminf cells, with
-the expansion of a settled trajectory to whole streams that they read, and
-the non-finite float replacement that strict JSON output is held against.
+the expansion of a settled trajectory to whole streams that they read, the
+two-pass norm that the one-pass tiny stack replaced, and the non-finite
+float replacement that strict JSON output is held against.
 The library runs none of them; the tests hold its objects against them."""
 
 import itertools
@@ -35,7 +36,7 @@ from km_rates.engine import (
     _as_double,
     audit_inequalities,
 )
-from km_rates.operators import NONEXPANSIVE_TOL, Operator, Space
+from km_rates.operators import NONEXPANSIVE_TOL, TINY_POWER_SUM, Operator, Space, _norm2
 from km_rates.schedules import (
     DIVERGENCE_N_MAX,
     HYPOTHESES_K_MAX,
@@ -417,6 +418,38 @@ def whole_liminf(traj, modulus, k_max: int, L_max: int) -> LiminfReport:
         witness = int(L + hits[0]) if hits.size else None
         cells.append(LiminfCell(k, L, bound, witness, witness is not None))
     return LiminfReport(horizon=traj.horizon, cells=cells)
+
+
+def two_pass_norm(space: Space, v):
+    """``Space.norm`` as it was before a stack of tiny entries skipped the
+    plain formula, for p <= 968: every row takes the plain formula; then
+    the nonzero rows whose norms come out below the cutoff, and after them
+    those that come out inf, are taken again as one stack scaled by powers
+    of two (by 2^600 for tiny rows at p = 2, else each row's largest entry
+    into [0.5, 1))."""
+    assert space.p <= 968
+    p = space.p
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        out = _norm2(v) if p == 2.0 else np.sum(np.abs(v) ** p, axis=-1) ** (1.0 / p)
+        for redo, tiny in ((out < TINY_POWER_SUM ** (1.0 / p), True), (out == np.inf, False)):
+            every = np.all(redo)
+            rows = v if every else v[redo]
+            if not rows.any():
+                continue
+            if tiny and p == 2.0:
+                norms = _norm2(rows * 2.0 ** 600) * 2.0 ** -600
+            else:
+                shift = -np.frexp(np.abs(rows).max(axis=-1))[1]
+                scaled = np.ldexp(rows, shift[..., None])
+                norms = np.ldexp(_norm2(scaled) if p == 2.0 else
+                                 np.sum(np.abs(scaled) ** p, axis=-1) ** (1.0 / p), -shift)
+            if every:
+                out = norms
+            else:
+                out = out.copy()
+                out[redo] = norms
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _json_safe(value):

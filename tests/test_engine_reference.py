@@ -1,7 +1,7 @@
 """The block engine against the per-step reference loop it replaced, and the
 scalar and array forms of every schedule family's streams."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import km_rates as km
 from km_rates.engine import BLOCK, NumericAbort
+from km_rates.moduli import RateFn, RateKind
 from km_rates.operators import Operator
 
-from lemmas import assert_audit_matches_whole_array, iterate_with_points, whole_trajectory
+from lemmas import (assert_audit_matches_whole_array, iterate_with_points, whole_liminf,
+                    whole_soundness, whole_trajectory)
 from reference_engine import reference_iterate
 
 LP_SAFE = ("identity", "coordinate_shrink")
@@ -332,3 +334,45 @@ def test_anchor_bounds_fold_only_a_zero_tail(case, horizon, settled):
     assert len(calls) < horizon + 2  # the walk ended early
     assert new.settled == settled
     assert np.array_equal(whole_trajectory(new).K_z.view(np.uint64), ref.K_z.view(np.uint64))
+
+
+def _fields(rows) -> list:
+    """Each row as the reprs of its fields, so that NaN and -0.0 compare."""
+    return [tuple(repr(getattr(r, f.name)) for f in fields(r)) for r in rows]
+
+
+#: runs of the corpus above; the first three settle at BLOCK - 1
+CHECKED_RUNS = [("identity", "classical_km", 2, 2.0), ("box_projection", "classical_km", 3, 2.0),
+                ("halfspace_projection", "classical_km", 8, 2.0),
+                ("rotation", "example1", 2, 2.0), ("affine_avg", "inexact_km", 3, 2.0),
+                ("ball_projection", "custom", 8, 2.0), ("coordinate_shrink", "anchor", 3, 3.0),
+                ("identity", "example2", 2, 7.0)]
+
+
+@pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                                     2 * BLOCK + 1])
+@pytest.mark.parametrize("op_name, family, dim, p", CHECKED_RUNS)
+def test_soundness_and_liminf_match_the_whole_stream_checks(op_name, family, dim, p, horizon):
+    """The soundness rows, whose first quiet indices come from one search,
+    and the liminf cells, whose witnesses come from one search per k, field
+    by field against the per-row scans over the whole streams: for the
+    certificate's rates and for bounds around the settled index and the
+    horizon."""
+    inst = assembled(op_name, family, dim, p, seed=7)
+    traj = km.iterate(inst.space, inst.operator, inst.start, inst.schedule, horizon)
+    assert (traj.settled is not None) == (family == "classical_km" and horizon >= BLOCK)
+    cert = inst.certificate
+    k = horizon if traj.settled is None else traj.settled
+    bounds = sorted({0, 1, k - 1, k, k + 1, horizon - 1, horizon, horizon + 1})
+    rates = [RateFn.constant(b, RateKind.RATE_OF_CONVERGENCE) for b in bounds]
+    rates += [RateFn.affine(3, 1, RateKind.RATE_OF_CONVERGENCE), cert.residual_rate,
+              cert.step_rate]
+    for quantity in ("res_T", "res_step"):
+        for rate in rates:
+            assert _fields(km.check_rate_soundness(traj, rate, quantity, 15).rows) == \
+                _fields(whole_soundness(traj, rate, quantity, 15).rows)
+    moduli = [RateFn(lambda j, L, width=width: L + width, RateKind.LIMINF_MODULUS)
+              for width in bounds]
+    for modulus in moduli + [cert.liminf_modulus]:
+        assert _fields(km.check_liminf_contract(traj, modulus, 8, 8).cells) == \
+            _fields(whole_liminf(traj, modulus, 8, 8).cells)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,6 +341,60 @@ def test_divergence_report_matches_its_rows(case):
         assert not in_unit and all(r["growth_ok"] is None for r in rows)
     elif case == "empty":
         assert rows == [] and report.passed
+
+
+def _called_targets(rate, n_max, length):
+    """The targets by calling the rate once per n until a value leaves the
+    window."""
+    return list(itertools.takewhile(lambda rv: rv < length, map(rate, range(n_max + 1))))
+
+
+#: coefficients around the window, the index range and 2^64
+_COEFFICIENTS = st.sampled_from([0, 1, 2, 3, 7, 63, 64, 99, 100, 101, 2**62, 2**63 - 1, 2**63,
+                                 2**64 + 1, 10**30]) | st.integers(0, 200)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(slope=_COEFFICIENTS, intercept=_COEFFICIENTS, n_max=st.integers(0, 300),
+       length=st.integers(0, 400))
+def test_affine_divergence_targets_match_the_calls(slope, intercept, n_max, length):
+    """An affine or constant rate's targets are one array expression: the
+    values and the count of the per-call loop, as an index array, for
+    coefficients past 2^63 too.  A quadratic rate takes the loop itself."""
+    for rate in (RateFn.affine(slope, intercept, RateKind.RATE_OF_DIVERGENCE),
+                 RateFn.constant(intercept, RateKind.RATE_OF_DIVERGENCE)):
+        assert rate.coefficients is not None
+        targets = km.moduli.divergence_targets(rate, n_max, length)
+        assert targets.dtype == np.intp
+        assert targets.tolist() == _called_targets(rate, n_max, length)
+    # a rate with no coefficients takes the per-call loop
+    calls = []
+    quadratic = RateFn(lambda n: calls.append(n) or slope * n * n + intercept,
+                       RateKind.RATE_OF_DIVERGENCE)
+    targets = km.moduli.divergence_targets(quadratic, n_max, length).tolist()
+    assert calls == list(range(min(len(targets) + 1, n_max + 1)))
+    assert targets == _called_targets(quadratic, n_max, length)
+
+
+def test_divergence_targets_edges_and_the_fallback():
+    affine = RateFn.affine(3, 5, RateKind.RATE_OF_DIVERGENCE)
+    targets = km.moduli.divergence_targets
+    assert targets(affine, 0, 6).tolist() == [5]
+    assert targets(affine, 10, 5).tolist() == []            # intercept >= length
+    assert targets(affine, 10, 9).tolist() == [5, 8]
+    constant = RateFn.constant(4, RateKind.RATE_OF_DIVERGENCE)
+    assert targets(constant, 3, 5).tolist() == [4] * 4      # slope 0
+    assert targets(RateFn.affine(2**70, 1, RateKind.RATE_OF_DIVERGENCE), 9, 2).tolist() == [1]
+    assert targets(RateFn.affine(1, 2**70, RateKind.RATE_OF_DIVERGENCE), 9, 2).tolist() == []
+    # a rate with no coefficients is called once per target until one leaves
+    # the window; replace keeps the coefficients, composition drops them
+    calls = []
+    opaque = RateFn(lambda n: calls.append(n) or 3 * n + 5, RateKind.RATE_OF_DIVERGENCE)
+    assert opaque.coefficients is None
+    assert targets(opaque, 10, 15).tolist() == [5, 8, 11, 14] and calls == [0, 1, 2, 3, 4]
+    assert replace(affine, description="kept").coefficients == (3, 5)
+    with pytest.raises(ValueError, match="rate of divergence"):
+        targets(RateFn.affine(1, 0, RateKind.CAUCHY_MODULUS), 3, 5)
 
 
 def test_check_divergence_rate_shrinking_weights():

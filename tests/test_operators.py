@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import km_rates as km
+from km_rates import cli
+from km_rates.engine import BLOCK
 from km_rates.operators import FIXED_POINT_TOL, Operator
 
 import lemmas
@@ -242,13 +245,87 @@ def test_norm_of_a_large_vector_does_not_overflow(p, v, expected):
 
 
 def test_norm_past_the_double_range_is_inf():
-    """A norm past the largest double is inf, and so is one whose largest
-    term would still underflow once scaled, where the norm may have lost
-    bits: 0.5^1100 is below the least subnormal."""
+    """A norm past the largest double is inf, at p = 1100 too, where the
+    factor 2^(1/1100) of two equal entries takes 1.797e308 past it."""
     assert km.Space(2).norm([1.7e308, 1.7e308]) == math.inf
     assert km.Space(2, 3.0).norm([1.7e308, 1.7e308]) == math.inf
-    assert km.Space(2, 1100.0).norm([2.0, 0.0]) == math.inf
+    assert km.Space(2, 1100.0).norm([1.797e308, 1.797e308]) == math.inf
     assert km.Space(2, 1100.0).norm([1.7e308, 1.7e308]) == pytest.approx(1.7e308, rel=1e-3)
+
+
+@pytest.mark.parametrize("v, expected", [
+    ([2.0, 0.0], 2.0),             # 2^1100 overflows, and 0.5^1100 underflows
+    ([3.0, 0.0], 3.0),
+    ([2.0 ** -40, 0.0], 2.0 ** -40),  # 2^-44000 underflows
+    ([-0.25, 0.25], 0.25 * 2.0 ** (1 / 1100)),
+    ([5e-324, 0.0], 5e-324),
+    ([1e300, -1e300], 1e300 * 2.0 ** (1 / 1100)),
+])
+def test_norm_past_p_968_keeps_tiny_and_large_rows(v, expected):
+    """Past p = 968 the p-th power of an entry in [0.5, 1) underflows, so a
+    scaled row is divided by its largest entry instead: the norm is the
+    vector's, alone and in a stack with zero, ordinary and inf rows."""
+    space = km.Space(2, 1100.0)
+    assert space.norm(v) == pytest.approx(expected, rel=1e-15)
+    rows = np.array([v, [0.0, -0.0], [1.0, 0.5], [np.inf, 1.0], v])
+    norms = space.norm(rows)
+    assert norms[0] == norms[4] == space.norm(v)
+    assert norms[1] == 0.0 and norms[2] == 1.0 and norms[3] == math.inf
+
+
+@pytest.mark.parametrize("start", [[2.0, 0.0], [3.0, 0.0]])
+def test_start_past_p_968_runs(tmp_path, start):
+    """Starts [2, 0] and [3, 0] at p = 1100 end alike: the run passes its
+    audit, and the certificate overflows.  The norm of [2, 0] was inf (a
+    config error), and iterates below 0.54 had norm 0 (a failed audit)."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "space": {"dim": 2, "norm": "lp", "p": 1100.0},
+        "operator": {"name": "coordinate_shrink", "params": {"factors": [0.5, 0.5]}},
+        "start": start, "schedule": {"family": "classical_km", "params": {"beta": 0.5}},
+        "run": {"horizon": 50, "k_max": 2},
+        "output": {"directory": str(tmp_path / "out"), "formats": ["json"]}}))
+    assert cli.main(["run", "--config", str(config)]) == cli.EXIT_OK
+    assert cli.main(["certify", "--config", str(config)]) == cli.EXIT_OVERFLOW
+
+
+def _blocks(rng, dim):
+    """Stacks of BLOCK rows: ordinary, tiny at several depths, zero, mixed
+    over the whole double range with zero, -0.0, inf and NaN rows, and
+    overflowing."""
+    base = rng.standard_normal((BLOCK, dim))
+    mixed = base * np.ldexp(1.0, rng.integers(-1100, 1020, BLOCK))[:, None]
+    mixed[::3] = 0.0
+    mixed[::5, 0] = -0.0
+    mixed[::7, 0] = np.inf
+    mixed[::11, -1] = np.nan
+    yield from (base, base * 2.0 ** -484, base * 2.0 ** -500, base * 2.0 ** -1060,
+                base * 1e-320, np.zeros((BLOCK, dim)), -np.zeros((BLOCK, dim)), mixed,
+                base * 1e200, base * 1e300, np.exp2(rng.uniform(-1074, 1023, (BLOCK, dim))))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
+def test_norm_of_tiny_stacks_matches_the_two_pass_norm(monkeypatch, p):
+    """Every stack, and each of its first rows alone, has the bits of the
+    two-pass norm; a stack of nonzero tiny rows takes the formula once, on
+    its scaled copy (at p = 2 the scaled copy has its own formula)."""
+    rng = np.random.default_rng(int(p * 10))
+    for dim in (1, 2, 3, 8, 64):
+        space = km.Space(dim, p)
+        for block in _blocks(rng, dim):
+            with np.errstate(invalid="ignore"):
+                expected = lemmas.two_pass_norm(space, block)
+            assert space.norm(block).view(np.uint64).tolist() == \
+                expected.view(np.uint64).tolist()
+            for row in block[:9]:
+                with np.errstate(invalid="ignore"):
+                    norm = np.float64(lemmas.two_pass_norm(space, row))
+                assert np.float64(space.norm(row)).view(np.uint64) == norm.view(np.uint64)
+    calls = []
+    plain = km.Space._norms
+    monkeypatch.setattr(km.Space, "_norms", lambda s, v: calls.append(v.shape) or plain(s, v))
+    assert km.Space(2, p).norm(np.full((BLOCK, 2), 1e-300)).shape == (BLOCK,)
+    assert calls == ([] if p == 2.0 else [(BLOCK, 2)])
 
 
 def test_norm_keeps_the_bits_of_the_formula_above_its_cutoff():

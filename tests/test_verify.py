@@ -84,7 +84,12 @@ def _scan_first_quiet(values, threshold):
 
 
 def _searched_first_quiet(values, threshold):
-    return verify._first_quiet_index(verify._suffix_max(np.asarray(values, float)), threshold)
+    """The first quiet index at ``threshold`` as one search over several
+    thresholds finds it, as ``check_rate_soundness`` searches its rows."""
+    thresholds = np.array([0.25, threshold, 1.0 / 3.0, 1.0])
+    first = int(verify._first_quiet_indices(verify._suffix_max(np.asarray(values, float)),
+                                            thresholds)[1])
+    return first if first >= 0 else None
 
 
 # values around the thresholds below, so that ties at a threshold are common

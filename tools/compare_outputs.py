@@ -16,7 +16,8 @@ below, at and just above multiples of its chunk, a weight table whose
 ``then`` value is out of range, and a constant nonzero defect of rounding
 (``inexact_km`` at beta 0.1) over a long window, an output directory whose
 name needs JSON escapes, a certificate whose integers pass 2^64 and starts
-whose norm overflows the plain formula though it is finite, goes
+whose norm overflows the plain formula though it is finite (at p = 1100
+too, where a scaled entry's power underflows), goes
 through the commands and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
@@ -202,13 +203,14 @@ def _test_suite_jobs() -> list:
                                                "formats": ["csv", "json"]})
     big_start = _rotation(start=[1e12, 0.0])
     # starts whose norm the plain formula overflows though it is finite: an
-    # entry of 1e200, whose square passes the double range, and an entry of
-    # 3 at p = 1100, whose 1100th power does
+    # entry of 1e200, whose square passes the double range, and entries of
+    # 3 and 2 at p = 1100, whose 1100th powers do (and 0.5^1100 underflows)
     large_entry = _rotation(500, 3, start=[1e200, 0.0])
     large_power = _rotation(500, 3, space={"dim": 2, "norm": "lp", "p": 1100.0},
                             operator={"name": "coordinate_shrink",
                                       "params": {"factors": [0.5, 0.5]}},
                             start=[3.0, 0.0])
+    power_of_two = dict(large_power, start=[2.0, 0.0])
     # config-parse edges: bounds kept for series declared zero, a missing
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
@@ -335,6 +337,9 @@ def _test_suite_jobs() -> list:
              for name, doc in (("start-entry-1e200", large_entry),
                                ("start-entry-3-p1100", large_power))
              for command in ("certify", "verify")]
+    jobs += [(f"start-entry-{name}-p1100-{command}", doc, [command])
+             for name, doc in (("3", large_power), ("2", power_of_two))
+             for command in (("run",) if name == "3" else ("certify", "run", "verify"))]
     return jobs
 
 
