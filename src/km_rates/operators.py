@@ -27,9 +27,10 @@ TINY_POWER_SUM = 2.0 ** -968
 
 
 def _norm2(v):
-    """Euclidean norm along the last axis: one value for a vector, one per row
-    for a stack of vectors.  Each is sqrt(v . v) with the dot product np.dot
-    takes, so a row norm equals the norm of that row alone, bit for bit."""
+    """Euclidean norm along the last axis, one value per row: sqrt(v . v)
+    with the dot product np.dot takes.  It keeps the bits of the plain p = 2
+    formula sqrt(np.dot(v, v)), which the power sum sum(|v_i|^2) ** (1/2)
+    need not."""
     v = np.asarray(v, dtype=float)
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
@@ -56,64 +57,60 @@ class Space:
             return _norm2(v)
         return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
 
-    def _rescaled_norms(self, rows: np.ndarray, tiny: bool):
-        """The norms of ``rows``, each taken on the row times a power of two
-        and scaled back: the first scaling is exact, and the second rounds
-        only a subnormal norm.  A row's scale depends on the row alone, so
-        its norm is the same in any stack.
+    def _rescaled_norms(self, rows: np.ndarray):
+        """The norms of ``rows``, each taken on the row times the power of two
+        that brings its largest entry in magnitude into [0.5, 1), and scaled
+        back: the first scaling is exact, and the second rounds only a
+        subnormal norm.  A row's scale depends on the row alone, so its norm
+        is the same in any stack.  A zero row keeps its norm 0, and a row
+        with an inf entry its norm inf.
 
         Past p = 968 the p-th power of an entry in [0.5, 1) can underflow,
         so there a nonzero finite row is divided by its largest entry in
         magnitude instead, and its norm, at least 1, multiplied back by it.
         """
-        if tiny and self.p == 2.0:
-            # a row whose norm comes out below TINY_POWER_SUM ** (1/2) has
-            # its nonzero entries in [2^-1074, 2^-483]; times 2^600 they are
-            # in [2^-474, 2^117], where no square is subnormal or overflows
-            return _norm2(rows * 2.0 ** 600) * 2.0 ** -600
         top = np.abs(rows.T, order="C").max(axis=0).T
         if 0.5 ** self.p < TINY_POWER_SUM:
             scale = np.where((top > 0.0) & (top < np.inf), top, 1.0)
             return self._norms(rows / scale[..., None]) * scale
-        # the row's largest entry into [0.5, 1); an inf entry keeps inf
-        shift = -np.frexp(top)[1]
-        return np.ldexp(self._norms(np.ldexp(rows, shift[..., None])), -shift)
+        exponent = np.frexp(top)[1]
+        return np.ldexp(self._norms(np.ldexp(rows, -exponent[..., None])), exponent)
 
     def norm(self, v):
-        """The p-norm along the last axis: a float for one vector, an array of
-        row norms for a stack of vectors.  A norm past the double range is
-        inf, with no warning; callers reject it or abort on it.
+        """The p-norm along the last axis: an array of row norms for a stack
+        of vectors, and for one vector the float norm of its one-row stack,
+        so a vector and its row in any stack have one norm, bit for bit.  A
+        norm past the double range is inf, with no warning; callers reject
+        it or abort on it.
 
-        A row whose norm comes out below ``TINY_POWER_SUM ** (1/p)``, where
-        a term |v_i|^p may have gone subnormal or to 0, or comes out inf,
-        where a term may have overflowed, is taken again on the row scaled
-        by a power of two (see :meth:`_rescaled_norms`), so a nonzero row
-        has a nonzero norm down to the least subnormal, and a finite row a
-        finite norm up to the largest double.  Every other row's norm keeps
-        the bits of the plain formula.  A stack whose entries all lie below
-        the cutoff over twice the dimension, where every plain norm would
-        come out below the cutoff, goes to the scaled rows at once.
+        A nonzero row whose norm comes out below ``TINY_POWER_SUM ** (1/p)``,
+        where a term |v_i|^p may have gone subnormal or to 0, or comes out
+        inf, where a term may have overflowed, is taken again, in one pass
+        with every other such row, on the row scaled by a power of two (see
+        :meth:`_rescaled_norms`), so a nonzero row has a nonzero norm down
+        to the least subnormal, and a finite row a finite norm up to the
+        largest double.  Every other row's norm keeps the bits of the plain
+        formula.  A stack whose entries all lie below the cutoff over twice
+        the dimension, where every plain norm would come out below the
+        cutoff, goes to the scaled rows at once.
         """
         v = np.asarray(v, dtype=float)
+        if v.ndim == 1:
+            return float(self.norm(v[None])[0])
         cutoff = TINY_POWER_SUM ** (1.0 / self.p)
         below = cutoff / (2 * v.shape[-1])
         with np.errstate(over="ignore"):
             # a first entry at or above the bound rules the stack out in one read
             if v.size and abs(v.flat[0]) < below and v.max() < below and -v.min() < below:
                 # zero rows have their norm 0 either way
-                out = self._rescaled_norms(v, True) if v.any() else np.zeros(v.shape[:-1])
-            else:
-                out = self._norms(v)
-                for redo, tiny in ((out < cutoff, True), (out == np.inf, False)):
-                    if redo.any() and v.any():  # zero rows have their norm 0 already
-                        every = redo.all()
-                        rows = v if every else v[redo]
-                        if every:
-                            out = self._rescaled_norms(rows, tiny)
-                        elif rows.any():
-                            out = out.copy()
-                            out[redo] = self._rescaled_norms(rows, tiny)
-        return float(out) if np.ndim(out) == 0 else out
+                return self._rescaled_norms(v) if v.any() else np.zeros(v.shape[:-1])
+            out = self._norms(v)
+            redo = (out < cutoff) | (out == np.inf)
+            if redo.any():
+                rows = v[redo]
+                if rows.any():  # zero rows have their norm 0 already
+                    out[redo] = self._rescaled_norms(rows)
+        return out
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,18 @@ def test_zero_fixed_point_dist_is_norm(p, name, params, z):
                                    rtol=1e-12, atol=0.0, err_msg=stream)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+def test_start_distance_is_one_norm(p):
+    """K_z[0] and dist_z[0] are one value of ||x_0 - z||: the norm of the
+    vector alone is that of its row in a stack."""
+    space = km.Space(dim=2, p=p)
+    op = km.make_operator("coordinate_shrink", space, {"factors": [0.5, 0.5]})
+    start = np.array([0.125, 1.5])
+    traj = km.iterate(space, op, start, km.make_classical_km(0.5), 10)
+    bits = np.array([traj.K_z[0], traj.dist_z[0], space.norm(start - op.fixed_point)])
+    assert len(set(bits.view(np.uint64).tolist())) == 1
+
+
 def test_numeric_abort_reports_index():
     space = km.Space(dim=2)
     blower = Operator(apply=lambda x: 1e200 * x, fixed_point=np.zeros(2))

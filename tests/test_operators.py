@@ -306,26 +306,41 @@ def _blocks(rng, dim):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
 def test_norm_of_tiny_stacks_matches_the_two_pass_norm(monkeypatch, p):
-    """Every stack, and each of its first rows alone, has the bits of the
-    two-pass norm; a stack of nonzero tiny rows takes the formula once, on
-    its scaled copy (at p = 2 the scaled copy has its own formula)."""
+    """Every stack has the bits of the two-pass norm, and each of its rows
+    alone the bits of its row in the stack; a stack of nonzero tiny rows
+    takes the formula once, on its scaled copy."""
     rng = np.random.default_rng(int(p * 10))
     for dim in (1, 2, 3, 8, 64):
         space = km.Space(dim, p)
         for block in _blocks(rng, dim):
             with np.errstate(invalid="ignore"):
                 expected = lemmas.two_pass_norm(space, block)
-            assert space.norm(block).view(np.uint64).tolist() == \
-                expected.view(np.uint64).tolist()
-            for row in block[:9]:
-                with np.errstate(invalid="ignore"):
-                    norm = np.float64(lemmas.two_pass_norm(space, row))
-                assert np.float64(space.norm(row)).view(np.uint64) == norm.view(np.uint64)
+            norms = space.norm(block)
+            alone = np.array([space.norm(row) for row in block])
+            assert norms.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+            assert alone.view(np.uint64).tolist() == norms.view(np.uint64).tolist()
     calls = []
     plain = km.Space._norms
     monkeypatch.setattr(km.Space, "_norms", lambda s, v: calls.append(v.shape) or plain(s, v))
     assert km.Space(2, p).norm(np.full((BLOCK, 2), 1e-300)).shape == (BLOCK,)
-    assert calls == ([] if p == 2.0 else [(BLOCK, 2)])
+    assert calls == [(BLOCK, 2)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+def test_norm_of_tiny_euclidean_rows_matches_the_two_pass_norm(dim):
+    """Scaling a tiny row's largest entry into [0.5, 1) gives the bits of
+    scaling the row by 2^600, for entries from 2^-1074 to 2^-484 spread
+    over the whole range in one row, or near one exponent per row."""
+    rng = np.random.default_rng(dim)
+    rows = 4096
+    spread = rng.integers(-1074, -483, (rows, dim))
+    near = rng.integers(-1074, -483, (rows, 1)) - rng.integers(0, 40, (rows, dim))
+    tiny = np.ldexp(rng.uniform(-1.0, 1.0, (2 * rows, dim)),
+                    np.concatenate([spread, np.maximum(near, -1074)]))
+    space = km.Space(dim)
+    assert (space.norm(tiny) < km.operators.TINY_POWER_SUM ** 0.5).mean() > 0.9
+    assert space.norm(tiny).view(np.uint64).tolist() == \
+        lemmas.two_pass_norm(space, tiny).view(np.uint64).tolist()
 
 
 def test_norm_keeps_the_bits_of_the_formula_above_its_cutoff():

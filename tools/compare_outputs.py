@@ -17,7 +17,8 @@ below, at and just above multiples of its chunk, a weight table whose
 (``inexact_km`` at beta 0.1) over a long window, an output directory whose
 name needs JSON escapes, a certificate whose integers pass 2^64 and starts
 whose norm overflows the plain formula though it is finite (at p = 1100
-too, where a scaled entry's power underflows), goes
+too, where a scaled entry's power underflows), and p-norm starts whose
+norm alone once differed from their norm as a row of a stack, goes
 through the commands and flags the tests give them.  Each checkout's CLI runs
 the whole list in a fresh interpreter that imports ``km_rates`` from that
 checkout's ``src/``.  Every command runs in its own directory with the
@@ -211,6 +212,11 @@ def _test_suite_jobs() -> list:
                                       "params": {"factors": [0.5, 0.5]}},
                             start=[3.0, 0.0])
     power_of_two = dict(large_power, start=[2.0, 0.0])
+    # starts whose p-norm alone and as a row of a stack once differed in the
+    # last bit, so K_z[0] and dist_z[0] were two values of ||x_0 - z||
+    one_norm_starts = {f"lp-start-p{p:g}": dict(lp, space={"dim": 2, "norm": "lp", "p": p},
+                                                start=start, run={"horizon": 500, "k_max": 3})
+                       for p, start in ((3.0, [0.125, 1.5]), (1.5, [0.375, -0.625]))}
     # config-parse edges: bounds kept for series declared zero, a missing
     # bound, the first of two bad params, an anchor over a declared series
     parse_edges = [
@@ -340,6 +346,8 @@ def _test_suite_jobs() -> list:
     jobs += [(f"start-entry-{name}-p1100-{command}", doc, [command])
              for name, doc in (("3", large_power), ("2", power_of_two))
              for command in (("run",) if name == "3" else ("certify", "run", "verify"))]
+    jobs += [(f"{name}-{command}", doc, [command])
+             for name, doc in one_norm_starts.items() for command in ("run", "verify")]
     return jobs
 
 
