@@ -27,7 +27,7 @@ import numpy as np
 from .certificates import InstanceConstants
 from .g17 import CSV_BATCH, csv_rows
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import Schedule, Window, held
+from .schedules import Schedule, Window, held, held_from
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
@@ -52,20 +52,14 @@ class NumericAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Streams indexed by iteration step.
+    """Streams indexed by iteration step, each held as its head.
 
-    ``res_T[n] = ||x_n - T(x_n)||`` and ``dist_z``/``norm_x``/``K_z`` have
-    ``horizon + 1`` entries; ``res_step[n] = ||x_{n+1} - x_n||`` and the
-    recorded schedule streams, read from the run's ``Window``, have
-    ``horizon`` entries.
-
-    ``settled`` is an index k < ``horizon`` past which no stream changes:
-    every entry at n >= k, ``K_z`` and the schedule streams included, has
-    the bits of entry k, so a check of a row past k is the check of row k.
-    A settled trajectory holds each stream on [0, k] only, and entry n is
-    the held entry min(n, k) (see :func:`~km_rates.schedules.held`); longer
-    arrays are read up to index k alike.  ``None`` claims nothing, and every
-    stream is whole.
+    ``res_T[n] = ||x_n - T(x_n)||`` and ``dist_z``/``norm_x``/``K_z`` run on
+    [0, horizon]; ``res_step[n] = ||x_{n+1} - x_n||`` and the recorded
+    schedule streams, the heads of the run's ``Window``, on [0, horizon).
+    Each array holds a head of its stream, a prefix after which every entry
+    repeats its last one bit for bit: entry n is the head's entry
+    min(n, len - 1) (see :func:`~km_rates.schedules.held`).
     """
 
     horizon: int
@@ -79,13 +73,21 @@ class Trajectory:
     r_norm: np.ndarray
     norm_z: float
     fix_residual: float  # ||T(z) - z||, clamped to 0 below FIXED_POINT_TOL
-    settled: Optional[int] = None
 
     @property
     def last_read(self) -> int:
-        """The last index a check reads: ``settled``, as every entry past it
-        is its entry, else ``horizon``."""
-        return self.horizon if self.settled is None else self.settled
+        """The last index a check reads: the last index any head holds, as
+        every later entry repeats the entry there, or ``horizon``."""
+        heads = (v for v in vars(self).values() if isinstance(v, np.ndarray))
+        return min(max(v.size for v in heads) - 1, self.horizon)
+
+    @property
+    def settled(self) -> Optional[int]:
+        """The index k < ``horizon`` past which no stream changes, read off
+        the heads: :attr:`last_read` when it is below the horizon, else None.
+        A check of a row past k is the check of row k."""
+        k = self.last_read
+        return k if k < self.horizon else None
 
 
 def _coefficient_rows(values: np.ndarray, rows: tuple):
@@ -149,28 +151,30 @@ def _settled(window: Window, schedule: Schedule, dim: int) -> int:
     return settled
 
 
-def _anchor_bounds(K0: float, alpha, beta, r_norm, norm_z: float, fix_residual: float,
+def _anchor_bounds(K0: float, window: Window, norm_z: float, fix_residual: float,
                    head: int) -> np.ndarray:
     """K_0 .. K_head of K_{m+1} = ((K_m + beta_m*fr) + defect_m*||z||) +
-    ||r_m||, summed in this order, for the increments m < head of ``alpha``,
-    ``beta`` and ``r_norm``.
+    ||r_m||, summed in this order, for the increments m < head of the
+    window's alpha, beta and ||r_n||.
 
-    ``CSV_CHUNK`` increments at a time, each chunk one sequential accumulate
-    that starts from the carried K_m, so the sums are those of one accumulate
-    over all 3*head + 1 terms without a buffer of that size.
+    ``CSV_CHUNK`` increments at a time, each chunk's alpha, beta and ||r_n||
+    read through :meth:`Window.values` and summed in one sequential
+    accumulate that starts from the carried K_m, so the sums are those of
+    one accumulate over all 3*head + 1 terms without a buffer of that size.
     """
     K_z = np.empty(head + 1)
     K_z[0] = K0
     terms = np.empty(3 * min(head, CSV_CHUNK) + 1)
     for m0 in range(0, head, CSV_CHUNK):
         m1 = min(m0 + CSV_CHUNK, head)
+        alpha, beta, r_norm = window.values(m0, m1)
         t = terms[:3 * (m1 - m0) + 1]
         t[0] = K_z[m0]
-        np.multiply(beta[m0:m1], fix_residual, out=t[1::3])
-        np.subtract(1.0, alpha[m0:m1], out=t[2::3])
-        t[2::3] -= beta[m0:m1]
+        np.multiply(beta, fix_residual, out=t[1::3])
+        np.subtract(1.0, alpha, out=t[2::3])
+        t[2::3] -= beta
         t[2::3] *= norm_z
-        t[3::3] = r_norm[m0:m1]
+        t[3::3] = r_norm
         K_z[m0 + 1:m1 + 1] = np.add.accumulate(t, out=t)[3::3]
     return K_z
 
@@ -190,16 +194,15 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     A block that ends on x_{k+1} with the bits of x_k ends the walk when
     k >= :func:`_settled` (found once, at the first such block): from k on
     the step map is one map and x_k is a bit-exact fixed point of it, so
-    x_n = x_k for every n > k, and the norm streams past k repeat their
-    value at k.  This needs ``op.apply`` to be a function of its
-    argument's bits.  As k is past the window's settled index, alpha, beta
-    and ||r_n|| at k are the last entries of the heads.  When the three
-    increments of ``K_z`` there are 0 (-0.0 too, as K + -0.0 is K),
-    ``K_z`` is accumulated up to k only, and the trajectory is ``settled``
-    at k and holds its streams on [0, k]; otherwise ``settled`` is None and
-    every stream is whole, the norm streams past k filled with their value
-    at k.  The coefficient rows of a block are read from the window's head,
-    each index past it taking the head's last entry.
+    x_n = x_k for every n > k, and the four norm streams are cut at k.
+    This needs ``op.apply`` to be a function of its argument's bits.  As k
+    is past the window's settled index, alpha, beta and ||r_n|| at k are
+    the last entries of the heads.  When the three increments of ``K_z``
+    there are 0 (-0.0 too, as K + -0.0 is K), ``K_z`` is accumulated up to
+    k only, and the trajectory is ``settled`` at k; otherwise ``K_z`` runs
+    to the horizon.  Alpha, beta and ||r_n|| are the window's heads, each
+    cut to its shortest, and the coefficient rows of a block are read from
+    them through :func:`~km_rates.schedules.held`.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -262,7 +265,7 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             if bad.any():
                 raise NumericAbort(min(n0 + int(np.argmax(bad)) + 1, horizon))
             # x_n1 with the bits of x_k, k = n1 - 1, repeats for good from a
-            # settled k on; the streams past k take their value at k
+            # settled k on; the streams past k repeat their entry at k
             k = n1 - 1
             if n1 <= horizon and np.array_equal(x.view(np.uint64), pts[-1].view(np.uint64)):
                 if steady is None:
@@ -271,26 +274,23 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
                     stop = k
                     break
 
-        # alpha, beta and ||r_n|| keep their bits past the walk's end k, so
-        # every later increment of K_z is the one at k
+        # past the walk's end k every norm stream repeats its entry at k, and
+        # alpha, beta and ||r_n|| keep their bits, so every later increment
+        # of K_z is the one at k
         head = horizon
-        if stop is not None:
-            a, b, rn = window.alpha[-1], window.beta[-1], window.r_norm[-1]
+        if stop is not None:  # the heads [0, k] only, which lets the whole arrays go
+            res_T, norm_x, dist_z, res_step = (v[:stop + 1].copy()
+                                               for v in (res_T, norm_x, dist_z, res_step))
+            a, b, rn = (v[-1] for v in (window.alpha, window.beta, window.r_norm))
             if b * fix_residual == 0.0 and ((1.0 - a) - b) * norm_z == 0.0 and rn == 0.0:
                 head = stop
-        streams = (res_T, norm_x, dist_z, res_step)
-        if head < horizon:  # the head [0, k] only, which lets the whole arrays go
-            res_T, norm_x, dist_z, res_step = (v[:head + 1].copy() for v in streams)
-        elif stop is not None:
-            for stream in streams:
-                stream[stop + 1:] = stream[stop]
-        alpha, beta, r_norm = window.values(0, min(head + 1, horizon))
-        K_z = _anchor_bounds(K0, alpha, beta, r_norm, norm_z, fix_residual, head)
-
+        K_z = _anchor_bounds(K0, window, norm_z, fix_residual, head)
+    alpha, beta, r_norm = (v[:held_from(v) + 1] for v in (window.alpha, window.beta,
+                                                          window.r_norm))
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
         norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, norm_z=norm_z,
-        fix_residual=fix_residual, settled=None if head == horizon else head,
+        fix_residual=fix_residual,
     )
 
 
@@ -443,9 +443,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     Rows are turned into bytes ``CSV_BATCH`` at a time by
     :func:`~km_rates.g17.csv_rows`,
     whose fields are the bytes of ``"%.17g" % v``, and so of a per-value
-    ``format(v, ".17g")``.  On a trajectory ``settled`` at k the rows past k
-    repeat the five values of row k, which are formatted once; each of those
-    rows formats only its index.
+    ``format(v, ".17g")``; each column is read through
+    :func:`~km_rates.schedules.held`.  On a trajectory ``settled`` at k the
+    rows past k repeat the heads' last entries, formatted once; each of
+    those rows formats only its index.  The final row is those entries too.
     """
     h, k = traj.horizon, traj.last_read
     columns = (traj.res_T, traj.res_step, traj.K_z, traj.norm_x, traj.dist_z)
@@ -457,14 +458,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             n1 = min(n0 + CSV_BATCH, head)
             block = values[:n1 - n0]
             for j, column in enumerate(columns):
-                block[:, j] = column[n0:n1]
+                block[:, j] = held(column, n0, n1)
             handle.write(csv_rows(n0, block))
         if k + 1 < h:
-            row = "%d" + _CSV_ROW[2:] % tuple(float(c[k]) for c in columns)
+            row = "%d" + _CSV_ROW[2:] % tuple(float(c[-1]) for c in columns)
             for n0 in range(k + 1, h, CSV_CHUNK):
                 n1 = min(n0 + CSV_CHUNK, h)
                 handle.write((row * (n1 - n0) % tuple(range(n0, n1))).encode())
-        last = min(h, k)
         handle.write(b"%d,%.17g,,%.17g,%.17g,%.17g\n"
-                     % (h, traj.res_T[last], traj.K_z[last], traj.norm_x[last],
-                        traj.dist_z[last]))
+                     % (h, traj.res_T[-1], traj.K_z[-1], traj.norm_x[-1], traj.dist_z[-1]))

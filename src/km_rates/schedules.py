@@ -152,11 +152,10 @@ class Window:
     n_max]: one read per command, which the range check, the engine and the
     premise check all take.
 
-    Each stream field holds the head [0, s] of its stream as a read-only
-    array, s the settled index: from s on alpha, beta and ||r_n|| all keep the bits
-    of entry n_max, so entry n is the head's entry min(n, s) (see
-    :meth:`values`).  A window that never settles has s = n_max; a window
-    built with longer arrays holds more than its head.
+    Each stream field holds a head of its stream as a read-only array of at
+    most n_max + 1 entries: entry n is the head's entry min(n, len - 1) (see
+    :func:`held` and :meth:`values`).  A read window holds each stream's
+    shortest head; a window built with longer arrays holds more.
     """
 
     alpha: np.ndarray
@@ -167,7 +166,7 @@ class Window:
     @classmethod
     def read(cls, schedule: Schedule, n_max: int) -> Window:
         """Each stream in one call on [0, n_max], through :func:`stream_values`;
-        only the head is kept."""
+        only its head is kept."""
         ns = np.arange(n_max + 1)
         heads = []
         for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm):
@@ -177,15 +176,13 @@ class Window:
             # next stream is read; a view of one that never settles, as a
             # stream may keep its array
             heads.append(values[:s + 1].copy() if s < n_max else values.view())
-        s = max(head.size for head in heads) - 1
-        heads = [held(head, 0, s + 1) for head in heads]
-        for head in heads:
-            head.flags.writeable = False
+            heads[-1].flags.writeable = False
         return cls(*heads, n_max)
 
     @cached_property
     def settled(self) -> int:
-        """The settled index s, the largest :func:`held_from` of the three
+        """The settled index s from which alpha, beta and ||r_n|| all keep
+        the bits of entry n_max: the largest :func:`held_from` of the three
         arrays, whatever their length."""
         return max(held_from(v) for v in (self.alpha, self.beta, self.r_norm))
 
@@ -201,9 +198,10 @@ class Window:
         return self.values(0, min(length, self.settled + FINDINGS_MAX))
 
     def covering(self, n_max: int) -> Window:
-        """This window, which must cover exactly [0, n_max] (else ValueError)."""
-        sizes = {v.shape for v in (self.alpha, self.beta, self.r_norm)}
-        if self.n_max != n_max or len(sizes) != 1 or not 1 <= sizes.pop()[0] <= n_max + 1:
+        """This window, which must cover exactly [0, n_max] with heads of 1
+        to n_max + 1 entries (else ValueError)."""
+        sizes = [v.size for v in (self.alpha, self.beta, self.r_norm)]
+        if self.n_max != n_max or not 1 <= min(sizes) <= max(sizes) <= n_max + 1:
             raise ValueError(f"the window does not cover exactly [0, {n_max}]")
         return self
 
@@ -464,9 +462,10 @@ def verify_hypotheses(schedule: Schedule, n_max: int,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coupling = alpha * beta
         coupling /= alpha + beta
-        # the defect (1 - alpha) - beta on the head
-        defect = np.subtract(1.0, window.alpha)
-        defect -= window.beta
+        # the defect (1 - alpha) - beta on the head [0, s]
+        alpha, beta, _ = window.values(0, window.settled + 1)
+        defect = np.subtract(1.0, alpha)
+        defect -= beta
     divergence_report = divergence_report_of(coupling, targets)
 
     reports, sums = [], []

@@ -23,11 +23,10 @@ HORIZON_MARGIN = 100
 
 
 def _series(traj: Trajectory, quantity: str) -> np.ndarray:
-    """The entries of the stream that a check reads, up to
-    :attr:`~km_rates.engine.Trajectory.last_read`."""
+    """The head of the stream that a check reads."""
     if quantity not in ("res_T", "res_step"):
         raise ValueError(f"unknown quantity {quantity!r}; use 'res_T' or 'res_step'")
-    return getattr(traj, quantity)[:traj.last_read + 1]
+    return getattr(traj, quantity)
 
 
 def auto_horizon(rate_values: Iterable[int]) -> int:
@@ -110,11 +109,11 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
     per k.
 
     ``end`` is the last defined index of the stream (horizon for res_T,
-    horizon-1 for res_step); rows with rate(k) beyond it are truncated.  On
-    a settled trajectory the suffix maxima are taken up to the settled index
-    only, and a bound past it reads the one there.  The empirical first
-    indices of all k_max + 1 rows come from one binary search over the
-    suffix maxima; the rate is called once per row.
+    horizon-1 for res_step); rows with rate(k) beyond it are truncated.
+    The suffix maxima are taken over the stream's head only, and a bound
+    past it reads the one at its last entry.  The empirical first indices
+    of all k_max + 1 rows come from one binary search over the suffix
+    maxima; the rate is called once per row.
     """
     last = traj.horizon - (quantity == "res_step")
     suffix = _suffix_max(_series(traj, quantity))
@@ -168,17 +167,17 @@ def check_liminf_contract(traj: Trajectory, modulus: RateFn, k_max: int,
                           L_max: int) -> LiminfReport:
     """Grid check of the witness property: some index in [L, modulus(k, L)]
     has res_T strictly below 1/(k+1).  Cells whose window end exceeds the
-    horizon are truncated.  On a settled trajectory a window reads its
-    indices up to the settled index k, and from k on only entry k, which
-    stands for every later one.
+    horizon are truncated.  A window reads its indices up to the last
+    entry of the head of res_T, at index k, and from k on only entry k,
+    which stands for every later one.
 
     Per k the indices below the threshold are found once, unless every
     cell of the row is truncated, and one binary search gives every window
     start its first such index at or after it; a cell's witness is that
     index when its window reaches it.  The modulus is called once per
     cell."""
-    last, head = traj.horizon, traj.last_read
-    values = traj.res_T[:head + 1]
+    last, values = traj.horizon, traj.res_T
+    head = values.size - 1
     starts = np.minimum(np.arange(L_max + 1), head)
     cells: List[LiminfCell] = []
     for k in range(k_max + 1):

@@ -249,20 +249,20 @@ def _whole_array_collect(lhs: np.ndarray, rhs) -> AuditCheck:
 
 def whole_trajectory(traj):
     """``traj`` with every stream whole, ``horizon + 1`` or ``horizon``
-    entries, each entry past the held ones the last held one, and no
-    settled claim: the trajectory as it was before a settled run held its
-    head only."""
+    entries, each entry past its head the head's last entry, so that it is
+    settled nowhere: the trajectory as it was before a run held its heads
+    only."""
     h = traj.horizon
     ends = {"res_T": h + 1, "dist_z": h + 1, "norm_x": h + 1, "K_z": h + 1,
             "res_step": h, "alpha": h, "beta": h, "r_norm": h}
-    return replace(traj, settled=None,
-                   **{name: held(getattr(traj, name), 0, end) for name, end in ends.items()})
+    return replace(traj, **{name: held(getattr(traj, name), 0, end)
+                            for name, end in ends.items()})
 
 
 def whole_array_audit(traj, constants) -> AuditReport:
     """``audit_inequalities`` as it was before it folded a settled tail:
-    every row of every check computed over the whole horizon, whatever
-    ``traj.settled`` claims."""
+    every row of every check computed over the whole streams of
+    :func:`whole_trajectory`."""
     traj = whole_trajectory(traj)
     a, b, rn = traj.alpha, traj.beta, traj.r_norm
     dist, normx, res_T, res_step, K = (traj.dist_z, traj.norm_x, traj.res_T, traj.res_step,

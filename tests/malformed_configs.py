@@ -111,6 +111,13 @@ CONFIG_VALUES = {
     # weights whose sum passes the double range
     "weights-sum-overflow": ({"schedule": {"family": "custom", "params": dict(
         CUSTOM, alpha=1.7e308, beta=1.7e308)}}, "alpha out of [0, 1]"),
+    # a sequence, a rate and a perturbation spec that hold none of their keys
+    "then-only": ({"schedule": {"family": "inexact_km", "params": dict(
+        INEXACT, beta={"then": 0.5})}}, "schedule.params.beta"),
+    "rate-empty": ({"schedule": {"family": "inexact_km", "params": dict(
+        INEXACT, weight_divergence={})}}, "schedule.params.weight_divergence"),
+    "zero-false": ({"schedule": {"family": "custom", "params": dict(
+        CUSTOM, perturbation={"zero": False})}}, "schedule.params.perturbation"),
     # then continues a values table; beside const it would be ignored, and
     # the schedule is valid without it
     "then-beside-const": ({"schedule": {"family": "inexact_km", "params": dict(
@@ -126,6 +133,7 @@ OPERATOR_PARAMS = {
     "angle_deg-true": ("rotation", {"angle_deg": True}, "angle_deg"),
     "angle-null": ("rotation", {"angle": None}, "angle"),
     "misspelt-key": ("rotation", {"angel_deg": 30.0}, "angel_deg"),
+    "normal-missing": ("halfspace_projection", {}, "normal"),
     "radius-true": ("ball_projection", {"radius": True}, "radius"),
     "radius-string": ("ball_projection", {"radius": "2"}, "radius"),
     "center-true": ("ball_projection", {"center": [True, False]}, "center"),

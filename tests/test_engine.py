@@ -151,7 +151,9 @@ def test_trajectory_lengths():
     space, op, start, schedule, _, _ = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 77)
     assert len(traj.res_T) == 78 and len(traj.K_z) == 78
-    assert len(traj.res_step) == 77 and len(traj.alpha) == 77
+    assert len(traj.res_step) == 77
+    # alpha and beta are constant and ||r_n|| is 0: one entry each
+    assert len(traj.alpha) == len(traj.beta) == len(traj.r_norm) == 1
 
 
 def test_trajectory_keeps_no_points():
@@ -212,6 +214,16 @@ def test_numeric_abort_reports_index():
     with pytest.raises(NumericAbort) as exc:
         km.iterate(space, blower, [1.0, 0.0], km.make_classical_km(0.5), 50)
     assert 0 < exc.value.index <= 50
+
+
+def test_numeric_abort_at_an_unrepresentable_start():
+    """A finite start whose norm passes the double range aborts at index 0,
+    before any step."""
+    space = km.Space(dim=2)
+    op = km.make_operator("identity", space)
+    with pytest.raises(NumericAbort) as exc:
+        km.iterate(space, op, [1.7e308, 1.7e308], km.make_classical_km(0.5), 10)
+    assert exc.value.index == 0 and str(exc.value) == "non-finite iterate at index 0"
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -294,16 +306,17 @@ def test_folded_audit_matches_whole_array_audit_on_settled_runs(case, horizon):
 
 def test_folded_audit_runs_its_first_violations_into_the_tail():
     """A hand-built trajectory settled at k = 40 of 100 whose distance is 5
-    at index 3 and from k on, against a distance bound of 2: the head holds
-    rows 0 .. k + 1, and the failing rows past it are counted and listed
-    with the values of its last row."""
+    at index 3 and from k on, against a distance bound of 2: the audit
+    reads rows 0 .. k + 1, and the failing rows past them are counted and
+    listed with the values of its last row."""
     h, k = 100, 40
-    dist = np.ones(h + 1)
-    dist[3] = dist[k:] = 5.0
+    dist = np.ones(k + 1)
+    dist[3] = dist[k] = 5.0
     traj = engine.Trajectory(
-        horizon=h, res_T=np.zeros(h + 1), res_step=np.zeros(h), K_z=np.full(h + 1, 10.0),
-        dist_z=dist, norm_x=dist, alpha=np.full(h, 0.5), beta=np.full(h, 0.5),
-        r_norm=np.zeros(h), norm_z=0.0, fix_residual=0.0, settled=k)
+        horizon=h, res_T=np.zeros(1), res_step=np.zeros(1), K_z=np.full(1, 10.0),
+        dist_z=dist, norm_x=dist, alpha=np.full(1, 0.5), beta=np.full(1, 0.5),
+        r_norm=np.zeros(1), norm_z=0.0, fix_residual=0.0)
+    assert traj.settled == k
     constants = km.InstanceConstants(2, 0, 0)  # dist_bound 2, norm_bound 4
     audit = lemmas.assert_audit_matches_whole_array(traj, constants)
     check = audit.checks["dist_bound"]
@@ -498,8 +511,9 @@ def test_settled_index_is_found_once_per_call(monkeypatch):
 
 
 def _window_cases():
-    """(space, operator, start, schedule) whose three scalar streams all vary
-    per index: an anchor over example2 on a rotation, over a few blocks."""
+    """(space, operator, start, schedule) whose beta and ||r_n|| vary per
+    index and whose alpha is constant: an anchor over example2 on a
+    rotation, over a few blocks."""
     space = km.Space(dim=3)
     op = km.make_operator("rotation", space, {"angle_deg": 40.0})
     base = km.make_example2(0.4, J=3, r_star=[0.2, -0.1, 0.3], norm=space.norm)
@@ -520,13 +534,16 @@ def test_iterate_on_a_given_window_matches_its_own_read(horizon):
 def test_window_is_read_only_and_must_cover_the_horizon():
     space, op, start, schedule = _window_cases()
     window = Window.read(schedule, 100)
-    assert all(not v.flags.writeable and v.shape == (101,)
-               for v in (window.alpha, window.beta, window.r_norm))
+    # each stream's own head: one entry of the constant alpha, and beta and
+    # ||r_n|| whole
+    assert [(v.flags.writeable, v.shape) for v in (window.alpha, window.beta, window.r_norm)] \
+        == [(False, (1,)), (False, (101,)), (False, (101,))]
     traj = km.iterate(space, op, start, schedule, 100, window=window)
     with pytest.raises(ValueError, match="read-only"):
-        traj.alpha[0] = 0.0
+        traj.beta[0] = 0.0
     for wrong in (Window.read(schedule, 99), Window.read(schedule, 101),
-                  replace(window, r_norm=window.r_norm[:100])):
+                  replace(window, r_norm=window.r_norm[:0]),
+                  replace(window, alpha=np.full(102, 0.4))):
         with pytest.raises(ValueError, match=r"does not cover exactly \[0, 100\]"):
             km.iterate(space, op, start, schedule, 100, window=wrong)
         with pytest.raises(ValueError, match=r"does not cover exactly \[0, 100\]"):

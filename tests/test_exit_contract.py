@@ -24,7 +24,7 @@ from km_rates import cli
 EXITS = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_OVERFLOW, cli.EXIT_NUMERIC, cli.EXIT_VERIFY}
 NUMBERS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1.0 - 1e-12, 1.0 + 1e-10, 1e-300, 5e-324,
            1e-160, 1e154, 1e155, 1e200, 1e300, -1e300, 1.7e308]
-#: the budget of the examples below, with the interpreter's start left out
+#: the CPU-time budget of the examples below, with the interpreter's start left out
 BUDGET_S = 5.0
 EXAMPLES = 300
 DIMS = [1, 2, 3, 5, 8]
@@ -144,7 +144,7 @@ def _refuse(token):
 def test_generated_documents_keep_the_exit_contract(tmp_path):
     out = tmp_path / "out"
     config = tmp_path / "config.json"
-    started = time.perf_counter()
+    started = time.process_time()
 
     @settings(max_examples=EXAMPLES, derandomize=True, deadline=None, database=None)
     @given(doc=documents(str(out)), command=st.sampled_from(["certify", "verify", "run",
@@ -164,4 +164,5 @@ def test_generated_documents_keep_the_exit_contract(tmp_path):
                 json.loads(path.read_text(), parse_constant=_refuse)
 
     check()
-    assert time.perf_counter() - started < BUDGET_S
+    # CPU time of this process, which a busy host does not lengthen
+    assert time.process_time() - started < BUDGET_S

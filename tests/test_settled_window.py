@@ -16,7 +16,7 @@ from km_rates import cli
 from km_rates.config import ConfigError
 from km_rates.engine import BLOCK, CSV_CHUNK
 from km_rates.moduli import RateFn, RateKind
-from km_rates.schedules import Series, Window
+from km_rates.schedules import Series, Window, held_from
 
 import lemmas
 from conftest import rotation_instance
@@ -93,7 +93,10 @@ def test_window_and_premises_match_the_whole_window(name, t, horizon):
     window = Window.read(schedule, horizon)
     whole = lemmas.whole_window(schedule, horizon)
     assert window.settled == whole.settled == _settled_index(whole)
-    assert window.alpha.size == window.settled + 1
+    # each stream's own shortest head, the longest of them ending at s
+    sizes = [v.size for v in (window.alpha, window.beta, window.r_norm)]
+    assert sizes == [held_from(v) + 1 for v in (whole.alpha, whole.beta, whole.r_norm)]
+    assert max(sizes) == window.settled + 1
     for got, expected in zip(window.values(0, horizon + 1), (whole.alpha, whole.beta,
                                                              whole.r_norm)):
         assert _bits(got) == _bits(expected)
@@ -108,18 +111,22 @@ def test_run_and_its_checks_match_the_whole_window(tmp_path, name, t, horizon):
     traj = km.iterate(space, op, start, schedule, horizon)
     on_whole = km.iterate(space, op, start, schedule, horizon,
                           window=lemmas.whole_window(schedule, horizon))
+    # the same heads, lengths and bits, on the window read and the whole one
+    arrays = [f.name for f in fields(traj) if isinstance(getattr(traj, f.name), np.ndarray)]
+    for name in arrays:
+        assert getattr(traj, name).size == getattr(on_whole, name).size, name
+        assert _bits(getattr(traj, name)) == _bits(getattr(on_whole, name)), name
     assert traj.settled == on_whole.settled
-    expanded = lemmas.whole_trajectory(traj)
-    for f in fields(traj):
-        if f.name != "settled":
-            assert _bits(getattr(expanded, f.name)) == \
-                _bits(getattr(lemmas.whole_trajectory(on_whole), f.name)), f.name
-    # res_T, res_step, K_z, dist_z, norm_x, alpha, beta, r_norm
-    held = [getattr(traj, f.name).size for f in fields(traj)
-            if isinstance(getattr(traj, f.name), np.ndarray)]
-    k = traj.settled
-    h = horizon
-    assert held == ([k + 1] * 8 if k is not None else [h + 1, h, h + 1, h + 1, h + 1, h, h, h])
+    window = Window.read(schedule, horizon)
+    assert [traj.alpha.size, traj.beta.size, traj.r_norm.size] == \
+        [window.alpha.size, window.beta.size, window.r_norm.size]
+    # res_T, res_step, K_z, dist_z, norm_x: cut at the walk's end m, K_z at
+    # the horizon unless the trajectory is settled at m
+    k, h = traj.settled, horizon
+    m = traj.res_T.size - 1
+    assert [getattr(traj, name).size for name in arrays[:5]] == \
+        [m + 1, min(m + 1, h), m + 1 if k is not None else h + 1, m + 1, m + 1]
+    assert k is None or k == m
 
     constants = km.instance_constants(start, op.fixed_point, schedule, norm=space.norm)
     lemmas.assert_audit_matches_whole_array(traj, constants)
@@ -152,7 +159,7 @@ def test_liminf_and_soundness_past_a_small_settled_index(k):
     for tail in (0.01, 0.3, 0.9):
         res_T = rng.uniform(0.0, 1.0, k + 1)
         res_T[k] = tail
-        traj = replace(short, res_T=res_T, res_step=rng.uniform(0.0, 1.0, k + 1), settled=k)
+        traj = replace(short, res_T=res_T, res_step=rng.uniform(0.0, 1.0, k + 1))
         for width in (0, 1, 5, 60):
             modulus = RateFn(lambda j, L, width=width: L + width, RateKind.LIMINF_MODULUS)
             assert km.check_liminf_contract(traj, modulus, 8, 8).cells == \
@@ -206,7 +213,9 @@ def _nbytes(*objects) -> int:
 
 def test_settled_run_holds_the_same_bytes_at_any_horizon():
     """The README rotation settles at 2303 whatever the horizon: its window
-    and its trajectory hold the same bytes at H = 10^4 and at H = 10^6."""
+    and its trajectory hold the same bytes at H = 10^4 and at H = 10^6, the
+    five norm streams on [0, 2303] and the three schedule heads of one
+    entry each, in the window and in the trajectory."""
     space, op, start, schedule, _, _ = rotation_instance()
     held = []
     for horizon in (10**4, 10**6):
@@ -214,13 +223,15 @@ def test_settled_run_holds_the_same_bytes_at_any_horizon():
         traj = km.iterate(space, op, start, schedule, horizon, window=window)
         assert traj.settled == 2303 and window.settled == 0
         held.append(_nbytes(window, traj))
-    assert held[0] == held[1] == 2304 * 8 * 8 + 3 * 8
+    assert held[0] == held[1] == 2304 * 5 * 8 + 2 * 3 * 8
 
 
 @pytest.mark.parametrize("case", ["no-tail", "moved-z"])
-def test_unsettled_run_keeps_its_whole_bytes(case):
-    """A run that never settles, and one whose walk ends but whose K_z keeps
-    growing, hold every stream whole, as before."""
+def test_unsettled_run_holds_its_changing_streams_whole(case):
+    """A run that never settles holds its norm streams and ||r_n|| whole,
+    and one whose walk ends at some m but whose K_z keeps growing holds K_z
+    whole and its other norm streams on [0, m]; alpha and beta, constant,
+    are held as one entry each."""
     space, op, start, schedule, _, _ = rotation_instance()
     horizon = 3000
     if case == "no-tail":
@@ -229,4 +240,7 @@ def test_unsettled_run_keeps_its_whole_bytes(case):
         op = replace(op, fixed_point=np.array([0.25, 0.25]))
     traj = km.iterate(space, op, start, schedule, horizon)
     assert traj.settled is None
-    assert _nbytes(traj) == 8 * (4 * (horizon + 1) + 4 * horizon)
+    m = traj.res_T.size - 1
+    assert (m == horizon) == (case == "no-tail")
+    r_norm = horizon + 1 if case == "no-tail" else 1
+    assert _nbytes(traj) == 8 * (horizon + 1 + 3 * (m + 1) + min(m + 1, horizon) + 2 + r_norm)

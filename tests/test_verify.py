@@ -130,9 +130,9 @@ def test_empirical_first_index_matches_the_scan(rotation_run):
 
 def _settled_runs():
     """The README rotation settled at 2303 of 2400 steps, and hand-built
-    residual streams on a 60-step run that stay at their value at k from k
-    on: (k, tail) = (0, 0.0), (17, 0.01), (40, 0.5), above every threshold
-    1/(k+1) with k >= 1, and (59, 0.02), at the last step."""
+    residual heads on [0, k] on a 60-step run, which stay at their value at
+    k from k on: (k, tail) = (0, 0.0), (17, 0.01), (40, 0.5), above every
+    threshold 1/(k+1) with k >= 1, and (59, 0.02), at the last step."""
     space, op, start, schedule, _, _ = rotation_instance()
     rotation = km.iterate(space, op, start, schedule, 2400)
     assert rotation.settled == 2303
@@ -142,17 +142,17 @@ def _settled_runs():
     for k, tail in ((0, 0.0), (17, 0.01), (40, 0.5), (59, 0.02)):
         res_T, res_step = rng.uniform(0.0, 1.0, 61), rng.uniform(0.0, 0.6, 60)
         res_T[k:] = res_step[k:] = tail
-        yield replace(short, res_T=res_T, res_step=res_step, settled=k)
+        yield replace(short, res_T=res_T[:k + 1], res_step=res_step[:k + 1])
 
 
 @pytest.mark.parametrize("traj", list(_settled_runs()),
                          ids=["rotation", "k0", "k17", "k40-above", "k59"])
 def test_settled_soundness_matches_the_whole_stream(traj):
     """Each soundness row and first quiet index up to k = 40 is the one of
-    the same streams with no settled claim, for bounds below, at and past
-    the settled index, at the last index of each stream and past both."""
+    the same streams whole, for bounds below, at and past the last index k
+    of the residual heads, at the last index of each stream and past both."""
     whole = lemmas.whole_trajectory(traj)
-    h, k = traj.horizon, traj.settled
+    h, k = traj.horizon, traj.res_T.size - 1
     bounds = sorted({0, max(k - 1, 0), k, k + 1, h - 1, h, h + 5})
     rates = [RateFn.constant(b, RateKind.RATE_OF_CONVERGENCE) for b in bounds]
     rates.append(RateFn.affine(3, 0, RateKind.RATE_OF_CONVERGENCE))

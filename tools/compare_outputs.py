@@ -1,6 +1,10 @@
 """Same-behaviour check between two checkouts of km-rates.
 
     python3 tools/compare_outputs.py <checkout-a> <checkout-b> [--seeds 1 2 3]
+    python3 tools/compare_outputs.py HEAD~1 .
+
+A checkout is a directory, or a git revision of this repository, which is
+exported with ``git archive`` into ``--work``.
 
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
@@ -9,7 +13,8 @@ edges of the double range, false schedule premises, usage
 errors, help text and multi-block runs of the two matrix operators, of
 per-index coefficients, of a coefficient table that turns constant, of
 points that repeat before and after a change of the step map and of a
-perturbation that underflows to 0 mid-run, a divergence rate that fails
+perturbation that underflows to 0 mid-run, a walk that ends while its
+anchor bound keeps growing, a divergence rate that fails
 on its whole window, an audit that fails on every row of three checks, a
 settled run whose audit fails on its tail, settled runs whose CSV ends just
 below, at and just above multiples of its chunk, a weight table whose
@@ -150,6 +155,19 @@ def _test_suite_jobs() -> list:
                                  "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}},
                                  "defect_sum_bound": 1,
                                  "weight_divergence": {"affine": {"slope": 5, "intercept": 0}}}})
+    # alpha 0.25 and beta 0.5 shrink the identity's iterates to a bit-exact
+    # 0, which ends the walk, while the defect 0.25 times ||z|| = 1 keeps
+    # K_z growing to the horizon: the norm streams end at the walk's end and
+    # K_z does not
+    growing_anchor = _rotation(4000, operator={"name": "identity",
+                                               "params": {"fixed_point": [1.0, 0.0]}},
+                               start=[0.3, -0.2], schedule={"family": "custom", "params": {
+                                   "alpha": 0.25, "beta": 0.5, "perturbation": {"zero": True},
+                                   "defect_is_zero": False,
+                                   "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}},
+                                   "defect_sum_bound": 1,
+                                   "weight_divergence": {"affine": {"slope": 5,
+                                                                    "intercept": 0}}}})
     # r_n = 1e-316/(n+1)^2 underflows to 0 near n = 6300, so the settled
     # index falls mid-window and the backward walk of the perturbation
     # crosses more than one of its chunks
@@ -313,6 +331,9 @@ def _test_suite_jobs() -> list:
         ("alpha-table-verify", alpha_table, ["verify"]),
         ("identity-run", identity, ["run"]),
         ("alpha-switch-run", alpha_switch, ["run"]),
+        ("growing-anchor-run", growing_anchor, ["run"]),
+        ("growing-anchor-audit", growing_anchor, ["audit"]),
+        ("growing-anchor-verify", growing_anchor, ["verify"]),
         ("subnormal-perturbation-verify", subnormal_r, ["verify"]),
         ("false-divergence-5000", false_divergence, ["verify"]),
         ("failing-audit-run", failing_audit, ["run"]),
@@ -429,9 +450,22 @@ def compare(a: Path, b: Path, jobs: list) -> tuple:
     return differences, compared
 
 
+def checkout_dir(checkout: str, target: Path) -> Path:
+    """``checkout`` when it is a directory, else the git revision of this
+    repository that it names, exported with ``git archive`` into ``target``."""
+    if Path(checkout).is_dir():
+        return Path(checkout).resolve()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", checkout],
+                             check=True, stdout=subprocess.PIPE).stdout
+    target.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("checkouts", nargs=2, type=Path, help="two repository checkouts")
+    parser.add_argument("checkouts", nargs=2,
+                        help="two repository checkouts: directories or git revisions")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     parser.add_argument("--work", type=Path, default=Path(".compare-work"))
     args = parser.parse_args(argv)
@@ -442,7 +476,7 @@ def main(argv=None) -> int:
     jobs_path.write_text(json.dumps(jobs))
     sides = []
     for i, checkout in enumerate(args.checkouts):
-        src = checkout.resolve() / "src"
+        src = checkout_dir(checkout, work / f"checkout{i}") / "src"
         out_root = work / f"side{i}"
         env = dict(os.environ, PYTHONPATH=str(src))
         subprocess.run([sys.executable, __file__, "--worker", str(src), str(jobs_path),
