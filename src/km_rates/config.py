@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 
@@ -177,13 +178,16 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
-def _sequence_spec(spec, what: str) -> Stream:
+def _sequence_spec(spec, what: str) -> Union[float, Stream]:
+    """A number or ``{"const": v}`` as the float v, which a family turns
+    into its constant stream; ``{"values": [...], "then": v}`` as its
+    stream."""
     if not isinstance(spec, dict):
-        return constant_stream(read_numbers(spec, what))
+        return read_numbers(spec, what)
     spec = read_object(spec, what, "const|values, then?")
     if "const" in spec:
         _require("then" not in spec, f"{what}.then is read only beside {what}.values")
-        return constant_stream(read_numbers(spec["const"], f"{what}.const"))
+        return read_numbers(spec["const"], f"{what}.const")
     if "values" in spec:
         values = spec["values"]
         _require(isinstance(values, list), f"{what}.values must be a list")
@@ -267,8 +271,9 @@ def build_schedule(family, params, space: Space, what: str) -> Schedule:
             schedule = make_anchor(base, read_numbers(*param("u"), (space.dim,)),
                                    norm=space.norm)
         else:  # custom
-            alpha = _sequence_spec(*param("alpha"))
-            beta = _sequence_spec(*param("beta"))
+            alpha, beta = (spec if callable(spec) else constant_stream(spec)
+                           for spec in (_sequence_spec(*param("alpha")),
+                                        _sequence_spec(*param("beta"))))
             pert, pert_norm, series = _perturbation_spec(*param("perturbation"), space)
             defect_zero = params.get("defect_is_zero", False)
             _require(isinstance(defect_zero, bool),

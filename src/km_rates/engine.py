@@ -13,10 +13,18 @@ which writes the digits of ``%.17g`` from an exact double-double product
 and takes ``"%.17g" % x`` for a value whose rounding it cannot prove.  The
 iteration is deterministic: identical inputs give bit-identical
 trajectories.
+
+A run holds its streams and no other array of the horizon: each stream as
+its head (see :func:`~km_rates.schedules.held`, which reads entries past a
+head as a zero-stride view), ``dist_z`` as the array of ``norm_x`` when the
+fixed point is zero, and every pass over them (the ``K_z`` accumulation,
+the audit's checks and the CSV rows) folds over chunks of ``CSV_CHUNK`` or
+``CSV_BATCH`` rows.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,18 +35,13 @@ import numpy as np
 from .certificates import InstanceConstants
 from .g17 import CSV_BATCH, csv_rows
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import Schedule, Window, held, held_from
+from .schedules import CSV_CHUNK, Schedule, Window, held, held_from
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
 #: are a small share of the steps, few enough that the block's scratch rows
 #: add little to peak memory
 BLOCK = 256
-#: increments per accumulate of K_z and rows per write of the settled tail of
-#: trajectory.csv (its head is formatted ``CSV_BATCH`` rows at a time), so
-#: their buffers stay bounded; it also sizes the reads of the perturbation
-#: walk (see :func:`_settled_chunk`)
-CSV_CHUNK = 4096
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
@@ -135,7 +138,8 @@ def _settled(window: Window, schedule: Schedule, dim: int) -> int:
     The walk starts at the window's settled index, from which alpha, beta
     and ||r_n|| keep their bits: the perturbation is read backwards from H
     down to it in chunks of :func:`_settled_chunk` rows, and the walk stops
-    at the first row that differs.
+    at the first row that differs.  A zero-stride chunk is read as its one
+    row.
     """
     h, settled = window.n_max, window.settled
     last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
@@ -144,9 +148,11 @@ def _settled(window: Window, schedule: Schedule, dim: int) -> int:
     while n1 > settled:
         n0 = max(settled, n1 - chunk)
         rows = _perturbation_rows(schedule, n0, n1, dim).view(np.uint64)
+        if rows.strides[0] == 0:  # every row is the last, which stands for all
+            rows = rows[-1:]
         differ = np.flatnonzero((rows != last).any(axis=1))
         if differ.size:
-            return n0 + int(differ[-1]) + 1
+            return n1 - rows.shape[0] + int(differ[-1]) + 1
         n1 = n0
     return settled
 
@@ -223,13 +229,13 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         # one step past the horizon, so that every point x_0..x_horizon is
         # reached by the same step body; x_{horizon+1} is dropped
         window = Window.read(schedule, horizon) if window is None else window.covering(horizon)
+        z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
         res_T = np.empty(horizon + 1)
-        dist_z = np.empty(horizon + 1)
         norm_x = np.empty(horizon + 1)
+        dist_z = norm_x if z_is_zero else np.empty(horizon + 1)
         res_step = np.empty(horizon)
         apply, multiply, add = op.apply, np.multiply, np.add
         scratch = np.empty(space.dim)
-        z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
         steady = None  # found at the first block that ends on a repeated point
         stop = None  # the k whose point x_k ends the walk
         for n0 in range(0, horizon + 1, BLOCK):
@@ -258,7 +264,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             s = min(n1, horizon) - n0  # steps of this block inside the horizon
             res_T[n0:n1] = space.norm(pts - np.concatenate(txs).reshape(rows))
             norm_x[n0:n1] = space.norm(pts)
-            dist_z[n0:n1] = norm_x[n0:n1] if z_is_zero else space.norm(pts - z)
+            if not z_is_zero:
+                dist_z[n0:n1] = space.norm(pts - z)
             res_step[n0:n0 + s] = space.norm(block_x[1:s + 1] - block_x[:s])
             bad = ~np.isfinite(res_T[n0:n1])
             bad[:s] |= ~np.isfinite(res_step[n0:n0 + s])
@@ -279,8 +286,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         # of K_z is the one at k
         head = horizon
         if stop is not None:  # the heads [0, k] only, which lets the whole arrays go
-            res_T, norm_x, dist_z, res_step = (v[:stop + 1].copy()
-                                               for v in (res_T, norm_x, dist_z, res_step))
+            res_T, norm_x, res_step = (v[:stop + 1].copy() for v in (res_T, norm_x, res_step))
+            dist_z = norm_x if z_is_zero else dist_z[:stop + 1].copy()
             a, b, rn = (v[-1] for v in (window.alpha, window.beta, window.r_norm))
             if b * fix_residual == 0.0 and ((1.0 - a) - b) * norm_z == 0.0 and rn == 0.0:
                 head = stop
@@ -346,25 +353,48 @@ class AuditReport:
         }
 
 
-def _collect(lhs: np.ndarray, rhs, rows: int) -> AuditCheck:
-    """``lhs <= rhs`` on ``rows`` rows, of which ``lhs`` holds a head: every
-    row past the head is its last row again, so it counts for the rest when
-    it fails.  A scalar ``rhs`` is one bound for every row, broadcast to
-    ``lhs``'s shape without a copy."""
-    rhs = np.broadcast_to(rhs, lhs.shape)
-    excess = lhs - rhs
-    bad = ~(excess <= AUDIT_TOL)  # a NaN excess is a violation
-    head = lhs.size
-    count = int(np.count_nonzero(bad))
-    first = np.flatnonzero(bad)[:10].tolist()
-    if head and bad[-1]:
-        count += rows - head
-        first += range(head, min(rows, head + 10 - len(first)))
-    return AuditCheck(checked=rows, count=count,
-                      max_excess=float(np.max(excess)) if head else 0.0,
-                      first_violations=[AuditViolation(i, float(lhs[min(i, head - 1)]),
-                                                       float(rhs[min(i, head - 1)]))
-                                        for i in first])
+class _Fold:
+    """``lhs <= rhs`` folded over chunks of consecutive rows: the count of
+    the rows that break it, the first ten of them, the excess maxima of the
+    chunks, and the last row read when it breaks the inequality."""
+
+    __slots__ = ("rows", "count", "first", "maxima", "last")
+
+    def __init__(self):
+        self.rows = self.count = 0
+        self.first: List[AuditViolation] = []
+        self.maxima: list = []
+        self.last = None
+
+    def add(self, lhs: np.ndarray, rhs) -> None:
+        """The next ``len(lhs)`` rows; a scalar ``rhs`` bounds each."""
+        excess = lhs - rhs
+        ok = excess <= AUDIT_TOL  # a NaN excess is a violation
+        self.maxima.append(excess.max())
+        bad = lhs.size - int(np.count_nonzero(ok))
+        self.last = None
+        if bad:
+            self.count += bad
+            rhs = np.broadcast_to(rhs, lhs.shape)
+            if len(self.first) < 10:
+                self.first += [AuditViolation(self.rows + i, float(lhs[i]), float(rhs[i]))
+                               for i in np.flatnonzero(~ok)[:10 - len(self.first)].tolist()]
+            if not ok[-1]:
+                self.last = float(lhs[-1]), float(rhs[-1])
+        self.rows += lhs.size
+
+    def close(self, tail: int) -> AuditCheck:
+        """The check of the rows read and ``tail`` rows after them, each of
+        which is the last row read again: they count when it fails."""
+        count, first = self.count, self.first
+        if self.last is not None:
+            count += tail
+            first = first + [AuditViolation(i, *self.last)
+                             for i in range(self.rows, min(self.rows + tail,
+                                                           self.rows + 10 - len(first)))]
+        # np.max propagates a NaN of any chunk, as it would over every row
+        return AuditCheck(checked=self.rows + tail, count=count,
+                          max_excess=float(np.max(self.maxima)), first_violations=first)
 
 
 def _as_double(bound: int) -> float:
@@ -381,7 +411,11 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     On a trajectory ``settled`` at k every row past k is row k again, so
     each check reads the streams up to index k + 1, index k + 1 as k, and
     counts the rows past them with the last row it read: the report is that
-    of every row.
+    of every row.  The rows are read ``CSV_CHUNK`` at a time, through
+    :func:`~km_rates.schedules.held`, and each check is folded over the
+    chunks (:class:`_Fold`), so no temporary holds more than a chunk of
+    rows; a violation keeps its index in the whole run, and the largest
+    excess is NaN when any row's is, as ``np.max`` over every row gives.
 
     Checked, each to the absolute tolerance AUDIT_TOL, writing findings into the
     report (nothing raises):
@@ -405,35 +439,45 @@ def audit_inequalities(traj: Trajectory, constants: InstanceConstants) -> AuditR
     """
     h = traj.horizon
     end = min(traj.last_read + 1, h)
-    a, b, rn, res_step = (held(s, 0, end) for s in (traj.alpha, traj.beta, traj.r_norm,
-                                                    traj.res_step))
-    dist, normx, res_T, K = (held(s, 0, end + 1) for s in (traj.dist_z, traj.norm_x, traj.res_T,
-                                                           traj.K_z))
     nz = traj.norm_z
     fr = traj.fix_residual
+    folds = collections.defaultdict(_Fold)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = 1.0 - a - b
-        chain = np.minimum(2.0 * dist, 2.0 * K)
         # a defect bound past the double range times ||z|| = 0 is still 0
         defect_sum = _as_double(constants.defect_sum_bound) * nz if nz else 0.0
-        sums = dist[0] + defect_sum + _as_double(constants.perturbation_sum_bound)
-        checks = {
-            "step_to_anchor": _collect(dist[1:],
-                                       (a + b) * dist[:-1] + b * fr + defect * nz + rn, h),
-            "anchor_bound": _collect(dist, K, h + 1),
-            "step_by_anchor": _collect(res_step, 2.0 * K[1:], h),
-            "residual_by_dist": _collect(res_T, 2.0 * dist + fr, h + 1),
-            "residual_chain": _collect(res_T, chain, h + 1),
-            "step_decomposition": _collect(res_step,
-                                           b * res_T[:-1] + defect * normx[:-1] + rn, h),
-            "residual_increment": _collect(
-                res_T[1:], res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn, h),
-            "dist_bound": _collect(dist, _as_double(constants.dist_bound), h + 1),
-            "norm_bound": _collect(normx, _as_double(constants.norm_bound), h + 1),
-            "dist_by_sums": _collect(dist, sums, h + 1),
-        }
-    return AuditReport(horizon=traj.horizon, checks=checks)
+        sums = traj.dist_z[0] + defect_sum + _as_double(constants.perturbation_sum_bound)
+        dist_bound, norm_bound = (_as_double(constants.dist_bound),
+                                  _as_double(constants.norm_bound))
+        for n0 in range(0, end, CSV_CHUNK):
+            # rows n of [n0, n1) of the step checks, which read the point
+            # streams at n + 1, and of the point checks, which the last
+            # chunk extends to row ``end``
+            n1 = min(n0 + CSV_CHUNK, end)
+            p = n1 - n0 + (n1 == end)
+            a, b, rn, res_step = (held(s, n0, n1) for s in (traj.alpha, traj.beta, traj.r_norm,
+                                                            traj.res_step))
+            dist, normx, res_T, K = (held(s, n0, n1 + 1) for s in (traj.dist_z, traj.norm_x,
+                                                                   traj.res_T, traj.K_z))
+            defect = 1.0 - a - b
+            rows = {
+                "step_to_anchor": (dist[1:],
+                                   (a + b) * dist[:-1] + b * fr + defect * nz + rn),
+                "anchor_bound": (dist[:p], K[:p]),
+                "step_by_anchor": (res_step, 2.0 * K[1:]),
+                "residual_by_dist": (res_T[:p], 2.0 * dist[:p] + fr),
+                "residual_chain": (res_T[:p], np.minimum(2.0 * dist[:p], 2.0 * K[:p])),
+                "step_decomposition": (res_step, b * res_T[:-1] + defect * normx[:-1] + rn),
+                "residual_increment": (res_T[1:],
+                                       res_T[:-1] + 2.0 * defect * normx[:-1] + 2.0 * rn),
+                "dist_bound": (dist[:p], dist_bound),
+                "norm_bound": (normx[:p], norm_bound),
+                "dist_by_sums": (dist[:p], sums),
+            }
+            for name, (lhs, rhs) in rows.items():
+                folds[name].add(lhs, rhs)
+    return AuditReport(horizon=h, checks={name: fold.close(h - end)
+                                          for name, fold in folds.items()})
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

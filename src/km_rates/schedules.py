@@ -13,7 +13,8 @@ Moduli are proof objects: constructors either derive them from a closed form
 that is provably valid or require the caller to supply them; they are never
 inferred from samples.  Every stream is array-native: it takes an index or an
 index array and returns values of the same shape (a vector stream appends the
-dimension), so a window of a schedule costs one call, not one per index.
+dimension), so a window of a schedule costs one call per chunk of indices,
+not one per index.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ HYPOTHESES_K_MAX = 20
 DIVERGENCE_N_MAX = 2000
 #: findings kept per range check
 FINDINGS_MAX = 20
+#: indices per call of a stream in :meth:`Window.read`, entries per step of
+#: the backward search of :func:`held_from`, and the chunk of the engine's
+#: folds (the ``K_z`` accumulation, the audit and the settled CSV tail), so
+#: that none of them builds a buffer of the horizon
+CSV_CHUNK = 4096
 
 
 def coupling_cap(lam: float) -> int:
@@ -125,14 +131,27 @@ def stream_values(stream: Stream, ns: np.ndarray) -> np.ndarray:
     return values
 
 
+def repeated(one: np.ndarray, shape: tuple) -> np.ndarray:
+    """The one entry of ``one`` repeated to ``shape``, as a read-only
+    zero-stride view of it: ``np.broadcast_to`` without its Python-level
+    cost."""
+    view = np.ndarray(shape, one.dtype, one, 0, (0,) * len(shape))
+    view.flags.writeable = False
+    return view
+
+
 def held(values: np.ndarray, n0: int, n1: int) -> np.ndarray:
     """Entries n0 .. n1 - 1 of a stream whose array ``values`` holds its head:
     entry n is ``values[min(n, len(values) - 1)]``.  A view of ``values``
-    when they cover [n0, n1), else a new read-only array."""
+    when they cover [n0, n1); past the head, from n0 >= len - 1 on, a
+    read-only zero-stride view of the last entry; else a new read-only
+    array."""
     if n1 <= values.size:
         return values[n0:n1]
+    if n0 >= values.size - 1:
+        return repeated(values[-1:], (n1 - n0,))
     out = np.empty(n1 - n0)
-    split = max(values.size - n0, 0)
+    split = values.size - n0
     out[:split] = values[n0:]
     out[split:] = values[-1]
     out.flags.writeable = False
@@ -140,10 +159,18 @@ def held(values: np.ndarray, n0: int, n1: int) -> np.ndarray:
 
 
 def held_from(values: np.ndarray) -> int:
-    """The smallest s such that every entry from s on has the bits of the last."""
+    """The smallest s such that every entry from s on has the bits of the
+    last: 0 for a zero-stride array; else the entry after the last one that
+    differs, searched backwards ``CSV_CHUNK`` entries at a time."""
+    if values.strides == (0,):
+        return 0
     bits = values.view(np.uint64)
-    differ = np.flatnonzero(bits != bits[-1])
-    return int(differ[-1]) + 1 if differ.size else 0
+    for n1 in range(bits.size, 0, -CSV_CHUNK):
+        differ = bits[max(n1 - CSV_CHUNK, 0):n1] != bits[-1]
+        last = int(differ[::-1].argmax())
+        if differ[-1 - last]:
+            return n1 - last
+    return 0
 
 
 @dataclass(frozen=True)
@@ -165,18 +192,30 @@ class Window:
 
     @classmethod
     def read(cls, schedule: Schedule, n_max: int) -> Window:
-        """Each stream in one call on [0, n_max], through :func:`stream_values`;
-        only its head is kept."""
-        ns = np.arange(n_max + 1)
-        heads = []
-        for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm):
-            values = stream_values(stream, ns)
-            s = held_from(values)
-            # a copy of a settled head lets the whole array go before the
-            # next stream is read; a view of one that never settles, as a
-            # stream may keep its array
-            heads.append(values[:s + 1].copy() if s < n_max else values.view())
-            heads[-1].flags.writeable = False
+        """Each stream on [0, n_max] through :func:`stream_values`, one call
+        per ``CSV_CHUNK`` indices; only its head is kept.  A chunk adds to
+        the head only up to its own :func:`held_from`, and nothing when each
+        of its entries has the bits of the head's last one, so a constant
+        stream, whose chunks are zero-stride views, is read in one entry."""
+        streams = (schedule.alpha, schedule.beta, schedule.perturbation_norm)
+        # per stream, the arrays of its head on [0, end), past which every
+        # entry read so far has the bits of the last
+        parts, ends = [[] for _ in streams], [0] * len(streams)
+        for n0 in range(0, n_max + 1, CSV_CHUNK):
+            ns = np.arange(n0, min(n0 + CSV_CHUNK, n_max + 1))
+            for i, stream in enumerate(streams):
+                values = stream_values(stream, ns)
+                s = held_from(values)
+                head = parts[i]
+                if head and s == 0 and values.view(np.uint64)[0] == head[-1].view(np.uint64)[-1]:
+                    continue
+                if head and ends[i] < n0:
+                    head.append(repeated(head[-1][-1:], (n0 - ends[i],)))
+                head.append(values[:s + 1])
+                ends[i] = n0 + s + 1
+        heads = [np.concatenate(head) for head in parts]
+        for head in heads:
+            head.flags.writeable = False
         return cls(*heads, n_max)
 
     @cached_property
@@ -207,10 +246,11 @@ class Window:
 
 
 def constant_stream(value: float) -> Stream:
-    """The stream n -> value, shaped like n, one array per call; a -0.0
-    constant reads +0.0, as 0.0 + value does."""
-    value = float(value) + 0.0
-    return lambda n: np.full(np.shape(n), value)
+    """The stream n -> value, shaped like n: a read-only zero-stride view of
+    one double, so no call allocates its shape; a -0.0 constant reads +0.0,
+    as 0.0 + value does."""
+    value = np.array([float(value) + 0.0])
+    return lambda n: repeated(value, np.shape(n))
 
 
 def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable] = None):
@@ -224,7 +264,8 @@ def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable
     if offset < 1:
         raise ValueError(f"decay offset must be a positive integer, got {offset}")
     if r_star is None:  # +0.0 at every index, as 0.0/(n+offset)^2 is
-        return (lambda n: np.zeros(np.shape(n) + (1,)), constant_stream(0.0),
+        zero = np.zeros(1)
+        return (lambda n: repeated(zero, np.shape(n) + (1,)), constant_stream(0.0),
                 inverse_square_series(0.0, offset))
     if norm is None:
         raise TypeError("a perturbation r_star needs the norm of its space (norm=space.norm)")
@@ -301,7 +342,11 @@ def make_inexact_km(
     perturbation is the zero stream, and its series is declared zero.  The
     constructor passes moduli through unchanged; it never synthesizes one.
     """
-    beta_fn = beta if callable(beta) else constant_stream(beta)
+    if callable(beta):
+        beta_fn, alpha_fn = beta, lambda n: 1.0 - beta(n)
+    else:  # 1.0 - b, as each entry of 1.0 - beta_fn(n) is
+        b = float(beta) + 0.0
+        beta_fn, alpha_fn = constant_stream(b), constant_stream(1.0 - b)
     if weight_divergence.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError("the coupling series needs a rate of divergence")
     if perturbation is None:
@@ -310,7 +355,7 @@ def make_inexact_km(
     elif perturbation_norm is None:
         raise TypeError("a perturbation needs its perturbation_norm stream")
     return Schedule(
-        alpha=lambda n: 1.0 - beta_fn(n),
+        alpha=alpha_fn,
         beta=beta_fn,
         perturbation=perturbation,
         perturbation_norm=perturbation_norm,

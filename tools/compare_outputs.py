@@ -17,7 +17,9 @@ perturbation that underflows to 0 mid-run, a walk that ends while its
 anchor bound keeps growing, a divergence rate that fails
 on its whole window, an audit that fails on every row of three checks, a
 settled run whose audit fails on its tail, settled runs whose CSV ends just
-below, at and just above multiples of its chunk, a weight table whose
+below, at and just above multiples of its chunk, runs that never settle
+at horizons just below, at and just above one chunk, an audit whose
+violations start past its first chunk, a weight table whose
 ``then`` value is out of range, and a constant nonzero defect of rounding
 (``inexact_km`` at beta 0.1) over a long window, an output directory whose
 name needs JSON escapes, a certificate whose integers pass 2^64 and starts
@@ -199,6 +201,20 @@ def _test_suite_jobs() -> list:
                                  "defect_sum_bound": 0,
                                  "weight_divergence": {"affine": {"slope": 4,
                                                                   "intercept": 0}}}})
+    # the identity under alpha = beta = 1/2 adds r_n = r/(n+1)^2 to its
+    # start, and r = 1/(pi^2/6 - 1/6000) takes the distance past the
+    # declared perturbation sum bound of 1 at index 6000: dist_by_sums
+    # fails from there on, in the audit's second chunk and past it
+    late_violations = _rotation(9000, 3, operator={"name": "identity"}, start=[0.5, 0.0],
+                                schedule={"family": "custom", "params": {
+                                    "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
+                                    "perturbation": {"inverse_square": {
+                                        "r_star": [0.6079887039891559, 0.0], "offset": 1}},
+                                    "weight_divergence": {"affine": {"slope": 4,
+                                                                     "intercept": 0}},
+                                    "perturbation_cauchy": {"affine": {"slope": 1,
+                                                                       "intercept": 1}},
+                                    "perturbation_sum_bound": 1}})
     # beta leaves [0, 1] from index 300 on, where the window settles
     then_out_of_range = _rotation(5000, schedule={"family": "custom", "params": {
         "alpha": 0.5, "beta": {"values": [0.5] * 300, "then": 1.2},
@@ -355,6 +371,13 @@ def _test_suite_jobs() -> list:
     jobs += [(f"settled-csv-{horizon}", _rotation(horizon), ["run"])
              for chunks in (1, 2, 3) for horizon in (4096 * chunks - 1, 4096 * chunks,
                                                      4096 * chunks + 1)]
+    # a perturbation that changes at every step never settles, so the audit
+    # and the CSV read every row, in one chunk of 4096 or across two
+    jobs += [(f"unsettled-{horizon}", _rotation(horizon, schedule={
+        "family": "example1", "params": {"lam": 0.5, "r_star": [0.25, 0.0]}}), ["run"])
+        for horizon in (4095, 4096, 4097)]
+    jobs += [(f"late-violations-{command}", late_violations, [command])
+             for command in ("run", "audit")]
     jobs += [(f"then-out-of-range-{command}", then_out_of_range, [command])
              for command in ("run", "verify")]
     jobs += [("inexact-rounding-defect-verify", inexact_rounding, ["verify"]),
