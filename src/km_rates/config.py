@@ -40,6 +40,7 @@ from .operators import (
     read_object,
 )
 from .schedules import (
+    HeadStream,
     Schedule,
     Series,
     Stream,
@@ -180,8 +181,8 @@ def load_config(path) -> RunConfig:
 
 def _sequence_spec(spec, what: str) -> Union[float, Stream]:
     """A number or ``{"const": v}`` as the float v, which a family turns
-    into its constant stream; ``{"values": [...], "then": v}`` as its
-    stream."""
+    into its constant stream; ``{"values": [...], "then": v}`` as the
+    :class:`~km_rates.schedules.HeadStream` of the values and then v."""
     if not isinstance(spec, dict):
         return read_numbers(spec, what)
     spec = read_object(spec, what, "const|values, then?")
@@ -194,8 +195,7 @@ def _sequence_spec(spec, what: str) -> Union[float, Stream]:
         values = read_numbers(values, f"{what}.values", (len(values),))
         then = read_numbers(spec.get("then", values[-1] if len(values) else 0.0),
                             f"{what}.then")
-        table = np.append(values, then)
-        return lambda n: table[np.minimum(n, len(values))]
+        return HeadStream(np.append(values, then))
     raise ConfigError(f"{what}: expected a number, {{'const': v}} or "
                       f"{{'values': [...], 'then': v}}")
 

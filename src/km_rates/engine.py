@@ -35,7 +35,7 @@ import numpy as np
 from .certificates import InstanceConstants
 from .g17 import CSV_BATCH, csv_rows
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import CSV_CHUNK, Schedule, Window, held, held_from
+from .schedules import CSV_CHUNK, HeadStream, Schedule, Window, held, held_from
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
@@ -99,23 +99,28 @@ def _coefficient_rows(values: np.ndarray, rows: tuple):
     copy and every product and sum of the update is array by array, the same
     IEEE operation as with a scalar but without numpy's promotion of one.
 
-    When every row has the same bits, one row repeated; bits, not ``==``,
-    because +0.0 == -0.0 and the two give points that differ in the sign of
-    a zero.
+    When every row has the same bits, one row repeated: at once for a
+    zero-stride ``values``, else by comparing bits, not ``==``, because +0.0
+    == -0.0 and the two give points that differ in the sign of a zero.
     """
     full = np.broadcast_to(values, rows)
     bits = values.view(np.uint64)
-    if (bits == bits[0]).all():
+    if values.strides[0] == 0 or (bits == bits[0]).all():
         return itertools.repeat(full[0])
     return full
 
 
 def _perturbation_rows(schedule: Schedule, n0: int, n1: int, dim: int) -> np.ndarray:
-    """r_n for n in [n0, n1) in one call, as floats of shape (m, dim), or
-    (m, 1) for one coordinate that broadcasts; any other shape breaks the
-    stream contract and raises ValueError."""
+    """r_n for n in [n0, n1), as floats of shape (m, dim), or (m, 1) for one
+    coordinate that broadcasts: the rows of a :class:`HeadStream` through
+    :func:`~km_rates.schedules.held`, with no call, and of any other stream
+    in one call.  Any other shape breaks the stream contract and raises
+    ValueError."""
     m = n1 - n0
-    r = np.asarray(schedule.perturbation(np.arange(n0, n1)), dtype=float)
+    if isinstance(schedule.perturbation, HeadStream):
+        r = held(schedule.perturbation.head, n0, n1)
+    else:
+        r = np.asarray(schedule.perturbation(np.arange(n0, n1)), dtype=float)
     if r.shape not in ((m, dim), (m, 1)):
         raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
                          f"not ({m}, {dim}) or ({m}, 1)")
@@ -139,12 +144,16 @@ def _settled(window: Window, schedule: Schedule, dim: int) -> int:
     and ||r_n|| keep their bits: the perturbation is read backwards from H
     down to it in chunks of :func:`_settled_chunk` rows, and the walk stops
     at the first row that differs.  A zero-stride chunk is read as its one
-    row.
+    row.  The rows of a :class:`HeadStream` past its head are its last, so
+    the walk reads only the head's rows below H: none for a head of one
+    row, as the zero perturbation's.
     """
     h, settled = window.n_max, window.settled
     last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
     chunk = _settled_chunk(dim)
     n1 = h
+    if isinstance(schedule.perturbation, HeadStream):
+        n1 = min(h, len(schedule.perturbation.head) - 1)
     while n1 > settled:
         n0 = max(settled, n1 - chunk)
         rows = _perturbation_rows(schedule, n0, n1, dim).view(np.uint64)

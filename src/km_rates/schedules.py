@@ -14,7 +14,8 @@ that is provably valid or require the caller to supply them; they are never
 inferred from samples.  Every stream is array-native: it takes an index or an
 index array and returns values of the same shape (a vector stream appends the
 dimension), so a window of a schedule costs one call per chunk of indices,
-not one per index.
+not one per index.  A stream built from a finite table is a
+:class:`HeadStream`, whose readers take its table instead of calling it.
 """
 
 from __future__ import annotations
@@ -132,26 +133,29 @@ def stream_values(stream: Stream, ns: np.ndarray) -> np.ndarray:
 
 
 def repeated(one: np.ndarray, shape: tuple) -> np.ndarray:
-    """The one entry of ``one`` repeated to ``shape``, as a read-only
-    zero-stride view of it: ``np.broadcast_to`` without its Python-level
-    cost."""
-    view = np.ndarray(shape, one.dtype, one, 0, (0,) * len(shape))
+    """The one entry of ``one``, a double or a row of them, repeated to
+    ``shape``, which ends in the row's shape: a read-only view of it with
+    zero strides over the leading axes, ``np.broadcast_to`` without its
+    Python-level cost."""
+    strides = (0,) * (len(shape) - one.ndim + 1) + one.strides[1:]
+    view = np.ndarray(shape, one.dtype, one, 0, strides)
     view.flags.writeable = False
     return view
 
 
 def held(values: np.ndarray, n0: int, n1: int) -> np.ndarray:
     """Entries n0 .. n1 - 1 of a stream whose array ``values`` holds its head:
-    entry n is ``values[min(n, len(values) - 1)]``.  A view of ``values``
-    when they cover [n0, n1); past the head, from n0 >= len - 1 on, a
-    read-only zero-stride view of the last entry; else a new read-only
-    array."""
-    if n1 <= values.size:
+    entry n is ``values[min(n, len(values) - 1)]``, a double or a row.  A
+    view of ``values`` when they cover [n0, n1); past the head, from n0 >=
+    len - 1 on, a read-only zero-stride view of the last entry; else a new
+    read-only array."""
+    size = len(values)
+    if n1 <= size:
         return values[n0:n1]
-    if n0 >= values.size - 1:
-        return repeated(values[-1:], (n1 - n0,))
-    out = np.empty(n1 - n0)
-    split = values.size - n0
+    if n0 >= size - 1:
+        return repeated(values[-1:], (n1 - n0,) + values.shape[1:])
+    out = np.empty((n1 - n0,) + values.shape[1:])
+    split = size - n0
     out[:split] = values[n0:]
     out[split:] = values[-1]
     out.flags.writeable = False
@@ -173,6 +177,51 @@ def held_from(values: np.ndarray) -> int:
     return 0
 
 
+class HeadStream:
+    """A stream given by a finite table, its ``head``: entry n is
+    ``head[min(n, len(head) - 1)]``, a double or a row of doubles, the rule
+    of :func:`held`.  Its readers take the head and never call it over a
+    horizon (:meth:`Window.read`, the engine's perturbation rows and its
+    settled index); a call on an index or an index array gives the entries
+    of its shape, as a read-only zero-stride view when every index is past
+    the head, else a gather."""
+
+    __slots__ = ("head",)
+
+    def __init__(self, head):
+        head = np.array(head, dtype=float)
+        if head.ndim < 1 or not len(head):
+            raise ValueError("a head stream needs a table of at least one entry")
+        head.flags.writeable = False
+        self.head = head
+
+    def __call__(self, n):
+        head = self.head
+        last = len(head) - 1
+        if not last or np.min(n, initial=last) >= last:  # every index is past the head
+            return repeated(head[last:], np.shape(n) + head.shape[1:])
+        return head[np.minimum(n, last)]
+
+
+def _extended_head(head: Optional[np.ndarray], n0: int, values: np.ndarray) -> np.ndarray:
+    """The head of a stream read on [0, n0), None before the first chunk,
+    extended by ``values``, its entries from n0 on: by the chunk's own head
+    up to its :func:`held_from`, and by nothing when each entry has the bits
+    of the head's last one.  The first chunk's head is a new array; a later
+    one grows it in place, as no view of it exists, holding the entries
+    between the two heads as the last."""
+    s = held_from(values)
+    if head is None:
+        return values[:s + 1].copy()
+    if s == 0 and values.view(np.uint64)[0] == head.view(np.uint64)[-1]:
+        return head
+    end = len(head)
+    head.resize(n0 + s + 1, refcheck=False)
+    head[end:n0] = head[end - 1]
+    head[n0:] = values[:s + 1]
+    return head
+
+
 @dataclass(frozen=True)
 class Window:
     """The scalar streams alpha_n, beta_n and ||r_n|| of a schedule on [0,
@@ -192,30 +241,27 @@ class Window:
 
     @classmethod
     def read(cls, schedule: Schedule, n_max: int) -> Window:
-        """Each stream on [0, n_max] through :func:`stream_values`, one call
-        per ``CSV_CHUNK`` indices; only its head is kept.  A chunk adds to
-        the head only up to its own :func:`held_from`, and nothing when each
-        of its entries has the bits of the head's last one, so a constant
-        stream, whose chunks are zero-stride views, is read in one entry."""
+        """Each stream on [0, n_max], keeping only its head.  A
+        :class:`HeadStream` of doubles is not called: its head is cut to
+        n_max + 1 entries and to its own :func:`held_from`.  Any other stream
+        is read through :func:`stream_values`, one call per ``CSV_CHUNK``
+        indices, into one array that grows in place with each chunk that
+        adds to its head (:func:`_extended_head`), so a stream that settles
+        is held as its head and one that never does as one array of n_max +
+        1 entries."""
         streams = (schedule.alpha, schedule.beta, schedule.perturbation_norm)
-        # per stream, the arrays of its head on [0, end), past which every
-        # entry read so far has the bits of the last
-        parts, ends = [[] for _ in streams], [0] * len(streams)
-        for n0 in range(0, n_max + 1, CSV_CHUNK):
+        heads = [None] * len(streams)
+        for i, stream in enumerate(streams):
+            if isinstance(stream, HeadStream) and stream.head.ndim == 1:
+                head = stream.head[:n_max + 1]
+                heads[i] = head[:held_from(head) + 1]
+        called = [i for i, head in enumerate(heads) if head is None]
+        for n0 in range(0, n_max + 1, CSV_CHUNK) if called else ():
             ns = np.arange(n0, min(n0 + CSV_CHUNK, n_max + 1))
-            for i, stream in enumerate(streams):
-                values = stream_values(stream, ns)
-                s = held_from(values)
-                head = parts[i]
-                if head and s == 0 and values.view(np.uint64)[0] == head[-1].view(np.uint64)[-1]:
-                    continue
-                if head and ends[i] < n0:
-                    head.append(repeated(head[-1][-1:], (n0 - ends[i],)))
-                head.append(values[:s + 1])
-                ends[i] = n0 + s + 1
-        heads = [np.concatenate(head) for head in parts]
-        for head in heads:
-            head.flags.writeable = False
+            for i in called:
+                heads[i] = _extended_head(heads[i], n0, stream_values(streams[i], ns))
+        for i in called:
+            heads[i].flags.writeable = False
         return cls(*heads, n_max)
 
     @cached_property
@@ -245,12 +291,12 @@ class Window:
         return self
 
 
-def constant_stream(value: float) -> Stream:
-    """The stream n -> value, shaped like n: a read-only zero-stride view of
-    one double, so no call allocates its shape; a -0.0 constant reads +0.0,
-    as 0.0 + value does."""
-    value = np.array([float(value) + 0.0])
-    return lambda n: repeated(value, np.shape(n))
+def constant_stream(value: float) -> HeadStream:
+    """The stream n -> value, shaped like n: the :class:`HeadStream` of the
+    one double, which a window reads without a call and a call reads as a
+    read-only zero-stride view, so no call allocates its shape; a -0.0
+    constant reads +0.0, as 0.0 + value does."""
+    return HeadStream([float(value) + 0.0])
 
 
 def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable] = None):
@@ -259,13 +305,13 @@ def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable
     Returns (perturbation, perturbation_norm, series) where series is the
     :func:`inverse_square_series` of ||r_star||, taken in ``norm``.  An
     absent r_star is the zero stream and needs no norm: its vectors have the
-    single coordinate 0, which broadcasts against any dimension.
+    single coordinate 0, which broadcasts against any dimension, and it and
+    its norms are :class:`HeadStream` s of one entry.
     """
     if offset < 1:
         raise ValueError(f"decay offset must be a positive integer, got {offset}")
     if r_star is None:  # +0.0 at every index, as 0.0/(n+offset)^2 is
-        zero = np.zeros(1)
-        return (lambda n: repeated(zero, np.shape(n) + (1,)), constant_stream(0.0),
+        return (HeadStream(np.zeros((1, 1))), constant_stream(0.0),
                 inverse_square_series(0.0, offset))
     if norm is None:
         raise TypeError("a perturbation r_star needs the norm of its space (norm=space.norm)")
@@ -338,15 +384,16 @@ def make_inexact_km(
     """alpha_n = 1 - beta_n; the defect vanishes and the coupling series is
     sum beta_n*(1-beta_n), for which the caller supplies the divergence rate.
 
-    A ``perturbation`` comes with its ``perturbation_norm`` stream; no
-    perturbation is the zero stream, and its series is declared zero.  The
-    constructor passes moduli through unchanged; it never synthesizes one.
+    A number beta is its :func:`constant_stream`; the alpha of a
+    :class:`HeadStream` beta is the head stream of 1.0 - head, the same IEEE
+    subtraction per entry as 1.0 - beta(n).  A ``perturbation`` comes with
+    its ``perturbation_norm`` stream; no perturbation is the zero stream,
+    and its series is declared zero.  The constructor passes moduli through
+    unchanged; it never synthesizes one.
     """
-    if callable(beta):
-        beta_fn, alpha_fn = beta, lambda n: 1.0 - beta(n)
-    else:  # 1.0 - b, as each entry of 1.0 - beta_fn(n) is
-        b = float(beta) + 0.0
-        beta_fn, alpha_fn = constant_stream(b), constant_stream(1.0 - b)
+    beta_fn = beta if callable(beta) else constant_stream(beta)
+    alpha_fn = (HeadStream(1.0 - beta_fn.head) if isinstance(beta_fn, HeadStream)
+                else lambda n: 1.0 - beta(n))
     if weight_divergence.kind is not RateKind.RATE_OF_DIVERGENCE:
         raise ValueError("the coupling series needs a rate of divergence")
     if perturbation is None:

@@ -39,6 +39,24 @@ def test_window_read_of_a_constant_schedule_allocates_no_horizon():
         [0.5], [0.5], [0.0]]
 
 
+def test_window_read_of_a_stream_that_never_settles_holds_it_once(monkeypatch):
+    """||r_n|| of the benchmark's dim-64 p = 3 run changes at every index:
+    its head of 0.40 MB is read a chunk at a time into one array that grows
+    in place, so the read peaks at that array, one chunk of indices and the
+    stream's own temporaries for a chunk (holding the chunks and their
+    concatenation took 0.81 MB)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    doc = workloads.lp_run_export(1)[0].config
+    doc = dict(doc, run=dict(doc["run"], horizon=50_000))
+    schedule = km.assemble(km.RunConfig.from_dict(doc)).schedule
+    windows = []
+    peak = _peak(lambda: windows.append(Window.read(schedule, 50_000)))
+    assert windows[0].r_norm.size == 50_001
+    assert peak <= 500_000, peak
+
+
 def test_held_past_a_head_is_a_read_only_zero_stride_view():
     head = np.array([3.0, 2.0, 1.0])
     for n0 in (2, 7):

@@ -20,7 +20,9 @@ settled run whose audit fails on its tail, settled runs whose CSV ends just
 below, at and just above multiples of its chunk, runs that never settle
 at horizons just below, at and just above one chunk, an audit whose
 violations start past its first chunk, a weight table whose
-``then`` value is out of range, and a constant nonzero defect of rounding
+``then`` value is out of range, weight tables (one that settles on a long
+window, an ``inexact_km`` beta table and one longer than the horizon), and
+a constant nonzero defect of rounding
 (``inexact_km`` at beta 0.1) over a long window, an output directory whose
 name needs JSON escapes, a certificate whose integers pass 2^64 and starts
 whose norm overflows the plain formula though it is finite (at p = 1100
@@ -225,6 +227,21 @@ def _test_suite_jobs() -> list:
     # over the whole window of 100 101 indices
     inexact_rounding = _rotation(100_100, 15, schedule={"family": "inexact_km", "params": {
         "beta": 0.1, "weight_divergence": {"affine": {"slope": 12, "intercept": 0}}}})
+    # weight tables, which are read as their heads: a custom table that
+    # settles at 300 on the README rotation's auto horizon, an inexact_km
+    # alpha taken as 1 - beta from a beta table, and a table longer than
+    # the horizon, whose entries past it are never read
+    table_weights = _rotation(100_100, 15, schedule={"family": "custom", "params": {
+        "alpha": {"values": [0.25, 0.75] * 150, "then": 0.5},
+        "beta": {"values": [0.75, 0.25] * 150 + [0.5]}, "defect_is_zero": True,
+        "weight_divergence": {"affine": {"slope": 16, "intercept": 0}}}})
+    inexact_table = _rotation(5000, 3, schedule={"family": "inexact_km", "params": {
+        "beta": {"values": [0.25] * 100 + [0.75] * 100, "then": 0.5},
+        "weight_divergence": {"affine": {"slope": 16, "intercept": 0}}}})
+    long_table = _rotation(500, 3, schedule={"family": "custom", "params": {
+        "alpha": {"values": [0.5 - 0.1 / (n + 1) ** 2 for n in range(800)], "then": 0.5},
+        "beta": 0.5, "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}},
+        "defect_sum_bound": 1, "weight_divergence": {"affine": {"slope": 5, "intercept": 0}}}})
     # the distance and the anchor recursion overflow, so audit rows compare
     # inf with inf
     non_finite_audit = _rotation(3, start=[1e308, 1e308],
@@ -379,6 +396,11 @@ def _test_suite_jobs() -> list:
     jobs += [(f"late-violations-{command}", late_violations, [command])
              for command in ("run", "audit")]
     jobs += [(f"then-out-of-range-{command}", then_out_of_range, [command])
+             for command in ("run", "verify")]
+    jobs += [(f"{name}-{command}", doc, [command])
+             for name, doc in (("table-weights-100100", table_weights),
+                               ("inexact-beta-table", inexact_table),
+                               ("table-past-the-horizon", long_table))
              for command in ("run", "verify")]
     jobs += [("inexact-rounding-defect-verify", inexact_rounding, ["verify"]),
              ("escaped-directory-verify", escaped_directory, ["verify"]),
