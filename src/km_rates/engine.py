@@ -35,7 +35,7 @@ import numpy as np
 from .certificates import InstanceConstants
 from .g17 import CSV_BATCH, csv_rows
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import CSV_CHUNK, HeadStream, Schedule, Window, held, held_from
+from .schedules import CSV_CHUNK, HeadStream, Schedule, Window, held, settled_from
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
@@ -98,16 +98,9 @@ def _coefficient_rows(values: np.ndarray, rows: tuple):
     zero-stride views, so that row k repeats entry k dim times without a
     copy and every product and sum of the update is array by array, the same
     IEEE operation as with a scalar but without numpy's promotion of one.
-
-    When every row has the same bits, one row repeated: at once for a
-    zero-stride ``values``, else by comparing bits, not ``==``, because +0.0
-    == -0.0 and the two give points that differ in the sign of a zero.
-    """
+    A zero-stride ``values``, as past a head, gives one row repeated."""
     full = np.broadcast_to(values, rows)
-    bits = values.view(np.uint64)
-    if values.strides[0] == 0 or (bits == bits[0]).all():
-        return itertools.repeat(full[0])
-    return full
+    return itertools.repeat(full[0]) if values.strides[0] == 0 else full
 
 
 def _perturbation_rows(schedule: Schedule, n0: int, n1: int, dim: int) -> np.ndarray:
@@ -125,45 +118,6 @@ def _perturbation_rows(schedule: Schedule, n0: int, n1: int, dim: int) -> np.nda
         raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
                          f"not ({m}, {dim}) or ({m}, 1)")
     return r
-
-
-def _settled_chunk(dim: int) -> int:
-    """Rows per perturbation read of :func:`_settled`: no more values than
-    the larger of a block of the step loop (``BLOCK`` rows of ``dim``) and
-    ``6 * CSV_CHUNK``, twice the terms of one accumulate of ``K_z``, so the
-    walk's buffers stay near what a run already holds."""
-    return max(BLOCK, 6 * CSV_CHUNK // dim)
-
-
-def _settled(window: Window, schedule: Schedule, dim: int) -> int:
-    """The smallest s such that alpha_n, beta_n, ||r_n|| and the row r_n have
-    the bits of their entries at H = ``window.n_max`` for every n in [s, H]:
-    from step s on, every step applies the same map.
-
-    The walk starts at the window's settled index, from which alpha, beta
-    and ||r_n|| keep their bits: the perturbation is read backwards from H
-    down to it in chunks of :func:`_settled_chunk` rows, and the walk stops
-    at the first row that differs.  A zero-stride chunk is read as its one
-    row.  The rows of a :class:`HeadStream` past its head are its last, so
-    the walk reads only the head's rows below H: none for a head of one
-    row, as the zero perturbation's.
-    """
-    h, settled = window.n_max, window.settled
-    last = _perturbation_rows(schedule, h, h + 1, dim).view(np.uint64)[0]
-    chunk = _settled_chunk(dim)
-    n1 = h
-    if isinstance(schedule.perturbation, HeadStream):
-        n1 = min(h, len(schedule.perturbation.head) - 1)
-    while n1 > settled:
-        n0 = max(settled, n1 - chunk)
-        rows = _perturbation_rows(schedule, n0, n1, dim).view(np.uint64)
-        if rows.strides[0] == 0:  # every row is the last, which stands for all
-            rows = rows[-1:]
-        differ = np.flatnonzero((rows != last).any(axis=1))
-        if differ.size:
-            return n1 - rows.shape[0] + int(differ[-1]) + 1
-        n1 = n0
-    return settled
 
 
 def _anchor_bounds(K0: float, window: Window, norm_z: float, fix_residual: float,
@@ -207,17 +161,17 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     iterate.  ``K_z`` is accumulated after the walk.
 
     A block that ends on x_{k+1} with the bits of x_k ends the walk when
-    k >= :func:`_settled` (found once, at the first such block): from k on
-    the step map is one map and x_k is a bit-exact fixed point of it, so
-    x_n = x_k for every n > k, and the four norm streams are cut at k.
-    This needs ``op.apply`` to be a function of its argument's bits.  As k
-    is past the window's settled index, alpha, beta and ||r_n|| at k are
-    the last entries of the heads.  When the three increments of ``K_z``
+    k < horizon is at least the larger of the window's settled index and
+    the perturbation's declared one (:func:`~km_rates.schedules.settled_from`):
+    from k on the step map is one map and x_k is a bit-exact fixed point of
+    it, so x_n = x_k for every n > k, and the four norm streams are cut at
+    k.  This needs ``op.apply`` to be a function of its argument's bits.
+    Alpha, beta and ||r_n|| at k are the last entries of the window's
+    heads, which the trajectory keeps and the blocks read through
+    :func:`~km_rates.schedules.held`.  When the three increments of ``K_z``
     there are 0 (-0.0 too, as K + -0.0 is K), ``K_z`` is accumulated up to
     k only, and the trajectory is ``settled`` at k; otherwise ``K_z`` runs
-    to the horizon.  Alpha, beta and ||r_n|| are the window's heads, each
-    cut to its shortest, and the coefficient rows of a block are read from
-    them through :func:`~km_rates.schedules.held`.
+    to the horizon.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -245,7 +199,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         res_step = np.empty(horizon)
         apply, multiply, add = op.apply, np.multiply, np.add
         scratch = np.empty(space.dim)
-        steady = None  # found at the first block that ends on a repeated point
+        # from step ``steady`` on, every step applies the same map
+        steady = max(window.settled, settled_from(schedule.perturbation, horizon))
         stop = None  # the k whose point x_k ends the walk
         for n0 in range(0, horizon + 1, BLOCK):
             n1 = min(n0 + BLOCK, horizon + 1)
@@ -283,12 +238,9 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             # x_n1 with the bits of x_k, k = n1 - 1, repeats for good from a
             # settled k on; the streams past k repeat their entry at k
             k = n1 - 1
-            if n1 <= horizon and np.array_equal(x.view(np.uint64), pts[-1].view(np.uint64)):
-                if steady is None:
-                    steady = _settled(window, schedule, space.dim)
-                if k >= steady:
-                    stop = k
-                    break
+            if steady <= k < horizon and np.array_equal(x.view(np.uint64), pts[-1].view(np.uint64)):
+                stop = k
+                break
 
         # past the walk's end k every norm stream repeats its entry at k, and
         # alpha, beta and ||r_n|| keep their bits, so every later increment
@@ -301,12 +253,10 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
             if b * fix_residual == 0.0 and ((1.0 - a) - b) * norm_z == 0.0 and rn == 0.0:
                 head = stop
         K_z = _anchor_bounds(K0, window, norm_z, fix_residual, head)
-    alpha, beta, r_norm = (v[:held_from(v) + 1] for v in (window.alpha, window.beta,
-                                                          window.r_norm))
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
-        norm_x=norm_x, alpha=alpha, beta=beta, r_norm=r_norm, norm_z=norm_z,
-        fix_residual=fix_residual,
+        norm_x=norm_x, alpha=window.alpha, beta=window.beta, r_norm=window.r_norm,
+        norm_z=norm_z, fix_residual=fix_residual,
     )
 
 

@@ -14,14 +14,17 @@ that is provably valid or require the caller to supply them; they are never
 inferred from samples.  Every stream is array-native: it takes an index or an
 index array and returns values of the same shape (a vector stream appends the
 dimension), so a window of a schedule costs one call per chunk of indices,
-not one per index.  A stream built from a finite table is a
-:class:`HeadStream`, whose readers take its table instead of calling it.
+not one per index.  A stream declares its head, the prefix after which
+every entry repeats the last bit for bit (:func:`settled_from`): a table is
+a :class:`HeadStream`, whose readers take the table instead of calling it,
+and r_star/(n+offset)^2 an :class:`InverseSquareStream`.  Any other stream
+is held whole over the horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+import bisect
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -51,10 +54,9 @@ HYPOTHESES_K_MAX = 20
 DIVERGENCE_N_MAX = 2000
 #: findings kept per range check
 FINDINGS_MAX = 20
-#: indices per call of a stream in :meth:`Window.read`, entries per step of
-#: the backward search of :func:`held_from`, and the chunk of the engine's
-#: folds (the ``K_z`` accumulation, the audit and the settled CSV tail), so
-#: that none of them builds a buffer of the horizon
+#: indices per call of a stream in :meth:`Window.read` and the chunk of the
+#: engine's folds (the ``K_z`` accumulation, the audit and the settled CSV
+#: tail), so that none of them builds a temporary of the horizon
 CSV_CHUNK = 4096
 
 
@@ -163,28 +165,28 @@ def held(values: np.ndarray, n0: int, n1: int) -> np.ndarray:
 
 
 def held_from(values: np.ndarray) -> int:
-    """The smallest s such that every entry from s on has the bits of the
-    last: 0 for a zero-stride array; else the entry after the last one that
-    differs, searched backwards ``CSV_CHUNK`` entries at a time."""
-    if values.strides == (0,):
-        return 0
-    bits = values.view(np.uint64)
-    for n1 in range(bits.size, 0, -CSV_CHUNK):
-        differ = bits[max(n1 - CSV_CHUNK, 0):n1] != bits[-1]
-        last = int(differ[::-1].argmax())
-        if differ[-1 - last]:
-            return n1 - last
-    return 0
+    """The smallest s such that every entry from s on, a double or a row,
+    has the bits of the last."""
+    bits = values.view(np.uint64).reshape(len(values), -1)
+    differ = (bits != bits[-1]).any(axis=1)
+    return len(differ) - int(differ[::-1].argmax()) if differ.any() else 0
+
+
+def settled_from(stream: Stream, n_max: int) -> int:
+    """The smallest s from which ``stream`` keeps the bits of its entry n_max
+    on [s, n_max], as its ``settled`` method declares; n_max without one."""
+    settled = getattr(stream, "settled", None)
+    return n_max if settled is None else settled(n_max)
 
 
 class HeadStream:
     """A stream given by a finite table, its ``head``: entry n is
     ``head[min(n, len(head) - 1)]``, a double or a row of doubles, the rule
     of :func:`held`.  Its readers take the head and never call it over a
-    horizon (:meth:`Window.read`, the engine's perturbation rows and its
-    settled index); a call on an index or an index array gives the entries
-    of its shape, as a read-only zero-stride view when every index is past
-    the head, else a gather."""
+    horizon (:meth:`Window.read` and the engine's perturbation rows); a call
+    on an index or an index array gives the entries of its shape, as a
+    read-only zero-stride view when every index is past the head, else a
+    gather."""
 
     __slots__ = ("head",)
 
@@ -202,24 +204,34 @@ class HeadStream:
             return repeated(head[last:], np.shape(n) + head.shape[1:])
         return head[np.minimum(n, last)]
 
+    def settled(self, n_max: int) -> int:
+        """:func:`held_from` of the table on [0, n_max]."""
+        return held_from(self.head[:n_max + 1])
 
-def _extended_head(head: Optional[np.ndarray], n0: int, values: np.ndarray) -> np.ndarray:
-    """The head of a stream read on [0, n0), None before the first chunk,
-    extended by ``values``, its entries from n0 on: by the chunk's own head
-    up to its :func:`held_from`, and by nothing when each entry has the bits
-    of the head's last one.  The first chunk's head is a new array; a later
-    one grows it in place, as no view of it exists, holding the entries
-    between the two heads as the last."""
-    s = held_from(values)
-    if head is None:
-        return values[:s + 1].copy()
-    if s == 0 and values.view(np.uint64)[0] == head.view(np.uint64)[-1]:
-        return head
-    end = len(head)
-    head.resize(n0 + s + 1, refcheck=False)
-    head[end:n0] = head[end - 1]
-    head[n0:] = values[:s + 1]
-    return head
+
+class InverseSquareStream:
+    """The stream n -> scale/(n+offset)^2, ``scale`` a double or a row.  No
+    coordinate's magnitude grows with n, so [s, n_max] keeps the bits of
+    entry n_max once entry s does: :meth:`settled` is one bisection."""
+
+    __slots__ = ("scale", "offset")
+
+    def __init__(self, scale, offset: int):
+        self.scale, self.offset = np.asarray(scale, dtype=float), offset
+
+    def __call__(self, n):
+        # the double of the integer (n+offset)^2: exact below 2^53, rounded once above
+        d = np.array(n, dtype=float)
+        d += self.offset
+        d *= d
+        if self.scale.ndim:
+            return self.scale / d[..., None]
+        return np.divide(self.scale, d, out=d)
+
+    def settled(self, n_max: int) -> int:
+        last = self(np.array([n_max])).view(np.uint64)
+        return bisect.bisect_left(range(n_max), True, key=lambda n: bool(
+            (self(np.array([n])).view(np.uint64) == last).all()))
 
 
 @dataclass(frozen=True)
@@ -228,48 +240,47 @@ class Window:
     n_max]: one read per command, which the range check, the engine and the
     premise check all take.
 
-    Each stream field holds a head of its stream as a read-only array of at
-    most n_max + 1 entries: entry n is the head's entry min(n, len - 1) (see
-    :func:`held` and :meth:`values`).  A read window holds each stream's
-    shortest head; a window built with longer arrays holds more.
+    Each stream field holds the head of its stream as a read-only array of
+    at most n_max + 1 entries: entry n is the head's entry min(n, len - 1)
+    (see :func:`held` and :meth:`values`).  Only :meth:`read` builds a
+    window that :meth:`covering` accepts: a window built or changed by hand
+    may hold a head shorter than its stream's.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     r_norm: np.ndarray
     n_max: int
+    _read: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
     def read(cls, schedule: Schedule, n_max: int) -> Window:
-        """Each stream on [0, n_max], keeping only its head.  A
-        :class:`HeadStream` of doubles is not called: its head is cut to
-        n_max + 1 entries and to its own :func:`held_from`.  Any other stream
-        is read through :func:`stream_values`, one call per ``CSV_CHUNK``
-        indices, into one array that grows in place with each chunk that
-        adds to its head (:func:`_extended_head`), so a stream that settles
-        is held as its head and one that never does as one array of n_max +
-        1 entries."""
-        streams = (schedule.alpha, schedule.beta, schedule.perturbation_norm)
-        heads = [None] * len(streams)
-        for i, stream in enumerate(streams):
+        """Each stream on [0, s], s its :func:`settled_from` n_max.  A
+        :class:`HeadStream` of doubles is not called: its head is its table,
+        cut.  Any other stream is read through :func:`stream_values`, one
+        call per ``CSV_CHUNK`` indices, into one array of s + 1 entries, so
+        a stream that declares no settled index is held whole."""
+        heads = []
+        for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm):
+            end = settled_from(stream, n_max) + 1
             if isinstance(stream, HeadStream) and stream.head.ndim == 1:
-                head = stream.head[:n_max + 1]
-                heads[i] = head[:held_from(head) + 1]
-        called = [i for i, head in enumerate(heads) if head is None]
-        for n0 in range(0, n_max + 1, CSV_CHUNK) if called else ():
-            ns = np.arange(n0, min(n0 + CSV_CHUNK, n_max + 1))
-            for i in called:
-                heads[i] = _extended_head(heads[i], n0, stream_values(streams[i], ns))
-        for i in called:
-            heads[i].flags.writeable = False
-        return cls(*heads, n_max)
+                heads.append(stream.head[:end])
+                continue
+            head = np.empty(end)
+            for n0 in range(0, end, CSV_CHUNK):
+                ns = np.arange(n0, min(n0 + CSV_CHUNK, end))
+                head[n0:n0 + ns.size] = stream_values(stream, ns)
+            head.flags.writeable = False
+            heads.append(head)
+        window = cls(*heads, n_max)
+        object.__setattr__(window, "_read", True)
+        return window
 
-    @cached_property
+    @property
     def settled(self) -> int:
         """The settled index s from which alpha, beta and ||r_n|| all keep
-        the bits of entry n_max: the largest :func:`held_from` of the three
-        arrays, whatever their length."""
-        return max(held_from(v) for v in (self.alpha, self.beta, self.r_norm))
+        the bits of entry n_max: the last index of the longest head."""
+        return max(v.size for v in (self.alpha, self.beta, self.r_norm)) - 1
 
     def values(self, n0: int, n1: int) -> tuple:
         """alpha, beta and ||r_n|| on [n0, n1), through :func:`held`."""
@@ -283,11 +294,11 @@ class Window:
         return self.values(0, min(length, self.settled + FINDINGS_MAX))
 
     def covering(self, n_max: int) -> Window:
-        """This window, which must cover exactly [0, n_max] with heads of 1
-        to n_max + 1 entries (else ValueError)."""
-        sizes = [v.size for v in (self.alpha, self.beta, self.r_norm)]
-        if self.n_max != n_max or not 1 <= min(sizes) <= max(sizes) <= n_max + 1:
-            raise ValueError(f"the window does not cover exactly [0, {n_max}]")
+        """This window, which must be one :meth:`read` on exactly [0, n_max]
+        (else ValueError)."""
+        if not self._read or self.n_max != n_max:
+            raise ValueError(f"the window does not cover exactly [0, {n_max}]: "
+                             "only Window.read builds one")
         return self
 
 
@@ -302,11 +313,11 @@ def constant_stream(value: float) -> HeadStream:
 def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable] = None):
     """The stream r_n = r_star/(n+offset)^2.
 
-    Returns (perturbation, perturbation_norm, series) where series is the
-    :func:`inverse_square_series` of ||r_star||, taken in ``norm``.  An
-    absent r_star is the zero stream and needs no norm: its vectors have the
-    single coordinate 0, which broadcasts against any dimension, and it and
-    its norms are :class:`HeadStream` s of one entry.
+    Returns the :class:`InverseSquareStream` s of r_star and ||r_star||,
+    taken in ``norm``, and the :func:`inverse_square_series` of ||r_star||.
+    An absent r_star is the zero stream and needs no norm: its vectors have
+    the single coordinate 0, which broadcasts against any dimension, and it
+    and its norms are :class:`HeadStream` s of one entry.
     """
     if offset < 1:
         raise ValueError(f"decay offset must be a positive integer, got {offset}")
@@ -317,8 +328,7 @@ def inverse_square_perturbation(r_star, offset: int = 1, norm: Optional[Callable
         raise TypeError("a perturbation r_star needs the norm of its space (norm=space.norm)")
     r_star = np.asarray(r_star, dtype=float)
     r_norm = float(norm(r_star))
-    return (lambda n: r_star / (np.asarray(n)[..., None] + offset) ** 2,
-            lambda n: r_norm / (n + offset) ** 2,
+    return (InverseSquareStream(r_star, offset), InverseSquareStream(r_norm, offset),
             inverse_square_series(r_norm, offset))
 
 
@@ -430,18 +440,26 @@ def make_anchor(base: Schedule, u, norm: Callable) -> Schedule:
     The perturbation series inherits the defect series rescaled by ceil||u||:
     modulus k -> defect modulus(ceil||u||*(k+1) - 1), bound = defect bound *
     ceil||u||, tail = ||u|| * defect tail.  A zero anchor is rejected; use a
-    zero perturbation instead.
+    zero perturbation instead.  Over :class:`HeadStream` weights both
+    streams are head streams of the defect's table, computed entrywise.
     """
     u = np.asarray(u, dtype=float)
     nu = norm(u)
     if nu == 0.0:
         raise ValueError("anchor direction must be nonzero; use a zero perturbation instead")
     cu = max(1, ceil_int(nu))  # ||u|| > 0, however small
+    if isinstance(base.alpha, HeadStream) and isinstance(base.beta, HeadStream):
+        size = max(len(base.alpha.head), len(base.beta.head))
+        table = 1.0 - held(base.alpha.head, 0, size) - held(base.beta.head, 0, size)
+        streams = HeadStream(table[..., None] * u), HeadStream(np.abs(table) * nu)
+    else:
+        streams = (lambda n: np.asarray(base.defect(n))[..., None] * u,
+                   lambda n: np.abs(base.defect(n)) * nu)
     defect = base.defect_series
     return replace(
         base,
-        perturbation=lambda n: np.asarray(base.defect(n))[..., None] * u,
-        perturbation_norm=lambda n: np.abs(base.defect(n)) * nu,
+        perturbation=streams[0],
+        perturbation_norm=streams[1],
         perturbation_series=Series(
             RateFn(lambda k: defect.modulus(cu * (k + 1) - 1), RateKind.CAUCHY_MODULUS,
                    description="anchored perturbation modulus"),

@@ -315,9 +315,19 @@ def assert_audit_matches_whole_array(traj, constants) -> AuditReport:
     return reports[0]
 
 
+def opaque(schedule):
+    """``schedule`` with each of its four streams behind a plain callable,
+    which declares no settled index: a window holds it whole, and a run on
+    it never settles."""
+    return replace(schedule, **{name: (lambda stream: lambda n: stream(n))(
+        getattr(schedule, name)) for name in ("alpha", "beta", "perturbation",
+                                               "perturbation_norm")})
+
+
 def whole_window(schedule, n_max: int) -> Window:
     """The window as it was read before it kept its settled head only: every
-    stream whole on [0, n_max], in read-only arrays."""
+    stream whole on [0, n_max], in read-only arrays.  A reference of values
+    only: ``iterate`` and ``verify_hypotheses`` take no window built by hand."""
     ns = np.arange(n_max + 1)
     views = [stream_values(stream, ns).view()
              for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm)]

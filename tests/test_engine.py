@@ -10,7 +10,7 @@ import km_rates as km
 from km_rates import engine
 from km_rates.engine import BLOCK, NumericAbort
 from km_rates.operators import Operator
-from km_rates.schedules import Window, stream_values
+from km_rates.schedules import HeadStream, InverseSquareStream, Window, settled_from
 
 from conftest import rotation_instance
 from reference_engine import reference_iterate
@@ -429,28 +429,30 @@ def test_perturbation_shape_is_checked_past_the_settled_search():
         km.iterate(space, op, [0.3, -0.7], schedule, 2000)
 
 
-def _table_stream(values):
-    values = np.asarray(values, dtype=float)
-    return lambda n: values[np.asarray(n)]
+#: two chunks of a window read
+_CHUNK2 = 2 * engine.CSV_CHUNK
 
 
-_CHUNK3 = engine._settled_chunk(3)
+def _step_map_settled(schedule, h: int) -> int:
+    """The index from which ``iterate``'s step map is one map: the larger of
+    the window's settled index and the perturbation's declared one."""
+    return max(Window.read(schedule, h).settled, settled_from(schedule.perturbation, h))
 
 
-@pytest.mark.parametrize("horizon", [1, 5, BLOCK + 3, 3 * BLOCK, _CHUNK3 - 1, _CHUNK3,
-                                     _CHUNK3 + 1, 2 * _CHUNK3 + 3])
+@pytest.mark.parametrize("horizon", [1, 5, BLOCK + 3, 3 * BLOCK, _CHUNK2 - 1, _CHUNK2,
+                                     _CHUNK2 + 1, 2 * _CHUNK2 + 3])
 def test_settled_index(horizon):
     """The smallest s from which alpha_n, beta_n and the row r_n have the
-    bits of their value at the horizon, with r_n read in chunks backwards;
-    a differing row on either side of a chunk boundary is found."""
+    bits of their value at the horizon, each stream a table that declares
+    its head; a differing row anywhere is found."""
     dim = 3
     h = horizon
     ones = np.ones(h + 1)
 
     def settled(alpha=ones, beta=ones, rows=np.zeros((h + 1, 1))):
-        schedule = replace(km.make_classical_km(0.5), perturbation=_table_stream(rows))
-        window = Window(np.asarray(alpha, float), np.asarray(beta, float), np.zeros(h + 1), h)
-        return engine._settled(window, schedule, dim)
+        return _step_map_settled(replace(
+            km.make_classical_km(0.5), alpha=HeadStream(alpha), beta=HeadStream(beta),
+            perturbation=HeadStream(rows)), h)
 
     assert settled() == 0
     changed = ones.copy()
@@ -460,53 +462,54 @@ def test_settled_index(horizon):
     signed[0] = -0.0  # == 0.0, but not the same bits
     assert settled(alpha=signed) == 1
     rows = np.zeros((h + 1, dim))
-    assert settled(rows=rows) == 0  # (m, dim) rows against the zero (m, 1) form
+    assert settled(rows=rows) == 0
     rows[h // 2, 1] = -0.0
     assert settled(rows=rows) == h // 2 + 1
     # alpha already rules out the indices of the differing row
     assert settled(alpha=changed, rows=rows) == max(h, h // 2 + 1)
-    # the backward walk reads [h - chunk, h), then [h - 2*chunk, h - chunk), ...
-    for boundary in range(h - _CHUNK3, 0, -_CHUNK3):
+    for boundary in range(h - _CHUNK2, 0, -_CHUNK2):
         for index in (boundary - 1, boundary):
             rows = np.zeros((h + 1, 1))
             rows[index] = 1e-300
             assert settled(rows=rows) == index + 1
 
 
-def test_settled_walk_reads_the_perturbation_in_few_chunks():
-    """The README rotation at its auto horizon is settled from index 0, so
-    the walk reads the whole perturbation back to 0: one call for r_H and
-    one per chunk of at least ``CSV_CHUNK`` rows (``BLOCK`` rows per read
-    took 393 calls)."""
+def test_settled_index_reads_the_perturbation_in_few_calls(monkeypatch):
+    """An inverse-square perturbation at the auto horizon of the README
+    rotation declares its settled index by one bisection, each call on one
+    index; the README's zero perturbation declares it from its table, with
+    no call."""
+    reads = []
+    for cls in (HeadStream, InverseSquareStream):
+        monkeypatch.setattr(cls, "__call__", lambda self, n, call=cls.__call__:
+                            reads.append(np.shape(n)) or call(self, n))
     space, _, _, schedule, _, _ = rotation_instance()
     h = 100_100
-    reads = []
-    perturbation = schedule.perturbation
-    counted = replace(schedule, perturbation=lambda n: reads.append(None) or perturbation(n))
-    weights = [stream_values(stream, np.arange(h + 1))
-               for stream in (schedule.alpha, schedule.beta)]
-    assert engine._settled(Window(*weights, np.zeros(h + 1), h), counted, space.dim) == 0
-    assert len(reads) <= math.ceil(h / engine.CSV_CHUNK) + 2
+    assert settled_from(schedule.perturbation, h) == 0 and reads == []
+    perturbation = km.make_example1(0.5, r_star=[0.25, 1e-300], norm=space.norm).perturbation
+    assert settled_from(perturbation, h) == h
+    assert set(reads) == {(1,)} and len(reads) <= math.ceil(math.log2(h)) + 1
 
 
 def test_settled_index_is_found_once_per_call(monkeypatch):
     """alpha switches from 1/2 to 1/4 at index 600: the first two blocks end
     on a repeated point but before the settled index; x_n then shrinks to a
-    subnormal fixed point, which ends the walk.  The settled index is found
-    once."""
+    subnormal fixed point, which ends the walk.  The perturbation's settled
+    index is read once."""
     found = []
-    settled = engine._settled
-    monkeypatch.setattr(engine, "_settled", lambda *args: found.append(settled(*args)) or found[-1])
+    declared = engine.settled_from
+    monkeypatch.setattr(engine, "settled_from",
+                        lambda *args: found.append(declared(*args)) or found[-1])
     space = km.Space(dim=2)
     op = km.make_operator("identity", space)
-    schedule = replace(km.make_classical_km(0.5),
-                       alpha=lambda n: np.where(np.asarray(n) < 600, 0.5, 0.25))
+    schedule = replace(km.make_classical_km(0.5), alpha=HeadStream([0.5] * 600 + [0.25]))
+    assert Window.read(schedule, 16 * BLOCK).settled == 600
     args = (space, op, [0.3, -0.7], schedule, 16 * BLOCK)
     _, ref_points = lemmas.iterate_with_points(reference_iterate, *args)
     counted, applied = _counting(op)
     _, points = lemmas.iterate_with_points(km.iterate, space, counted, *args[2:])
-    assert found == [600]
-    assert len(applied) < 16 * BLOCK + 2
+    assert found == [0]
+    assert 600 < len(applied) < 16 * BLOCK + 2
     assert np.array_equal(points.view(np.uint64), ref_points.view(np.uint64))
 
 

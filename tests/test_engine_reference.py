@@ -12,6 +12,7 @@ import km_rates as km
 from km_rates.engine import BLOCK, NumericAbort
 from km_rates.moduli import RateFn, RateKind
 from km_rates.operators import Operator
+from km_rates.schedules import HeadStream
 
 from lemmas import (assert_audit_matches_whole_array, iterate_with_points, whole_liminf,
                     whole_soundness, whole_trajectory)
@@ -290,9 +291,10 @@ def test_folded_audit_matches_whole_array_audit(op_name, family, dim, p, horizon
 
 def _r_norm_stream(before, after, switch=600):
     """A schedule of classical KM at 1/2 whose perturbation rows are zero and
-    whose ||r_n|| stream is ``before`` below ``switch`` and ``after`` from it on."""
+    whose ||r_n|| stream is the table of ``before`` below ``switch`` and
+    ``after`` from it on."""
     return replace(km.make_classical_km(0.5),
-                   perturbation_norm=lambda n: np.where(np.asarray(n) < switch, before, after))
+                   perturbation_norm=HeadStream([before] * switch + [after]))
 
 
 @pytest.mark.parametrize("case, horizon, settled", [
@@ -318,11 +320,10 @@ def test_anchor_bounds_fold_only_a_zero_tail(case, horizon, settled):
         start = [1.0, 0.0]
     elif case == "defect":  # x_n shrinks by 3/4 to a point that stays
         op = replace(op, fixed_point=np.array([1.0, 0.0]))
-        schedule = replace(schedule, alpha=lambda n: np.full(np.shape(n), 0.25))
+        schedule = replace(schedule, alpha=HeadStream([0.25]))
     elif case == "rounded-r":  # r_n = 1e-20*e_1, below half an ulp of x_n
-        schedule = replace(schedule,
-                           perturbation=lambda n: np.zeros(np.shape(n) + (2,)) + [1e-20, 0.0],
-                           perturbation_norm=lambda n: np.full(np.shape(n), 1e-20))
+        schedule = replace(schedule, perturbation=HeadStream([[1e-20, 0.0]]),
+                           perturbation_norm=HeadStream([1e-20]))
     elif case == "signed-zero-r":
         schedule = _r_norm_stream(-0.0, -0.0)
     else:

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import km_rates as km
-from km_rates import cli, engine
+from km_rates import cli
 from km_rates.config import _sequence_spec
-from km_rates.schedules import CSV_CHUNK, HeadStream, Window, constant_stream
+from km_rates.schedules import (CSV_CHUNK, HeadStream, Window, constant_stream, held,
+                                held_from, settled_from)
+
+import lemmas
 
 H = 2 * CSV_CHUNK + 1
 STREAMS = ("alpha", "beta", "perturbation", "perturbation_norm")
@@ -132,23 +135,30 @@ def _outputs(tmp_path, monkeypatch, name, side, command):
 
 @pytest.mark.parametrize("name", CASES)
 def test_head_streams_read_as_their_plain_callables(name):
+    """The plain callables declare no head, so a window holds them whole;
+    the head streams' window holds each stream's shortest head, which a scan
+    of the whole one finds, and both runs have the same streams bit for
+    bit."""
     heads, plain = _schedules(name)
     assert any(isinstance(getattr(heads, key), HeadStream) for key in STREAMS)
     assert not any(isinstance(getattr(plain, key), HeadStream) for key in STREAMS)
     horizon = CASES[name][0]["run"]["horizon"]
     window, on_plain = Window.read(heads, horizon), Window.read(plain, horizon)
-    assert window.settled == on_plain.settled
+    assert on_plain.settled == horizon
     for key in ("alpha", "beta", "r_norm"):
-        assert _bits(getattr(window, key)) == _bits(getattr(on_plain, key)), key
+        whole = getattr(on_plain, key)
+        assert getattr(window, key).size == held_from(whole) + 1, key
+        assert _bits(held(getattr(window, key), 0, horizon + 1)) == _bits(whole), key
         assert not getattr(window, key).flags.writeable
     doc = CASES[name][0]
     instance = km.assemble(km.RunConfig.from_dict(doc))
     trajectories = [km.iterate(instance.space, instance.operator, instance.start, schedule,
                                horizon) for schedule in (heads, plain)]
+    assert trajectories[1].settled is None
     for field in fields(trajectories[0]):
-        got, expected = (getattr(t, field.name) for t in trajectories)
+        got, expected = (getattr(lemmas.whole_trajectory(t), field.name) for t in trajectories)
         if isinstance(got, np.ndarray):
-            assert got.size == expected.size and _bits(got) == _bits(expected), field.name
+            assert _bits(got) == _bits(expected), field.name
         else:
             assert repr(got) == repr(expected), field.name
 
@@ -197,15 +207,13 @@ def test_head_stream_calls_past_the_head_are_zero_stride_views():
 def test_settled_index_of_head_rows_is_that_of_their_gather(index, settled):
     """Rows of a head perturbation that differ in the sign of a zero at
     ``index`` only (None: at no index), the head one row longer than that:
-    the settled index from the head, without calls, is the one the walk of
-    the gather finds."""
+    the settled index the head declares is the one a scan of the gather of
+    its rows on [0, H] finds."""
     rows = np.zeros((2 if index is None else index + 2, 3))
     if index is not None:
         rows[index, 1] = -0.0
-    window = Window(np.ones(1), np.ones(1), np.zeros(1), H)
-    found = [engine._settled(window, replace(km.make_classical_km(0.5), perturbation=stream), 3)
-             for stream in (HeadStream(rows), lambda n: rows[np.minimum(n, len(rows) - 1)])]
-    assert found == [settled, settled]
+    gather = rows[np.minimum(np.arange(H + 1), len(rows) - 1)]
+    assert settled_from(HeadStream(rows), H) == held_from(gather) == settled
 
 
 def _count_calls(monkeypatch):
@@ -232,20 +240,78 @@ def test_readme_verify_calls_no_head_stream(tmp_path, monkeypatch):
 
 
 def test_settled_index_reads_no_row_of_the_zero_perturbation(monkeypatch):
-    """A window settled at 0 and the zero perturbation: the settled index
-    reads the last row r_H, from the head, and walks no rows below it."""
+    """The zero perturbation declares its settled index 0 from its head of
+    one row, with no call, at any horizon."""
     calls = _count_calls(monkeypatch)
-    reads = []
-    rows = engine._perturbation_rows
-    monkeypatch.setattr(engine, "_perturbation_rows",
-                        lambda s, n0, n1, dim: reads.append((n0, n1)) or rows(s, n0, n1, dim))
     schedule = km.make_classical_km(0.5)
-    h = 10 ** 6
-    assert engine._settled(Window.read(schedule, h), schedule, 2) == 0
-    assert reads == [(h, h + 1)] and calls == []
+    assert [settled_from(schedule.perturbation, h) for h in (1, H, 10 ** 6)] == [0, 0, 0]
+    assert calls == []
 
 
 def test_window_read_of_classical_km_calls_no_stream(monkeypatch):
     calls = _count_calls(monkeypatch)
     window = Window.read(km.make_classical_km(0.5), 10 ** 6)
     assert calls == [] and window.settled == 0
+
+
+def test_an_opaque_stream_that_turns_constant_is_held_whole(tmp_path, monkeypatch):
+    """Weights that turn constant at 300 behind plain callables declare no
+    head: the window holds them whole, the run never settles, and ``run``
+    writes the bytes of the head streams of the same values, whose window
+    and run settle."""
+    heads, plain = _schedules("then-omitted")
+    window = Window.read(plain, H)
+    assert [window.alpha.size, window.beta.size, window.settled] == [H + 1, H + 1, H]
+    assert Window.read(heads, H).settled == 300
+    instance = km.assemble(km.RunConfig.from_dict(CASES["then-omitted"][0]))
+    on_heads, on_plain = (km.iterate(instance.space, instance.operator, instance.start,
+                                     schedule, H) for schedule in (heads, plain))
+    assert on_plain.settled is None and on_plain.res_T.size == H + 1
+    assert on_heads.settled is not None
+    assert _outputs(tmp_path, monkeypatch, "then-omitted", 0, "run") == \
+        _outputs(tmp_path, monkeypatch, "then-omitted", 1, "run")
+
+
+ANCHOR = {"family": "anchor", "params": {"base": README["schedule"], "u": [1.0, 0.0]}}
+
+
+@pytest.mark.parametrize("base", [
+    README["schedule"],
+    {"family": "inexact_km", "params": {
+        "beta": {"values": [0.1, 0.3], "then": 0.5},
+        "weight_divergence": {"affine": {"slope": 16, "intercept": 0}}}},
+    {"family": "custom", "params": {
+        "alpha": {"values": [0.25, 0.5, 0.125]}, "beta": {"values": [0.75, 0.25, 0.5, 0.0625]},
+        "defect_cauchy": {"affine": {"slope": 1, "intercept": 0}}, "defect_sum_bound": 1,
+        "weight_divergence": {"affine": {"slope": 16, "intercept": 0}}}}])
+def test_an_anchor_over_head_weights_is_the_head_of_its_old_streams(base):
+    """Over head weights, tables of different lengths too, the anchor's
+    perturbation and norms are head streams with the bits and shapes of the
+    defect streams they replace, at every index."""
+    schedule = km.assemble(km.RunConfig.from_dict(_doc(dict(ANCHOR, params={
+        "base": base, "u": [0.75, -0.5]})))).schedule
+    assert isinstance(schedule.perturbation, HeadStream)
+    assert isinstance(schedule.perturbation_norm, HeadStream)
+    u = np.array([0.75, -0.5])
+    nu = km.Space(dim=2).norm(u)
+    for n in (np.arange(12), np.arange(5, 9), 0, 2, 11):
+        defect = 1.0 - schedule.alpha(n) - schedule.beta(n)
+        for got, expected in ((schedule.perturbation(n), np.asarray(defect)[..., None] * u),
+                              (schedule.perturbation_norm(n), np.abs(defect) * nu)):
+            assert np.shape(got) == np.shape(expected) and _bits(got) == _bits(expected)
+
+
+def test_anchor_verify_calls_no_stream(tmp_path, monkeypatch):
+    """The README rotation with ``anchor`` u = [1, 0] over ``classical_km``
+    0.5 at its auto horizon: the anchor's perturbation and its norms are
+    head streams, so the verify calls none of its four streams (the defect
+    lambdas they replace were called 19 and 25 times)."""
+    calls = _count_calls(monkeypatch)
+    doc = _doc(ANCHOR, "auto", output={"directory": str(tmp_path / "out"),
+                                       "formats": ["csv", "json"]})
+    schedule = km.assemble(km.RunConfig.from_dict(doc)).schedule
+    assert all(isinstance(getattr(schedule, key), HeadStream) for key in STREAMS)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--config", str(tmp_path / "config.json")]) == 0
+    assert calls == []

@@ -40,11 +40,11 @@ def test_window_read_of_a_constant_schedule_allocates_no_horizon():
 
 
 def test_window_read_of_a_stream_that_never_settles_holds_it_once(monkeypatch):
-    """||r_n|| of the benchmark's dim-64 p = 3 run changes at every index:
-    its head of 0.40 MB is read a chunk at a time into one array that grows
-    in place, so the read peaks at that array, one chunk of indices and the
-    stream's own temporaries for a chunk (holding the chunks and their
-    concatenation took 0.81 MB)."""
+    """||r_n|| of the benchmark's dim-64 p = 3 run changes at every index,
+    as its stream declares: its head of 0.40 MB is read a chunk at a time
+    into one array of n_max + 1 entries, so the read peaks at that array,
+    one chunk of indices and the stream's own temporaries for a chunk
+    (holding the chunks and their concatenation took 0.81 MB)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 

@@ -6,7 +6,9 @@ import pytest
 
 import km_rates as km
 from km_rates.moduli import RateFn, RateKind
-from km_rates.schedules import DIVERGENCE_N_MAX, HYPOTHESES_K_MAX, Window, constant_stream
+from km_rates.engine import BLOCK
+from km_rates.schedules import (CSV_CHUNK, DIVERGENCE_N_MAX, HYPOTHESES_K_MAX, Window,
+                                 constant_stream, held_from, settled_from)
 
 import lemmas
 
@@ -349,3 +351,39 @@ def test_verify_hypotheses_on_a_given_window_matches_its_own_read(schedule):
     read = km.verify_hypotheses(schedule, n_max).to_dict()
     given = km.verify_hypotheses(schedule, n_max, Window.read(schedule, n_max)).to_dict()
     assert repr(read) == repr(given)
+
+
+#: r_star vectors whose coordinates are normal, subnormal (some underflow to
+#: zero within the horizons below, plateaus first), zero and -0.0
+R_STARS = [[0.25, -1e-300], [1.5, 0.0], [1e-317, -0.0], [-3e-318, 2e-320], [5e-324, 1e-316],
+           [0.0, -0.0], [-1e-317, 0.75]]
+
+
+@pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1,
+                                     CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+@pytest.mark.parametrize("offset", [1, 2, 3, 4])
+def test_inverse_square_settled_index_is_that_of_a_scan(offset, horizon):
+    """The settled index an inverse-square perturbation and its norms
+    declare, by one bisection, against :func:`held_from` over their whole
+    rows and norms on [0, horizon]."""
+    ns = np.arange(horizon + 1)
+    for r_star in R_STARS:
+        for stream in km.schedules.inverse_square_perturbation(r_star, offset, PLANE.norm)[:2]:
+            assert settled_from(stream, horizon) == held_from(stream(ns)), (r_star, stream)
+
+
+def test_subnormal_perturbation_settles_mid_window():
+    """r_star = [1e-316, 0] at H = 30 000 declares 6362; the verify config of
+    it ends its walk at 6399, the end of the first block of 256 points from
+    there whose last point repeats, where it settles."""
+    doc = {"space": {"dim": 2, "norm": "euclidean"},
+           "operator": {"name": "rotation", "params": {"angle_deg": 90.0}},
+           "start": [1.0, 0.0],
+           "schedule": {"family": "example1", "params": {"lam": 0.5, "r_star": [1e-316, 0.0]}},
+           "run": {"horizon": 30_000, "k_max": 15}}
+    inst = km.assemble(km.RunConfig.from_dict(doc))
+    schedule = inst.schedule
+    assert [settled_from(s, 30_000) for s in (schedule.perturbation,
+                                              schedule.perturbation_norm)] == [6362, 6362]
+    traj = km.iterate(inst.space, inst.operator, inst.start, schedule, 30_000)
+    assert traj.res_T.size == 6400 and traj.settled == 6399

@@ -16,7 +16,7 @@ from km_rates import cli
 from km_rates.config import ConfigError
 from km_rates.engine import BLOCK, CSV_CHUNK
 from km_rates.moduli import RateFn, RateKind
-from km_rates.schedules import Series, Window, held_from
+from km_rates.schedules import HeadStream, Series, Window, held_from
 
 import lemmas
 from conftest import rotation_instance
@@ -26,8 +26,9 @@ H = 2 * CSV_CHUNK + 1
 
 
 def _switch(t, before, after):
-    """A stream that is ``before`` below index t and ``after`` from t on."""
-    return lambda n: np.where(np.asarray(n) < t, before, after)
+    """The table stream that is ``before`` below index t and ``after`` from t
+    on, which declares its head."""
+    return HeadStream([before] * t + [after])
 
 
 def _case(name, t=None, horizon=H):
@@ -92,7 +93,7 @@ def test_window_and_premises_match_the_whole_window(name, t, horizon):
     *_, schedule, horizon = _case(name, t, horizon)
     window = Window.read(schedule, horizon)
     whole = lemmas.whole_window(schedule, horizon)
-    assert window.settled == whole.settled == _settled_index(whole)
+    assert window.settled == _settled_index(whole)
     # each stream's own shortest head, the longest of them ending at s
     sizes = [v.size for v in (window.alpha, window.beta, window.r_norm)]
     assert sizes == [held_from(v) + 1 for v in (whole.alpha, whole.beta, whole.r_norm)]
@@ -109,14 +110,14 @@ def test_window_and_premises_match_the_whole_window(name, t, horizon):
 def test_run_and_its_checks_match_the_whole_window(tmp_path, name, t, horizon):
     space, op, start, schedule, horizon = _case(name, t, horizon)
     traj = km.iterate(space, op, start, schedule, horizon)
-    on_whole = km.iterate(space, op, start, schedule, horizon,
-                          window=lemmas.whole_window(schedule, horizon))
-    # the same heads, lengths and bits, on the window read and the whole one
+    # the same streams, bit for bit, as the run of the same streams behind
+    # plain callables, which declare nothing and so hold every stream whole
+    on_whole = km.iterate(space, op, start, lemmas.opaque(schedule), horizon)
+    assert on_whole.settled is None
     arrays = [f.name for f in fields(traj) if isinstance(getattr(traj, f.name), np.ndarray)]
     for name in arrays:
-        assert getattr(traj, name).size == getattr(on_whole, name).size, name
-        assert _bits(getattr(traj, name)) == _bits(getattr(on_whole, name)), name
-    assert traj.settled == on_whole.settled
+        assert _bits(getattr(lemmas.whole_trajectory(traj), name)) == \
+            _bits(getattr(lemmas.whole_trajectory(on_whole), name)), name
     window = Window.read(schedule, horizon)
     assert [traj.alpha.size, traj.beta.size, traj.r_norm.size] == \
         [window.alpha.size, window.beta.size, window.r_norm.size]
@@ -244,3 +245,21 @@ def test_unsettled_run_holds_its_changing_streams_whole(case):
     assert (m == horizon) == (case == "no-tail")
     r_norm = horizon + 1 if case == "no-tail" else 1
     assert _nbytes(traj) == 8 * (horizon + 1 + 3 * (m + 1) + min(m + 1, horizon) + 2 + r_norm)
+
+
+def test_a_window_cut_by_hand_is_refused():
+    """A read window whose ||r_n|| is cut to 100 of its 1001 entries would
+    read as settled at 99 and sum the perturbation to 0.43127 instead of
+    0.41098: only a window that ``Window.read`` built is taken."""
+    space, op, start, _, _, _ = rotation_instance()
+    schedule = km.make_example1(0.5, r_star=[0.25, 0.0], norm=space.norm)
+    window = Window.read(schedule, 1000)
+    assert window.settled == 1000
+    cut = replace(window, r_norm=window.r_norm[:100])
+    for wrong in (cut, Window(window.alpha, window.beta, window.r_norm, 1000)):
+        with pytest.raises(ValueError, match="only Window.read builds one"):
+            km.verify_hypotheses(schedule, 1000, wrong)
+        with pytest.raises(ValueError, match="only Window.read builds one"):
+            km.iterate(space, op, start, schedule, 1000, window=wrong)
+    report = km.verify_hypotheses(schedule, 1000, window)
+    assert report.perturbation_window_sum == pytest.approx(0.41098, abs=1e-5)

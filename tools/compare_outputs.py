@@ -14,8 +14,8 @@ errors, help text and multi-block runs of the two matrix operators, of
 per-index coefficients, of a coefficient table that turns constant, of
 points that repeat before and after a change of the step map and of a
 perturbation that underflows to 0 mid-run, a walk that ends while its
-anchor bound keeps growing, a divergence rate that fails
-on its whole window, an audit that fails on every row of three checks, a
+anchor bound keeps growing, an anchor over classical KM at the auto
+horizon, a divergence rate that fails on its whole window, an audit that fails on every row of three checks, a
 settled run whose audit fails on its tail, settled runs whose CSV ends just
 below, at and just above multiples of its chunk, runs that never settle
 at horizons just below, at and just above one chunk, an audit whose
@@ -173,10 +173,14 @@ def _test_suite_jobs() -> list:
                                    "weight_divergence": {"affine": {"slope": 5,
                                                                     "intercept": 0}}}})
     # r_n = 1e-316/(n+1)^2 underflows to 0 near n = 6300, so the settled
-    # index falls mid-window and the backward walk of the perturbation
-    # crosses more than one of its chunks
+    # index that the perturbation declares by bisection, 6362, falls
+    # mid-window, and the walk ends at 6399
     subnormal_r = _rotation(30_000, 15, schedule={"family": "example1", "params": {
         "lam": 0.5, "r_star": [1e-316, 0.0]}})
+    # the README rotation with an anchor over classical KM at the auto
+    # horizon: the anchor's perturbation and norms are head streams
+    readme_anchor = _rotation("auto", schedule={"family": "anchor", "params": {
+        "base": {"family": "classical_km", "params": {"beta": 0.5}}, "u": [1.0, 0.0]}})
     # a divergence rate k -> k that the coupling 1/4 refutes at every target
     # from 1 on, over the whole window of 2001 targets
     false_divergence = _rotation(5000, 3, schedule={"family": "custom", "params": {
@@ -360,6 +364,7 @@ def _test_suite_jobs() -> list:
         ("example2-shrink-dim8-verify", shrink8, ["verify"]),
         ("anchor-rotation-dim64-run", anchor64, ["run"]),
         ("anchor-rotation-dim64-verify", anchor64, ["verify"]),
+        ("anchor-over-classical-verify", readme_anchor, ["verify"]),
         ("alpha-table-run", alpha_table, ["run"]),
         ("alpha-table-verify", alpha_table, ["verify"]),
         ("identity-run", identity, ["run"]),
