@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -209,14 +209,9 @@ class Certificate:
             for k in range(k_max + 1)
         ]
 
-    def to_dict(self, k_max: int, table: Optional[List[dict]] = None) -> dict:
-        """The certificate with its table up to ``k_max``, or with ``table``,
-        one already evaluated to ``k_max``."""
-        return {
-            "formula": self.formula,
-            "constants": self.constants.to_dict(),
-            "table": self.table(k_max) if table is None else table,
-        }
+    def to_dict(self, table: List[dict]) -> dict:
+        """The certificate with ``table``, one that :meth:`table` evaluated."""
+        return {"formula": self.formula, "constants": self.constants.to_dict(), "table": table}
 
 
 def make_certificate(constants: InstanceConstants, schedule: Schedule,

@@ -21,7 +21,6 @@ from typing import List, Optional
 from .certificates import CertificateOverflow
 from .config import FAMILY_PARAMS, ConfigError, Instance, RunConfig, assemble, load_config
 from .engine import NumericAbort, audit_inequalities, iterate, write_trajectory_csv
-from .moduli import RateFn
 from .operators import CATALOG
 from .schedules import Window, range_findings, verify_hypotheses
 from .verify import (
@@ -152,8 +151,8 @@ def cmd_certify(args) -> int:
     doc = cfg.to_dict()
     k_max, formats = doc["run"]["k_max"], doc["output"]["formats"]
     cert = instance.certificate
-    certificate = cert.to_dict(k_max)
-    table = certificate["table"]
+    table = cert.table(k_max)
+    certificate = cert.to_dict(table)
     out = _ensure_out(doc)
     if "json" in formats:
         _write_json(os.path.join(out, "certificate.json"),
@@ -222,27 +221,21 @@ def _soundness_csv(path: str, report: SoundnessReport) -> None:
                          f"{str(row.truncated).lower()}\n")
 
 
-def _tabled(rate: RateFn, table: List[dict], column: str) -> RateFn:
-    """``rate`` as the values of its ``column`` in a certificate table, which
-    cover the k of the table; the description is the rate's."""
-    values = [row[column] for row in table]
-    return RateFn(values.__getitem__, rate.kind, rate.description)
-
-
 def cmd_verify(args) -> int:
     doc, instance, window, traj, audit, table = _load_and_run(args)
     k_max, formats, horizon = doc["run"]["k_max"], doc["output"]["formats"], traj.horizon
     cert = instance.certificate
     hypotheses = verify_hypotheses(instance.schedule, horizon, window)
 
-    certificate = cert.to_dict(k_max, table)
-    table = certificate["table"]
-    residual_report = check_rate_soundness(
-        traj, _tabled(cert.residual_rate, table, "residual_rate"), "res_T", k_max)
-    step_report = check_rate_soundness(
-        traj, _tabled(cert.step_rate, table, "step_rate"), "res_step", k_max)
+    table = table or cert.table(k_max)
+    certificate = cert.to_dict(table)
+    residual_report = check_rate_soundness(traj, [row["residual_rate"] for row in table], "res_T",
+                                           cert.residual_rate.description)
+    step_report = check_rate_soundness(traj, [row["step_rate"] for row in table], "res_step",
+                                       cert.step_rate.description)
     reports = [residual_report, step_report]
-    liminf_report = check_liminf_contract(traj, cert.liminf_modulus, min(8, k_max), 8)
+    liminf_report = check_liminf_contract(traj, [[cert.liminf_modulus(k, L) for L in range(9)]
+                                                 for k in range(min(8, k_max) + 1)])
 
     out = _ensure_out(doc)
     if "csv" in formats:

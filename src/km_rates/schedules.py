@@ -212,7 +212,8 @@ class HeadStream:
 class InverseSquareStream:
     """The stream n -> scale/(n+offset)^2, ``scale`` a double or a row.  No
     coordinate's magnitude grows with n, so [s, n_max] keeps the bits of
-    entry n_max once entry s does: :meth:`settled` is one bisection."""
+    entry n_max once entry s does: :meth:`settled` is n_max when entry
+    n_max - 1 differs, else one bisection below it."""
 
     __slots__ = ("scale", "offset")
 
@@ -229,9 +230,13 @@ class InverseSquareStream:
         return np.divide(self.scale, d, out=d)
 
     def settled(self, n_max: int) -> int:
+        def keeps(n):
+            return bool((self(np.array([n])).view(np.uint64) == last).all())
+
         last = self(np.array([n_max])).view(np.uint64)
-        return bisect.bisect_left(range(n_max), True, key=lambda n: bool(
-            (self(np.array([n])).view(np.uint64) == last).all()))
+        if n_max == 0 or not keeps(n_max - 1):
+            return n_max
+        return bisect.bisect_left(range(n_max - 1), True, key=keeps)
 
 
 @dataclass(frozen=True)

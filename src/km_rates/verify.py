@@ -10,12 +10,12 @@ no pass/fail semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .engine import Trajectory
-from .moduli import RateFn, Row, RowReport
+from .moduli import Row, RowReport
 
 SOUNDNESS_TOL = 1e-9
 HORIZON_CAP = 100_000
@@ -103,26 +103,25 @@ def empirical_first_index(traj: Trajectory, quantity: str, k: int) -> Optional[i
     return first if first >= 0 else None
 
 
-def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
-                         k_max: int) -> SoundnessReport:
-    """Verify quantity[n] <= 1/(k+1)+SOUNDNESS_TOL for all n in [rate(k), end]
-    per k.
+def check_rate_soundness(traj: Trajectory, bounds: Sequence[int], quantity: str,
+                         description: str = "") -> SoundnessReport:
+    """Verify quantity[n] <= 1/(k+1)+SOUNDNESS_TOL for all n in [bounds[k], end]
+    per k, where ``bounds`` holds a rate's values at k = 0 .. len(bounds) - 1
+    and ``description`` names it in the report.
 
     ``end`` is the last defined index of the stream (horizon for res_T,
-    horizon-1 for res_step); rows with rate(k) beyond it are truncated.
+    horizon-1 for res_step); rows with a bound beyond it are truncated.
     The suffix maxima are taken over the stream's head only, and a bound
     past it reads the one at its last entry.  The empirical first indices
-    of all k_max + 1 rows come from one binary search over the suffix
-    maxima; the rate is called once per row.
+    of all rows come from one binary search over the suffix maxima.
     """
     last = traj.horizon - (quantity == "res_step")
     suffix = _suffix_max(_series(traj, quantity))
     head = suffix.size - 1
-    thresholds = 1.0 / np.arange(1, k_max + 2)
+    thresholds = 1.0 / np.arange(1, len(bounds) + 1)
     firsts = _first_quiet_indices(suffix, thresholds + SOUNDNESS_TOL).tolist()
     rows: List[SoundnessRow] = []
-    for k, threshold, first in zip(range(k_max + 1), thresholds.tolist(), firsts):
-        bound = rate(k)
+    for k, (bound, threshold, first) in enumerate(zip(bounds, thresholds.tolist(), firsts)):
         first = first if first >= 0 else None
         window = max_excess = passed = slack = None
         if bound <= last:
@@ -131,7 +130,7 @@ def check_rate_soundness(traj: Trajectory, rate: RateFn, quantity: str,
             slack = float(bound) / max(1, first) if first is not None else None
         rows.append(SoundnessRow(k=k, bound=bound, window=window, max_excess=max_excess,
                                  passed=passed, empirical_first_index=first, slack_factor=slack))
-    return SoundnessReport(quantity=quantity, rate_description=rate.description,
+    return SoundnessReport(quantity=quantity, rate_description=description,
                            horizon=traj.horizon, rows=rows)
 
 
@@ -163,33 +162,31 @@ class LiminfReport(RowReport):
         }
 
 
-def check_liminf_contract(traj: Trajectory, modulus: RateFn, k_max: int,
-                          L_max: int) -> LiminfReport:
-    """Grid check of the witness property: some index in [L, modulus(k, L)]
-    has res_T strictly below 1/(k+1).  Cells whose window end exceeds the
-    horizon are truncated.  A window reads its indices up to the last
-    entry of the head of res_T, at index k, and from k on only entry k,
-    which stands for every later one.
+def check_liminf_contract(traj: Trajectory, bounds: Sequence[Sequence[int]]) -> LiminfReport:
+    """Grid check of the witness property: some index in [L, bounds[k][L]]
+    has res_T strictly below 1/(k+1), where ``bounds`` holds a dip-window
+    modulus's values, one row per k from 0 and one entry per L from 0.
+    Cells whose window end exceeds the horizon are truncated.  A window
+    reads its indices up to the last entry of the head of res_T, at index
+    k, and from k on only entry k, which stands for every later one.
 
     Per k the indices below the threshold are found once, unless every
     cell of the row is truncated, and one binary search gives every window
     start its first such index at or after it; a cell's witness is that
-    index when its window reaches it.  The modulus is called once per
-    cell."""
+    index when its window reaches it."""
     last, values = traj.horizon, traj.res_T
     head = values.size - 1
-    starts = np.minimum(np.arange(L_max + 1), head)
     cells: List[LiminfCell] = []
-    for k in range(k_max + 1):
+    for k, row in enumerate(bounds):
         first_hits = None  # a row of truncated cells reads no value
-        for L in range(L_max + 1):
-            bound = modulus(k, L)
+        for L, bound in enumerate(row):
             if bound > last:
                 cells.append(LiminfCell(k, L, bound, None, None))
                 continue
             if first_hits is None:
                 hits = np.flatnonzero(values < 1.0 / (k + 1))
                 # per L, the first hit at or after min(L, head), -1 when none
+                starts = np.minimum(np.arange(len(row)), head)
                 first_hits = np.append(hits, -1)[np.searchsorted(hits, starts)].tolist()
             hit = first_hits[L]
             witness = max(L, hit) if L <= bound and 0 <= hit <= bound else None

@@ -389,6 +389,18 @@ def whole_verify_hypotheses(schedule, n_max: int) -> HypothesesReport:
                             defect_window_sum=sums[0], perturbation_window_sum=sums[1])
 
 
+def rate_values(rate: RateFn, k_max: int) -> List[int]:
+    """``rate`` at k = 0 .. k_max: the bounds that ``check_rate_soundness``
+    takes."""
+    return [rate(k) for k in range(k_max + 1)]
+
+
+def modulus_grid(modulus: RateFn, k_max: int, L_max: int) -> List[List[int]]:
+    """``modulus`` at (k, L) for k <= k_max and L <= L_max, one row per k:
+    the grid that ``check_liminf_contract`` takes."""
+    return [[modulus(k, L) for L in range(L_max + 1)] for k in range(k_max + 1)]
+
+
 def whole_soundness(traj, rate: RateFn, quantity: str, k_max: int) -> SoundnessReport:
     """``check_rate_soundness`` as it was before it read the settled head
     only: the suffix maxima and the first quiet index of the whole stream,

@@ -82,8 +82,8 @@ def test_criterion_3_rotation_rate_soundness():
     t0 = time.perf_counter()
     space, op, start, schedule, constants, cert = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 35000)
-    residual = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 15)
-    step = km.check_rate_soundness(traj, cert.step_rate, "res_step", 15)
+    residual = km.check_rate_soundness(traj, lemmas.rate_values(cert.residual_rate, 15), "res_T")
+    step = km.check_rate_soundness(traj, lemmas.rate_values(cert.step_rate, 15), "res_step")
     efi = km.empirical_first_index(traj, "res_T", 0)
     half_sqrt2 = math.sqrt(2) / 2
     decay_ok = all(
@@ -112,12 +112,12 @@ def test_criterion_4_shrinking_weight_ball_soundness():
     traj = km.iterate(instance.space, instance.operator, instance.start,
                       instance.schedule, horizon)
     audit = km.audit_inequalities(traj, instance.constants)
-    residual = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 5)
-    step = km.check_rate_soundness(traj, cert.step_rate, "res_step", 5)
+    residual = km.check_rate_soundness(traj, lemmas.rate_values(cert.residual_rate, 5), "res_T")
+    step = km.check_rate_soundness(traj, lemmas.rate_values(cert.step_rate, 5), "res_step")
     closed_residual, closed_step = example2_oracle(cert.threshold, 4, 1, 0)
     closed_form = all(cert.residual_rate(k) == closed_residual(k)
                       and cert.step_rate(k) == closed_step(k) for k in range(6))
-    liminf = km.check_liminf_contract(traj, cert.liminf_modulus, 5, 8)
+    liminf = km.check_liminf_contract(traj, lemmas.modulus_grid(cert.liminf_modulus, 5, 8))
     elapsed = time.perf_counter() - t0
     ok = (audit.passed and residual.passed and step.passed
           and closed_form and liminf.passed
@@ -250,7 +250,7 @@ def test_criterion_8_liminf_contract_long_horizon():
     t0 = time.perf_counter()
     space, op, start, schedule, constants, cert = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 10**5)
-    report = km.check_liminf_contract(traj, cert.liminf_modulus, 8, 8)
+    report = km.check_liminf_contract(traj, lemmas.modulus_grid(cert.liminf_modulus, 8, 8))
     elapsed = time.perf_counter() - t0
     ok = report.passed and report.checked == 81
     _stamp(8, ok, elapsed, f"cells checked={report.checked}")

@@ -358,7 +358,7 @@ def test_step_series_modulus_diagnostic():
 
 
 def test_certificate_table_serialization():
-    doc = CLASSICAL.to_dict(3)
+    doc = CLASSICAL.to_dict(CLASSICAL.table(3))
     assert set(doc) == {"formula", "constants", "table"}
     assert doc["formula"] == "hilbert"
     assert [row["residual_rate"] for row in doc["table"]] == [132, 516, 1156, 2052]

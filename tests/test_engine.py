@@ -491,6 +491,19 @@ def test_settled_index_reads_the_perturbation_in_few_calls(monkeypatch):
     assert set(reads) == {(1,)} and len(reads) <= math.ceil(math.log2(h)) + 1
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 250])
+def test_a_still_changing_perturbation_declares_n_max_without_a_bisection(monkeypatch, n_max):
+    """Entry n_max - 1 of the inverse-square rows differs from entry n_max,
+    so the settled index n_max is read from those two entries; at n_max = 0
+    from entry 0 alone."""
+    reads = []
+    monkeypatch.setattr(InverseSquareStream, "__call__",
+                        lambda self, n, call=InverseSquareStream.__call__:
+                        reads.append(n.tolist()) or call(self, n))
+    assert InverseSquareStream(np.array([0.25, 1e-3]), 1).settled(n_max) == n_max
+    assert reads == ([[n_max], [n_max - 1]] if n_max else [[0]])
+
+
 def test_settled_index_is_found_once_per_call(monkeypatch):
     """alpha switches from 1/2 to 1/4 at index 600: the first two blocks end
     on a repeated point but before the settled index; x_n then shrinks to a

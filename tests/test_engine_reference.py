@@ -14,8 +14,8 @@ from km_rates.moduli import RateFn, RateKind
 from km_rates.operators import Operator
 from km_rates.schedules import HeadStream
 
-from lemmas import (assert_audit_matches_whole_array, iterate_with_points, whole_liminf,
-                    whole_soundness, whole_trajectory)
+from lemmas import (assert_audit_matches_whole_array, iterate_with_points, modulus_grid,
+                    rate_values, whole_liminf, whole_soundness, whole_trajectory)
 from reference_engine import reference_iterate
 
 LP_SAFE = ("identity", "coordinate_shrink")
@@ -370,10 +370,10 @@ def test_soundness_and_liminf_match_the_whole_stream_checks(op_name, family, dim
               cert.step_rate]
     for quantity in ("res_T", "res_step"):
         for rate in rates:
-            assert _fields(km.check_rate_soundness(traj, rate, quantity, 15).rows) == \
+            assert _fields(km.check_rate_soundness(traj, rate_values(rate, 15), quantity).rows) == \
                 _fields(whole_soundness(traj, rate, quantity, 15).rows)
     moduli = [RateFn(lambda j, L, width=width: L + width, RateKind.LIMINF_MODULUS)
               for width in bounds]
     for modulus in moduli + [cert.liminf_modulus]:
-        assert _fields(km.check_liminf_contract(traj, modulus, 8, 8).cells) == \
+        assert _fields(km.check_liminf_contract(traj, modulus_grid(modulus, 8, 8)).cells) == \
             _fields(whole_liminf(traj, modulus, 8, 8).cells)

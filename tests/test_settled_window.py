@@ -137,11 +137,11 @@ def test_run_and_its_checks_match_the_whole_window(tmp_path, name, t, horizon):
     rates.append(RateFn.affine(3, 1, RateKind.RATE_OF_CONVERGENCE))
     for quantity in ("res_T", "res_step"):
         for rate in rates:
-            assert km.check_rate_soundness(traj, rate, quantity, 40).rows == \
+            assert km.check_rate_soundness(traj, lemmas.rate_values(rate, 40), quantity).rows == \
                 lemmas.whole_soundness(traj, rate, quantity, 40).rows
     for width in bounds:
         modulus = RateFn(lambda j, L, width=width: L + width, RateKind.LIMINF_MODULUS)
-        assert km.check_liminf_contract(traj, modulus, 8, 8).cells == \
+        assert km.check_liminf_contract(traj, lemmas.modulus_grid(modulus, 8, 8)).cells == \
             lemmas.whole_liminf(traj, modulus, 8, 8).cells
 
     km.write_trajectory_csv(traj, tmp_path / "new.csv")
@@ -163,12 +163,13 @@ def test_liminf_and_soundness_past_a_small_settled_index(k):
         traj = replace(short, res_T=res_T, res_step=rng.uniform(0.0, 1.0, k + 1))
         for width in (0, 1, 5, 60):
             modulus = RateFn(lambda j, L, width=width: L + width, RateKind.LIMINF_MODULUS)
-            assert km.check_liminf_contract(traj, modulus, 8, 8).cells == \
+            assert km.check_liminf_contract(traj, lemmas.modulus_grid(modulus, 8, 8)).cells == \
                 lemmas.whole_liminf(traj, modulus, 8, 8).cells
         for bound in (0, k, k + 1, 59, 60):
             rate = RateFn.constant(bound, RateKind.RATE_OF_CONVERGENCE)
+            bounds = lemmas.rate_values(rate, 10)
             for quantity in ("res_T", "res_step"):
-                assert km.check_rate_soundness(traj, rate, quantity, 10).rows == \
+                assert km.check_rate_soundness(traj, bounds, quantity).rows == \
                     lemmas.whole_soundness(traj, rate, quantity, 10).rows
 
 

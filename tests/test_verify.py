@@ -24,7 +24,7 @@ def rotation_run():
 
 def test_soundness_rotation_passes(rotation_run):
     traj, _, cert = rotation_run
-    report = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 5)
+    report = km.check_rate_soundness(traj, lemmas.rate_values(cert.residual_rate, 5), "res_T")
     assert report.passed
     assert report.checked == 6
     row = report.rows[0]
@@ -35,7 +35,7 @@ def test_soundness_rotation_passes(rotation_run):
 
 def test_soundness_truncation_carries_no_verdict(rotation_run):
     traj, _, cert = rotation_run
-    report = km.check_rate_soundness(traj, cert.step_rate, "res_step", 5)
+    report = km.check_rate_soundness(traj, lemmas.rate_values(cert.step_rate, 5), "res_step")
     for row in report.rows:
         if row.truncated:
             assert row.passed is None and row.window is None
@@ -48,7 +48,7 @@ def test_soundness_truncation_carries_no_verdict(rotation_run):
 def test_soundness_negative_control_zero_rate(rotation_run):
     traj, _, _ = rotation_run
     zero = RateFn.constant(0, RateKind.RATE_OF_CONVERGENCE)
-    report = km.check_rate_soundness(traj, zero, "res_T", 3)
+    report = km.check_rate_soundness(traj, lemmas.rate_values(zero, 3), "res_T")
     assert report.rows[1].passed is False  # res_T[0] = sqrt(2) > 1/2
     assert not report.passed
 
@@ -159,8 +159,9 @@ def test_settled_soundness_matches_the_whole_stream(traj):
     firsts = set()
     for quantity in ("res_T", "res_step"):
         for rate in rates:
-            folded = km.check_rate_soundness(traj, rate, quantity, 40)
-            assert folded.rows == km.check_rate_soundness(whole, rate, quantity, 40).rows
+            bounds = lemmas.rate_values(rate, 40)
+            folded = km.check_rate_soundness(traj, bounds, quantity)
+            assert folded.rows == km.check_rate_soundness(whole, bounds, quantity).rows
         for j in range(41):
             first = km.empirical_first_index(traj, quantity, j)
             assert first == km.empirical_first_index(whole, quantity, j)
@@ -170,7 +171,7 @@ def test_settled_soundness_matches_the_whole_stream(traj):
 
 def test_soundness_slack_reported(rotation_run):
     traj, _, cert = rotation_run
-    report = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 5)
+    report = km.check_rate_soundness(traj, lemmas.rate_values(cert.residual_rate, 5), "res_T")
     for row in report.rows:
         if not row.truncated:
             assert row.slack_factor is not None and row.slack_factor >= 10.0
@@ -179,7 +180,7 @@ def test_soundness_slack_reported(rotation_run):
 def test_empirical_first_index_never_exceeds_passing_bound(rotation_run):
     # certified bounds are upper envelopes of the first sufficient index
     traj, _, cert = rotation_run
-    report = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 5)
+    report = km.check_rate_soundness(traj, lemmas.rate_values(cert.residual_rate, 5), "res_T")
     for row in report.rows:
         if not row.truncated and row.passed:
             assert row.empirical_first_index is not None
@@ -190,14 +191,14 @@ def test_monotone_soundness_inflated_rate_stays_valid(rotation_run):
     traj, _, cert = rotation_run
     inflated = RateFn(lambda k: 2 * cert.residual_rate(k) + 17,
                       RateKind.RATE_OF_CONVERGENCE)
-    base = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 4)
-    bigger = km.check_rate_soundness(traj, inflated, "res_T", 4)
+    base = km.check_rate_soundness(traj, lemmas.rate_values(cert.residual_rate, 4), "res_T")
+    bigger = km.check_rate_soundness(traj, lemmas.rate_values(inflated, 4), "res_T")
     assert base.passed and bigger.passed
 
 
 def test_liminf_contract_rotation(rotation_run):
     traj, _, cert = rotation_run
-    report = km.check_liminf_contract(traj, cert.liminf_modulus, 5, 5)
+    report = km.check_liminf_contract(traj, lemmas.modulus_grid(cert.liminf_modulus, 5, 5))
     assert report.passed
     assert report.checked == 36
 
@@ -207,7 +208,7 @@ def test_liminf_witness_at_window_start_for_zero_residuals():
     op = km.make_operator("identity", space)
     traj = km.iterate(space, op, [0.0, 0.0], km.make_classical_km(0.5), 30)
     delta = RateFn(lambda k, L: L + 3, RateKind.LIMINF_MODULUS)
-    report = km.check_liminf_contract(traj, delta, 4, 4)
+    report = km.check_liminf_contract(traj, lemmas.modulus_grid(delta, 4, 4))
     assert report.passed
     for cell in report.cells:
         assert cell.witness == cell.L
@@ -216,7 +217,7 @@ def test_liminf_witness_at_window_start_for_zero_residuals():
 def test_liminf_negative_control(rotation_run):
     traj, _, _ = rotation_run
     lazy = RateFn(lambda k, L: L, RateKind.LIMINF_MODULUS)
-    report = km.check_liminf_contract(traj, lazy, 4, 4)
+    report = km.check_liminf_contract(traj, lemmas.modulus_grid(lazy, 4, 4))
     cell = next(c for c in report.cells if (c.k, c.L) == (2, 0))
     assert cell.passed is False  # res_T[0] = sqrt(2) >= 1/3
     assert not report.passed
@@ -226,7 +227,7 @@ def test_liminf_truncation():
     space, op, start, schedule, _, cert = rotation_instance()
     traj = km.iterate(space, op, start, schedule, 20)
     big = RateFn(lambda k, L: 10**6, RateKind.LIMINF_MODULUS)
-    report = km.check_liminf_contract(traj, big, 2, 2)
+    report = km.check_liminf_contract(traj, lemmas.modulus_grid(big, 2, 2))
     assert report.checked == 0
     assert report.passed  # truncation is not failure
 
@@ -241,7 +242,8 @@ def test_auto_horizon_rule():
 
 def test_soundness_report_serializes(rotation_run):
     traj, _, cert = rotation_run
-    doc = km.check_rate_soundness(traj, cert.residual_rate, "res_T", 3).to_dict()
+    bounds = lemmas.rate_values(cert.residual_rate, 3)
+    doc = km.check_rate_soundness(traj, bounds, "res_T").to_dict()
     assert doc["all_passed"] is True
     assert doc["rows"][0]["bound"] == 132
     assert doc["rows"][0]["empirical_first_index"] == 1

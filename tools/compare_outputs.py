@@ -9,7 +9,8 @@ exported with ``git archive`` into ``--work``.
 Every config that ``perfbench/workloads.py`` makes for the given seeds goes
 through ``run`` and ``verify``, and a fixed set of configs taken from the
 test suite, plus config-parse edge cases, certificate arithmetic at the
-edges of the double range, false schedule premises, usage
+edges of the double range, false schedule premises, the README
+rotation with both certificate rates overridden at ``--k-max 0``, usage
 errors, help text and multi-block runs of the two matrix operators, of
 per-index coefficients, of a coefficient table that turns constant, of
 points that repeat before and after a change of the step map and of a
@@ -88,6 +89,11 @@ def _test_suite_jobs() -> list:
     out_of_range["certificate"]["formula"] = "general"
     negative = _rotation(500)
     negative["certificate"]["overrides"] = {"residual_rate": {"const": 0}}
+    # the README rotation with both rates overridden, run with --k-max 0:
+    # a one-row table and a 1 x 9 liminf grid
+    overridden = _rotation(35_000, 15)
+    overridden["certificate"]["overrides"] = {
+        "residual_rate": {"const": 3}, "step_rate": {"affine": {"slope": 2, "intercept": 1}}}
     false_premise = _rotation(schedule={"family": "custom", "params": {
         "alpha": 0.5, "beta": 0.5, "defect_is_zero": True,
         "weight_divergence": {"affine": {"slope": 1, "intercept": 0}}}})
@@ -346,6 +352,8 @@ def _test_suite_jobs() -> list:
         ("rotation-verify-35000", _rotation(35_000, 15), ["verify"]),
         ("rotation-flags", _rotation(), ["run", "--horizon", "50", "--format", "json"]),
         ("negative-override", negative, ["verify"]),
+        ("overridden-k-max-0-verify", overridden, ["verify", "--k-max", "0"]),
+        ("overridden-k-max-0-certify", overridden, ["certify", "--k-max", "0"]),
         ("out-of-range", out_of_range, ["run"]),
         ("false-premise", false_premise, ["verify"]),
         ("false-defect-modulus", false_defect_modulus, ["verify"]),
