@@ -120,17 +120,15 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("".join(parts))
 
 
-def _validate_schedule_window(instance: Instance, horizon: int) -> Window:
-    """The schedule's window on [0, horizon], the command's one read of its
-    scalar streams, after the range check of :func:`range_findings` on the
-    weights of [0, horizon), read up to :meth:`Window.range_prefix`: the
-    first violating index rejects the config before any iteration runs."""
-    window = Window.read(instance.schedule, horizon)
-    alpha, beta, _ = window.range_prefix(horizon)
+def _validate_schedule_window(instance: Instance, horizon: int) -> None:
+    """The range check of :func:`range_findings` on the weights of [0,
+    horizon), read from the schedule's window up to
+    :meth:`Window.range_prefix`: the first violating index rejects the
+    config before any iteration runs."""
+    alpha, beta, _ = Window.read(instance.schedule, horizon).range_prefix(horizon)
     findings = range_findings(alpha, beta)
     if findings:
         raise ConfigError(min(findings, key=lambda f: f.index).message)
-    return window
 
 
 def _resolve_horizon(instance: Instance, run: dict):
@@ -170,24 +168,29 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _load_and_run(args):
-    """Load and assemble the config of a run, audit or verify command, read
-    and check its schedule window, iterate on that window and audit the
-    trajectory (its scalar streams; no command reads the points).  Returns
-    the config's document with the run's objects, and the certificate table
-    an auto horizon was read from (else None)."""
+def _load_and_check(args):
+    """Load and assemble the config of a run, audit or verify command and
+    range-check its schedule window.  Returns the config's document, the
+    instance, the horizon, and the certificate table an auto horizon was
+    read from (else None)."""
     cfg = _load(args)
     instance = assemble(cfg)
     doc = cfg.to_dict()
     horizon, table = _resolve_horizon(instance, doc["run"])
-    window = _validate_schedule_window(instance, horizon)
-    traj = iterate(instance.space, instance.operator, instance.start, instance.schedule, horizon,
-                   window=window)
-    return doc, instance, window, traj, audit_inequalities(traj, instance.constants), table
+    _validate_schedule_window(instance, horizon)
+    return doc, instance, horizon, table
+
+
+def _run_and_audit(instance: Instance, horizon: int):
+    """The instance's trajectory up to ``horizon`` and its audit (its scalar
+    streams; no command reads the points)."""
+    traj = iterate(instance.space, instance.operator, instance.start, instance.schedule, horizon)
+    return traj, audit_inequalities(traj, instance.constants)
 
 
 def cmd_run(args) -> int:
-    doc, _, _, traj, audit, _ = _load_and_run(args)
+    doc, instance, horizon, _ = _load_and_check(args)
+    traj, audit = _run_and_audit(instance, horizon)
     out = _ensure_out(doc)
     if "csv" in doc["output"]["formats"]:
         write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
@@ -199,7 +202,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    doc, _, _, _, audit, _ = _load_and_run(args)
+    doc, instance, horizon, _ = _load_and_check(args)
+    _, audit = _run_and_audit(instance, horizon)
     out = _ensure_out(doc)
     if "json" in doc["output"]["formats"]:
         _write_json(os.path.join(out, "audit.json"), {"config": doc, "audit": audit.to_dict()})
@@ -222,10 +226,12 @@ def _soundness_csv(path: str, report: SoundnessReport) -> None:
 
 
 def cmd_verify(args) -> int:
-    doc, instance, window, traj, audit, table = _load_and_run(args)
-    k_max, formats, horizon = doc["run"]["k_max"], doc["output"]["formats"], traj.horizon
-    cert = instance.certificate
-    hypotheses = verify_hypotheses(instance.schedule, horizon, window)
+    doc, instance, horizon, table = _load_and_check(args)
+    # the premises before the run, so that their arrays and the trajectory
+    # are never held at once
+    hypotheses = verify_hypotheses(instance.schedule, horizon)
+    traj, audit = _run_and_audit(instance, horizon)
+    k_max, formats, cert = doc["run"]["k_max"], doc["output"]["formats"], instance.certificate
 
     table = table or cert.table(k_max)
     certificate = cert.to_dict(table)

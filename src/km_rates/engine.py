@@ -35,7 +35,7 @@ import numpy as np
 from .certificates import InstanceConstants
 from .g17 import CSV_BATCH, csv_rows
 from .operators import FIXED_POINT_TOL, Operator, Space
-from .schedules import CSV_CHUNK, HeadStream, Schedule, Window, held, settled_from
+from .schedules import CSV_CHUNK, Schedule, Window, held, read, settled_from
 
 AUDIT_TOL = 1e-9
 #: points per block of the step loop: enough that the per-block array calls
@@ -105,38 +105,34 @@ def _coefficient_rows(values: np.ndarray, rows: tuple):
 
 def _perturbation_rows(schedule: Schedule, n0: int, n1: int, dim: int) -> np.ndarray:
     """r_n for n in [n0, n1), as floats of shape (m, dim), or (m, 1) for one
-    coordinate that broadcasts: the rows of a :class:`HeadStream` through
-    :func:`~km_rates.schedules.held`, with no call, and of any other stream
-    in one call.  Any other shape breaks the stream contract and raises
-    ValueError."""
+    coordinate that broadcasts, through :func:`~km_rates.schedules.read`.
+    Any other shape breaks the stream contract and raises ValueError."""
     m = n1 - n0
-    if isinstance(schedule.perturbation, HeadStream):
-        r = held(schedule.perturbation.head, n0, n1)
-    else:
-        r = np.asarray(schedule.perturbation(np.arange(n0, n1)), dtype=float)
+    r = read(schedule.perturbation, n0, n1)
     if r.shape not in ((m, dim), (m, 1)):
         raise ValueError(f"perturbation returned shape {r.shape} for {m} indices, "
                          f"not ({m}, {dim}) or ({m}, 1)")
     return r
 
 
-def _anchor_bounds(K0: float, window: Window, norm_z: float, fix_residual: float,
+def _anchor_bounds(K0: float, heads: tuple, norm_z: float, fix_residual: float,
                    head: int) -> np.ndarray:
     """K_0 .. K_head of K_{m+1} = ((K_m + beta_m*fr) + defect_m*||z||) +
-    ||r_m||, summed in this order, for the increments m < head of the
-    window's alpha, beta and ||r_n||.
+    ||r_m||, summed in this order, for the increments m < head of alpha,
+    beta and ||r_n||, whose ``heads`` these are.
 
     ``CSV_CHUNK`` increments at a time, each chunk's alpha, beta and ||r_n||
-    read through :meth:`Window.values` and summed in one sequential
-    accumulate that starts from the carried K_m, so the sums are those of
-    one accumulate over all 3*head + 1 terms without a buffer of that size.
+    read through :func:`~km_rates.schedules.held` and summed in one
+    sequential accumulate that starts from the carried K_m, so the sums are
+    those of one accumulate over all 3*head + 1 terms without a buffer of
+    that size.
     """
     K_z = np.empty(head + 1)
     K_z[0] = K0
     terms = np.empty(3 * min(head, CSV_CHUNK) + 1)
     for m0 in range(0, head, CSV_CHUNK):
         m1 = min(m0 + CSV_CHUNK, head)
-        alpha, beta, r_norm = window.values(m0, m1)
+        alpha, beta, r_norm = (held(v, m0, m1) for v in heads)
         t = terms[:3 * (m1 - m0) + 1]
         t[0] = K_z[m0]
         np.multiply(beta, fix_residual, out=t[1::3])
@@ -148,17 +144,16 @@ def _anchor_bounds(K0: float, window: Window, norm_z: float, fix_residual: float
     return K_z
 
 
-def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
-            window: Optional[Window] = None) -> Trajectory:
+def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int) -> Trajectory:
     """Materialize the trajectory up to ``horizon`` steps.
 
-    Alpha, beta and ||r_n|| on [0, horizon] are those of ``window``, which
-    must cover exactly that (else ValueError), or of the window read without
-    one.  The steps run in blocks of ``BLOCK`` points, each step only
-    applying the operator and writing the update into its row of the block's
-    point array, and the norm streams of a block are taken as row norms
-    after it.  Aborts with :class:`NumericAbort` at the first non-finite
-    iterate.  ``K_z`` is accumulated after the walk.
+    Alpha, beta and ||r_n|| on [0, horizon] are those of the schedule's
+    window, :meth:`~km_rates.schedules.Window.read` on it.  The steps run in
+    blocks of ``BLOCK`` points, each step only applying the operator and
+    writing the update into its row of the block's point array, and the norm
+    streams of a block are taken as row norms after it.  Aborts with
+    :class:`NumericAbort` at the first non-finite iterate.  ``K_z`` is
+    accumulated after the walk.
 
     A block that ends on x_{k+1} with the bits of x_k ends the walk when
     k < horizon is at least the larger of the window's settled index and
@@ -191,7 +186,8 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
     with np.errstate(over="ignore", invalid="ignore"):
         # one step past the horizon, so that every point x_0..x_horizon is
         # reached by the same step body; x_{horizon+1} is dropped
-        window = Window.read(schedule, horizon) if window is None else window.covering(horizon)
+        window = Window.read(schedule, horizon)
+        heads = window.alpha, window.beta, window.r_norm
         z_is_zero = not z.any()  # then x - z is x bit for bit, and dist_z is norm_x
         res_T = np.empty(horizon + 1)
         norm_x = np.empty(horizon + 1)
@@ -249,10 +245,10 @@ def iterate(space: Space, op: Operator, start, schedule: Schedule, horizon: int,
         if stop is not None:  # the heads [0, k] only, which lets the whole arrays go
             res_T, norm_x, res_step = (v[:stop + 1].copy() for v in (res_T, norm_x, res_step))
             dist_z = norm_x if z_is_zero else dist_z[:stop + 1].copy()
-            a, b, rn = (v[-1] for v in (window.alpha, window.beta, window.r_norm))
+            a, b, rn = (v[-1] for v in heads)
             if b * fix_residual == 0.0 and ((1.0 - a) - b) * norm_z == 0.0 and rn == 0.0:
                 head = stop
-        K_z = _anchor_bounds(K0, window, norm_z, fix_residual, head)
+        K_z = _anchor_bounds(K0, heads, norm_z, fix_residual, head)
     return Trajectory(
         horizon=horizon, res_T=res_T, res_step=res_step, K_z=K_z, dist_z=dist_z,
         norm_x=norm_x, alpha=window.alpha, beta=window.beta, r_norm=window.r_norm,

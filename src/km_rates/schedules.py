@@ -24,7 +24,7 @@ is held whole over the horizon.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -124,16 +124,6 @@ class Schedule:
         return 1.0 - self.alpha(n) - self.beta(n)
 
 
-def stream_values(stream: Stream, ns: np.ndarray) -> np.ndarray:
-    """A scalar stream evaluated on the index array ``ns`` in one call, as
-    floats of the shape of ``ns``; a result of any other shape breaks the
-    stream contract and raises ValueError."""
-    values = np.asarray(stream(ns), dtype=float)
-    if values.shape != ns.shape:
-        raise ValueError(f"stream returned shape {values.shape} for indices of shape {ns.shape}")
-    return values
-
-
 def repeated(one: np.ndarray, shape: tuple) -> np.ndarray:
     """The one entry of ``one``, a double or a row of them, repeated to
     ``shape``, which ends in the row's shape: a read-only view of it with
@@ -182,11 +172,10 @@ def settled_from(stream: Stream, n_max: int) -> int:
 class HeadStream:
     """A stream given by a finite table, its ``head``: entry n is
     ``head[min(n, len(head) - 1)]``, a double or a row of doubles, the rule
-    of :func:`held`.  Its readers take the head and never call it over a
-    horizon (:meth:`Window.read` and the engine's perturbation rows); a call
-    on an index or an index array gives the entries of its shape, as a
-    read-only zero-stride view when every index is past the head, else a
-    gather."""
+    of :func:`held`.  :func:`read` takes the head and never calls it over
+    a horizon; a call on an index or an index array gives the entries of
+    its shape, as a read-only zero-stride view when every index is past the
+    head, else a gather."""
 
     __slots__ = ("head",)
 
@@ -239,47 +228,52 @@ class InverseSquareStream:
         return bisect.bisect_left(range(n_max - 1), True, key=keeps)
 
 
+def read(stream: Stream, n0: int, n1: int) -> np.ndarray:
+    """Entries n0 .. n1 - 1 of ``stream`` as floats: a :class:`HeadStream`'s
+    through :func:`held`, with no call, and any other stream's in one call
+    on ``np.arange(n0, n1)``.  The caller checks the shape."""
+    if isinstance(stream, HeadStream):
+        return held(stream.head, n0, n1)
+    return np.asarray(stream(np.arange(n0, n1)), dtype=float)
+
+
 @dataclass(frozen=True)
 class Window:
     """The scalar streams alpha_n, beta_n and ||r_n|| of a schedule on [0,
-    n_max]: one read per command, which the range check, the engine and the
-    premise check all take.
+    n_max], which the range check, the engine and the premise check each
+    :meth:`read` for themselves.
 
     Each stream field holds the head of its stream as a read-only array of
     at most n_max + 1 entries: entry n is the head's entry min(n, len - 1)
-    (see :func:`held` and :meth:`values`).  Only :meth:`read` builds a
-    window that :meth:`covering` accepts: a window built or changed by hand
-    may hold a head shorter than its stream's.
+    (see :func:`held` and :meth:`values`).
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     r_norm: np.ndarray
     n_max: int
-    _read: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
     def read(cls, schedule: Schedule, n_max: int) -> Window:
-        """Each stream on [0, s], s its :func:`settled_from` n_max.  A
-        :class:`HeadStream` of doubles is not called: its head is its table,
-        cut.  Any other stream is read through :func:`stream_values`, one
-        call per ``CSV_CHUNK`` indices, into one array of s + 1 entries, so
-        a stream that declares no settled index is held whole."""
+        """Each stream on [0, s], s its :func:`settled_from` n_max, through
+        the module's :func:`read`, one per ``CSV_CHUNK`` indices, into one
+        array of s + 1 entries, so a stream that declares no settled index
+        is held whole.  A result that is not one double per index breaks the
+        stream contract and raises ValueError."""
         heads = []
         for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm):
             end = settled_from(stream, n_max) + 1
-            if isinstance(stream, HeadStream) and stream.head.ndim == 1:
-                heads.append(stream.head[:end])
-                continue
             head = np.empty(end)
             for n0 in range(0, end, CSV_CHUNK):
-                ns = np.arange(n0, min(n0 + CSV_CHUNK, end))
-                head[n0:n0 + ns.size] = stream_values(stream, ns)
+                n1 = min(n0 + CSV_CHUNK, end)
+                values = read(stream, n0, n1)
+                if values.shape != (n1 - n0,):
+                    raise ValueError(f"stream returned shape {values.shape} "
+                                     f"for indices of shape {(n1 - n0,)}")
+                head[n0:n1] = values
             head.flags.writeable = False
             heads.append(head)
-        window = cls(*heads, n_max)
-        object.__setattr__(window, "_read", True)
-        return window
+        return cls(*heads, n_max)
 
     @property
     def settled(self) -> int:
@@ -297,14 +291,6 @@ class Window:
         the FINDINGS_MAX - 1 after it, so a check that keeps its first
         FINDINGS_MAX findings finds those of the first ``length`` indices."""
         return self.values(0, min(length, self.settled + FINDINGS_MAX))
-
-    def covering(self, n_max: int) -> Window:
-        """This window, which must be one :meth:`read` on exactly [0, n_max]
-        (else ValueError)."""
-        if not self._read or self.n_max != n_max:
-            raise ValueError(f"the window does not cover exactly [0, {n_max}]: "
-                             "only Window.read builds one")
-        return self
 
 
 def constant_stream(value: float) -> HeadStream:
@@ -540,14 +526,12 @@ class HypothesesReport:
         }
 
 
-def verify_hypotheses(schedule: Schedule, n_max: int,
-                      window: Optional[Window] = None) -> HypothesesReport:
+def verify_hypotheses(schedule: Schedule, n_max: int) -> HypothesesReport:
     """Check ranges (see :func:`range_findings`), modulus contracts and sum
     bounds on [0, n_max].
 
-    The values are those of ``window``, which must cover exactly [0, n_max]
-    (else ValueError), or of the window read without one; the defect and
-    coupling summands are derived from them.  All findings land in the
+    The values are those of the schedule's :meth:`Window.read` on [0,
+    n_max]; the defect and coupling summands are derived from them.  All findings land in the
     report; none raises.  The two Cauchy contracts are checked for k <=
     HYPOTHESES_K_MAX, with the analytic tail bounds when the series provide
     them and on the window only otherwise; the divergence rate for targets n
@@ -561,7 +545,7 @@ def verify_hypotheses(schedule: Schedule, n_max: int,
     a series' partial sums are taken over the whole window, as ``np.sum``
     adds in pairs; only a sum of +0.0 entries, +0.0 in any order, is not.
     """
-    window = Window.read(schedule, n_max) if window is None else window.covering(n_max)
+    window = Window.read(schedule, n_max)
     alpha, beta, pert = window.range_prefix(n_max + 1)
     findings = range_findings(alpha, beta)
     findings += [Finding("perturbation_norm", int(n), f"negative perturbation norm at n={n}")

@@ -46,7 +46,6 @@ from km_rates.schedules import (
     Window,
     held,
     range_findings,
-    stream_values,
 )
 from km_rates.verify import (
     SOUNDNESS_TOL,
@@ -326,12 +325,14 @@ def opaque(schedule):
 
 def whole_window(schedule, n_max: int) -> Window:
     """The window as it was read before it kept its settled head only: every
-    stream whole on [0, n_max], in read-only arrays.  A reference of values
-    only: ``iterate`` and ``verify_hypotheses`` take no window built by hand."""
+    stream whole on [0, n_max], each from one call of the stream itself, a
+    head stream too, in read-only arrays.  A reference of values only:
+    ``iterate`` and ``verify_hypotheses`` read their own windows."""
     ns = np.arange(n_max + 1)
-    views = [stream_values(stream, ns).view()
+    views = [np.asarray(stream(ns), dtype=float).view()
              for stream in (schedule.alpha, schedule.beta, schedule.perturbation_norm)]
     for view in views:
+        assert view.shape == ns.shape
         view.flags.writeable = False
     return Window(*views, n_max)
 

@@ -121,7 +121,9 @@ def test_cli_runs_keep_only_scalar_streams(tmp_path, capsys):
     cfg = write_config(tmp_path, rotation_config(tmp_path / "out", horizon=horizon))
     for command in ("run", "audit", "verify"):
         args = cli.build_parser().parse_args([command, "--config", cfg])
-        _, _, _, traj, audit, _ = cli._load_and_run(args)
+        _, instance, horizon_read, _ = cli._load_and_check(args)
+        assert horizon_read == horizon
+        traj, audit = cli._run_and_audit(instance, horizon)
         assert traj.horizon == horizon and audit.passed
         assert all(np.ndim(value) <= 1 for value in vars(traj).values())
 
@@ -523,9 +525,11 @@ def test_unrepresentable_schedule_constants_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_numeric_abort_exits_4(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["run", "audit", "verify"])
+def test_numeric_abort_exits_4(tmp_path, capsys, monkeypatch, command):
     # catalog instances stay bounded by construction, so the abort path is
-    # exercised by injecting a failing iteration
+    # exercised by injecting a failing iteration; verify checks its premises
+    # first, and writes nothing either
     import km_rates.cli as cli_mod
     from km_rates.engine import NumericAbort
 
@@ -534,8 +538,9 @@ def test_numeric_abort_exits_4(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "iterate", explode)
     cfg = write_config(tmp_path, rotation_config(tmp_path / "out", horizon=10))
-    assert main(["run", "--config", cfg]) == 4
-    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 4
+    assert capsys.readouterr().err == "numeric abort: non-finite iterate at index 7\n"
+    assert not (tmp_path / "out" / "verify.json").exists()
 
 
 def test_verify_example2_ball_via_cli(tmp_path, capsys):
@@ -590,11 +595,12 @@ def test_auto_horizon_verify_evaluates_each_rate_value_once(tmp_path, monkeypatc
     assert table == km.assemble(km.load_config(cfg)).certificate.table(5)
 
 
-@pytest.mark.parametrize("command", ["verify", "run", "audit"])
-def test_commands_read_each_schedule_stream_once(tmp_path, monkeypatch, command):
-    """alpha, beta and perturbation_norm are read once per command, on [0,
-    horizon]: the range check, the engine and the premise check share that
-    window."""
+@pytest.mark.parametrize("command, reads", [("verify", 3), ("run", 2), ("audit", 2)])
+def test_commands_read_each_schedule_stream_once_per_phase(tmp_path, monkeypatch, command,
+                                                           reads):
+    """alpha, beta and perturbation_norm, plain callables, are read on [0,
+    horizon] in one call each by every phase that takes them: the range
+    check and the engine, and for verify the premise check too."""
     calls = {}
     assemble = cli.assemble
 
@@ -615,4 +621,4 @@ def test_commands_read_each_schedule_stream_once(tmp_path, monkeypatch, command)
     monkeypatch.setattr(cli, "assemble", counted_assemble)
     cfg = write_config(tmp_path, rotation_config(tmp_path / "out"))
     assert main([command, "--config", cfg]) == 0
-    assert calls == {name: [(2001,)] for name in ("alpha", "beta", "perturbation_norm")}
+    assert calls == {name: [(2001,)] * reads for name in ("alpha", "beta", "perturbation_norm")}

@@ -68,22 +68,39 @@ def test_held_past_a_head_is_a_read_only_zero_stride_view():
     assert np.shares_memory(held(head, 0, 3), head)
 
 
-def test_a_run_that_never_settles_grows_by_48_bytes_per_step(tmp_path, monkeypatch):
-    """The benchmark's dim-64 p = 3 run, whose perturbation changes at every
-    step, writing its JSON only: its streams res_T, res_step, K_z, norm_x
-    (which dist_z shares, as z = 0) and ||r_n|| take 40 bytes per step, and
-    the peak grows by no more than 48 bytes per added step.  The horizons
-    are large enough that the streams, not the scratch of the step loop's
-    blocks, set most of the peak."""
+def _growth_per_step(tmp_path, monkeypatch, command: str) -> float:
+    """The peak's growth per added step of ``command`` on the benchmark's
+    dim-64 p = 3 config, writing its JSON only, from H = 24 000 to 48 000."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     doc = workloads.lp_run_export(1)[0].config
     peaks = []
     for horizon in (24_000, 48_000):
-        path = tmp_path / f"run-{horizon}.json"
+        path = tmp_path / f"{command}-{horizon}.json"
         path.write_text(json.dumps(dict(doc, run=dict(doc["run"], horizon=horizon), output={
-            "directory": str(tmp_path / f"out-{horizon}"), "formats": ["json"]})))
+            "directory": str(tmp_path / f"out-{command}-{horizon}"), "formats": ["json"]})))
         with contextlib.redirect_stdout(io.StringIO()):
-            peaks.append(_peak(lambda: cli.main(["run", "--config", str(path)])))
-    assert (peaks[1] - peaks[0]) / 24_000 <= 48, peaks
+            peaks.append(_peak(lambda: cli.main([command, "--config", str(path)])))
+    return (peaks[1] - peaks[0]) / 24_000
+
+
+def test_a_run_that_never_settles_grows_by_48_bytes_per_step(tmp_path, monkeypatch):
+    """The benchmark's dim-64 p = 3 run, whose perturbation changes at every
+    step: its streams res_T, res_step, K_z, norm_x (which dist_z shares, as
+    z = 0) and ||r_n|| take 40 bytes per step, and the peak grows by no
+    more than 48 bytes per added step.  The horizons are large enough that
+    the streams, not the scratch of the step loop's blocks, set most of the
+    peak."""
+    growth = _growth_per_step(tmp_path, monkeypatch, "run")
+    assert growth <= 48, growth
+
+
+def test_a_verify_that_never_settles_grows_by_56_bytes_per_step(tmp_path, monkeypatch):
+    """The same config under verify, which checks the schedule premises
+    before the run: their arrays of the window (||r_n|| and its partial
+    sums) are gone before the run's streams are held, so the peak grows by
+    no more than 56 bytes per added step (64 when the premises ran after
+    the run)."""
+    growth = _growth_per_step(tmp_path, monkeypatch, "verify")
+    assert growth <= 56, growth

@@ -7,7 +7,7 @@ import pytest
 import km_rates as km
 from km_rates.moduli import RateFn, RateKind
 from km_rates.engine import BLOCK
-from km_rates.schedules import (CSV_CHUNK, DIVERGENCE_N_MAX, HYPOTHESES_K_MAX, Window,
+from km_rates.schedules import (CSV_CHUNK, DIVERGENCE_N_MAX, HYPOTHESES_K_MAX,
                                  constant_stream, held_from, settled_from)
 
 import lemmas
@@ -346,11 +346,10 @@ def test_verify_hypotheses_caps():
     km.make_anchor(km.make_example2(0.3, J=3), [1.0, -0.5], np.linalg.norm),
     replace(km.make_classical_km(0.5), beta=lambda n: 0.5 + 0.6 * (np.asarray(n) == 7)),
 ], ids=["example2", "anchor", "out-of-range"])
-def test_verify_hypotheses_on_a_given_window_matches_its_own_read(schedule):
+def test_verify_hypotheses_matches_the_whole_window(schedule):
     n_max = 2500
     read = km.verify_hypotheses(schedule, n_max).to_dict()
-    given = km.verify_hypotheses(schedule, n_max, Window.read(schedule, n_max)).to_dict()
-    assert repr(read) == repr(given)
+    assert repr(read) == repr(lemmas.whole_verify_hypotheses(schedule, n_max).to_dict())
 
 
 #: r_star vectors whose coordinates are normal, subnormal (some underflow to

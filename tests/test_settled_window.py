@@ -102,8 +102,7 @@ def test_window_and_premises_match_the_whole_window(name, t, horizon):
                                                              whole.r_norm)):
         assert _bits(got) == _bits(expected)
     reference = lemmas.whole_verify_hypotheses(schedule, horizon).to_dict()
-    for given in (None, window):
-        assert repr(km.verify_hypotheses(schedule, horizon, given).to_dict()) == repr(reference)
+    assert repr(km.verify_hypotheses(schedule, horizon).to_dict()) == repr(reference)
 
 
 @pytest.mark.parametrize("name, t, horizon", CASES, ids=IDS)
@@ -222,7 +221,7 @@ def test_settled_run_holds_the_same_bytes_at_any_horizon():
     held = []
     for horizon in (10**4, 10**6):
         window = Window.read(schedule, horizon)
-        traj = km.iterate(space, op, start, schedule, horizon, window=window)
+        traj = km.iterate(space, op, start, schedule, horizon)
         assert traj.settled == 2303 and window.settled == 0
         held.append(_nbytes(window, traj))
     assert held[0] == held[1] == 2304 * 5 * 8 + 2 * 3 * 8
@@ -248,19 +247,28 @@ def test_unsettled_run_holds_its_changing_streams_whole(case):
     assert _nbytes(traj) == 8 * (horizon + 1 + 3 * (m + 1) + min(m + 1, horizon) + 2 + r_norm)
 
 
-def test_a_window_cut_by_hand_is_refused():
-    """A read window whose ||r_n|| is cut to 100 of its 1001 entries would
-    read as settled at 99 and sum the perturbation to 0.43127 instead of
-    0.41098: only a window that ``Window.read`` built is taken."""
+def test_iterate_and_verify_hypotheses_take_no_window():
+    """Each phase reads its own window: none read from another schedule, or
+    cut by hand, can be passed.  The perturbation of the schedule below sums
+    to 0.41098 on [0, 1000] (0.43127 on a window whose ||r_n|| is cut to 100
+    entries), and the README rotation under beta = 1/4 has res_T[1] = 1.1180
+    (1.0 on the window of beta = 1/2)."""
     space, op, start, _, _, _ = rotation_instance()
     schedule = km.make_example1(0.5, r_star=[0.25, 0.0], norm=space.norm)
     window = Window.read(schedule, 1000)
     assert window.settled == 1000
     cut = replace(window, r_norm=window.r_norm[:100])
-    for wrong in (cut, Window(window.alpha, window.beta, window.r_norm, 1000)):
-        with pytest.raises(ValueError, match="only Window.read builds one"):
+    for wrong in (cut, window):
+        with pytest.raises(TypeError, match="window"):
+            km.verify_hypotheses(schedule, 1000, window=wrong)
+        with pytest.raises(TypeError):
             km.verify_hypotheses(schedule, 1000, wrong)
-        with pytest.raises(ValueError, match="only Window.read builds one"):
+        with pytest.raises(TypeError, match="window"):
             km.iterate(space, op, start, schedule, 1000, window=wrong)
-    report = km.verify_hypotheses(schedule, 1000, window)
+    report = km.verify_hypotheses(schedule, 1000)
     assert report.perturbation_window_sum == pytest.approx(0.41098, abs=1e-5)
+    quarter = km.make_classical_km(0.25)
+    with pytest.raises(TypeError, match="window"):
+        km.iterate(space, op, start, quarter, 100,
+                   window=Window.read(km.make_classical_km(0.5), 100))
+    assert km.iterate(space, op, start, quarter, 100).res_T[1] == pytest.approx(1.1180, abs=1e-4)

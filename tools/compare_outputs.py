@@ -18,9 +18,9 @@ perturbation that underflows to 0 mid-run, a walk that ends while its
 anchor bound keeps growing, an anchor over classical KM at the auto
 horizon, a divergence rate that fails on its whole window, an audit that fails on every row of three checks, a
 settled run whose audit fails on its tail, settled runs whose CSV ends just
-below, at and just above multiples of its chunk, runs that never settle
-at horizons just below, at and just above one chunk, an audit whose
-violations start past its first chunk, a weight table whose
+below, at and just above multiples of its chunk, runs, audits and
+verifies that never settle at horizons just below, at and just above one
+chunk, an audit whose violations start past its first chunk, a weight table whose
 ``then`` value is out of range, weight tables (one that settles on a long
 window, an ``inexact_km`` beta table and one longer than the horizon), and
 a constant nonzero defect of rounding
@@ -401,11 +401,12 @@ def _test_suite_jobs() -> list:
     jobs += [(f"settled-csv-{horizon}", _rotation(horizon), ["run"])
              for chunks in (1, 2, 3) for horizon in (4096 * chunks - 1, 4096 * chunks,
                                                      4096 * chunks + 1)]
-    # a perturbation that changes at every step never settles, so the audit
-    # and the CSV read every row, in one chunk of 4096 or across two
-    jobs += [(f"unsettled-{horizon}", _rotation(horizon, schedule={
-        "family": "example1", "params": {"lam": 0.5, "r_star": [0.25, 0.0]}}), ["run"])
-        for horizon in (4095, 4096, 4097)]
+    # a perturbation that changes at every step never settles, so the
+    # window reads, the audit and the CSV read every row, in one chunk of
+    # 4096 or across two
+    jobs += [(f"unsettled-{horizon}-{command}", _rotation(horizon, schedule={
+        "family": "example1", "params": {"lam": 0.5, "r_star": [0.25, 0.0]}}), [command])
+        for horizon in (4095, 4096, 4097) for command in ("run", "audit", "verify")]
     jobs += [(f"late-violations-{command}", late_violations, [command])
              for command in ("run", "audit")]
     jobs += [(f"then-out-of-range-{command}", then_out_of_range, [command])
